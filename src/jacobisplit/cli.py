@@ -10,7 +10,8 @@ gates, and a batch of randomized self-adjoint families.
 Check verdicts are three-valued: ``verified``, ``hypothesis-violated`` and
 ``falsified``. A ``falsified`` verdict means every hypothesis gate passed
 while a conclusion failed; it must never occur on the built-in scenarios
-and the test suite enforces that.
+and the test suite enforces that. Each check kind is one row of ``CHECKS``:
+the library function that forms its verdict and the params it requires.
 
 Exit codes: 0 when every check's verdict matches its expectation, 1 when
 some check mismatches, 2 for input or numerical errors.
@@ -23,20 +24,19 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .comparison import export_scalar_csv, rigidity_check, scalar_traces
+from .comparison import export_scalar_csv, rigidity_verdict, scalar_traces
 from .curvature import (
     CurvatureField,
     constant_sectional,
     diagonal_constant,
     fubini_study_model,
     load_sampled_field,
-    ric_k_floor,
-    ric_k_floor_sampled,
     sampled_field_from_json,
 )
 from .jacobi import (
@@ -48,12 +48,11 @@ from .jacobi import (
 )
 from .reduction import (
     export_reduction_csv,
-    hce_residual,
-    recovered_curvature_deviation,
-    reduce,
-    reduced_boundary_check,
+    hce_verdict,
+    reduced_boundary_verdict,
+    shared_reduction,
 )
-from .splitting import check_splitting, self_adjoint_gate, vanishing_span
+from .splitting import splitting_verdict, vanishing_floor_verdict
 
 __all__ = [
     "VERSION",
@@ -71,8 +70,28 @@ __all__ = [
 
 VERSION = "0.1.0"
 REPORT_SCHEMA = "jacobisplit.report/1"
-CHECK_KINDS = ("splitting", "rigidity", "hce", "vanishing-floor", "reduced-boundary")
 VERDICTS = ("verified", "hypothesis-violated", "falsified")
+
+
+class CheckKind(NamedTuple):
+    """One row of the check table. ``verdict`` is the library function
+    behind the check: (trajectory, params, run options) -> (verdict,
+    details), where the run options ``tol_zero``, ``tol_eig`` and ``seed``
+    are present only when given."""
+
+    verdict: Callable[[JacobiTrajectory, dict, dict], tuple[str, dict]]
+    required: tuple[str, ...] = ()  # params the check cannot run without
+    reduces: bool = False  # --traces exports the reduction its ``psi`` names
+
+
+CHECKS = {
+    "splitting": CheckKind(splitting_verdict, ("theorem",)),
+    "rigidity": CheckKind(rigidity_verdict),
+    "hce": CheckKind(hce_verdict, reduces=True),
+    "vanishing-floor": CheckKind(vanishing_floor_verdict, ("k",)),
+    "reduced-boundary": CheckKind(reduced_boundary_verdict, ("alpha",), reduces=True),
+}
+CHECK_KINDS = tuple(CHECKS)
 
 
 @dataclass(frozen=True)
@@ -86,6 +105,9 @@ class CheckSpec:
             raise ValueError(f"unknown check kind: {self.kind!r}")
         if self.expectation not in VERDICTS:
             raise ValueError(f"unknown expectation: {self.expectation!r}")
+        for key in CHECKS[self.kind].required:
+            if key not in self.params:
+                raise ValueError(f"check {self.kind!r} is missing required param {key!r}")
 
 
 @dataclass(frozen=True)
@@ -185,9 +207,8 @@ def _jsonable(obj):
 def _builtin_list() -> list[Scenario]:
     eye2 = np.eye(2)
     eye3 = np.eye(3)
-    scenarios: list[Scenario] = []
-
-    scenarios.append(
+    eps = math.pi / 12.0
+    return [
         Scenario(
             name="sphere-zero",
             description="round unit sphere, family vanishing at the start",
@@ -200,10 +221,7 @@ def _builtin_list() -> list[Scenario]:
                 CheckSpec("rigidity", {"alpha": 0.0}, "verified"),
                 CheckSpec("splitting", {"theorem": "B", "alpha": 0.0}, "verified"),
             ),
-        )
-    )
-
-    scenarios.append(
+        ),
         Scenario(
             name="flat-parallel",
             description="flat space, constant parallel family",
@@ -216,10 +234,7 @@ def _builtin_list() -> list[Scenario]:
                 CheckSpec("splitting", {"theorem": "A"}, "verified"),
                 CheckSpec("splitting", {"theorem": "C", "k": 1}, "verified"),
             ),
-        )
-    )
-
-    scenarios.append(
+        ),
         Scenario(
             name="product-s2xr2",
             description="product of a round 2-sphere with a flat plane",
@@ -232,10 +247,7 @@ def _builtin_list() -> list[Scenario]:
                 CheckSpec("splitting", {"theorem": "A"}, "verified"),
                 CheckSpec("splitting", {"theorem": "C", "k": 2}, "verified"),
             ),
-        )
-    )
-
-    scenarios.append(
+        ),
         Scenario(
             name="cp2-zero",
             description="complex projective plane, family vanishing at the start",
@@ -249,10 +261,7 @@ def _builtin_list() -> list[Scenario]:
                 CheckSpec("splitting", {"theorem": "E", "k": 2, "alpha": 0.0}, "verified"),
                 CheckSpec("rigidity", {"alpha": 0.0}, "hypothesis-violated"),
             ),
-        )
-    )
-
-    scenarios.append(
+        ),
         Scenario(
             name="example-nonselfadjoint",
             description="rotating family on the sphere with nonvanishing Wronskian",
@@ -264,11 +273,7 @@ def _builtin_list() -> list[Scenario]:
             checks=(
                 CheckSpec("splitting", {"theorem": "B", "alpha": 0.0}, "hypothesis-violated"),
             ),
-        )
-    )
-
-    eps = math.pi / 12.0
-    scenarios.append(
+        ),
         Scenario(
             name="example-shifted-sine",
             description="shifted sine family on the sphere violating the boundary bound",
@@ -283,10 +288,7 @@ def _builtin_list() -> list[Scenario]:
                 ),
                 CheckSpec("rigidity", {"alpha": math.pi / 2.0}, "hypothesis-violated"),
             ),
-        )
-    )
-
-    scenarios.append(
+        ),
         Scenario(
             name="hopf-holonomy",
             description="holonomy-twisted family on the sphere with a one-dim vertical subfamily",
@@ -304,12 +306,8 @@ def _builtin_list() -> list[Scenario]:
                     "reduced-boundary", {"psi": [[1.0, 0.0]], "alpha": 0.2}, "verified"
                 ),
             ),
-        )
-    )
-
-    for idx in range(10):
-        scenarios.append(_random_selfadjoint(idx))
-    return scenarios
+        ),
+    ] + [_random_selfadjoint(idx) for idx in range(10)]
 
 
 def _random_selfadjoint(idx: int) -> Scenario:
@@ -378,19 +376,22 @@ def get_scenario(name: str) -> Scenario:
 # config files
 
 
+# config field kind -> builder from the field's JSON object
+_FIELD_BUILDERS = {
+    "constant-sectional": lambda doc: constant_sectional(int(doc["n"]), float(doc["c"])),
+    "diagonal-constant": lambda doc: diagonal_constant([float(x) for x in doc["eigs"]]),
+    "fubini-study": lambda doc: fubini_study_model(int(doc["n"])),
+    "sampled": lambda doc: (
+        load_sampled_field(doc["path"]) if "path" in doc else sampled_field_from_json(doc)
+    ),
+}
+
+
 def _field_from_config(doc: dict) -> CurvatureField:
     kind = doc.get("kind")
-    if kind == "constant-sectional":
-        return constant_sectional(int(doc["n"]), float(doc["c"]))
-    if kind == "diagonal-constant":
-        return diagonal_constant([float(x) for x in doc["eigs"]])
-    if kind == "fubini-study":
-        return fubini_study_model(int(doc["n"]))
-    if kind == "sampled":
-        if "path" in doc:
-            return load_sampled_field(doc["path"])
-        return sampled_field_from_json(doc)
-    raise ValueError(f"unknown field kind in config: {kind!r}")
+    if not isinstance(kind, str) or kind not in _FIELD_BUILDERS:
+        raise ValueError(f"unknown field kind in config: {kind!r}")
+    return _FIELD_BUILDERS[kind](doc)
 
 
 def scenario_from_config(path: str | Path) -> Scenario:
@@ -425,138 +426,38 @@ def scenario_from_config(path: str | Path) -> Scenario:
 # check runner
 
 
-def _psi_from_params(params: dict, dim: int) -> np.ndarray:
-    rows = params.get("psi", [])
-    if not rows:
-        return np.zeros((dim, 0))
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.shape[1] != dim:
-        raise ValueError(f"psi vectors must have length {dim}, got {arr.shape[1]}")
-    return arr.T
-
-
-def _run_check(
-    traj: JacobiTrajectory,
-    scenario: Scenario,
-    spec: CheckSpec,
-    tol_zero: float | None,
-    tol_eig: float | None,
-    seed: int | None,
-) -> CheckResult:
-    params = dict(spec.params)
-    details: dict = {}
-    fld = scenario.fld
-    if spec.kind == "splitting":
-        kwargs = {}
-        if tol_zero is not None:
-            kwargs["tol_zero"] = tol_zero
-        if tol_eig is not None:
-            kwargs["tol_eig"] = tol_eig
-        report = check_splitting(
-            traj,
-            params["theorem"],
-            k=params.get("k"),
-            alpha=params.get("alpha"),
-            **kwargs,
-        )
-        verdict = report.verdict
-        details = report.to_dict()
-        if seed is not None:
-            k_used = report.hypothesis_flags["ric_k_floor"]["k"]
-            mid = (traj.alpha + traj.end) / 2.0
-            details["floor_sampled"] = ric_k_floor_sampled(fld, mid, k_used, seed=seed)
-    elif spec.kind == "rigidity":
-        kwargs = {}
-        if tol_eig is not None:
-            kwargs["tol_eig"] = tol_eig
-        if tol_zero is not None:
-            kwargs["tol_zero"] = tol_zero
-        report = rigidity_check(traj, fld, alpha=params.get("alpha"), **kwargs)
-        verdict = "hypothesis-violated" if report.verdict == "hypothesis-fails" else report.verdict
-        details = report.to_dict()
-    elif spec.kind == "hce":
-        gate = self_adjoint_gate(traj)
-        details["self_adjoint"] = gate
-        if not gate["passed"]:
-            verdict = "hypothesis-violated"
-        else:
-            rs = reduce(traj, _psi_from_params(params, traj.dim))
-            tol = float(params.get("tol", 1e-3))
-            rep = hce_residual(rs, fld, tol=tol)
-            details.update(
-                residual=rep.max_residual,
-                cap=rep.cap,
-                n_checked=rep.n_checked,
-                dim_v=rs.dim_v,
-                dim_h=rs.dim_h,
-            )
-            ok = rep.n_checked > 0 and rep.max_residual <= tol
-            if "level" in params:
-                dev = recovered_curvature_deviation(rs, float(params["level"]), fld)
-                details["curvature_deviation"] = dev
-                ok = ok and dev <= tol
-            verdict = "verified" if ok else "falsified"
-    elif spec.kind == "vanishing-floor":
-        k = int(params["k"])
-        gate = self_adjoint_gate(traj)
-        details["self_adjoint"] = gate
-        if fld.kind == "sampled":
-            floor = min(ric_k_floor(fld, t, k) for t in traj.times)
-        else:
-            floor = ric_k_floor(fld, traj.alpha, k)
-        details["floor"] = floor
-        if seed is not None:
-            mid = (traj.alpha + traj.end) / 2.0
-            details["floor_sampled"] = ric_k_floor_sampled(fld, mid, k, seed=seed)
-        if not gate["passed"] or floor <= 0.0:
-            verdict = "hypothesis-violated"
-        else:
-            kwargs = {"tol_zero": tol_zero} if tol_zero is not None else {}
-            basis = vanishing_span(traj, open_ends=False, **kwargs)
-            need = fld.n - k
-            details.update(dim_z_closed=basis.shape[1], required=need)
-            verdict = "verified" if basis.shape[1] >= need else "falsified"
-    elif spec.kind == "reduced-boundary":
-        gate = self_adjoint_gate(traj)
-        details["self_adjoint"] = gate
-        if not gate["passed"]:
-            verdict = "hypothesis-violated"
-        else:
-            rs = reduce(traj, _psi_from_params(params, traj.dim))
-            kwargs = {"tol_eig": tol_eig} if tol_eig is not None else {}
-            rep = reduced_boundary_check(rs, float(params["alpha"]), **kwargs)
-            details.update(rep)
-            verdict = "verified" if rep["passed"] else "falsified"
-    else:  # pragma: no cover - guarded by CheckSpec
-        raise ValueError(f"unknown check kind: {spec.kind!r}")
-    return CheckResult(
-        kind=spec.kind,
-        params=params,
-        expectation=spec.expectation,
-        verdict=verdict,
-        matched=verdict == spec.expectation,
-        details=details,
-    )
-
-
 def run_scenario(
     scenario: Scenario | str,
     step: float | None = None,
     tol_zero: float | None = None,
     tol_eig: float | None = None,
     seed: int | None = None,
+    _traces_dir: Path | None = None,
 ) -> RunReport:
-    """Integrate a scenario once and run all its checks against it."""
+    """Integrate a scenario once and run all its checks against it.
+
+    ``_traces_dir`` is for the command line: it also writes the per-node
+    traces of this run's trajectory there."""
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     t0 = time.perf_counter()
     h = step if step is not None else scenario.step
     traj = integrate(scenario.family(), step=h)
-    results = [
-        _run_check(traj, scenario, c, tol_zero, tol_eig, seed) for c in scenario.checks
-    ]
+    opts = dict(tol_zero=tol_zero, tol_eig=tol_eig, seed=seed)
+    opts = {key: value for key, value in opts.items() if value is not None}
+    results = []
+    for spec in scenario.checks:
+        verdict, details = CHECKS[spec.kind].verdict(traj, spec.params, opts)
+        results.append(
+            CheckResult(
+                kind=spec.kind,
+                params=dict(spec.params),
+                expectation=spec.expectation,
+                verdict=verdict,
+                matched=verdict == spec.expectation,
+                details=details,
+            )
+        )
     report = RunReport(
         scenario=scenario.name,
         description=scenario.description,
@@ -568,10 +469,14 @@ def run_scenario(
         seed=seed,
     )
     report.wall_time_s = time.perf_counter() - t0
+    if _traces_dir is not None:
+        _write_traces(traj, scenario, _traces_dir)
     return report
 
 
 def _write_traces(report_traj: JacobiTrajectory, scenario: Scenario, out: Path) -> list[Path]:
+    """Write the per-node CSV traces of a run's trajectory, reusing the
+    reductions its checks computed; returns the written paths."""
     written = []
     traj_path = out / f"{scenario.name}-trajectory.csv"
     export_csv(report_traj, str(traj_path))
@@ -585,10 +490,9 @@ def _write_traces(report_traj: JacobiTrajectory, scenario: Scenario, out: Path) 
         export_scalar_csv(trace, str(sc_path))
         written.append(sc_path)
     for i, check in enumerate(scenario.checks):
-        if check.kind in ("hce", "reduced-boundary"):
-            rs = reduce(report_traj, _psi_from_params(dict(check.params), report_traj.dim))
+        if CHECKS[check.kind].reduces:
             red_path = out / f"{scenario.name}-reduction-{i}.csv"
-            export_reduction_csv(rs, str(red_path))
+            export_reduction_csv(shared_reduction(report_traj, check.params), str(red_path))
             written.append(red_path)
     return written
 
@@ -641,24 +545,22 @@ def _cmd_run(args) -> int:
         scenario = (
             scenario_from_config(args.config) if args.config else get_scenario(args.name)
         )
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         report = run_scenario(
             scenario,
             step=args.step,
             tol_zero=args.tol_zero,
             tol_eig=args.tol_eig,
             seed=args.seed,
+            _traces_dir=out if args.traces else None,
         )
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         if args.format == "json":
             report_path = out / f"{scenario.name}-report.json"
             report_path.write_text(report.to_json())
         else:
             report_path = out / f"{scenario.name}-report.csv"
             report_path.write_text(_report_csv(report))
-        if args.traces:
-            traj = integrate(scenario.family(), step=args.step or scenario.step)
-            _write_traces(traj, scenario, out)
     except (ValueError, KeyError, OSError, np.linalg.LinAlgError, json.JSONDecodeError) as exc:
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)

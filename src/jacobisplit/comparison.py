@@ -51,6 +51,7 @@ __all__ = [
     "comparison_check",
     "RigidityReport",
     "rigidity_check",
+    "rigidity_verdict",
     "export_scalar_csv",
 ]
 
@@ -97,10 +98,7 @@ def scalar_traces(
     tr_s2 = np.einsum("nij,nji->n", s_ops[mask], s_ops[mask])
     s[mask] = tr_s / m
     s0sq[mask] = tr_s2 - tr_s**2 / m
-    if fld.kind == "sampled":
-        tr_r = np.array([np.trace(fld.matrix(t)) for t in traj.times[mask]])
-    else:
-        tr_r = np.trace(fld.matrix(traj.alpha))
+    tr_r = np.trace(fld.matrices(traj.times[mask]), axis1=1, axis2=2)
     r[mask] = (tr_r + s0sq[mask]) / m
     return ScalarTrace(
         times=traj.times.copy(),
@@ -263,7 +261,7 @@ def comparison_check(
 class RigidityReport:
     """Outcome of the scalar rigidity check."""
 
-    verdict: str  # verified | hypothesis-fails | falsified
+    verdict: str  # verified | hypothesis-violated | falsified
     reason: str
     gates: dict
     max_s_dev: float | None
@@ -309,10 +307,7 @@ def rigidity_check(
     if not gates["self_adjoint"]["passed"]:
         reasons.append(f"self-adjointness fails (defect {gates['self_adjoint']['defect']:.3g})")
 
-    if fld.kind == "sampled":
-        tr_min = min(float(np.trace(fld.matrix(t))) for t in traj.times)
-    else:
-        tr_min = float(np.trace(fld.matrix(traj.alpha)))
+    tr_min = float(np.min(np.trace(fld.matrices(traj.times), axis1=1, axis2=2)))
     floor_ok = tr_min >= m - 1e-9
     gates["trace_floor"] = {
         "name": "trace_floor",
@@ -347,21 +342,13 @@ def rigidity_check(
         interior = (traj.times > traj.alpha + traj.step / 2) & (
             traj.times < traj.end - traj.step / 2
         )
-        check = mask & interior
-        idx = np.nonzero(check)[0]
+        idx = np.nonzero(mask & interior)[0]
         eye = np.eye(m)
-        s_dev = 0.0
-        for j in idx:
-            sym = (s_ops[j] + s_ops[j].T) / 2.0
-            t = traj.times[j]
-            dev = np.linalg.norm(sym - (math.cos(t) / math.sin(t)) * eye, 2)
-            s_dev = max(s_dev, float(dev))
-        if fld.kind == "sampled":
-            r_dev = max(
-                float(np.linalg.norm(fld.matrix(traj.times[j]) - eye, 2)) for j in idx
-            )
-        else:
-            r_dev = float(np.linalg.norm(fld.matrix(traj.alpha) - eye, 2))
+        ts = traj.times[idx]
+        sym = (s_ops[idx] + np.transpose(s_ops[idx], (0, 2, 1))) / 2.0
+        cot = (np.cos(ts) / np.sin(ts))[:, None, None]
+        s_dev = float(np.max(np.linalg.norm(sym - cot * eye, 2, axis=(1, 2)), initial=0.0))
+        r_dev = float(np.max(np.linalg.norm(fld.matrices(ts) - eye, 2, axis=(1, 2)), initial=0.0))
         max_s_dev, max_r_dev = s_dev, r_dev
         if s_dev <= tol and r_dev <= tol:
             verdict, reason = "verified", "all gates pass and the family is the round model"
@@ -372,7 +359,7 @@ def rigidity_check(
                 f"R deviation {r_dev:.3g})"
             )
     else:
-        verdict, reason = "hypothesis-fails", "; ".join(reasons)
+        verdict, reason = "hypothesis-violated", "; ".join(reasons)
 
     return RigidityReport(
         verdict=verdict,
@@ -382,6 +369,18 @@ def rigidity_check(
         max_r_dev=max_r_dev,
         window=(traj.alpha, traj.end),
     )
+
+
+def rigidity_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -> tuple[str, dict]:
+    """The ``rigidity`` check of a scenario: ``rigidity_check`` with the
+    boundary time ``params.get("alpha")`` and the run's tolerance overrides."""
+    report = rigidity_check(
+        traj,
+        alpha=params.get("alpha"),
+        tol_eig=opts.get("tol_eig", DEFAULT_TOL_EIG),
+        tol_zero=opts.get("tol_zero", DEFAULT_TOL_ZERO),
+    )
+    return report.verdict, report.to_dict()
 
 
 def export_scalar_csv(trace: ScalarTrace, path: str, model: ModelSolution | None = None) -> None:

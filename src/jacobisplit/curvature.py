@@ -9,8 +9,8 @@ function of time. Three kinds exist:
 * ``constant-sectional``: ``c`` times the identity.
 * ``diagonal-constant``: a fixed diagonal operator (covers product metrics
   and the rank-one symmetric model with eigenvalues ``4, 1, ..., 1``).
-* ``sampled``: node values on a time grid, linearly interpolated entrywise
-  and re-symmetrized between nodes; loadable from JSON.
+* ``sampled``: symmetrized node values on a time grid, linearly
+  interpolated entrywise between nodes; loadable from JSON.
 
 ``ric_k_floor`` evaluates the minimum over orthonormal k-frames (orthogonal
 to the geodesic direction) of the k-trace of the operator, which equals the
@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .symlin import SymOperator, ky_fan_min
+from .symlin import SymOperator
 
 __all__ = [
     "CurvatureField",
@@ -48,15 +48,21 @@ _KINDS = ("constant-sectional", "diagonal-constant", "sampled")
 class CurvatureField:
     """Time-dependent self-adjoint operator on the (n-1)-dim normal space.
 
-    ``matrix(t)`` returns the operator entries at time ``t`` as a read-only
+    ``matrices(times)`` reads the field over a whole grid at once: an array
+    of shape ``(len(times), d, d)``, or ``(1, d, d)`` for the constant kinds,
+    which broadcasts against any grid without a per-node copy.
+    ``matrix(t)`` returns the operator entries at one time as a read-only
     array; for the constant kinds the same cached array object is returned
     for every ``t``. ``operator(t)`` wraps the entries in a SymOperator.
+
+    ``_eval`` maps a 1-D array of times to their node values, or to one
+    ``(d, d)`` array when the field does not depend on time.
     """
 
     kind: str
     n: int  # ambient dimension; operators act on dimension n - 1
     label: str = ""
-    _eval: Callable[[float], np.ndarray] = field(repr=False, default=None)
+    _eval: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -69,8 +75,13 @@ class CurvatureField:
         """Dimension of the normal space the operators act on."""
         return self.n - 1
 
+    def matrices(self, times) -> np.ndarray:
+        out = self._eval(np.asarray(times, dtype=float).ravel())
+        return out[None] if out.ndim == 2 else out
+
     def matrix(self, t: float) -> np.ndarray:
-        return self._eval(float(t))
+        out = self._eval(np.array([float(t)]))
+        return out if out.ndim == 2 else out[0]
 
     def operator(self, t: float) -> SymOperator:
         return SymOperator(self.matrix(t))
@@ -91,7 +102,7 @@ def constant_sectional(n: int, c: float, label: str = "") -> CurvatureField:
         kind="constant-sectional",
         n=n,
         label=label or f"constant-sectional(c={c})",
-        _eval=lambda t: cached,
+        _eval=lambda times: cached,
     )
 
 
@@ -111,7 +122,7 @@ def diagonal_constant(eigs, label: str = "") -> CurvatureField:
         kind="diagonal-constant",
         n=e.size + 1,
         label=label or "diagonal-constant",
-        _eval=lambda t: cached,
+        _eval=lambda times: cached,
     )
 
 
@@ -137,8 +148,8 @@ def sampled_field(grid, ops, label: str = "") -> CurvatureField:
     ``grid``: strictly increasing 1-D array of times (one node is allowed,
     giving a field defined only at that instant). ``ops``: array of shape
     ``(len(grid), d, d)`` with the operator entries at the nodes. Node
-    operators must be finite and numerically symmetric; the interpolant is
-    re-symmetrized so the field stays exactly self-adjoint between nodes.
+    operators must be finite and numerically symmetric; they are stored
+    symmetrized, so the entrywise interpolant is exactly self-adjoint too.
     Evaluation outside ``[grid[0], grid[-1]]`` raises ValueError.
     """
     grid = np.asarray(grid, dtype=float).ravel()
@@ -160,16 +171,19 @@ def sampled_field(grid, ops, label: str = "") -> CurvatureField:
     sym_ops = (ops + np.transpose(ops, (0, 2, 1))) / 2.0
     t0, t1 = float(grid[0]), float(grid[-1])
 
-    def _eval(t: float) -> np.ndarray:
-        if not (t0 <= t <= t1):
-            raise ValueError(f"time {t} outside sampled domain [{t0}, {t1}]")
+    def _eval(times: np.ndarray) -> np.ndarray:
+        outside = (times < t0) | (times > t1)
+        if outside.any():
+            raise ValueError(f"time {times[outside][0]} outside sampled domain [{t0}, {t1}]")
         if grid.size == 1:
-            return _frozen(sym_ops[0])
-        j = int(np.searchsorted(grid, t, side="right")) - 1
-        j = min(max(j, 0), grid.size - 2)
-        w = (t - grid[j]) / (grid[j + 1] - grid[j])
-        m = (1.0 - w) * sym_ops[j] + w * sym_ops[j + 1]
-        return _frozen((m + m.T) / 2.0)
+            return _frozen(np.broadcast_to(sym_ops[:1], (times.size, d, d)))
+        j = np.clip(np.searchsorted(grid, times, side="right") - 1, 0, grid.size - 2)
+        w = ((times - grid[j]) / (grid[j + 1] - grid[j]))[:, None, None]
+        lo, hi = sym_ops[j], sym_ops[j + 1]  # copies, combined in place
+        lo *= 1.0 - w
+        hi *= w
+        lo += hi
+        return _frozen(lo)
 
     return CurvatureField(kind="sampled", n=d + 1, label=label or "sampled", _eval=_eval)
 
@@ -211,11 +225,16 @@ def load_sampled_field(path, label: str = "") -> CurvatureField:
     return sampled_field_from_json(doc, label=label)
 
 
-def ric_k_floor(field: CurvatureField, t: float, k: int) -> float:
+def ric_k_floor(field: CurvatureField, t, k: int) -> float:
     """Minimum over orthonormal k-frames (orthogonal to the geodesic
     direction) of the k-trace of the curvature operator at time t: the sum
-    of the k smallest eigenvalues."""
-    return ky_fan_min(field.matrix(t), k)
+    of the k smallest eigenvalues. ``t`` may also be an array of times (a
+    node grid); the floor is then the minimum over them."""
+    d = field.dim
+    if not (1 <= k <= d):
+        raise ValueError(f"k out of range: k={k}, dim={d}")
+    w = np.linalg.eigvalsh(field.matrices(t))
+    return float(np.min(np.sum(w[:, :k], axis=1)))
 
 
 def ric_k_floor_sampled(

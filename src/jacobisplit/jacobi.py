@@ -111,13 +111,19 @@ class FamilySpec:
 
 @dataclass(eq=False)
 class JacobiTrajectory:
-    """Integrated family: node times plus (Y, Yd) matrices per node."""
+    """Integrated family: node times plus (Y, Yd) matrices per node.
+
+    ``derived`` keeps analyses that several checks of one run share (the
+    reductions of ``reduction.shared_reduction``), keyed by their inputs,
+    so each is computed once and dropped together with the trajectory.
+    """
 
     spec: FamilySpec
     step: float  # effective step (window span / node count)
     times: np.ndarray  # (N+1,)
     y: np.ndarray  # (N+1, d, d)
     yd: np.ndarray  # (N+1, d, d)
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -199,13 +205,6 @@ class JacobiTrajectory:
         return yt, ydt
 
 
-def _field_matrix(fld: CurvatureField, t: float) -> np.ndarray:
-    try:
-        return fld.matrix(t)
-    except Exception as exc:
-        raise ValueError(f"curvature field evaluation failed at t={t:.12g}: {exc}") from exc
-
-
 def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
     """Integrate the family with classical RK4 at (approximately) the given
     step; the window is divided into round(span/step) uniform intervals."""
@@ -220,12 +219,16 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
     yd = np.empty((n_steps + 1, d, d))
     y[0] = spec.y0
     yd[0] = spec.yd0
-    fld = spec.field
-    r0 = _field_matrix(fld, times[0])
+    # the field at every node (even index) and step midpoint (odd index)
+    stages = np.empty(2 * n_steps + 1)
+    stages[0::2] = times
+    stages[1::2] = 0.5 * (times[:-1] + times[1:])
+    try:
+        r = np.broadcast_to(spec.field.matrices(stages), (stages.size, d, d))
+    except Exception as exc:
+        raise ValueError(f"curvature field evaluation failed: {exc}") from exc
     for j in range(n_steps):
-        t0, t1 = times[j], times[j + 1]
-        rh = _field_matrix(fld, 0.5 * (t0 + t1))
-        r1 = _field_matrix(fld, t1)
+        r0, rh, r1 = r[2 * j], r[2 * j + 1], r[2 * j + 2]
         yj, ydj = y[j], yd[j]
         k1y, k1d = ydj, -(r0 @ yj)
         y2 = yj + 0.5 * h * k1y
@@ -236,7 +239,6 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
         k4y, k4d = ydj + h * k3d, -(r1 @ y4)
         y[j + 1] = yj + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         yd[j + 1] = ydj + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        r0 = r1
     return JacobiTrajectory(spec=spec, step=h, times=times, y=y, yd=yd)
 
 
@@ -540,12 +542,9 @@ def riccati_residual(
     j_idx = np.nonzero(check)[0] + 1
     if j_idx.size == 0:
         return ResidualReport(np.empty(0), np.empty(0), float("nan"), cap, 0)
-    h2 = 2.0 * traj.step
-    vals = np.empty(j_idx.size)
-    for out, j in enumerate(j_idx):
-        ds = (s[j + 1] - s[j - 1]) / h2
-        res = ds + s[j] @ s[j] + _field_matrix(fld, traj.times[j])
-        vals[out] = np.linalg.norm(res, 2)
+    ds = (s[j_idx + 1] - s[j_idx - 1]) / (2.0 * traj.step)
+    res = ds + s[j_idx] @ s[j_idx] + fld.matrices(traj.times[j_idx])
+    vals = np.linalg.norm(res, 2, axis=(1, 2))
     return ResidualReport(
         times=traj.times[j_idx],
         values=vals,

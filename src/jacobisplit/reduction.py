@@ -44,6 +44,7 @@ from .jacobi import (
     default_resolvability_cap,
     riccati,
 )
+from .splitting import DEFAULT_TOL_EIG, self_adjoint_gate
 from .symlin import orthonormal_columns, spectrum
 
 __all__ = [
@@ -53,6 +54,9 @@ __all__ = [
     "recovered_curvature_deviation",
     "reduced_boundary_check",
     "export_reduction_csv",
+    "shared_reduction",
+    "hce_verdict",
+    "reduced_boundary_verdict",
 ]
 
 DEFAULT_RANK_TOL = 1e-8
@@ -223,23 +227,18 @@ def hce_residual(
     capped = triple.copy()
     capped[1:-1] &= (norms[:-2] <= s_cap) & (norms[1:-1] <= s_cap) & (norms[2:] <= s_cap)
     idx = np.nonzero(capped)[0]
-    times, values = [], []
-    h = traj.step
-    for j in idx:
-        ds = (rs.shat_amb[j + 1] - rs.shat_amb[j - 1]) / (2.0 * h)
-        r_amb = rs.ph[j] @ np.asarray(fld.matrix(traj.times[j])) @ rs.ph[j]
-        total = ds + rs.shat_amb[j] @ rs.shat_amb[j] + r_amb + 3.0 * rs.aastar[j]
-        res_h = rs.bh[j].T @ total @ rs.bh[j]
-        value = float(np.linalg.norm(res_h, 2)) if rs.dim_h else 0.0
-        times.append(traj.times[j])
-        values.append(value)
-    values_arr = np.asarray(values)
+    ds = (rs.shat_amb[idx + 1] - rs.shat_amb[idx - 1]) / (2.0 * traj.step)
+    ph, shat, bh = rs.ph[idx], rs.shat_amb[idx], rs.bh[idx]
+    r_amb = ph @ fld.matrices(traj.times[idx]) @ ph
+    total = ds + shat @ shat + r_amb + 3.0 * rs.aastar[idx]
+    res_h = np.transpose(bh, (0, 2, 1)) @ total @ bh
+    values = np.linalg.norm(res_h, 2, axis=(1, 2)) if rs.dim_h else np.zeros(idx.size)
     return ResidualReport(
-        times=np.asarray(times),
-        values=values_arr,
-        max_residual=float(values_arr.max()) if values_arr.size else math.nan,
+        times=traj.times[idx],
+        values=values,
+        max_residual=float(values.max()) if values.size else math.nan,
         cap=float(s_cap),
-        n_checked=int(values_arr.size),
+        n_checked=int(values.size),
     )
 
 
@@ -255,19 +254,18 @@ def recovered_curvature_deviation(
     fld = fld if fld is not None else traj.spec.field
     if not rs.dim_h:
         return 0.0
-    worst = 0.0
-    eye_h = np.eye(rs.dim_h)
-    for j in np.nonzero(rs.regular)[0]:
-        r_mat = np.asarray(fld.matrix(traj.times[j]))
-        r_hat = rs.bh[j].T @ (r_mat + 3.0 * rs.aastar[j]) @ rs.bh[j]
-        worst = max(worst, float(np.linalg.norm(r_hat - level * eye_h, 2)))
-    return worst
+    idx = np.nonzero(rs.regular)[0]
+    bh = rs.bh[idx]
+    r_amb = fld.matrices(traj.times[idx]) + 3.0 * rs.aastar[idx]
+    r_hat = np.transpose(bh, (0, 2, 1)) @ r_amb @ bh
+    dev = np.linalg.norm(r_hat - level * np.eye(rs.dim_h), 2, axis=(1, 2))
+    return float(np.max(dev, initial=0.0))
 
 
 def reduced_boundary_check(
     rs: ReducedSystem,
     alpha: float,
-    tol_eig: float = 1e-6,
+    tol_eig: float = DEFAULT_TOL_EIG,
     tol_sing: float = DEFAULT_TOL_SING,
 ) -> dict:
     """Eigenvalue-domination check at a boundary time: the largest
@@ -294,6 +292,73 @@ def reduced_boundary_check(
         "margin": s_max + tol_eig - shat_max,
         "passed": bool(shat_max <= s_max + tol_eig),
     }
+
+
+def _psi_from_params(params: dict, dim: int) -> np.ndarray:
+    """The subfamily basis a check names in ``params["psi"]``: a list of
+    coefficient rows, as (dim, p) columns; none gives the empty basis."""
+    rows = params.get("psi", [])
+    if not rows:
+        return np.zeros((dim, 0))
+    arr = np.asarray(rows, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[None, :]
+    if arr.shape[1] != dim:
+        raise ValueError(f"psi vectors must have length {dim}, got {arr.shape[1]}")
+    return arr.T
+
+
+def shared_reduction(traj: JacobiTrajectory, params: dict) -> ReducedSystem:
+    """The reduction of ``traj`` by the subfamily ``params["psi"]``, computed
+    once per trajectory and subfamily: the checks of a run and its trace
+    export all read the same one."""
+    psi = _psi_from_params(params, traj.dim)
+    key = ("reduce", psi.shape, psi.tobytes())
+    if key not in traj.derived:
+        traj.derived[key] = reduce(traj, psi)
+    return traj.derived[key]
+
+
+def hce_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -> tuple[str, dict]:
+    """The ``hce`` check: under self-adjointness, the horizontal Riccati
+    equation with the 3 A A^* term holds within ``params["tol"]`` (default
+    1e-3) and, when ``params["level"]`` is given, the recovered horizontal
+    curvature equals that level times the identity within the same tol."""
+    gate = self_adjoint_gate(traj)
+    details = {"self_adjoint": gate}
+    if not gate["passed"]:
+        return "hypothesis-violated", details
+    rs = shared_reduction(traj, params)
+    tol = float(params.get("tol", 1e-3))
+    rep = hce_residual(rs, tol=tol)
+    details.update(
+        residual=rep.max_residual,
+        cap=rep.cap,
+        n_checked=rep.n_checked,
+        dim_v=rs.dim_v,
+        dim_h=rs.dim_h,
+    )
+    ok = rep.n_checked > 0 and rep.max_residual <= tol
+    if "level" in params:
+        dev = recovered_curvature_deviation(rs, float(params["level"]))
+        details["curvature_deviation"] = dev
+        ok = ok and dev <= tol
+    return ("verified" if ok else "falsified"), details
+
+
+def reduced_boundary_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -> tuple[str, dict]:
+    """The ``reduced-boundary`` check: under self-adjointness, the reduced
+    operator's top eigenvalue at ``params["alpha"]`` is dominated by the
+    full operator's (``reduced_boundary_check``)."""
+    gate = self_adjoint_gate(traj)
+    details = {"self_adjoint": gate}
+    if not gate["passed"]:
+        return "hypothesis-violated", details
+    rs = shared_reduction(traj, params)
+    tol_eig = opts.get("tol_eig", DEFAULT_TOL_EIG)
+    rep = reduced_boundary_check(rs, float(params["alpha"]), tol_eig=tol_eig)
+    details.update(rep)
+    return ("verified" if rep["passed"] else "falsified"), details
 
 
 def export_reduction_csv(rs: ReducedSystem, path: str) -> None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import CurvatureField, ric_k_floor
+from .curvature import ric_k_floor, ric_k_floor_sampled
 from .jacobi import (
     DEFAULT_TOL_SING,
     DEFAULT_TOL_ZERO,
@@ -49,6 +49,8 @@ __all__ = [
     "parallel_span",
     "sine_span",
     "check_splitting",
+    "splitting_verdict",
+    "vanishing_floor_verdict",
 ]
 
 MODES = ("A", "B", "C", "E")
@@ -306,10 +308,7 @@ def check_splitting(
     floor_needed = {"A": 0.0, "B": 1.0, "C": 0.0, "E": float(k or 0)}[theorem]
     if not (1 <= floor_k <= d):
         raise ValueError(f"floor level k={floor_k} out of range 1..{d}")
-    if fld.kind == "sampled":
-        floor_val = min(ric_k_floor(fld, t, floor_k) for t in traj.times)
-    else:
-        floor_val = ric_k_floor(fld, traj.alpha, floor_k)
+    floor_val = ric_k_floor(fld, traj.times, floor_k)
     flags["ric_k_floor"] = {
         "name": "ric_k_floor",
         "applicable": True,
@@ -394,3 +393,45 @@ def check_splitting(
         open_ends=open_ends,
         completeness=completeness,
     )
+
+
+def _floor_cross_check(traj: JacobiTrajectory, k: int, opts: dict, details: dict) -> None:
+    """With a ``seed`` among the run options, add a Monte Carlo estimate of
+    the Ric_k floor at the window midpoint to ``details``."""
+    if "seed" in opts:
+        mid = (traj.alpha + traj.end) / 2.0
+        details["floor_sampled"] = ric_k_floor_sampled(traj.spec.field, mid, k, seed=opts["seed"])
+
+
+def splitting_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -> tuple[str, dict]:
+    """The ``splitting`` check of a scenario: ``check_splitting`` in the mode
+    ``params["theorem"]``. ``opts`` holds the run's overrides (``tol_zero``,
+    ``tol_eig``, ``seed``), each present only when given."""
+    report = check_splitting(
+        traj,
+        params["theorem"],
+        k=params.get("k"),
+        alpha=params.get("alpha"),
+        tol_zero=opts.get("tol_zero", DEFAULT_TOL_ZERO),
+        tol_eig=opts.get("tol_eig", DEFAULT_TOL_EIG),
+    )
+    details = report.to_dict()
+    _floor_cross_check(traj, report.hypothesis_flags["ric_k_floor"]["k"], opts, details)
+    return report.verdict, details
+
+
+def vanishing_floor_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -> tuple[str, dict]:
+    """The ``vanishing-floor`` check: under self-adjointness and a positive
+    Ric_k floor over the window (``k = params["k"]``), at least ``n - k``
+    independent members vanish somewhere in the closed window."""
+    k = int(params["k"])
+    gate = self_adjoint_gate(traj)
+    floor = ric_k_floor(traj.spec.field, traj.times, k)
+    details = {"self_adjoint": gate, "floor": floor}
+    _floor_cross_check(traj, k, opts, details)
+    if not gate["passed"] or floor <= 0.0:
+        return "hypothesis-violated", details
+    basis = vanishing_span(traj, open_ends=False, tol_zero=opts.get("tol_zero", DEFAULT_TOL_ZERO))
+    need = traj.spec.field.n - k
+    details.update(dim_z_closed=basis.shape[1], required=need)
+    return ("verified" if basis.shape[1] >= need else "falsified"), details

@@ -1,11 +1,11 @@
 """Dense linear algebra for small (self-adjoint) operators.
 
 Everything in this package acts on low-dimensional inner-product spaces
-(dimension <= 16 in practice), so the symmetric eigensolver is a cyclic
-Jacobi rotation sweep: deterministic, dependency-free beyond numpy array
-arithmetic, and accurate to near machine precision for symmetric input.
-Orthonormalization is modified Gram-Schmidt with one re-orthogonalization
-pass and a relative drop tolerance for rank-deficient input.
+(dimension <= 16 in practice). The symmetric eigensolver is LAPACK's
+(``numpy.linalg.eigh``) with a fixed eigenvector sign convention, so
+decompositions are deterministic. Orthonormalization is modified
+Gram-Schmidt with one re-orthogonalization pass and a relative drop
+tolerance for rank-deficient input.
 
 Two thin wrapper types distinguish operators that are self-adjoint by
 construction (``SymOperator``, stored symmetrized) from general ones
@@ -87,47 +87,6 @@ class GeneralOperator:
         return np.asarray(self.entries, dtype=dtype)
 
 
-def _jacobi_sweeps(a: np.ndarray, tol: float = 1e-15, max_sweeps: int = 100):
-    """Cyclic Jacobi rotations on a symmetric matrix.
-
-    Returns (unsorted eigenvalue array, accumulated rotation matrix). The
-    sweep loop runs until the off-diagonal Frobenius mass falls below
-    ``tol`` relative to the matrix scale.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n <= 1:
-        return np.diag(a).copy(), v
-    scale = float(np.sqrt(np.sum(a * a))) or 1.0
-    for _ in range(max_sweeps):
-        off = float(np.sqrt(2.0 * np.sum(np.tril(a, -1) ** 2)))
-        if off <= tol * scale:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                sign = 1.0 if theta >= 0 else -1.0
-                t = sign / (abs(theta) + float(np.hypot(theta, 1.0)))
-                c = 1.0 / float(np.hypot(t, 1.0))
-                s = t * c
-                ap, aq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                ap, aq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    raise RuntimeError("jacobi rotation sweeps did not converge")
-
-
 def spectrum(op):
     """Full eigendecomposition of a self-adjoint operator.
 
@@ -137,15 +96,10 @@ def spectrum(op):
     nonnegative so the decomposition is deterministic.
     """
     m = _as_square(np.asarray(op, dtype=float))
-    m = (m + m.T) / 2.0
-    w, v = _jacobi_sweeps(m)
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    for j in range(v.shape[1]):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0:
-            v[:, j] = -v[:, j]
+    w, v = np.linalg.eigh((m + m.T) / 2.0)
+    if v.size:
+        lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+        v[:, lead < 0] *= -1.0
     return w, v
 
 

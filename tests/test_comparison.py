@@ -182,28 +182,28 @@ def test_rigidity_shifted_start_verified():
 
 def test_rigidity_flat_floor_fails(trajs):
     rep = js.rigidity_check(trajs("flat-parallel"))
-    assert rep.verdict == "hypothesis-fails"
+    assert rep.verdict == "hypothesis-violated"
     assert "trace curvature floor fails" in rep.reason
     assert rep.max_s_dev is None
 
 
 def test_rigidity_nonselfadjoint_fails(trajs):
     rep = js.rigidity_check(trajs("example-nonselfadjoint"))
-    assert rep.verdict == "hypothesis-fails"
+    assert rep.verdict == "hypothesis-violated"
     assert "self-adjointness fails" in rep.reason
 
 
 def test_rigidity_shifted_sine_boundary_fails(trajs):
     traj = trajs("example-shifted-sine")
     rep = js.rigidity_check(traj, alpha=traj.alpha)
-    assert rep.verdict == "hypothesis-fails"
+    assert rep.verdict == "hypothesis-violated"
     assert "boundary gate fails" in rep.reason
     assert not rep.gates["boundary_eig"]["passed"]
 
 
 def test_rigidity_interior_zero_fails(trajs):
     rep = js.rigidity_check(trajs("cp2-zero"))
-    assert rep.verdict == "hypothesis-fails"
+    assert rep.verdict == "hypothesis-violated"
     assert "interior regularity fails" in rep.reason
     assert rep.gates["regularity"]["first_interior_singularity"] == pytest.approx(
         math.pi / 2, abs=1e-6

@@ -195,3 +195,22 @@ def test_operator_wraps_symmetric_view():
     op = fld.operator(math.pi / 3)
     assert isinstance(op, js.SymOperator)
     assert op.dim == 5
+
+
+def test_matrices_reads_a_whole_grid():
+    times = np.linspace(0.0, 1.0, 7)
+    const = js.diagonal_constant([1.0, 2.0])
+    block = const.matrices(times)
+    # one read-only matrix that broadcasts over the grid, never a per-node copy
+    assert block.shape == (1, 2, 2)
+    assert np.shares_memory(block, const.matrix(0.5))
+    assert not block.flags.writeable
+    ops = [np.eye(2), np.diag([3.0, 1.0]), [[1.0, 2.0], [2.0, 0.0]]]
+    fld = js.sampled_field([0.0, 0.5, 1.0], ops)
+    grid = fld.matrices(times)
+    assert grid.shape == (7, 2, 2)
+    assert_allclose(grid, np.stack([fld.matrix(t) for t in times]), rtol=0, atol=0)
+    assert_allclose(grid, np.transpose(grid, (0, 2, 1)), rtol=0, atol=0)
+    with pytest.raises(ValueError, match="time 1.25 outside sampled domain"):
+        fld.matrices([0.5, 1.25, 1.5])
+    assert js.ric_k_floor(fld, times, 1) == pytest.approx(min(np.linalg.eigvalsh(grid)[:, 0]))

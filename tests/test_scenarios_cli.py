@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import jacobisplit as js
@@ -227,3 +228,55 @@ def test_cli_exit_two_on_malformed_config(tmp_path, capsys):
     p.write_text("{not json")
     assert js.main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_missing_required_check_param_names_check_and_key(tmp_path, capsys):
+    with pytest.raises(ValueError, match="check 'vanishing-floor' is missing required param 'k'"):
+        js.CheckSpec("vanishing-floor", {}, "verified")
+    with open("configs/example_scenario.json") as fh:
+        doc = json.load(fh)
+    del doc["checks"][0]["params"]["theorem"]
+    p = tmp_path / "no-theorem.json"
+    p.write_text(json.dumps(doc))
+    assert js.main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "check 'splitting' is missing required param 'theorem'" in err
+
+
+def test_traced_run_integrates_and_reduces_once(tmp_path, monkeypatch):
+    import jacobisplit.cli as cli
+    import jacobisplit.reduction as reduction
+
+    calls = {"integrate": 0, "reduce": []}
+    real_integrate, real_reduce = cli.integrate, reduction.reduce
+
+    def counting_integrate(*args, **kwargs):
+        calls["integrate"] += 1
+        return real_integrate(*args, **kwargs)
+
+    def counting_reduce(traj, psi_basis, *args, **kwargs):
+        calls["reduce"].append(np.asarray(psi_basis).tobytes())
+        return real_reduce(traj, psi_basis, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", counting_integrate)
+    monkeypatch.setattr(reduction, "reduce", counting_reduce)
+    assert js.main(["run", "hopf-holonomy", "--traces", "--out", str(tmp_path)]) == 0
+    assert calls["integrate"] == 1
+    # hce and reduced-boundary name the same psi: one reduction serves both
+    # checks and the two reduction traces
+    assert len(calls["reduce"]) == len(set(calls["reduce"])) == 1
+
+    n_nodes = json.loads((tmp_path / "hopf-holonomy-report.json").read_text())["n_nodes"]
+    d = 2
+    traj_cols = ["t"] + [f"y{i}{j}" for i in range(d) for j in range(d)]
+    traj_cols += [f"yd{i}{j}" for i in range(d) for j in range(d)]
+    expected = {
+        "trajectory": (1, traj_cols),
+        "scalars": (0, ["t", "regular", "s", "r"]),
+        "reduction-0": (0, ["t", "regular", "lift_err", "norm_a", "shat_min", "shat_max"]),
+        "reduction-2": (0, ["t", "regular", "lift_err", "norm_a", "shat_min", "shat_max"]),
+    }
+    for name, (comment_lines, header) in expected.items():
+        lines = (tmp_path / f"hopf-holonomy-{name}.csv").read_text().splitlines()
+        assert lines[comment_lines].split(",") == header, name
+        assert len(lines) == comment_lines + 1 + n_nodes, name

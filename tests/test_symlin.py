@@ -1,8 +1,9 @@
 """Unit tests for the symmetric linear algebra layer.
 
-The eigensolver is checked against numpy.linalg.eigh as an independent
-oracle and against algebraic residual properties that do not depend on any
-other solver.
+``spectrum`` wraps numpy.linalg.eigh, so comparing eigenvalues with
+numpy.linalg.eigvalsh only pins the wrapper. What carries the weight are
+the algebraic properties that do not depend on any solver: the eigenpair
+residual, orthonormality, and the trace and Frobenius invariants.
 """
 
 import numpy as np
@@ -79,6 +80,8 @@ def test_spectrum_matches_eigh_oracle():
         # residual and orthonormality, solver-independent
         assert np.max(np.abs(a @ v - v @ np.diag(w))) <= 1e-10 * max(1.0, np.abs(w).max())
         assert np.max(np.abs(v.T @ v - np.eye(d))) <= 1e-12
+        assert np.sum(w) == pytest.approx(np.trace(a), abs=1e-12 * d)
+        assert np.sum(w**2) == pytest.approx(np.sum(a * a), rel=1e-12)
 
 
 def test_spectrum_sign_convention_deterministic():

@@ -39,6 +39,7 @@ from .curvature import (
     load_sampled_field,
     ric_k_floor,
     ric_k_floor_sampled,
+    ric_k_traces,
     sampled_field,
     sampled_field_from_json,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "load_sampled_field",
     "ric_k_floor",
     "ric_k_floor_sampled",
+    "ric_k_traces",
     # jacobi
     "DEFAULT_STEP",
     "FamilySpec",

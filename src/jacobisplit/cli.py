@@ -52,7 +52,7 @@ from .reduction import (
     reduced_boundary_verdict,
     shared_reduction,
 )
-from .splitting import splitting_verdict, vanishing_floor_verdict
+from .splitting import splitting_params, splitting_verdict, vanishing_floor_verdict
 
 __all__ = [
     "VERSION",
@@ -73,23 +73,29 @@ REPORT_SCHEMA = "jacobisplit.report/1"
 VERDICTS = ("verified", "hypothesis-violated", "falsified")
 
 
+def _needs(*keys: str) -> Callable[[dict], tuple[str, ...]]:
+    return lambda params: keys
+
+
 class CheckKind(NamedTuple):
     """One row of the check table. ``verdict`` is the library function
     behind the check: (trajectory, params, run options) -> (verdict,
     details), where the run options ``tol_zero``, ``tol_eig`` and ``seed``
-    are present only when given."""
+    are present only when given. ``required`` maps a check's params to the
+    keys it cannot run without (for a splitting check they depend on its
+    mode)."""
 
     verdict: Callable[[JacobiTrajectory, dict, dict], tuple[str, dict]]
-    required: tuple[str, ...] = ()  # params the check cannot run without
+    required: Callable[[dict], tuple[str, ...]] = _needs()
     reduces: bool = False  # --traces exports the reduction its ``psi`` names
 
 
 CHECKS = {
-    "splitting": CheckKind(splitting_verdict, ("theorem",)),
+    "splitting": CheckKind(splitting_verdict, splitting_params),
     "rigidity": CheckKind(rigidity_verdict),
     "hce": CheckKind(hce_verdict, reduces=True),
-    "vanishing-floor": CheckKind(vanishing_floor_verdict, ("k",)),
-    "reduced-boundary": CheckKind(reduced_boundary_verdict, ("alpha",), reduces=True),
+    "vanishing-floor": CheckKind(vanishing_floor_verdict, _needs("k")),
+    "reduced-boundary": CheckKind(reduced_boundary_verdict, _needs("alpha"), reduces=True),
 }
 CHECK_KINDS = tuple(CHECKS)
 
@@ -105,7 +111,7 @@ class CheckSpec:
             raise ValueError(f"unknown check kind: {self.kind!r}")
         if self.expectation not in VERDICTS:
             raise ValueError(f"unknown expectation: {self.expectation!r}")
-        for key in CHECKS[self.kind].required:
+        for key in CHECKS[self.kind].required(self.params):
             if key not in self.params:
                 raise ValueError(f"check {self.kind!r} is missing required param {key!r}")
 

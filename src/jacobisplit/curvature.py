@@ -37,6 +37,7 @@ __all__ = [
     "sampled_field",
     "sampled_field_from_json",
     "load_sampled_field",
+    "ric_k_traces",
     "ric_k_floor",
     "ric_k_floor_sampled",
 ]
@@ -225,16 +226,23 @@ def load_sampled_field(path, label: str = "") -> CurvatureField:
     return sampled_field_from_json(doc, label=label)
 
 
+def ric_k_traces(field: CurvatureField, t, k: int) -> np.ndarray:
+    """The k-trace floor at each of the times ``t`` (a scalar or an array):
+    the sum of the k smallest eigenvalues of the curvature operator. One
+    value only when the field does not depend on time."""
+    d = field.dim
+    if not (1 <= k <= d):
+        raise ValueError(f"k out of range: k={k}, dim={d}")
+    w = np.linalg.eigvalsh(field.matrices(t))
+    return np.sum(w[:, :k], axis=1)
+
+
 def ric_k_floor(field: CurvatureField, t, k: int) -> float:
     """Minimum over orthonormal k-frames (orthogonal to the geodesic
     direction) of the k-trace of the curvature operator at time t: the sum
     of the k smallest eigenvalues. ``t`` may also be an array of times (a
     node grid); the floor is then the minimum over them."""
-    d = field.dim
-    if not (1 <= k <= d):
-        raise ValueError(f"k out of range: k={k}, dim={d}")
-    w = np.linalg.eigvalsh(field.matrices(t))
-    return float(np.min(np.sum(w[:, :k], axis=1)))
+    return float(np.min(ric_k_traces(field, t, k)))
 
 
 def ric_k_floor_sampled(

@@ -15,6 +15,27 @@ every grid point; between nodes, values are recovered by cubic Hermite
 interpolation (using the stored derivatives, and ``-R Y`` for the slope of
 ``Yd``), which keeps interpolation error at the integrator's own order.
 
+The system is linear, so each RK4 step maps the stacked state ``z = [Y; Yd]``
+by one ``2d x 2d`` matrix ``P_j``, and the ``N`` steps run as a two-level
+blocked scan (the blocked form of a prefix-product scan; Blelloch, "Prefix
+sums and their applications", 1990) instead of a loop of ``N`` steps. The
+steps are cut into ``ceil(N/B)`` blocks of ``B = isqrt(N)``:
+
+1. propagators: all blocks advance their ``2d x 2d`` propagators together,
+   ``B`` array steps;
+2. block starts: ``z_{b+1} = z_b + E_b z_b``, one small product per block;
+3. replay: all blocks step from their starts together, ``B`` array steps,
+   writing ``Y`` and ``Yd`` in place.
+
+A field that does not depend on time has one step map for every block:
+pass 1 runs once and keeps the powers ``E_1 .. E_B``, and pass 3 is one
+broadcast product into the output arrays. Propagators are held in
+increment form ``E = P - I`` and advanced as ``E <- E + inc(I + E)``, so the
+``O(h)`` per-step changes are never rounded against the identity; forming
+``P`` itself loses about a digit on fine grids. The result is the same RK4
+map with its products grouped differently, equal to the step loop up to
+roundoff.
+
 On top of the trajectory this module provides the Riccati operator
 ``S = Yd Y^{-1}``, the Wronskian ``W = Y^T Yd - Yd^T Y`` (the conserved
 self-adjointness certificate), detection and refinement of singular
@@ -24,13 +45,14 @@ check of the Riccati equation ``S' + S^2 + R = 0``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .curvature import CurvatureField
-from .symlin import GeneralOperator, orthonormal_columns
+from .symlin import GeneralOperator, lead_nonnegative, orthonormal_columns
 
 __all__ = [
     "FamilySpec",
@@ -205,9 +227,40 @@ class JacobiTrajectory:
         return yt, ydt
 
 
+def _increments(y, yd, r0, rh, r1, h):
+    """RK4 increments ``(dY, dYd)`` of one step of ``(Y, Yd)' = (Yd, -R Y)``,
+    with the field ``r0``, ``rh``, ``r1`` at the step's start, midpoint and
+    end. Works over any leading batch axes and any number of columns; this
+    is the one definition of the step."""
+    k1d = -(r0 @ y)
+    y2 = y + 0.5 * h * yd
+    k2y, k2d = yd + 0.5 * h * k1d, -(rh @ y2)
+    y3 = y + 0.5 * h * k2y
+    k3y, k3d = yd + 0.5 * h * k2d, -(rh @ y3)
+    y4 = y + h * k3y
+    k4y, k4d = yd + h * k3d, -(r1 @ y4)
+    dy = (h / 6.0) * (yd + 2.0 * k2y + 2.0 * k3y + k4y)
+    dyd = (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+    return dy, dyd
+
+
+def _advance(e, r0, rh, r1, h):
+    """One step of a propagator held in increment form ``E = P - I``:
+    ``E <- E + inc(I + E)``, in place."""
+    p = np.eye(e.shape[-1]) + e
+    d = e.shape[-1] // 2
+    dy, dyd = _increments(p[..., :d, :], p[..., d:, :], r0, rh, r1, h)
+    e[..., :d, :] += dy
+    e[..., d:, :] += dyd
+
+
 def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
     """Integrate the family with classical RK4 at (approximately) the given
-    step; the window is divided into round(span/step) uniform intervals."""
+    step; the window is divided into round(span/step) uniform intervals.
+
+    The ``N`` steps run as a two-level blocked scan (see the module
+    docstring): blocks of ``B = isqrt(N)`` steps, about ``3 B`` array
+    iterations in all."""
     if not step > 0:
         raise ValueError("step must be positive")
     span = spec.end - spec.alpha
@@ -215,31 +268,62 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
     times = np.linspace(spec.alpha, spec.end, n_steps + 1)
     h = span / n_steps
     d = spec.dim
-    y = np.empty((n_steps + 1, d, d))
-    yd = np.empty((n_steps + 1, d, d))
-    y[0] = spec.y0
-    yd[0] = spec.yd0
     # the field at every node (even index) and step midpoint (odd index)
     stages = np.empty(2 * n_steps + 1)
     stages[0::2] = times
     stages[1::2] = 0.5 * (times[:-1] + times[1:])
     try:
-        r = np.broadcast_to(spec.field.matrices(stages), (stages.size, d, d))
+        r = spec.field.matrices(stages)
     except Exception as exc:
         raise ValueError(f"curvature field evaluation failed: {exc}") from exc
-    for j in range(n_steps):
-        r0, rh, r1 = r[2 * j], r[2 * j + 1], r[2 * j + 2]
-        yj, ydj = y[j], yd[j]
-        k1y, k1d = ydj, -(r0 @ yj)
-        y2 = yj + 0.5 * h * k1y
-        k2y, k2d = ydj + 0.5 * h * k1d, -(rh @ y2)
-        y3 = yj + 0.5 * h * k2y
-        k3y, k3d = ydj + 0.5 * h * k2d, -(rh @ y3)
-        y4 = yj + h * k3y
-        k4y, k4d = ydj + h * k3d, -(r1 @ y4)
-        y[j + 1] = yj + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        yd[j + 1] = ydj + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-    return JacobiTrajectory(spec=spec, step=h, times=times, y=y, yd=yd)
+    blk = math.isqrt(n_steps)
+    nb = -(-n_steps // blk)
+    first = blk * np.arange(nb)  # first step of every block
+    # node b*blk + i of block b sits at ys[b, i - 1]; the last block's rows
+    # past node n_steps are padding, cut off on return
+    y = np.empty((nb * blk + 1, d, d))
+    yd = np.empty_like(y)
+    y[0], yd[0] = spec.y0, spec.yd0
+    ys = y[1:].reshape(nb, blk, d, d)
+    yds = yd[1:].reshape(nb, blk, d, d)
+    constant = r.shape[0] == 1
+
+    # pass 1: the propagator of every block but the last, E_b = P_b - I
+    if constant:
+        # one step map for all blocks: keep E_i = P^i - I for i = 0..blk
+        powers = np.zeros((blk + 1, 2 * d, 2 * d))
+        for i in range(blk):
+            powers[i + 1] = powers[i]
+            _advance(powers[i + 1], r[0], r[0], r[0], h)
+        e = np.broadcast_to(powers[blk], (nb - 1, 2 * d, 2 * d))
+    else:
+        e = np.zeros((nb - 1, 2 * d, 2 * d))
+        for i in range(blk):
+            s = 2 * (first[:-1] + i)
+            _advance(e, r[s], r[s + 1], r[s + 2], h)
+
+    # pass 2: block starts z_{b+1} = z_b + E_b z_b
+    z = np.empty((nb, 2 * d, d))
+    z[0, :d], z[0, d:] = spec.y0, spec.yd0
+    for b in range(nb - 1):
+        z[b + 1] = z[b] + e[b] @ z[b]
+
+    # pass 3: every block from its start, all blocks at once
+    if constant:
+        np.matmul(powers[None, 1:, :d], z[:, None], out=ys)
+        ys += z[:, None, :d]
+        np.matmul(powers[None, 1:, d:], z[:, None], out=yds)
+        yds += z[:, None, d:]
+    else:
+        yb, ydb = z[:, :d], z[:, d:]
+        for i in range(blk):
+            # steps past n_steps (last block only) reread the last step's field
+            s = 2 * np.minimum(first + i, n_steps - 1)
+            dy, dyd = _increments(yb, ydb, r[s], r[s + 1], r[s + 2], h)
+            yb, ydb = yb + dy, ydb + dyd
+            ys[:, i], yds[:, i] = yb, ydb
+    m = n_steps + 1
+    return JacobiTrajectory(spec=spec, step=h, times=times, y=y[:m], yd=yd[:m])
 
 
 def wronskian(traj: JacobiTrajectory, t: float) -> GeneralOperator:
@@ -334,24 +418,28 @@ def first_singular_time(
     Returns None when the rest of the window shows neither.
     """
     threshold = tol_sing * traj.scale
+    n = traj.n_nodes
     j0 = int(np.searchsorted(traj.times, float(from_time) - 1e-12, side="left"))
-    if j0 >= traj.n_nodes:
+    if j0 >= n:
         return None
-    dets = traj.dets
+    times = traj.times
+    # flip[j]: det(Y) changes sign on [t_j, t_{j+1}]
+    flip = np.append(traj.dets[:-1] * traj.dets[1:] < 0.0, False)
+    hits = np.flatnonzero(traj.sigma_min[j0:] <= threshold)
+    flips = np.flatnonzero(flip[j0:])
+    j_hit = j0 + int(hits[0]) if hits.size else n
+    j_flip = j0 + int(flips[0]) if flips.size else n
     direct: float | None = None
-    for j in range(j0, traj.n_nodes):
-        if traj.sigma_min[j] <= threshold:
-            # refine against a neighboring det sign change if one brackets it
-            if j > 0 and dets[j - 1] * dets[j] < 0.0:
-                direct = _bisect_det(traj, traj.times[j - 1], traj.times[j])
-            elif j + 1 < traj.n_nodes and dets[j] * dets[j + 1] < 0.0:
-                direct = _bisect_det(traj, traj.times[j], traj.times[j + 1])
-            else:
-                direct = float(traj.times[j])
-            break
-        if j + 1 < traj.n_nodes and dets[j] * dets[j + 1] < 0.0:
-            direct = _bisect_det(traj, traj.times[j], traj.times[j + 1])
-            break
+    if j_hit < n and j_hit <= j_flip:
+        # refine against a neighboring det sign change if one brackets it
+        if j_hit > 0 and flip[j_hit - 1]:
+            direct = _bisect_det(traj, times[j_hit - 1], times[j_hit])
+        elif flip[j_hit]:
+            direct = _bisect_det(traj, times[j_hit], times[j_hit + 1])
+        else:
+            direct = float(times[j_hit])
+    elif j_flip < n:
+        direct = _bisect_det(traj, times[j_flip], times[j_flip + 1])
     events = singular_events(traj, t_min=float(from_time), t_max=traj.end)
     dipped = float(events[0].time) if events else None
     if direct is None:
@@ -389,7 +477,7 @@ def _kernel_at(traj: JacobiTrajectory, t: float, tol_zero: float) -> tuple[float
     yt, _ = traj.interpolate(t)
     _, svals, vh = np.linalg.svd(yt)
     cut = tol_zero * traj.scale
-    cols = vh[svals <= cut].T
+    cols = lead_nonnegative(vh[svals <= cut].T)
     return float(svals[-1]), cols
 
 

@@ -366,29 +366,27 @@ def export_reduction_csv(rs: ReducedSystem, path: str) -> None:
     lift residual, |A| and the extreme eigenvalues of the reduced
     operator."""
     traj = rs.traj
+    reg = rs.regular
+    shat_min = np.full(traj.n_nodes, np.nan)
+    shat_max = np.full(traj.n_nodes, np.nan)
+    norm_a = np.where(reg, 0.0, np.nan)
+    if np.any(reg) and rs.dim_h:
+        s_bh = rs.shat_bh[reg]
+        eigs = np.linalg.eigvalsh((s_bh + np.transpose(s_bh, (0, 2, 1))) / 2.0)
+        shat_min[reg], shat_max[reg] = eigs[:, 0], eigs[:, -1]
+    if np.any(reg) and rs.dim_v:
+        norm_a[reg] = np.linalg.svd(rs.a_amb[reg], compute_uv=False)[:, 0]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "regular", "lift_err", "norm_a", "shat_min", "shat_max"])
         for j, t in enumerate(traj.times):
-            if rs.regular[j] and rs.dim_h:
-                s_bh = rs.shat_bh[j]
-                eigs, _ = spectrum((s_bh + s_bh.T) / 2.0)
-                smin, smax = float(eigs[0]), float(eigs[-1])
-            else:
-                smin = smax = math.nan
-            if rs.regular[j] and rs.dim_v:
-                norm_a = float(np.linalg.norm(rs.a_amb[j], 2))
-            elif rs.regular[j]:
-                norm_a = 0.0
-            else:
-                norm_a = math.nan
             writer.writerow(
                 [
                     f"{t:.17g}",
-                    int(rs.regular[j]),
+                    int(reg[j]),
                     f"{rs.lift_err[j]:.17g}",
-                    f"{norm_a:.17g}",
-                    f"{smin:.17g}",
-                    f"{smax:.17g}",
+                    f"{norm_a[j]:.17g}",
+                    f"{shat_min[j]:.17g}",
+                    f"{shat_max[j]:.17g}",
                 ]
             )

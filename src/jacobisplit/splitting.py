@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import ric_k_floor, ric_k_floor_sampled
+from .curvature import ric_k_floor, ric_k_floor_sampled, ric_k_traces
 from .jacobi import (
     DEFAULT_TOL_SING,
     DEFAULT_TOL_ZERO,
@@ -49,11 +49,14 @@ __all__ = [
     "parallel_span",
     "sine_span",
     "check_splitting",
+    "splitting_params",
     "splitting_verdict",
     "vanishing_floor_verdict",
 ]
 
 MODES = ("A", "B", "C", "E")
+# the params each mode needs besides ``theorem``
+MODE_PARAMS = {"A": (), "B": ("alpha",), "C": ("k",), "E": ("k", "alpha")}
 DEFAULT_TOL_SPAN = 1e-6
 DEFAULT_TOL_ORTH = 1e-6
 DEFAULT_TOL_EIG = 1e-6
@@ -286,8 +289,8 @@ def check_splitting(
     """
     if theorem not in MODES:
         raise ValueError(f"unknown splitting mode: {theorem!r}")
-    needs_alpha = theorem in ("B", "E")
-    needs_k = theorem in ("C", "E")
+    needs_alpha = "alpha" in MODE_PARAMS[theorem]
+    needs_k = "k" in MODE_PARAMS[theorem]
     if needs_alpha and alpha is None:
         raise ValueError(f"mode {theorem} requires alpha")
     if needs_k and k is None:
@@ -397,10 +400,18 @@ def check_splitting(
 
 def _floor_cross_check(traj: JacobiTrajectory, k: int, opts: dict, details: dict) -> None:
     """With a ``seed`` among the run options, add a Monte Carlo estimate of
-    the Ric_k floor at the window midpoint to ``details``."""
+    the Ric_k floor to ``details``, sampled at the grid time where the exact
+    floor is reached, so it bounds that floor from above."""
     if "seed" in opts:
-        mid = (traj.alpha + traj.end) / 2.0
-        details["floor_sampled"] = ric_k_floor_sampled(traj.spec.field, mid, k, seed=opts["seed"])
+        fld = traj.spec.field
+        t_floor = traj.times[int(np.argmin(ric_k_traces(fld, traj.times, k)))]
+        details["floor_sampled"] = ric_k_floor_sampled(fld, t_floor, k, seed=opts["seed"])
+
+
+def splitting_params(params: dict) -> tuple[str, ...]:
+    """The params a splitting check cannot run without: ``theorem`` and the
+    ones its mode needs."""
+    return ("theorem",) + MODE_PARAMS.get(params.get("theorem"), ())
 
 
 def splitting_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -> tuple[str, dict]:

@@ -23,6 +23,7 @@ __all__ = [
     "SymOperator",
     "GeneralOperator",
     "spectrum",
+    "lead_nonnegative",
     "symmetry_defect",
     "ky_fan_min",
     "orthogonal_projector",
@@ -97,10 +98,17 @@ def spectrum(op):
     """
     m = _as_square(np.asarray(op, dtype=float))
     w, v = np.linalg.eigh((m + m.T) / 2.0)
+    return w, lead_nonnegative(v)
+
+
+def lead_nonnegative(v: np.ndarray) -> np.ndarray:
+    """Flip the columns of ``v`` in place so each one's largest-magnitude
+    component is nonnegative, which fixes the sign a solver leaves free;
+    returns ``v``."""
     if v.size:
         lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
         v[:, lead < 0] *= -1.0
-    return w, v
+    return v
 
 
 def symmetry_defect(op, metric=None) -> float:

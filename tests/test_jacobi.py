@@ -4,6 +4,9 @@ Closed forms used as oracles:
   constant curvature c: each member evolves along y'' = -c y, so
   y(t) = cos(sqrt(c) t) y(0) + sin(sqrt(c) t)/sqrt(c) y'(0) per
   eigendirection of the initial data (and linearly in between).
+
+The step loop ``_loop_integrate`` is the reference for the blocked scan in
+``integrate``: the same RK4 map, one step after another.
 """
 
 import csv
@@ -14,6 +17,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import jacobisplit as js
+from jacobisplit import jacobi
 
 
 def sphere_like(alpha=0.0, end=math.pi, y0=None, yd0=None, c=1.0, n=3):
@@ -26,6 +30,96 @@ def sphere_like(alpha=0.0, end=math.pi, y0=None, yd0=None, c=1.0, n=3):
         yd0=np.eye(d) if yd0 is None else np.asarray(yd0, dtype=float),
         label="test",
     )
+
+
+def _loop_integrate(spec, step):
+    """(Y, Yd) at every node by the plain RK4 step loop."""
+    span = spec.end - spec.alpha
+    n_steps = max(1, int(round(span / step)))
+    times = np.linspace(spec.alpha, spec.end, n_steps + 1)
+    h = span / n_steps
+    d = spec.dim
+    y = np.empty((n_steps + 1, d, d))
+    yd = np.empty((n_steps + 1, d, d))
+    y[0] = spec.y0
+    yd[0] = spec.yd0
+    stages = np.empty(2 * n_steps + 1)
+    stages[0::2] = times
+    stages[1::2] = 0.5 * (times[:-1] + times[1:])
+    r = np.broadcast_to(spec.field.matrices(stages), (stages.size, d, d))
+    for j in range(n_steps):
+        r0, rh, r1 = r[2 * j], r[2 * j + 1], r[2 * j + 2]
+        yj, ydj = y[j], yd[j]
+        k1y, k1d = ydj, -(r0 @ yj)
+        y2 = yj + 0.5 * h * k1y
+        k2y, k2d = ydj + 0.5 * h * k1d, -(rh @ y2)
+        y3 = yj + 0.5 * h * k2y
+        k3y, k3d = ydj + 0.5 * h * k2d, -(rh @ y3)
+        y4 = yj + h * k3y
+        k4y, k4d = ydj + h * k3d, -(r1 @ y4)
+        y[j + 1] = yj + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        yd[j + 1] = ydj + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+    return times, y, yd
+
+
+def _sampled(d, end, seed=3):
+    """A time-varying sampled field on [0, end] whose grid ends exactly at
+    ``end``, with node steps that do not line up with the integration grid."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((9, d, d))
+    return js.sampled_field(np.linspace(0.0, end, 9), np.eye(d) + 0.5 * (a + a.transpose(0, 2, 1)))
+
+
+def _assert_matches_loop(fld, n_steps, end=math.pi):
+    d = fld.dim
+    rng = np.random.default_rng(n_steps)
+    spec = js.FamilySpec(
+        field=fld, alpha=0.0, end=end, y0=np.eye(d), yd0=rng.standard_normal((d, d))
+    )
+    traj = js.integrate(spec, step=end / n_steps)
+    times, y, yd = _loop_integrate(spec, end / n_steps)
+    assert traj.n_nodes == n_steps + 1
+    assert_allclose(traj.times, times, rtol=0, atol=0)
+    assert np.max(np.abs(traj.y - y)) <= 1e-12 * np.max(np.abs(y))
+    assert np.max(np.abs(traj.yd - yd)) <= 1e-12 * np.max(np.abs(yd))
+
+
+# 7, 17 and 3142 steps leave a short last block: on the sampled field, whose
+# grid ends at the window end, its masked steps must not read past the grid
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 16, 17, 3142])
+@pytest.mark.parametrize("kind", ["constant", "diagonal", "sampled"])
+def test_integrate_matches_step_loop(kind, n_steps):
+    fld = {
+        "constant": js.constant_sectional(4, 1.0),
+        "diagonal": js.diagonal_constant([4.0, -1.0, 0.0]),
+        "sampled": _sampled(3, math.pi),
+    }[kind]
+    _assert_matches_loop(fld, n_steps)
+
+
+@pytest.mark.parametrize("fld", [js.constant_sectional(17, 1.0), _sampled(16, 2.0)])
+def test_integrate_matches_step_loop_d16(fld):
+    _assert_matches_loop(fld, 1000, end=2.0)
+
+
+def test_integrate_array_iterations_grow_like_sqrt_n(monkeypatch):
+    calls = []
+    step_fn = jacobi._increments
+
+    def counted(*args):
+        calls.append(1)
+        return step_fn(*args)
+
+    monkeypatch.setattr(jacobi, "_increments", counted)
+    spec = js.FamilySpec(
+        field=_sampled(2, math.pi), alpha=0.0, end=math.pi, y0=np.eye(2), yd0=np.zeros((2, 2))
+    )
+    js.integrate(spec, step=math.pi / 3142)
+    # two passes of isqrt(3142) = 56 steps each, against 3142 in the loop
+    assert len(calls) == 2 * 56
+    calls.clear()
+    js.integrate(sphere_like(), step=math.pi / 3142)
+    assert len(calls) == 56  # a constant field: one propagator pass
 
 
 def test_familyspec_validation():

@@ -51,6 +51,21 @@ def test_sampled_dip_violates_every_floor_gate():
     assert floor["floor"] == pytest.approx(-0.1)
 
 
+def test_seeded_floor_cross_check_bounds_the_floor():
+    # the dip sits at t = 1, away from the window midpoint pi/2
+    fld = js.sampled_field([0.0, 1.0, math.pi], [EYE, -0.1 * EYE, EYE])
+    report = js.run_scenario(_sphere_zero_scenario(fld), seed=1)
+    split, floor = report.checks[0].details, report.checks[2].details
+    assert report.checks[2].verdict == "hypothesis-violated"
+    assert floor["floor"] == pytest.approx(-0.1, abs=1e-3)
+    # the field is isotropic, so every frame sampled at the floor's time
+    # reads the floor itself
+    split_floor = split["hypothesis_flags"]["ric_k_floor"]["value"]
+    for details, exact in ((floor, floor["floor"]), (split, split_floor)):
+        assert details["floor_sampled"] >= exact - 1e-12
+        assert details["floor_sampled"] == pytest.approx(exact, abs=1e-12)
+
+
 def test_constant_sampled_field_matches_constant_field():
     sampled = js.run_scenario(_sphere_zero_scenario(js.sampled_field([0.0, math.pi], [EYE, EYE])))
     constant = js.run_scenario(_sphere_zero_scenario(js.constant_sectional(3, 1.0)))

@@ -243,6 +243,22 @@ def test_missing_required_check_param_names_check_and_key(tmp_path, capsys):
     assert "check 'splitting' is missing required param 'theorem'" in err
 
 
+def test_missing_mode_param_is_rejected_before_integration(tmp_path, capsys):
+    with pytest.raises(ValueError, match="check 'splitting' is missing required param 'k'"):
+        js.CheckSpec("splitting", {"theorem": "C"}, "verified")
+    with pytest.raises(ValueError, match="check 'splitting' is missing required param 'alpha'"):
+        js.CheckSpec("splitting", {"theorem": "E", "k": 1}, "verified")
+    js.CheckSpec("splitting", {"theorem": "A"}, "verified")
+    with open("configs/example_scenario.json") as fh:
+        doc = json.load(fh)
+    del doc["checks"][0]["params"]["alpha"]  # a mode-B splitting check
+    p = tmp_path / "no-alpha.json"
+    p.write_text(json.dumps(doc))
+    assert js.main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "check 'splitting' is missing required param 'alpha'" in err
+
+
 def test_traced_run_integrates_and_reduces_once(tmp_path, monkeypatch):
     import jacobisplit.cli as cli
     import jacobisplit.reduction as reduction

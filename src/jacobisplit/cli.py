@@ -394,38 +394,67 @@ _FIELD_BUILDERS = {
 
 
 def _field_from_config(doc: dict) -> CurvatureField:
+    if not isinstance(doc, dict):
+        raise TypeError("must be a JSON object")
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _FIELD_BUILDERS:
         raise ValueError(f"unknown field kind in config: {kind!r}")
     return _FIELD_BUILDERS[kind](doc)
 
 
+_CONFIG_KEYS = ("name", "description", "field", "alpha", "end", "y0", "yd0", "checks", "step")
+_CHECK_KEYS = ("kind", "params", "expect")
+
+
+def _reject_unknown_keys(doc: dict, known: tuple[str, ...], where: str) -> None:
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {where} key {unknown[0]!r} (known: {', '.join(known)})")
+
+
+def _checks_from_config(items) -> tuple[CheckSpec, ...]:
+    if not isinstance(items, list) or not all(isinstance(c, dict) for c in items):
+        raise TypeError("must be a list of check objects")
+    for c in items:
+        _reject_unknown_keys(c, _CHECK_KEYS, "check")
+    return tuple(CheckSpec(c["kind"], dict(c.get("params", {})), c["expect"]) for c in items)
+
+
 def scenario_from_config(path: str | Path) -> Scenario:
     """Build a scenario from a JSON config file.
 
     Required keys: name, field, alpha, end, y0, yd0, checks. Each check
-    needs kind, params and expect. Optional: description, step.
+    needs kind and expect, and may give params. Optional: description,
+    step. A missing or unknown key, or a value of the wrong type, is a
+    ValueError that names the key.
     """
     with open(path) as fh:
         doc = json.load(fh)
-    try:
-        checks = tuple(
-            CheckSpec(c["kind"], dict(c.get("params", {})), c["expect"])
-            for c in doc["checks"]
-        )
-        return Scenario(
-            name=str(doc["name"]),
-            description=str(doc.get("description", "")),
-            fld=_field_from_config(doc["field"]),
-            alpha=float(doc["alpha"]),
-            end=float(doc["end"]),
-            y0=np.asarray(doc["y0"], dtype=float),
-            yd0=np.asarray(doc["yd0"], dtype=float),
-            checks=checks,
-            step=float(doc.get("step", DEFAULT_STEP)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"config file is missing key {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("config file must hold a JSON object")
+    _reject_unknown_keys(doc, _CONFIG_KEYS, "config")
+
+    def value(key, convert, *default):
+        if key not in doc and not default:
+            raise ValueError(f"config file is missing key {key!r}")
+        try:
+            return convert(doc.get(key, *default))
+        except KeyError as exc:
+            raise ValueError(f"config key {key!r} is missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from exc
+
+    return Scenario(
+        name=value("name", str),
+        description=value("description", str, ""),
+        fld=value("field", _field_from_config),
+        alpha=value("alpha", float),
+        end=value("end", float),
+        y0=value("y0", lambda v: np.asarray(v, dtype=float)),
+        yd0=value("yd0", lambda v: np.asarray(v, dtype=float)),
+        checks=value("checks", _checks_from_config),
+        step=value("step", float, DEFAULT_STEP),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -254,13 +254,15 @@ def _advance(e, r0, rh, r1, h):
     e[..., d:, :] += dyd
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
     """Integrate the family with classical RK4 at (approximately) the given
     step; the window is divided into round(span/step) uniform intervals.
 
     The ``N`` steps run as a two-level blocked scan (see the module
     docstring): blocks of ``B = isqrt(N)`` steps, about ``3 B`` array
-    iterations in all."""
+    iterations in all. A family that overflows is a ValueError naming the
+    first node that is not finite."""
     if not step > 0:
         raise ValueError("step must be positive")
     span = spec.end - spec.alpha
@@ -323,7 +325,14 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
             yb, ydb = yb + dy, ydb + dyd
             ys[:, i], yds[:, i] = yb, ydb
     m = n_steps + 1
-    return JacobiTrajectory(spec=spec, step=h, times=times, y=y[:m], yd=yd[:m])
+    y, yd = y[:m], yd[:m]
+    # a sum of squares is cheap and is not finite if an entry is not
+    if not np.isfinite(y.ravel() @ y.ravel() + yd.ravel() @ yd.ravel()):
+        finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(yd).all(axis=(1, 2))
+        if not finite.all():
+            t_bad = times[np.argmin(finite)]
+            raise ValueError(f"the family is not finite from t={t_bad:.6g} on (overflow)")
+    return JacobiTrajectory(spec=spec, step=h, times=times, y=y, yd=yd)
 
 
 def wronskian(traj: JacobiTrajectory, t: float) -> GeneralOperator:
@@ -481,6 +490,16 @@ def _kernel_at(traj: JacobiTrajectory, t: float, tol_zero: float) -> tuple[float
     return float(svals[-1]), cols
 
 
+def _candidate_nodes(s: np.ndarray, zero_cut: float, coarse_cut: float) -> np.ndarray:
+    """Positions in ``s`` (sigma_min over a window) at or below ``zero_cut``,
+    and local minima at or below ``coarse_cut``: strictly below one
+    neighbour and not above the other, the window ends counting as +inf."""
+    left = np.concatenate(([np.inf], s[:-1]))
+    right = np.concatenate((s[1:], [np.inf]))
+    local_min = ((s < left) & (s <= right)) | ((s <= left) & (s < right))
+    return np.flatnonzero((s <= zero_cut) | ((s <= coarse_cut) & local_min))
+
+
 def singular_events(
     traj: JacobiTrajectory,
     t_min: float | None = None,
@@ -512,22 +531,9 @@ def singular_events(
     coarse_cut = 0.05 * scale
     h = traj.step
 
-    candidates: list[int] = []
-    for pos, j in enumerate(idx):
-        s = sig[j]
-        if s <= zero_cut:
-            candidates.append(j)
-            continue
-        if s > coarse_cut:
-            continue
-        left = sig[idx[pos - 1]] if pos > 0 else np.inf
-        right = sig[idx[pos + 1]] if pos + 1 < idx.size else np.inf
-        if (s < left and s <= right) or (s <= left and s < right):
-            candidates.append(j)
-
     events: list[ZeroEvent] = []
     dets = traj.dets
-    for j in candidates:
+    for j in _candidate_nodes(sig[idx], zero_cut, coarse_cut) + idx[0]:
         if sig[j] <= zero_cut:
             t_star, s_star, cols = traj.times[j], None, None
         else:

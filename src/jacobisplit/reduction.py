@@ -3,10 +3,10 @@
 Given a trajectory and a subfamily spanned by coefficient vectors Psi, the
 moving subspace V(t) = span{Y(t) c : c in Psi} is split off and the family
 is studied on the horizontal complement H(t) = V(t)^perp. At nodes where
-V(t) has full rank (dimension = dim Psi) and the horizontal basis can be
-lifted through Y(t), the reduction produces:
+V(t) has full rank (dimension = dim Psi) and Y(t) is regular, the
+reduction produces:
 
-* the orthogonal projectors PV(t), PH(t) and an orthonormal horizontal
+* the orthogonal projector PH(t) onto H(t) and an orthonormal horizontal
   basis BH(t) (columns),
 * the reduced Riccati operator S_hat(t) acting on H(t), computed
   algebraically as BH^T Yd C where C lifts BH through Y (Y C = BH),
@@ -59,27 +59,25 @@ __all__ = [
     "reduced_boundary_verdict",
 ]
 
-DEFAULT_RANK_TOL = 1e-8
-DEFAULT_LIFT_TOL = 1e-6
+RANK_TOL = 1e-8  # V(t) has full rank: sigma_min(Y Psi) >= RANK_TOL * its grid-wide max
 
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Per-node reduction data. Arrays are NaN-filled at nodes where the
-    reduction is not regular (rank drop of V or failed lift)."""
+    """Per-node reduction data. ``ph``, ``bh`` and ``lift_err`` are NaN where
+    V(t) drops rank; the reduced operators and A are NaN wherever the
+    reduction is not regular."""
 
     traj: JacobiTrajectory
     psi: np.ndarray  # (d, p) orthonormal columns spanning the subfamily
-    v_mask: np.ndarray  # (N+1,) bool: V(t) has full rank p
-    regular: np.ndarray  # (N+1,) bool: v_mask and successful lift
-    pv: np.ndarray  # (N+1, d, d)
+    regular: np.ndarray  # (N+1,) bool: V(t) has full rank p and Y(t) is regular
     ph: np.ndarray  # (N+1, d, d)
     bh: np.ndarray  # (N+1, d, d-p) horizontal orthonormal basis
     shat_bh: np.ndarray  # (N+1, d-p, d-p) reduced operator in BH coordinates
     shat_amb: np.ndarray  # (N+1, d, d) ambient form BH @ shat_bh @ BH^T
     a_amb: np.ndarray  # (N+1, d, p) vertical-derivative columns (horizontal)
     aastar: np.ndarray  # (N+1, d, d) A @ A^T, PSD
-    lift_err: np.ndarray  # (N+1,) worst column residual of the lift
+    lift_err: np.ndarray  # (N+1,) worst column residual of the lift (diagnostic)
 
     @property
     def dim_v(self) -> int:
@@ -89,17 +87,13 @@ class ReducedSystem:
     def dim_h(self) -> int:
         return self.traj.dim - self.psi.shape[1]
 
-    @property
-    def regular_times(self) -> np.ndarray:
-        return self.traj.times[self.regular]
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack."""
+    return np.swapaxes(a, -1, -2)
 
 
-def reduce(
-    traj: JacobiTrajectory,
-    psi_basis,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    lift_tol: float = DEFAULT_LIFT_TOL,
-) -> ReducedSystem:
+def reduce(traj: JacobiTrajectory, psi_basis) -> ReducedSystem:
     """Reduce a trajectory modulo the subfamily spanned by ``psi_basis``.
 
     ``psi_basis`` is a (d, p) array of coefficient columns (a single vector
@@ -107,6 +101,11 @@ def reduce(
     empty basis the reduction is the identity: H is everything and the
     reduced operator coincides with the ordinary Riccati operator wherever
     the family is regular.
+
+    A node is regular when V(t) has full rank and Y(t) is regular
+    (``JacobiTrajectory.regular_mask``), the same rule the Riccati operator
+    follows. ``lift_err``, the residual of the least-squares lift of BH
+    through Y, is a diagnostic only.
     """
     d = traj.dim
     psi_in = np.asarray(psi_basis, dtype=float)
@@ -120,69 +119,34 @@ def reduce(
     if p != p_in:
         raise ValueError("psi basis is rank-deficient")
 
-    n_nodes = traj.times.size
-    dim_h = d - p
-    v_mask = np.ones(n_nodes, dtype=bool)
-    regular = np.zeros(n_nodes, dtype=bool)
-    pv = np.full((n_nodes, d, d), np.nan)
-    ph = np.full((n_nodes, d, d), np.nan)
-    bh = np.full((n_nodes, d, dim_h), np.nan)
-    shat_bh = np.full((n_nodes, dim_h, dim_h), np.nan)
-    shat_amb = np.full((n_nodes, d, d), np.nan)
-    a_amb = np.full((n_nodes, d, p), np.nan)
-    aastar = np.full((n_nodes, d, d), np.nan)
-    lift_err = np.full(n_nodes, np.nan)
-    eye = np.eye(d)
+    n_nodes = traj.n_nodes
+    # full U of Y Psi: its first p columns span V(t), the others H(t)
+    u, sig, wt = np.linalg.svd(traj.y @ psi)
+    full = sig.min(axis=1, initial=np.inf) >= RANK_TOL * max(sig.max(initial=0.0), 1e-300)
+    reg = full & traj.regular_mask()
 
-    if p:
-        v = np.einsum("nij,jk->nik", traj.y, psi)  # (N+1, d, p)
-        u_all, sig_all, wt_all = np.linalg.svd(v, full_matrices=True)
-        v_scale = float(sig_all.max()) if sig_all.size else 0.0
-        v_mask = sig_all[:, -1] >= rank_tol * max(v_scale, 1e-300)
+    def blank(*shape):
+        return np.full((n_nodes, *shape), np.nan)
 
-    for j in range(n_nodes):
-        if not v_mask[j]:
-            continue
-        if p:
-            uj = u_all[j]
-            pv_j = uj[:, :p] @ uj[:, :p].T
-            bh_j = uj[:, p:]
-        else:
-            pv_j = np.zeros((d, d))
-            bh_j = eye
-        ph_j = eye - pv_j
-        c, *_ = np.linalg.lstsq(traj.y[j], bh_j, rcond=None)
-        resid = traj.y[j] @ c - bh_j
-        err = float(np.linalg.norm(resid, axis=0).max()) if dim_h else 0.0
-        pv[j], ph[j], bh[j], lift_err[j] = pv_j, ph_j, bh_j, err
-        if err > lift_tol:
-            continue
-        regular[j] = True
-        s_bh = bh_j.T @ traj.yd[j] @ c
-        shat_bh[j] = s_bh
-        shat_amb[j] = bh_j @ s_bh @ bh_j.T
-        if p:
-            gamma = psi @ wt_all[j].T @ np.diag(1.0 / sig_all[j])
-            a_j = ph_j @ traj.yd[j] @ gamma
-            a_amb[j] = a_j
-            aastar[j] = a_j @ a_j.T
-        else:
-            aastar[j] = np.zeros((d, d))
+    ph, bh, lift_err = blank(d, d), blank(d, d - p), blank()
+    shat_bh, shat_amb = blank(d - p, d - p), blank(d, d)
+    a_amb, aastar = blank(d, p), blank(d, d)
 
-    return ReducedSystem(
-        traj=traj,
-        psi=psi,
-        v_mask=np.asarray(v_mask, dtype=bool),
-        regular=regular,
-        pv=pv,
-        ph=ph,
-        bh=bh,
-        shat_bh=shat_bh,
-        shat_amb=shat_amb,
-        a_amb=a_amb,
-        aastar=aastar,
-        lift_err=lift_err,
-    )
+    uv = u[full, :, :p]
+    ph[full] = np.eye(d) - uv @ _t(uv)
+    bh[full] = u[full, :, p:]
+    y = traj.y[full]
+    c = np.linalg.pinv(y) @ bh[full]  # the lift: Y C = BH
+    lift_err[full] = np.linalg.norm(y @ c - bh[full], axis=1).max(axis=1, initial=0.0)
+
+    b, yd = bh[reg], traj.yd[reg]
+    shat_bh[reg] = _t(b) @ yd @ c[reg[full]]
+    shat_amb[reg] = b @ shat_bh[reg] @ _t(b)
+    # A on the singular directions of Y Psi: Gamma = Psi W^T diag(1 / sigma)
+    gamma = psi @ _t(wt[reg]) * (1.0 / sig[reg])[:, None, :]
+    a_amb[reg] = ph[reg] @ yd @ gamma
+    aastar[reg] = a_amb[reg] @ _t(a_amb[reg])
+    return ReducedSystem(traj, psi, reg, ph, bh, shat_bh, shat_amb, a_amb, aastar, lift_err)
 
 
 def _shat_norms(rs: ReducedSystem) -> np.ndarray:

@@ -122,6 +122,16 @@ def test_integrate_array_iterations_grow_like_sqrt_n(monkeypatch):
     assert len(calls) == 56  # a constant field: one propagator pass
 
 
+def test_integrate_rejects_overflow():
+    # cosh(1000 t) leaves double range near t = 0.71
+    spec = sphere_like(y0=np.eye(2), yd0=np.zeros((2, 2)), c=-1e6)
+    with pytest.raises(ValueError, match=r"not finite from t=0\.70\d+ on"):
+        js.integrate(spec)
+    # huge but finite values are kept
+    traj = js.integrate(sphere_like(y0=1e200 * np.eye(2), yd0=np.zeros((2, 2)), c=0.0))
+    assert np.all(traj.y[-1] == 1e200 * np.eye(2))
+
+
 def test_familyspec_validation():
     fld = js.constant_sectional(3, 1.0)
     with pytest.raises(ValueError, match="must be 2x2"):
@@ -331,6 +341,51 @@ def test_singular_events_window_selection(trajs):
     assert [round(e.time, 6) for e in inner] == [1.570796]
     with pytest.raises(ValueError, match="empty window"):
         js.singular_events(traj, t_min=2.0, t_max=1.0)
+
+
+def _loop_candidates(s, zero_cut, coarse_cut):
+    """The candidate scan of ``singular_events`` as a node loop: the
+    reference for ``jacobi._candidate_nodes``."""
+    out = []
+    for pos, v in enumerate(s):
+        if v <= zero_cut:
+            out.append(pos)
+            continue
+        if v > coarse_cut:
+            continue
+        left = s[pos - 1] if pos > 0 else np.inf
+        right = s[pos + 1] if pos + 1 < s.size else np.inf
+        if (v < left and v <= right) or (v <= left and v < right):
+            out.append(pos)
+    return np.array(out, dtype=int)
+
+
+def test_candidate_scan_matches_node_loop():
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 3, 40):
+        for _ in range(200):
+            s = rng.integers(0, 4, size) / 4.0  # many ties and plateaus
+            got = jacobi._candidate_nodes(s, 0.0, 0.5)
+            assert got.tolist() == _loop_candidates(s, 0.0, 0.5).tolist()
+
+
+@pytest.mark.parametrize(
+    "name", [sc.name for sc in js.list_scenarios()] + ["random-selfadjoint-3@1e-4"]
+)
+def test_singular_events_unchanged_under_loop_scan(trajs, monkeypatch, name):
+    name, _, step = name.partition("@")
+    traj = trajs(name, float(step) if step else None)
+    windows = [{}, {"t_min": traj.alpha + 0.3, "t_max": traj.end - 0.3, "open_ends": True}]
+
+    def events():
+        return [
+            [(e.time, e.sigma, e.node, e.kernel.tobytes()) for e in js.singular_events(traj, **w)]
+            for w in windows
+        ]
+
+    fast = events()
+    monkeypatch.setattr(jacobi, "_candidate_nodes", _loop_candidates)
+    assert events() == fast
 
 
 def test_default_resolvability_cap():

@@ -1,5 +1,10 @@
 """Tests for quotient reductions, the corrected horizontal equation, and
-the reduced boundary comparison."""
+the reduced boundary comparison.
+
+The node loop ``_loop_reduce`` is the reference for the whole-array
+``reduce``: the same formulas, one node at a time, with a least-squares
+lift per node.
+"""
 
 import csv
 import math
@@ -12,6 +17,93 @@ import jacobisplit as js
 
 
 E1 = np.array([1.0, 0.0])
+
+
+def _loop_reduce(traj, psi, rank_tol=1e-8, lift_tol=1e-6):
+    """Per-node reduction by ``psi`` (orthonormal (d, p) columns): a node is
+    regular when V(t) has full rank and the lift of BH through Y leaves a
+    residual of at most ``lift_tol``."""
+    d, p = psi.shape
+    n = traj.n_nodes
+    out = {
+        "regular": np.zeros(n, dtype=bool),
+        "ph": np.full((n, d, d), np.nan),
+        "bh": np.full((n, d, d - p), np.nan),
+        "shat_bh": np.full((n, d - p, d - p), np.nan),
+        "shat_amb": np.full((n, d, d), np.nan),
+        "a_amb": np.full((n, d, p), np.nan),
+        "aastar": np.full((n, d, d), np.nan),
+        "lift_err": np.full(n, np.nan),
+    }
+    v_mask = np.ones(n, dtype=bool)
+    if p:
+        u_all, sig_all, wt_all = np.linalg.svd(np.einsum("nij,jk->nik", traj.y, psi))
+        v_mask = sig_all[:, -1] >= rank_tol * max(float(sig_all.max()), 1e-300)
+    for j in range(n):
+        if not v_mask[j]:
+            continue
+        if p:
+            uj = u_all[j]
+            pv_j, bh_j = uj[:, :p] @ uj[:, :p].T, uj[:, p:]
+        else:
+            pv_j, bh_j = np.zeros((d, d)), np.eye(d)
+        ph_j = np.eye(d) - pv_j
+        c, *_ = np.linalg.lstsq(traj.y[j], bh_j, rcond=None)
+        resid = traj.y[j] @ c - bh_j
+        err = float(np.linalg.norm(resid, axis=0).max()) if d - p else 0.0
+        out["ph"][j], out["bh"][j], out["lift_err"][j] = ph_j, bh_j, err
+        if err > lift_tol:
+            continue
+        out["regular"][j] = True
+        s_bh = bh_j.T @ traj.yd[j] @ c
+        out["shat_bh"][j] = s_bh
+        out["shat_amb"][j] = bh_j @ s_bh @ bh_j.T
+        a_j = np.zeros((d, 0))
+        if p:
+            gamma = psi @ wt_all[j].T @ np.diag(1.0 / sig_all[j])
+            a_j = ph_j @ traj.yd[j] @ gamma
+        out["a_amb"][j] = a_j
+        out["aastar"][j] = a_j @ a_j.T
+    return out
+
+
+def _time_varying_trajectory():
+    """hopf-holonomy's initial data on a sampled field that varies in time."""
+    times = np.linspace(0.0, math.pi, 41)
+    bend = np.array([[1.0, 0.5], [0.5, -1.0]])
+    fld = js.sampled_field(times, [np.eye(2) + 0.2 * math.sin(t) * bend for t in times])
+    y0, yd0 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]
+    return js.integrate(js.FamilySpec(fld, 0.0, math.pi, y0, yd0))
+
+
+@pytest.mark.parametrize(
+    "name, psi",
+    [
+        ("hopf-holonomy", [[1.0, 0.0]]),
+        ("sphere-zero", []),
+        ("sphere-zero", [[1.0, 0.0]]),
+        ("product-s2xr2", [[0.0, 1.0, 0.0]]),
+        ("cp2-zero", [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]),
+        ("random-selfadjoint-3", [[1.0, 2.0, 0.5]]),
+        ("example-nonselfadjoint", []),
+        ("example-nonselfadjoint", [[1.0, 1.0]]),
+        ("sampled-time-varying", [[1.0, 0.0]]),
+    ],
+)
+def test_reduce_matches_node_loop(trajs, name, psi):
+    traj = _time_varying_trajectory() if name.startswith("sampled") else trajs(name)
+    psi = np.asarray(psi, dtype=float).reshape(-1, traj.dim).T
+    rs = js.reduce(traj, psi)
+    ref = _loop_reduce(traj, rs.psi)
+    # one regularity rule: the reduction is regular only where Y is
+    assert not np.any(rs.regular & ~traj.regular_mask())
+    both = rs.regular & ref["regular"]
+    assert both.sum() >= 0.9 * traj.n_nodes
+    for key in ("ph", "bh", "shat_bh", "shat_amb", "a_amb", "aastar"):
+        got, want = getattr(rs, key)[both], ref[key][both]
+        scale = np.abs(want).max(axis=(1, 2), initial=0.0)[:, None, None]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(scale, 1.0)), key
+    assert_allclose(rs.lift_err[both], ref["lift_err"][both], rtol=0, atol=1e-12)
 
 
 def test_reduce_validates_psi(trajs):
@@ -163,3 +255,17 @@ def test_export_reduction_csv(tmp_path, trajs):
     mid = rs.traj.node_index(math.pi / 2.0)
     assert rows[mid]["regular"] == "0"
     assert math.isnan(float(rows[mid]["shat_max"]))
+
+
+def test_hopf_last_node_is_not_regular(tmp_path, capsys, trajs):
+    # Y(pi) is singular; a lift by least squares still succeeds there
+    traj = trajs("hopf-holonomy")
+    j = traj.node_index(math.pi)
+    assert not traj.regular_mask()[j]
+    assert not js.reduce(traj, E1).regular[j]
+    assert js.main(["run", "hopf-holonomy", "--traces", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "hopf-holonomy-reduction-0.csv") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert float(last["t"]) == pytest.approx(math.pi)
+    assert last["regular"] == "0"
+    assert last["shat_min"] == last["shat_max"] == "nan"

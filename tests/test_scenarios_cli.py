@@ -223,11 +223,45 @@ def test_cli_exit_two_on_bad_input(tmp_path, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+def _example_with(tmp_path, edit) -> str:
+    """Path of a copy of the example config changed by ``edit(doc)``."""
+    with open("configs/example_scenario.json") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    p = tmp_path / "edited.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
 def test_cli_exit_two_on_malformed_config(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     assert js.main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err
+    # values of the wrong type name their key
+    for key, bad in (("alpha", [1]), ("checks", {"a": 1})):
+        path = _example_with(tmp_path, lambda doc: doc.update({key: bad}))
+        assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_cli_exit_two_on_unknown_config_key(tmp_path, capsys):
+    path = _example_with(tmp_path, lambda doc: doc.update(stepp=0.01))
+    assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "unknown config key 'stepp'" in capsys.readouterr().err
+    path = _example_with(tmp_path, lambda doc: doc["checks"][1].update(expct="verified"))
+    assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "unknown check key 'expct'" in capsys.readouterr().err
+
+
+def test_cli_exit_two_on_overflow(tmp_path, capsys):
+    def overflowing(doc):
+        doc.update(field={"kind": "constant-sectional", "n": 3, "c": -1e6}, alpha=0.0)
+        doc.update(y0=[[1.0, 0.0], [0.0, 1.0]], yd0=[[0.0, 0.0], [0.0, 0.0]])
+
+    path = _example_with(tmp_path, overflowing)
+    assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "error: the family is not finite from t=0.70" in capsys.readouterr().err
 
 
 def test_missing_required_check_param_names_check_and_key(tmp_path, capsys):

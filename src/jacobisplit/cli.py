@@ -81,21 +81,24 @@ class CheckKind(NamedTuple):
     """One row of the check table. ``verdict`` is the library function
     behind the check: (trajectory, params, run options) -> (verdict,
     details), where the run options ``tol_zero``, ``tol_eig`` and ``seed``
-    are present only when given. ``required`` maps a check's params to the
-    keys it cannot run without (for a splitting check they depend on its
-    mode)."""
+    are present only when given. ``params`` are the keys it reads from its
+    params, and ``required`` maps a check's params to the keys it cannot
+    run without (for a splitting check they depend on its mode)."""
 
     verdict: Callable[[JacobiTrajectory, dict, dict], tuple[str, dict]]
+    params: tuple[str, ...]
     required: Callable[[dict], tuple[str, ...]] = _needs()
     reduces: bool = False  # --traces exports the reduction its ``psi`` names
 
 
 CHECKS = {
-    "splitting": CheckKind(splitting_verdict, splitting_params),
-    "rigidity": CheckKind(rigidity_verdict),
-    "hce": CheckKind(hce_verdict, reduces=True),
-    "vanishing-floor": CheckKind(vanishing_floor_verdict, _needs("k")),
-    "reduced-boundary": CheckKind(reduced_boundary_verdict, _needs("alpha"), reduces=True),
+    "splitting": CheckKind(splitting_verdict, ("theorem", "k", "alpha"), splitting_params),
+    "rigidity": CheckKind(rigidity_verdict, ("alpha",)),
+    "hce": CheckKind(hce_verdict, ("psi", "tol", "level"), reduces=True),
+    "vanishing-floor": CheckKind(vanishing_floor_verdict, ("k",), _needs("k")),
+    "reduced-boundary": CheckKind(
+        reduced_boundary_verdict, ("psi", "alpha"), _needs("alpha"), reduces=True
+    ),
 }
 CHECK_KINDS = tuple(CHECKS)
 
@@ -111,6 +114,7 @@ class CheckSpec:
             raise ValueError(f"unknown check kind: {self.kind!r}")
         if self.expectation not in VERDICTS:
             raise ValueError(f"unknown expectation: {self.expectation!r}")
+        _reject_unknown_keys(self.params, CHECKS[self.kind].params, f"{self.kind!r} check param")
         for key in CHECKS[self.kind].required(self.params):
             if key not in self.params:
                 raise ValueError(f"check {self.kind!r} is missing required param {key!r}")
@@ -382,13 +386,22 @@ def get_scenario(name: str) -> Scenario:
 # config files
 
 
-# config field kind -> builder from the field's JSON object
+# config field kind -> (the keys of its JSON object, builder from that object)
 _FIELD_BUILDERS = {
-    "constant-sectional": lambda doc: constant_sectional(int(doc["n"]), float(doc["c"])),
-    "diagonal-constant": lambda doc: diagonal_constant([float(x) for x in doc["eigs"]]),
-    "fubini-study": lambda doc: fubini_study_model(int(doc["n"])),
-    "sampled": lambda doc: (
-        load_sampled_field(doc["path"]) if "path" in doc else sampled_field_from_json(doc)
+    "constant-sectional": (
+        ("kind", "n", "c"),
+        lambda doc: constant_sectional(int(doc["n"]), float(doc["c"])),
+    ),
+    "diagonal-constant": (
+        ("kind", "eigs"),
+        lambda doc: diagonal_constant([float(x) for x in doc["eigs"]]),
+    ),
+    "fubini-study": (("kind", "n"), lambda doc: fubini_study_model(int(doc["n"]))),
+    "sampled": (
+        ("kind", "path", "n", "grid", "ops", "label"),
+        lambda doc: (
+            load_sampled_field(doc["path"]) if "path" in doc else sampled_field_from_json(doc)
+        ),
     ),
 }
 
@@ -399,24 +412,28 @@ def _field_from_config(doc: dict) -> CurvatureField:
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _FIELD_BUILDERS:
         raise ValueError(f"unknown field kind in config: {kind!r}")
-    return _FIELD_BUILDERS[kind](doc)
+    keys, build = _FIELD_BUILDERS[kind]
+    _reject_unknown_keys(doc, keys, f"{kind!r} field key")
+    return build(doc)
 
 
 _CONFIG_KEYS = ("name", "description", "field", "alpha", "end", "y0", "yd0", "checks", "step")
 _CHECK_KEYS = ("kind", "params", "expect")
 
 
-def _reject_unknown_keys(doc: dict, known: tuple[str, ...], where: str) -> None:
+def _reject_unknown_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
     unknown = [key for key in doc if key not in known]
     if unknown:
-        raise ValueError(f"unknown {where} key {unknown[0]!r} (known: {', '.join(known)})")
+        raise ValueError(f"unknown {what} {unknown[0]!r} (known: {', '.join(known)})")
 
 
 def _checks_from_config(items) -> tuple[CheckSpec, ...]:
     if not isinstance(items, list) or not all(isinstance(c, dict) for c in items):
         raise TypeError("must be a list of check objects")
+    if not items:
+        raise ValueError("must list at least one check")
     for c in items:
-        _reject_unknown_keys(c, _CHECK_KEYS, "check")
+        _reject_unknown_keys(c, _CHECK_KEYS, "check key")
     return tuple(CheckSpec(c["kind"], dict(c.get("params", {})), c["expect"]) for c in items)
 
 
@@ -432,7 +449,7 @@ def scenario_from_config(path: str | Path) -> Scenario:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    _reject_unknown_keys(doc, _CONFIG_KEYS, "config")
+    _reject_unknown_keys(doc, _CONFIG_KEYS, "config key")
 
     def value(key, convert, *default):
         if key not in doc and not default:
@@ -517,7 +534,7 @@ def _write_traces(report_traj: JacobiTrajectory, scenario: Scenario, out: Path) 
     export_csv(report_traj, str(traj_path))
     written.append(traj_path)
     try:
-        trace = scalar_traces(report_traj, scenario.fld)
+        trace = scalar_traces(report_traj)
     except ValueError:
         trace = None
     if trace is not None:

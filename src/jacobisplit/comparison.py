@@ -26,19 +26,17 @@ identity exact.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureField
 from .jacobi import (
-    DEFAULT_TOL_SING,
     DEFAULT_TOL_ZERO,
     JacobiTrajectory,
     riccati_series,
     singular_events,
+    write_table,
 )
 from .splitting import DEFAULT_TOL_EIG, boundary_eigenvalue_gate, self_adjoint_gate
 
@@ -76,17 +74,13 @@ class ScalarTrace:
         return self.times[self.regular]
 
 
-def scalar_traces(
-    traj: JacobiTrajectory,
-    fld: CurvatureField | None = None,
-    tol_sing: float = DEFAULT_TOL_SING,
-) -> ScalarTrace:
+def scalar_traces(traj: JacobiTrajectory) -> ScalarTrace:
     """Compute the scalar trace functions of a trajectory.
 
     Raises ValueError when no node is regular (there is nothing to trace).
     """
-    fld = fld if fld is not None else traj.spec.field
-    mask, s_ops = riccati_series(traj, tol_sing=tol_sing)
+    fld = traj.spec.field
+    mask, s_ops = riccati_series(traj)
     if not mask.any():
         raise ValueError("no regular nodes: scalar traces are undefined")
     m = traj.dim  # = n - 1
@@ -281,11 +275,9 @@ class RigidityReport:
 
 def rigidity_check(
     traj: JacobiTrajectory,
-    fld: CurvatureField | None = None,
     alpha: float | None = None,
     tol: float = 1e-4,
     tol_eig: float = DEFAULT_TOL_EIG,
-    tol_sing: float = DEFAULT_TOL_SING,
     tol_zero: float = DEFAULT_TOL_ZERO,
 ) -> RigidityReport:
     """Mechanical check of the scalar rigidity statement.
@@ -297,7 +289,7 @@ def rigidity_check(
     operator norm) at every regular node strictly inside the window; a
     conclusion failure with passing gates is reported as ``falsified``.
     """
-    fld = fld if fld is not None else traj.spec.field
+    fld = traj.spec.field
     alpha = traj.alpha if alpha is None else float(alpha)
     m = traj.dim
     gates: dict[str, dict] = {}
@@ -328,7 +320,7 @@ def rigidity_check(
     if not reg_ok:
         reasons.append(f"interior regularity fails (singular near t={events[0].time:.6g})")
 
-    gates["boundary_eig"] = boundary_eigenvalue_gate(traj, alpha, tol_eig, tol_sing)
+    gates["boundary_eig"] = boundary_eigenvalue_gate(traj, alpha, tol_eig)
     if not gates["boundary_eig"]["passed"]:
         note = gates["boundary_eig"].get("note") or "eigenvalue bound exceeded"
         gates_val = gates["boundary_eig"].get("value")
@@ -338,7 +330,7 @@ def rigidity_check(
     max_s_dev: float | None = None
     max_r_dev: float | None = None
     if not reasons:
-        mask, s_ops = riccati_series(traj, tol_sing=tol_sing)
+        mask, s_ops = riccati_series(traj)
         interior = (traj.times > traj.alpha + traj.step / 2) & (
             traj.times < traj.end - traj.step / 2
         )
@@ -386,17 +378,10 @@ def rigidity_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -> tuple[
 def export_scalar_csv(trace: ScalarTrace, path: str, model: ModelSolution | None = None) -> None:
     """Write the scalar trace (and optionally the anchored model values)
     as CSV with columns t, regular, s, r and, when a model is given, f."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["t", "regular", "s", "r"] + (["f"] if model is not None else [])
-        writer.writerow(header)
-        for j, t in enumerate(trace.times):
-            row = [
-                f"{t:.17g}",
-                int(trace.regular[j]),
-                f"{trace.s[j]:.17g}",
-                f"{trace.r[j]:.17g}",
-            ]
-            if model is not None:
-                row.append(f"{model.value(float(t)):.17g}")
-            writer.writerow(row)
+    head, fmts = ["t", "regular", "s", "r"], ["%.17g", "%d", "%.17g", "%.17g"]
+    columns = [trace.times, trace.regular, trace.s, trace.r]
+    if model is not None:
+        head.append("f")
+        fmts.append("%.17g")
+        columns.append(model.value(trace.times))
+    write_table(path, [",".join(head)], fmts, columns, newline="\r\n")

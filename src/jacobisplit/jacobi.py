@@ -69,11 +69,15 @@ __all__ = [
     "singular_events",
     "riccati_residual",
     "default_resolvability_cap",
+    "difference_nodes",
+    "write_table",
     "export_csv",
 ]
 
 DEFAULT_STEP = 1e-3
-DEFAULT_TOL_SING = 1e-8
+# Y(t) is singular where its smallest singular value is at most TOL_SING
+# times the grid-wide scale: the one regularity rule (JacobiTrajectory.regular)
+TOL_SING = 1e-8
 DEFAULT_TOL_ZERO = 1e-7
 
 
@@ -191,10 +195,14 @@ class JacobiTrajectory:
     def dets(self) -> np.ndarray:
         return np.linalg.det(self.y)
 
-    def regular_mask(self, tol_sing: float = DEFAULT_TOL_SING) -> np.ndarray:
-        """Boolean mask of nodes where Y has full rank relative to the
-        grid-wide scale."""
-        return self.sigma_min > tol_sing * self.scale
+    @cached_property
+    def regular(self) -> np.ndarray:
+        """Read-only mask of the nodes where Y has full rank relative to the
+        grid-wide scale. The Riccati operator, and every check built on it,
+        exists exactly there."""
+        mask = self.sigma_min > TOL_SING * self.scale
+        mask.flags.writeable = False
+        return mask
 
     def node_index(self, t: float) -> int:
         """Index of the grid node nearest to ``t`` (must lie within half a
@@ -346,26 +354,22 @@ def wronskian(traj: JacobiTrajectory, t: float) -> GeneralOperator:
     return GeneralOperator(yj.T @ ydj - ydj.T @ yj)
 
 
-def riccati(
-    traj: JacobiTrajectory, t: float, tol_sing: float = DEFAULT_TOL_SING
-) -> GeneralOperator:
+def riccati(traj: JacobiTrajectory, t: float) -> GeneralOperator:
     """The Riccati operator S(t) = Yd(t) Y(t)^{-1} at the node nearest t.
 
-    Raises SingularTimeError when Y(t) is singular relative to the
-    trajectory scale (a conjugate/vanishing instant of the family).
+    Raises SingularTimeError when that node is not regular (a
+    conjugate/vanishing instant of the family).
     """
     j = traj.node_index(t)
-    if traj.sigma_min[j] <= tol_sing * traj.scale:
+    if not traj.regular[j]:
         raise SingularTimeError(traj.times[j])
     s = np.linalg.solve(traj.y[j].T, traj.yd[j].T).T
     return GeneralOperator(s)
 
 
-def riccati_series(
-    traj: JacobiTrajectory, tol_sing: float = DEFAULT_TOL_SING
-) -> tuple[np.ndarray, np.ndarray]:
+def riccati_series(traj: JacobiTrajectory) -> tuple[np.ndarray, np.ndarray]:
     """(regular-node mask, S per node) with NaN blocks at singular nodes."""
-    reg = traj.regular_mask(tol_sing)
+    reg = traj.regular
     d = traj.dim
     s = np.full((traj.n_nodes, d, d), np.nan)
     if np.any(reg):
@@ -413,20 +417,17 @@ def _bisect_det(traj: JacobiTrajectory, lo: float, hi: float, iters: int = 80) -
     return 0.5 * (lo + hi)
 
 
-def first_singular_time(
-    traj: JacobiTrajectory, from_time: float, tol_sing: float = DEFAULT_TOL_SING
-) -> float | None:
+def first_singular_time(traj: JacobiTrajectory, from_time: float) -> float | None:
     """Earliest time t >= from_time where Y(t) drops rank.
 
-    A node is a direct hit when sigma_min(Y) <= tol_sing times the grid-wide
-    scale; between nodes, a sign change of det(Y) brackets a crossing, which
-    is refined by bisection on the Hermite interpolant. Rank drops of even
-    multiplicity never flip det(Y), so dips of sigma_min between nodes are
-    also resolved (through the same machinery as singular_events); without
-    this, a scalar family touching zero quadratically would go unseen.
+    A node that is not regular is a direct hit; between nodes, a sign
+    change of det(Y) brackets a crossing, which is refined by bisection on
+    the Hermite interpolant. Rank drops of even multiplicity never flip
+    det(Y), so dips of sigma_min between nodes are also resolved (through
+    the same machinery as singular_events); without this, a scalar family
+    touching zero quadratically would go unseen.
     Returns None when the rest of the window shows neither.
     """
-    threshold = tol_sing * traj.scale
     n = traj.n_nodes
     j0 = int(np.searchsorted(traj.times, float(from_time) - 1e-12, side="left"))
     if j0 >= n:
@@ -434,7 +435,7 @@ def first_singular_time(
     times = traj.times
     # flip[j]: det(Y) changes sign on [t_j, t_{j+1}]
     flip = np.append(traj.dets[:-1] * traj.dets[1:] < 0.0, False)
-    hits = np.flatnonzero(traj.sigma_min[j0:] <= threshold)
+    hits = np.flatnonzero(~traj.regular[j0:])
     flips = np.flatnonzero(flip[j0:])
     j_hit = j0 + int(hits[0]) if hits.size else n
     j_flip = j0 + int(flips[0]) if flips.size else n
@@ -600,66 +601,72 @@ def default_resolvability_cap(step: float, tol: float) -> float:
     return 0.5 * (tol / step**2) ** 0.25
 
 
+def difference_nodes(regular: np.ndarray, ops: np.ndarray, cap: float) -> np.ndarray:
+    """Interior nodes where a central difference of the operator series
+    ``ops`` is trusted: the node and both neighbours are regular, and the
+    spectral norm of ``ops`` stays at or below ``cap`` at all three. The
+    norms come from one batched SVD over the regular nodes."""
+    ok = np.array(regular)
+    if ok.any():
+        ok[ok] = np.linalg.svd(ops[ok], compute_uv=False)[:, 0] <= cap
+    return np.flatnonzero(ok[:-2] & ok[1:-1] & ok[2:]) + 1
+
+
 @dataclass(frozen=True)
 class ResidualReport:
-    """Max and per-node values of a difference-quotient residual check."""
+    """Per-node values of a difference-quotient residual check at the
+    ``times`` that qualified under the resolvability ``cap``."""
 
     times: np.ndarray
     values: np.ndarray
-    max_residual: float
     cap: float
-    n_checked: int
+
+    @property
+    def max_residual(self) -> float:
+        """The worst value; NaN when no node qualified."""
+        return float(np.max(self.values)) if self.values.size else math.nan
+
+    @property
+    def n_checked(self) -> int:
+        return int(self.values.size)
 
 
 def riccati_residual(
-    traj: JacobiTrajectory,
-    fld: CurvatureField | None = None,
-    s_cap: float | None = None,
-    tol: float = 1e-4,
-    tol_sing: float = DEFAULT_TOL_SING,
+    traj: JacobiTrajectory, s_cap: float | None = None, tol: float = 1e-4
 ) -> ResidualReport:
     """Central-difference residual of S' + S^2 + R = 0 at interior nodes.
 
-    Checks every interior node whose neighbors are regular too and where
-    the operator norm of S stays below the resolvability cap (see
+    Checks the ``difference_nodes`` of S under the resolvability cap (see
     ``default_resolvability_cap``; pass ``s_cap`` to override, or
     ``float('inf')`` to disable the cap).
     """
-    fld = traj.spec.field if fld is None else fld
-    reg, s = riccati_series(traj, tol_sing)
+    reg, s = riccati_series(traj)
     cap = default_resolvability_cap(traj.step, tol) if s_cap is None else float(s_cap)
-    norms = np.full(traj.n_nodes, np.inf)
-    if np.any(reg):
-        norms[reg] = np.linalg.svd(s[reg], compute_uv=False)[:, 0]
-    ok = reg & (norms <= cap)
-    check = ok[1:-1] & ok[:-2] & ok[2:]
-    j_idx = np.nonzero(check)[0] + 1
-    if j_idx.size == 0:
-        return ResidualReport(np.empty(0), np.empty(0), float("nan"), cap, 0)
-    ds = (s[j_idx + 1] - s[j_idx - 1]) / (2.0 * traj.step)
-    res = ds + s[j_idx] @ s[j_idx] + fld.matrices(traj.times[j_idx])
-    vals = np.linalg.norm(res, 2, axis=(1, 2))
-    return ResidualReport(
-        times=traj.times[j_idx],
-        values=vals,
-        max_residual=float(np.max(vals)),
-        cap=cap,
-        n_checked=int(j_idx.size),
-    )
+    j = difference_nodes(reg, s, cap)
+    ds = (s[j + 1] - s[j - 1]) / (2.0 * traj.step)
+    res = ds + s[j] @ s[j] + traj.spec.field.matrices(traj.times[j])
+    return ResidualReport(traj.times[j], np.linalg.norm(res, 2, axis=(1, 2)), cap)
+
+
+def write_table(path, head: list[str], fmts: list[str], columns, newline: str = "\n") -> None:
+    """Write a CSV table: the ``head`` lines, then one row per node of the
+    ``columns`` (1-D arrays, or 2-D arrays giving one column each), each
+    row formatted by the one %-format string joined from ``fmts``."""
+    row = ",".join(fmts) + newline
+    table = np.column_stack(columns)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(line + newline for line in head)
+        for lo in range(0, len(table), 4096):  # Python floats for 4096 rows at a time
+            fh.writelines(row % tuple(r) for r in table[lo : lo + 4096].tolist())
 
 
 def export_csv(traj: JacobiTrajectory, path) -> None:
     """Write the trajectory as CSV: header with label and step, then one row
     per node with t followed by row-major vec(Y) and vec(Yd)."""
-    d = traj.dim
+    d, n = traj.dim, traj.n_nodes
     cols = ["t"]
     cols += [f"y{i}{j}" for i in range(d) for j in range(d)]
     cols += [f"yd{i}{j}" for i in range(d) for j in range(d)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# label={traj.spec.label} step={traj.step:.12g}\n")
-        fh.write(",".join(cols) + "\n")
-        for j in range(traj.n_nodes):
-            row = [f"{traj.times[j]:.12g}"]
-            row += [f"{v:.17g}" for v in traj.y[j].ravel()]
-            row += [f"{v:.17g}" for v in traj.yd[j].ravel()]
-            fh.write(",".join(row) + "\n")
+    head = [f"# label={traj.spec.label} step={traj.step:.12g}", ",".join(cols)]
+    fmts = ["%.12g"] + ["%.17g"] * (2 * d * d)
+    write_table(path, head, fmts, [traj.times, traj.y.reshape(n, -1), traj.yd.reshape(n, -1)])

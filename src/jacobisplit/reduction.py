@@ -30,19 +30,18 @@ so no finite-difference of the projectors themselves is needed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureField
 from .jacobi import (
-    DEFAULT_TOL_SING,
     JacobiTrajectory,
     ResidualReport,
     default_resolvability_cap,
+    difference_nodes,
     riccati,
+    write_table,
 )
 from .splitting import DEFAULT_TOL_EIG, self_adjoint_gate
 from .symlin import orthonormal_columns, spectrum
@@ -103,9 +102,9 @@ def reduce(traj: JacobiTrajectory, psi_basis) -> ReducedSystem:
     the family is regular.
 
     A node is regular when V(t) has full rank and Y(t) is regular
-    (``JacobiTrajectory.regular_mask``), the same rule the Riccati operator
-    follows. ``lift_err``, the residual of the least-squares lift of BH
-    through Y, is a diagnostic only.
+    (``JacobiTrajectory.regular``), the rule the Riccati operator follows.
+    ``lift_err``, the residual of the least-squares lift of BH through Y,
+    is a diagnostic only.
     """
     d = traj.dim
     psi_in = np.asarray(psi_basis, dtype=float)
@@ -123,7 +122,7 @@ def reduce(traj: JacobiTrajectory, psi_basis) -> ReducedSystem:
     # full U of Y Psi: its first p columns span V(t), the others H(t)
     u, sig, wt = np.linalg.svd(traj.y @ psi)
     full = sig.min(axis=1, initial=np.inf) >= RANK_TOL * max(sig.max(initial=0.0), 1e-300)
-    reg = full & traj.regular_mask()
+    reg = full & traj.regular
 
     def blank(*shape):
         return np.full((n_nodes, *shape), np.nan)
@@ -149,88 +148,49 @@ def reduce(traj: JacobiTrajectory, psi_basis) -> ReducedSystem:
     return ReducedSystem(traj, psi, reg, ph, bh, shat_bh, shat_amb, a_amb, aastar, lift_err)
 
 
-def _shat_norms(rs: ReducedSystem) -> np.ndarray:
-    """Spectral norm of the ambient reduced operator per node (+inf where
-    the reduction is irregular, so capped checks skip those nodes)."""
-    norms = np.full(rs.traj.times.size, np.inf)
-    idx = np.nonzero(rs.regular)[0]
-    if idx.size and rs.dim_h:
-        sv = np.linalg.svd(rs.shat_amb[idx], compute_uv=False)
-        norms[idx] = sv[:, 0]
-    elif idx.size:
-        norms[idx] = 0.0
-    return norms
-
-
 def hce_residual(
-    rs: ReducedSystem,
-    fld: CurvatureField | None = None,
-    s_cap: float | None = None,
-    tol: float = 1e-3,
+    rs: ReducedSystem, s_cap: float | None = None, tol: float = 1e-3
 ) -> ResidualReport:
     """Residual of the horizontal Riccati equation with the 3 A A^* term.
 
-    At interior nodes whose neighbors are also regular and where the
-    reduced operator stays below the resolvability cap, the central
-    difference of the ambient reduced operator is combined with its
-    square, the horizontal curvature block and three times A A^*, and the
-    result is restricted to H; the report collects the worst spectral
-    norm. Requires at least one interior node with both neighbors regular.
+    At the ``difference_nodes`` of the ambient reduced operator under the
+    resolvability cap, its central difference is combined with its square,
+    the horizontal curvature block and three times A A^*, and the result
+    is restricted to H; the report collects the spectral norms. Requires
+    at least one interior node with both neighbors regular.
     """
     traj = rs.traj
-    fld = fld if fld is not None else traj.spec.field
-    if s_cap is None:
-        s_cap = default_resolvability_cap(traj.step, tol)
+    cap = default_resolvability_cap(traj.step, tol) if s_cap is None else float(s_cap)
     reg = rs.regular
-    n_nodes = traj.times.size
-    triple = np.zeros(n_nodes, dtype=bool)
-    triple[1:-1] = reg[:-2] & reg[1:-1] & reg[2:]
-    if not triple.any():
+    if not (reg[:-2] & reg[1:-1] & reg[2:]).any():
         raise ValueError("too few consecutive regular nodes for differencing")
-    norms = _shat_norms(rs)
-    capped = triple.copy()
-    capped[1:-1] &= (norms[:-2] <= s_cap) & (norms[1:-1] <= s_cap) & (norms[2:] <= s_cap)
-    idx = np.nonzero(capped)[0]
+    idx = difference_nodes(reg, rs.shat_amb, cap)
     ds = (rs.shat_amb[idx + 1] - rs.shat_amb[idx - 1]) / (2.0 * traj.step)
     ph, shat, bh = rs.ph[idx], rs.shat_amb[idx], rs.bh[idx]
-    r_amb = ph @ fld.matrices(traj.times[idx]) @ ph
+    r_amb = ph @ traj.spec.field.matrices(traj.times[idx]) @ ph
     total = ds + shat @ shat + r_amb + 3.0 * rs.aastar[idx]
-    res_h = np.transpose(bh, (0, 2, 1)) @ total @ bh
+    res_h = _t(bh) @ total @ bh
     values = np.linalg.norm(res_h, 2, axis=(1, 2)) if rs.dim_h else np.zeros(idx.size)
-    return ResidualReport(
-        times=traj.times[idx],
-        values=values,
-        max_residual=float(values.max()) if values.size else math.nan,
-        cap=float(s_cap),
-        n_checked=int(values.size),
-    )
+    return ResidualReport(traj.times[idx], values, cap)
 
 
-def recovered_curvature_deviation(
-    rs: ReducedSystem,
-    level: float,
-    fld: CurvatureField | None = None,
-) -> float:
+def recovered_curvature_deviation(rs: ReducedSystem, level: float) -> float:
     """Worst deviation of the recovered horizontal curvature operator
     (horizontal block of R plus 3 A A^*) from ``level`` times the identity
     on H, over regular nodes in spectral norm."""
-    traj = rs.traj
-    fld = fld if fld is not None else traj.spec.field
     if not rs.dim_h:
         return 0.0
+    traj = rs.traj
     idx = np.nonzero(rs.regular)[0]
     bh = rs.bh[idx]
-    r_amb = fld.matrices(traj.times[idx]) + 3.0 * rs.aastar[idx]
-    r_hat = np.transpose(bh, (0, 2, 1)) @ r_amb @ bh
+    r_amb = traj.spec.field.matrices(traj.times[idx]) + 3.0 * rs.aastar[idx]
+    r_hat = _t(bh) @ r_amb @ bh
     dev = np.linalg.norm(r_hat - level * np.eye(rs.dim_h), 2, axis=(1, 2))
     return float(np.max(dev, initial=0.0))
 
 
 def reduced_boundary_check(
-    rs: ReducedSystem,
-    alpha: float,
-    tol_eig: float = DEFAULT_TOL_EIG,
-    tol_sing: float = DEFAULT_TOL_SING,
+    rs: ReducedSystem, alpha: float, tol_eig: float = DEFAULT_TOL_EIG
 ) -> dict:
     """Eigenvalue-domination check at a boundary time: the largest
     eigenvalue of the reduced operator must not exceed the largest
@@ -240,7 +200,7 @@ def reduced_boundary_check(
     j = traj.node_index(alpha)
     if not rs.regular[j]:
         raise ValueError(f"alpha={alpha} is not a regular node of the reduction")
-    s_full = np.asarray(riccati(traj, traj.times[j], tol_sing=tol_sing))
+    s_full = np.asarray(riccati(traj, traj.times[j]))
     eigs_full, _ = spectrum((s_full + s_full.T) / 2.0)
     s_max = float(eigs_full[-1])
     if rs.dim_h:
@@ -336,21 +296,10 @@ def export_reduction_csv(rs: ReducedSystem, path: str) -> None:
     norm_a = np.where(reg, 0.0, np.nan)
     if np.any(reg) and rs.dim_h:
         s_bh = rs.shat_bh[reg]
-        eigs = np.linalg.eigvalsh((s_bh + np.transpose(s_bh, (0, 2, 1))) / 2.0)
+        eigs = np.linalg.eigvalsh((s_bh + _t(s_bh)) / 2.0)
         shat_min[reg], shat_max[reg] = eigs[:, 0], eigs[:, -1]
     if np.any(reg) and rs.dim_v:
         norm_a[reg] = np.linalg.svd(rs.a_amb[reg], compute_uv=False)[:, 0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "regular", "lift_err", "norm_a", "shat_min", "shat_max"])
-        for j, t in enumerate(traj.times):
-            writer.writerow(
-                [
-                    f"{t:.17g}",
-                    int(reg[j]),
-                    f"{rs.lift_err[j]:.17g}",
-                    f"{norm_a[j]:.17g}",
-                    f"{shat_min[j]:.17g}",
-                    f"{shat_max[j]:.17g}",
-                ]
-            )
+    head = "t,regular,lift_err,norm_a,shat_min,shat_max"
+    columns = [traj.times, reg, rs.lift_err, norm_a, shat_min, shat_max]
+    write_table(path, [head], ["%.17g", "%d"] + ["%.17g"] * 4, columns, newline="\r\n")

@@ -30,8 +30,8 @@ import numpy as np
 
 from .curvature import ric_k_floor, ric_k_floor_sampled, ric_k_traces
 from .jacobi import (
-    DEFAULT_TOL_SING,
     DEFAULT_TOL_ZERO,
+    TOL_SING,
     JacobiTrajectory,
     ZeroEvent,
     singular_events,
@@ -58,7 +58,7 @@ MODES = ("A", "B", "C", "E")
 # the params each mode needs besides ``theorem``
 MODE_PARAMS = {"A": (), "B": ("alpha",), "C": ("k",), "E": ("k", "alpha")}
 DEFAULT_TOL_SPAN = 1e-6
-DEFAULT_TOL_ORTH = 1e-6
+TOL_ORTH = 1e-6  # largest normalized inner product between Z- and P-members
 DEFAULT_TOL_EIG = 1e-6
 _FLOOR_SLACK = 1e-9
 
@@ -85,10 +85,7 @@ def self_adjoint_gate(traj: JacobiTrajectory) -> dict:
 
 
 def boundary_eigenvalue_gate(
-    traj: JacobiTrajectory,
-    alpha: float,
-    tol_eig: float = DEFAULT_TOL_EIG,
-    tol_sing: float = DEFAULT_TOL_SING,
+    traj: JacobiTrajectory, alpha: float, tol_eig: float = DEFAULT_TOL_EIG
 ) -> dict:
     """Boundary hypothesis: the largest eigenvalue of the (symmetrized)
     Riccati operator at the window start must not exceed cot(alpha).
@@ -116,7 +113,7 @@ def boundary_eigenvalue_gate(
     j = traj.node_index(alpha)
     yj, ydj = traj.y[j], traj.yd[j]
     u, svals, vh = np.linalg.svd(yj)
-    rank = int(np.sum(svals > tol_sing * traj.scale))
+    rank = int(np.sum(svals > TOL_SING * traj.scale))
     if rank == yj.shape[0]:
         s = np.linalg.solve(yj.T, ydj.T).T
     elif rank > 0:
@@ -279,8 +276,6 @@ def check_splitting(
     tol_zero: float = DEFAULT_TOL_ZERO,
     tol_eig: float = DEFAULT_TOL_EIG,
     tol_span: float = DEFAULT_TOL_SPAN,
-    tol_orth: float = DEFAULT_TOL_ORTH,
-    tol_sing: float = DEFAULT_TOL_SING,
 ) -> SplittingReport:
     """Run the hypothesis gates and splitting conclusion for one mode.
 
@@ -303,7 +298,7 @@ def check_splitting(
     flags["self_adjoint"] = self_adjoint_gate(traj)
 
     if needs_alpha:
-        flags["boundary_eig"] = boundary_eigenvalue_gate(traj, float(alpha), tol_eig, tol_sing)
+        flags["boundary_eig"] = boundary_eigenvalue_gate(traj, float(alpha), tol_eig)
     else:
         flags["boundary_eig"] = {"name": "boundary_eig", "applicable": False, "passed": True}
 
@@ -356,16 +351,13 @@ def check_splitting(
         stack_sig = float(np.linalg.svd(stacked, compute_uv=False)[-1])
     else:
         stack_sig = 0.0
-    complete = (
-        dim_z + dim_p == d
-        and (stacked.shape[1] == 0 or stack_sig >= 1e-8)
-        and residual_orth <= tol_orth
-    )
+    orth_ok = bool(residual_orth <= TOL_ORTH)
+    complete = dim_z + dim_p == d and (stacked.shape[1] == 0 or stack_sig >= 1e-8) and orth_ok
     completeness = {
         "dims_sum": dim_z + dim_p,
         "expected": d,
         "stacked_sigma_min": stack_sig,
-        "orth_ok": bool(residual_orth <= tol_orth),
+        "orth_ok": orth_ok,
     }
 
     gates_ok = all(

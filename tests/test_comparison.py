@@ -50,9 +50,19 @@ def test_scalar_traces_cp2_closed_form(trajs):
     assert np.nanmin(tr.r[tr.regular]) == pytest.approx(2.0, abs=1e-5)
 
 
-def test_scalar_traces_need_a_regular_node(trajs):
+def test_scalar_traces_need_a_regular_node():
+    # Y(t) = [[1, t], [0, 0]]: independent members, singular at every node
+    spec = js.FamilySpec(
+        field=js.constant_sectional(3, 0.0),
+        alpha=0.0,
+        end=1.0,
+        y0=[[1.0, 0.0], [0.0, 0.0]],
+        yd0=[[0.0, 1.0], [0.0, 0.0]],
+    )
+    traj = js.integrate(spec)
+    assert not traj.regular.any()
     with pytest.raises(ValueError, match="no regular nodes"):
-        js.scalar_traces(trajs("sphere-zero"), tol_sing=1e9)
+        js.scalar_traces(traj)
 
 
 # ---------------------------------------------------------------- model

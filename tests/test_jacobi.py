@@ -251,6 +251,24 @@ def test_riccati_series_masks_singular_nodes(trajs):
     assert_allclose(s_ops[j], np.asarray(js.riccati(traj, traj.times[j])))
 
 
+@pytest.mark.parametrize("name", [sc.name for sc in js.list_scenarios()])
+def test_one_regularity_rule(trajs, name):
+    # the Riccati series, the empty reduction and riccati() itself are
+    # regular exactly where the trajectory's one mask says so
+    traj = trajs(name)
+    assert not traj.regular.flags.writeable
+    mask, _ = js.riccati_series(traj)
+    assert np.array_equal(mask, traj.regular)
+    assert np.array_equal(js.reduce(traj, np.zeros((traj.dim, 0))).regular, traj.regular)
+    raises = np.zeros(traj.n_nodes, dtype=bool)
+    for j, t in enumerate(traj.times):
+        try:
+            js.riccati(traj, t)
+        except js.SingularTimeError:
+            raises[j] = True
+    assert np.array_equal(~raises, traj.regular)
+
+
 def test_node_index_alignment(trajs):
     traj = trajs("sphere-zero")
     assert traj.node_index(traj.times[7]) == 7

@@ -96,7 +96,7 @@ def test_reduce_matches_node_loop(trajs, name, psi):
     rs = js.reduce(traj, psi)
     ref = _loop_reduce(traj, rs.psi)
     # one regularity rule: the reduction is regular only where Y is
-    assert not np.any(rs.regular & ~traj.regular_mask())
+    assert not np.any(rs.regular & ~traj.regular)
     both = rs.regular & ref["regular"]
     assert both.sum() >= 0.9 * traj.n_nodes
     for key in ("ph", "bh", "shat_bh", "shat_amb", "a_amb", "aastar"):
@@ -261,7 +261,7 @@ def test_hopf_last_node_is_not_regular(tmp_path, capsys, trajs):
     # Y(pi) is singular; a lift by least squares still succeeds there
     traj = trajs("hopf-holonomy")
     j = traj.node_index(math.pi)
-    assert not traj.regular_mask()[j]
+    assert not traj.regular[j]
     assert not js.reduce(traj, E1).regular[j]
     assert js.main(["run", "hopf-holonomy", "--traces", "--out", str(tmp_path)]) == 0
     with open(tmp_path / "hopf-holonomy-reduction-0.csv") as fh:

@@ -238,20 +238,45 @@ def test_cli_exit_two_on_malformed_config(tmp_path, capsys):
     p.write_text("{not json")
     assert js.main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err
-    # values of the wrong type name their key
-    for key, bad in (("alpha", [1]), ("checks", {"a": 1})):
+    # values of the wrong type name their key; an empty check list would
+    # verify nothing and report success
+    for key, bad in (("alpha", [1]), ("checks", {"a": 1}), ("checks", [])):
         path = _example_with(tmp_path, lambda doc: doc.update({key: bad}))
         assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
         assert f"config key {key!r}" in capsys.readouterr().err
 
 
 def test_cli_exit_two_on_unknown_config_key(tmp_path, capsys):
-    path = _example_with(tmp_path, lambda doc: doc.update(stepp=0.01))
-    assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
-    assert "unknown config key 'stepp'" in capsys.readouterr().err
-    path = _example_with(tmp_path, lambda doc: doc["checks"][1].update(expct="verified"))
-    assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
-    assert "unknown check key 'expct'" in capsys.readouterr().err
+    sampled = {"kind": "sampled", "n": 3, "grid": [0.0], "ops": [[1, 0, 0, 1]], "c": 1.0}
+    cases = [
+        (lambda doc: doc.update(stepp=0.01), "unknown config key 'stepp'"),
+        (lambda doc: doc["checks"][1].update(expct="verified"), "unknown check key 'expct'"),
+        # field keys are checked per field kind, check params per check kind
+        (
+            lambda doc: doc["field"].update(cc=5),
+            "unknown 'constant-sectional' field key 'cc' (known: kind, n, c)",
+        ),
+        (
+            lambda doc: doc.update(field={"kind": "diagonal-constant", "eigs": [1, 1], "n": 3}),
+            "unknown 'diagonal-constant' field key 'n' (known: kind, eigs)",
+        ),
+        (
+            lambda doc: doc.update(field={"kind": "fubini-study", "n": 4, "c": 1.0}),
+            "unknown 'fubini-study' field key 'c' (known: kind, n)",
+        ),
+        (
+            lambda doc: doc.update(field=sampled),
+            "unknown 'sampled' field key 'c' (known: kind, path, n, grid, ops, label)",
+        ),
+        (
+            lambda doc: doc["checks"][0]["params"].update(alpah=1),
+            "unknown 'splitting' check param 'alpah' (known: theorem, k, alpha)",
+        ),
+    ]
+    for edit, message in cases:
+        path = _example_with(tmp_path, edit)
+        assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_exit_two_on_overflow(tmp_path, capsys):

@@ -51,9 +51,7 @@ from .jacobi import (
     SingularTimeError,
     ZeroEvent,
     default_resolvability_cap,
-    evaluate_field,
     export_csv,
-    first_singular_time,
     integrate,
     riccati,
     riccati_residual,
@@ -80,26 +78,13 @@ from .splitting import (
     vanishing_span,
     wronskian_defect,
 )
-from .symlin import (
-    GeneralOperator,
-    SymOperator,
-    ky_fan_min,
-    orthogonal_projector,
-    orthonormal_columns,
-    spectrum,
-    symmetry_defect,
-)
+from .symlin import orthonormal_columns, spectrum
 
 __all__ = [
     "__version__",
     # symlin
-    "SymOperator",
-    "GeneralOperator",
     "spectrum",
-    "symmetry_defect",
-    "ky_fan_min",
     "orthonormal_columns",
-    "orthogonal_projector",
     # curvature
     "CurvatureField",
     "constant_sectional",
@@ -122,8 +107,6 @@ __all__ = [
     "wronskian",
     "riccati",
     "riccati_series",
-    "evaluate_field",
-    "first_singular_time",
     "singular_events",
     "default_resolvability_cap",
     "riccati_residual",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -52,7 +53,7 @@ from .reduction import (
     reduced_boundary_verdict,
     shared_reduction,
 )
-from .splitting import splitting_params, splitting_verdict, vanishing_floor_verdict
+from .splitting import MODES, splitting_params, splitting_verdict, vanishing_floor_verdict
 
 __all__ = [
     "VERSION",
@@ -77,30 +78,52 @@ def _needs(*keys: str) -> Callable[[dict], tuple[str, ...]]:
     return lambda params: keys
 
 
+def _is_finite_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_finite_rows(value) -> bool:
+    """A list of equally long rows of finite numbers, or one such row."""
+    if not isinstance(value, list):
+        return False
+    rows = value if value and all(isinstance(row, list) for row in value) else [value]
+    lengths = {len(row) for row in rows}
+    return len(lengths) == 1 and all(_is_finite_number(x) for row in rows for x in row)
+
+
+# check param validators: (test, what a valid value is)
+_MODE = (lambda v: v in MODES, f"one of {', '.join(MODES)}")
+_INTEGER = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer")
+_NUMBER = (_is_finite_number, "a finite number")
+_ROWS = (_is_finite_rows, "a list of equally long rows of finite numbers")
+
+
 class CheckKind(NamedTuple):
     """One row of the check table. ``verdict`` is the library function
     behind the check: (trajectory, params, run options) -> (verdict,
     details), where the run options ``tol_zero``, ``tol_eig`` and ``seed``
-    are present only when given. ``params`` are the keys it reads from its
-    params, and ``required`` maps a check's params to the keys it cannot
-    run without (for a splitting check they depend on its mode)."""
+    are present only when given. ``params`` maps the keys it reads from its
+    params to their validators, ``(test, what a valid value is)``, and
+    ``required`` maps a check's params to the keys it cannot run without
+    (for a splitting check they depend on its mode)."""
 
     verdict: Callable[[JacobiTrajectory, dict, dict], tuple[str, dict]]
-    params: tuple[str, ...]
+    params: dict[str, tuple[Callable[[object], bool], str]]
     required: Callable[[dict], tuple[str, ...]] = _needs()
     reduces: bool = False  # --traces exports the reduction its ``psi`` names
 
 
 CHECKS = {
-    "splitting": CheckKind(splitting_verdict, ("theorem", "k", "alpha"), splitting_params),
-    "rigidity": CheckKind(rigidity_verdict, ("alpha",)),
-    "hce": CheckKind(hce_verdict, ("psi", "tol", "level"), reduces=True),
-    "vanishing-floor": CheckKind(vanishing_floor_verdict, ("k",), _needs("k")),
+    "splitting": CheckKind(
+        splitting_verdict, {"theorem": _MODE, "k": _INTEGER, "alpha": _NUMBER}, splitting_params
+    ),
+    "rigidity": CheckKind(rigidity_verdict, {"alpha": _NUMBER}),
+    "hce": CheckKind(hce_verdict, {"psi": _ROWS, "tol": _NUMBER, "level": _NUMBER}, reduces=True),
+    "vanishing-floor": CheckKind(vanishing_floor_verdict, {"k": _INTEGER}, _needs("k")),
     "reduced-boundary": CheckKind(
-        reduced_boundary_verdict, ("psi", "alpha"), _needs("alpha"), reduces=True
+        reduced_boundary_verdict, {"psi": _ROWS, "alpha": _NUMBER}, _needs("alpha"), reduces=True
     ),
 }
-CHECK_KINDS = tuple(CHECKS)
 
 
 @dataclass(frozen=True)
@@ -110,11 +133,16 @@ class CheckSpec:
     expectation: str
 
     def __post_init__(self):
-        if self.kind not in CHECK_KINDS:
+        if self.kind not in CHECKS:
             raise ValueError(f"unknown check kind: {self.kind!r}")
         if self.expectation not in VERDICTS:
             raise ValueError(f"unknown expectation: {self.expectation!r}")
-        _reject_unknown_keys(self.params, CHECKS[self.kind].params, f"{self.kind!r} check param")
+        validators = CHECKS[self.kind].params
+        _reject_unknown_keys(self.params, tuple(validators), f"{self.kind!r} check param")
+        for key, value in self.params.items():
+            test, what = validators[key]
+            if not test(value):
+                raise ValueError(f"check {self.kind!r} param {key!r} must be {what}, got {value!r}")
         for key in CHECKS[self.kind].required(self.params):
             if key not in self.params:
                 raise ValueError(f"check {self.kind!r} is missing required param {key!r}")
@@ -427,6 +455,18 @@ def _reject_unknown_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
         raise ValueError(f"unknown {what} {unknown[0]!r} (known: {', '.join(known)})")
 
 
+def _finite_of(convert: Callable) -> Callable:
+    """``convert``, then a check that every number it gave is finite."""
+
+    def read(value):
+        out = convert(value)
+        if not np.all(np.isfinite(out)):
+            raise ValueError("must be finite")
+        return out
+
+    return read
+
+
 def _checks_from_config(items) -> tuple[CheckSpec, ...]:
     if not isinstance(items, list) or not all(isinstance(c, dict) for c in items):
         raise TypeError("must be a list of check objects")
@@ -442,8 +482,8 @@ def scenario_from_config(path: str | Path) -> Scenario:
 
     Required keys: name, field, alpha, end, y0, yd0, checks. Each check
     needs kind and expect, and may give params. Optional: description,
-    step. A missing or unknown key, or a value of the wrong type, is a
-    ValueError that names the key.
+    step. A missing or unknown key, a value of the wrong type, or a
+    number that is not finite, is a ValueError that names the key.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -465,12 +505,12 @@ def scenario_from_config(path: str | Path) -> Scenario:
         name=value("name", str),
         description=value("description", str, ""),
         fld=value("field", _field_from_config),
-        alpha=value("alpha", float),
-        end=value("end", float),
-        y0=value("y0", lambda v: np.asarray(v, dtype=float)),
-        yd0=value("yd0", lambda v: np.asarray(v, dtype=float)),
+        alpha=value("alpha", _finite_of(float)),
+        end=value("end", _finite_of(float)),
+        y0=value("y0", _finite_of(lambda v: np.asarray(v, dtype=float))),
+        yd0=value("yd0", _finite_of(lambda v: np.asarray(v, dtype=float))),
         checks=value("checks", _checks_from_config),
-        step=value("step", float, DEFAULT_STEP),
+        step=value("step", _finite_of(float), DEFAULT_STEP),
     )
 
 

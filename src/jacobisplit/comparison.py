@@ -53,6 +53,9 @@ __all__ = [
     "export_scalar_csv",
 ]
 
+TOL_R = 1e-6  # slack of the comparison hypothesis r >= 1
+TOL_ROUND = 1e-4  # largest S and R deviation from the round model, operator norm
+
 
 @dataclass(frozen=True)
 class ScalarTrace:
@@ -68,10 +71,6 @@ class ScalarTrace:
     n: int
     step: float
     label: str
-
-    @property
-    def regular_times(self) -> np.ndarray:
-        return self.times[self.regular]
 
 
 def scalar_traces(traj: JacobiTrajectory) -> ScalarTrace:
@@ -174,21 +173,6 @@ class ComparisonReport:
     n_right: int
     model: ModelSolution
 
-    def to_dict(self) -> dict:
-        return {
-            "t0": self.t0,
-            "s0": self.s0,
-            "hypothesis_ok": self.hypothesis_ok,
-            "r_min": self.r_min,
-            "left_ok": self.left_ok,
-            "right_ok": self.right_ok,
-            "max_violation": self.max_violation,
-            "n_left": self.n_left,
-            "n_right": self.n_right,
-            "model_shift": self.model.shift,
-            "model_asymptote": self.model.asymptote,
-        }
-
 
 def _regular_stretch(mask: np.ndarray, j0: int) -> tuple[int, int]:
     """Half-open index range of the maximal run of True values around j0."""
@@ -205,7 +189,6 @@ def comparison_check(
     trace: ScalarTrace,
     t0: float,
     tol: float = 1e-6,
-    tol_r: float = 1e-6,
 ) -> ComparisonReport:
     """Compare the scalar trace against the unit model anchored at t0.
 
@@ -213,7 +196,7 @@ def comparison_check(
     maximal regular stretch containing the anchor, intersected with the
     open branch domain of the model: s >= f - tol strictly left of the
     anchor, s <= f + tol strictly right of it. The curvature hypothesis
-    r >= 1 is evaluated over all regular nodes and reported; the
+    r >= 1 - TOL_R is evaluated over all regular nodes and reported; the
     inequality checks run either way so a hypothesis failure can be seen
     alongside its consequences.
     """
@@ -225,7 +208,7 @@ def comparison_check(
     s0 = float(trace.s[j0])
     model = model_solution(float(trace.times[j0]), s0)
     r_min = float(np.min(trace.r[trace.regular]))
-    hypothesis_ok = bool(r_min >= 1.0 - tol_r)
+    hypothesis_ok = bool(r_min >= 1.0 - TOL_R)
 
     lo, hi = _regular_stretch(trace.regular, j0)
     ts = trace.times[lo:hi]
@@ -262,21 +245,10 @@ class RigidityReport:
     max_r_dev: float | None
     window: tuple[float, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "gates": self.gates,
-            "max_s_dev": self.max_s_dev,
-            "max_r_dev": self.max_r_dev,
-            "window": list(self.window),
-        }
-
 
 def rigidity_check(
     traj: JacobiTrajectory,
     alpha: float | None = None,
-    tol: float = 1e-4,
     tol_eig: float = DEFAULT_TOL_EIG,
     tol_zero: float = DEFAULT_TOL_ZERO,
 ) -> RigidityReport:
@@ -285,12 +257,11 @@ def rigidity_check(
     Gates: self-adjointness; trace curvature floor tr R >= n - 1;
     interior regularity (no vanishing instant strictly inside the window);
     boundary eigenvalue bound at alpha. When all gates pass, the
-    conclusion requires S(t) = cot(t) id and R(t) = id (within ``tol`` in
-    operator norm) at every regular node strictly inside the window; a
+    conclusion requires S(t) = cot(t) id and R(t) = id (within ``TOL_ROUND``
+    in operator norm) at every regular node strictly inside the window; a
     conclusion failure with passing gates is reported as ``falsified``.
     """
     fld = traj.spec.field
-    alpha = traj.alpha if alpha is None else float(alpha)
     m = traj.dim
     gates: dict[str, dict] = {}
     reasons: list[str] = []
@@ -320,7 +291,9 @@ def rigidity_check(
     if not reg_ok:
         reasons.append(f"interior regularity fails (singular near t={events[0].time:.6g})")
 
-    gates["boundary_eig"] = boundary_eigenvalue_gate(traj, alpha, tol_eig)
+    gates["boundary_eig"] = boundary_eigenvalue_gate(
+        traj, traj.alpha if alpha is None else alpha, tol_eig
+    )
     if not gates["boundary_eig"]["passed"]:
         note = gates["boundary_eig"].get("note") or "eigenvalue bound exceeded"
         gates_val = gates["boundary_eig"].get("value")
@@ -342,7 +315,7 @@ def rigidity_check(
         s_dev = float(np.max(np.linalg.norm(sym - cot * eye, 2, axis=(1, 2)), initial=0.0))
         r_dev = float(np.max(np.linalg.norm(fld.matrices(ts) - eye, 2, axis=(1, 2)), initial=0.0))
         max_s_dev, max_r_dev = s_dev, r_dev
-        if s_dev <= tol and r_dev <= tol:
+        if s_dev <= TOL_ROUND and r_dev <= TOL_ROUND:
             verdict, reason = "verified", "all gates pass and the family is the round model"
         else:
             verdict = "falsified"
@@ -372,7 +345,7 @@ def rigidity_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -> tuple[
         tol_eig=opts.get("tol_eig", DEFAULT_TOL_EIG),
         tol_zero=opts.get("tol_zero", DEFAULT_TOL_ZERO),
     )
-    return report.verdict, report.to_dict()
+    return report.verdict, dict(vars(report))
 
 
 def export_scalar_csv(trace: ScalarTrace, path: str, model: ModelSolution | None = None) -> None:

@@ -27,8 +27,6 @@ from typing import Callable
 
 import numpy as np
 
-from .symlin import SymOperator
-
 __all__ = [
     "CurvatureField",
     "constant_sectional",
@@ -54,7 +52,7 @@ class CurvatureField:
     which broadcasts against any grid without a per-node copy.
     ``matrix(t)`` returns the operator entries at one time as a read-only
     array; for the constant kinds the same cached array object is returned
-    for every ``t``. ``operator(t)`` wraps the entries in a SymOperator.
+    for every ``t``.
 
     ``_eval`` maps a 1-D array of times to their node values, or to one
     ``(d, d)`` array when the field does not depend on time.
@@ -83,9 +81,6 @@ class CurvatureField:
     def matrix(self, t: float) -> np.ndarray:
         out = self._eval(np.array([float(t)]))
         return out if out.ndim == 2 else out[0]
-
-    def operator(self, t: float) -> SymOperator:
-        return SymOperator(self.matrix(t))
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -127,7 +122,7 @@ def diagonal_constant(eigs, label: str = "") -> CurvatureField:
     )
 
 
-def fubini_study_model(n: int, label: str = "") -> CurvatureField:
+def fubini_study_model(n: int) -> CurvatureField:
     """Curvature operator along a geodesic of the rank-one model whose
     sectional curvatures are pinched in [1, 4].
 
@@ -140,7 +135,7 @@ def fubini_study_model(n: int, label: str = "") -> CurvatureField:
         raise ValueError("ambient dimension must be even and >= 4")
     e = np.ones(n - 1)
     e[0] = 4.0
-    return diagonal_constant(e, label=label or f"fubini-study(n={n})")
+    return diagonal_constant(e, label=f"fubini-study(n={n})")
 
 
 def sampled_field(grid, ops, label: str = "") -> CurvatureField:
@@ -189,13 +184,13 @@ def sampled_field(grid, ops, label: str = "") -> CurvatureField:
     return CurvatureField(kind="sampled", n=d + 1, label=label or "sampled", _eval=_eval)
 
 
-def sampled_field_from_json(doc: dict, label: str = "") -> CurvatureField:
+def sampled_field_from_json(doc: dict) -> CurvatureField:
     """Build a sampled field from a parsed JSON document.
 
     Expected keys: ``n`` (ambient dimension), ``grid`` (list of times),
     ``ops`` (list with one entry per grid node, each a row-major flat list
-    of the (n-1) x (n-1) operator entries). Malformed nodes are reported
-    with their index.
+    of the (n-1) x (n-1) operator entries); optional ``label``. Malformed
+    nodes are reported with their index.
     """
     try:
         n = int(doc["n"])
@@ -214,16 +209,16 @@ def sampled_field_from_json(doc: dict, label: str = "") -> CurvatureField:
         if flat.size != d * d:
             raise ValueError(f"node {i}: expected {d * d} operator entries, got {flat.size}")
         ops[i] = flat.reshape(d, d)
-    return sampled_field(grid, ops, label=label or str(doc.get("label", "sampled")))
+    return sampled_field(grid, ops, label=str(doc.get("label", "sampled")))
 
 
-def load_sampled_field(path, label: str = "") -> CurvatureField:
+def load_sampled_field(path) -> CurvatureField:
     """Read a sampled field from a JSON file (see sampled_field_from_json)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("sampled-field file must contain a JSON object")
-    return sampled_field_from_json(doc, label=label)
+    return sampled_field_from_json(doc)
 
 
 def ric_k_traces(field: CurvatureField, t, k: int) -> np.ndarray:

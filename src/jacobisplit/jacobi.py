@@ -52,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from .curvature import CurvatureField
-from .symlin import GeneralOperator, lead_nonnegative, orthonormal_columns
+from .symlin import lead_nonnegative, orthonormal_columns
 
 __all__ = [
     "FamilySpec",
@@ -64,8 +64,6 @@ __all__ = [
     "wronskian",
     "riccati",
     "riccati_series",
-    "first_singular_time",
-    "evaluate_field",
     "singular_events",
     "riccati_residual",
     "default_resolvability_cap",
@@ -117,6 +115,8 @@ class FamilySpec:
             )
         if not (np.all(np.isfinite(y0)) and np.all(np.isfinite(yd0))):
             raise ValueError("initial matrices must be finite")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.end)):
+            raise ValueError("alpha and end must be finite")
         if not self.alpha < self.end:
             raise ValueError("alpha must be strictly less than end")
         stacked = np.vstack([y0, yd0])
@@ -271,8 +271,8 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
     docstring): blocks of ``B = isqrt(N)`` steps, about ``3 B`` array
     iterations in all. A family that overflows is a ValueError naming the
     first node that is not finite."""
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     span = spec.end - spec.alpha
     n_steps = max(1, int(round(span / step)))
     times = np.linspace(spec.alpha, spec.end, n_steps + 1)
@@ -343,7 +343,7 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
     return JacobiTrajectory(spec=spec, step=h, times=times, y=y, yd=yd)
 
 
-def wronskian(traj: JacobiTrajectory, t: float) -> GeneralOperator:
+def wronskian(traj: JacobiTrajectory, t: float) -> np.ndarray:
     """The antisymmetric form W(t) = Y^T Yd - Yd^T Y at the node nearest t.
 
     W is conserved along the flow; W = 0 certifies that the family's
@@ -351,10 +351,10 @@ def wronskian(traj: JacobiTrajectory, t: float) -> GeneralOperator:
     """
     j = traj.node_index(t)
     yj, ydj = traj.y[j], traj.yd[j]
-    return GeneralOperator(yj.T @ ydj - ydj.T @ yj)
+    return yj.T @ ydj - ydj.T @ yj
 
 
-def riccati(traj: JacobiTrajectory, t: float) -> GeneralOperator:
+def riccati(traj: JacobiTrajectory, t: float) -> np.ndarray:
     """The Riccati operator S(t) = Yd(t) Y(t)^{-1} at the node nearest t.
 
     Raises SingularTimeError when that node is not regular (a
@@ -363,8 +363,7 @@ def riccati(traj: JacobiTrajectory, t: float) -> GeneralOperator:
     j = traj.node_index(t)
     if not traj.regular[j]:
         raise SingularTimeError(traj.times[j])
-    s = np.linalg.solve(traj.y[j].T, traj.yd[j].T).T
-    return GeneralOperator(s)
+    return np.linalg.solve(traj.y[j].T, traj.yd[j].T).T
 
 
 def riccati_series(traj: JacobiTrajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -377,18 +376,6 @@ def riccati_series(traj: JacobiTrajectory) -> tuple[np.ndarray, np.ndarray]:
         ydt = np.transpose(traj.yd[reg], (0, 2, 1))
         s[reg] = np.transpose(np.linalg.solve(yt, ydt), (0, 2, 1))
     return reg, s
-
-
-def evaluate_field(
-    traj: JacobiTrajectory, coeffs, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Value and derivative of the member field with the given coefficient
-    vector at the node nearest t: (Y(t)c, Yd(t)c)."""
-    c = np.asarray(coeffs, dtype=float).ravel()
-    if c.size != traj.dim:
-        raise ValueError(f"coefficient vector must have length {traj.dim}")
-    j = traj.node_index(t)
-    return traj.y[j] @ c, traj.yd[j] @ c
 
 
 def _hermite_sigma_min(traj: JacobiTrajectory, t: float) -> float:
@@ -415,48 +402,6 @@ def _bisect_det(traj: JacobiTrajectory, lo: float, hi: float, iters: int = 80) -
         if hi - lo <= 1e-15 * max(1.0, abs(hi)):
             break
     return 0.5 * (lo + hi)
-
-
-def first_singular_time(traj: JacobiTrajectory, from_time: float) -> float | None:
-    """Earliest time t >= from_time where Y(t) drops rank.
-
-    A node that is not regular is a direct hit; between nodes, a sign
-    change of det(Y) brackets a crossing, which is refined by bisection on
-    the Hermite interpolant. Rank drops of even multiplicity never flip
-    det(Y), so dips of sigma_min between nodes are also resolved (through
-    the same machinery as singular_events); without this, a scalar family
-    touching zero quadratically would go unseen.
-    Returns None when the rest of the window shows neither.
-    """
-    n = traj.n_nodes
-    j0 = int(np.searchsorted(traj.times, float(from_time) - 1e-12, side="left"))
-    if j0 >= n:
-        return None
-    times = traj.times
-    # flip[j]: det(Y) changes sign on [t_j, t_{j+1}]
-    flip = np.append(traj.dets[:-1] * traj.dets[1:] < 0.0, False)
-    hits = np.flatnonzero(~traj.regular[j0:])
-    flips = np.flatnonzero(flip[j0:])
-    j_hit = j0 + int(hits[0]) if hits.size else n
-    j_flip = j0 + int(flips[0]) if flips.size else n
-    direct: float | None = None
-    if j_hit < n and j_hit <= j_flip:
-        # refine against a neighboring det sign change if one brackets it
-        if j_hit > 0 and flip[j_hit - 1]:
-            direct = _bisect_det(traj, times[j_hit - 1], times[j_hit])
-        elif flip[j_hit]:
-            direct = _bisect_det(traj, times[j_hit], times[j_hit + 1])
-        else:
-            direct = float(times[j_hit])
-    elif j_flip < n:
-        direct = _bisect_det(traj, times[j_flip], times[j_flip + 1])
-    events = singular_events(traj, t_min=float(from_time), t_max=traj.end)
-    dipped = float(events[0].time) if events else None
-    if direct is None:
-        return dipped
-    if dipped is None:
-        return direct
-    return min(direct, dipped)
 
 
 @dataclass(frozen=True)
@@ -503,12 +448,10 @@ def _candidate_nodes(s: np.ndarray, zero_cut: float, coarse_cut: float) -> np.nd
 
 def singular_events(
     traj: JacobiTrajectory,
-    t_min: float | None = None,
-    t_max: float | None = None,
     open_ends: bool = False,
     tol_zero: float = DEFAULT_TOL_ZERO,
 ) -> list[ZeroEvent]:
-    """Locate and refine all instants in [t_min, t_max] where Y drops rank.
+    """Locate and refine all instants of the window where Y drops rank.
 
     Candidate nodes are local minima of sigma_min (or nodes already below
     the zero threshold). Each candidate is refined: by det-sign bisection
@@ -518,14 +461,8 @@ def singular_events(
     ``tol_zero`` times the grid-wide scale. With ``open_ends`` set, events
     within half a step of the window ends are discarded.
     """
-    lo = traj.alpha if t_min is None else float(t_min)
-    hi = traj.end if t_max is None else float(t_max)
-    if lo > hi:
-        raise ValueError("empty window")
-    pad = 1e-9 * max(1.0, abs(hi - lo))
-    idx = np.nonzero((traj.times >= lo - pad) & (traj.times <= hi + pad))[0]
-    if idx.size == 0:
-        return []
+    lo, hi = traj.alpha, traj.end
+    last = traj.n_nodes - 1
     sig = traj.sigma_min
     scale = traj.scale
     zero_cut = tol_zero * scale
@@ -534,12 +471,12 @@ def singular_events(
 
     events: list[ZeroEvent] = []
     dets = traj.dets
-    for j in _candidate_nodes(sig[idx], zero_cut, coarse_cut) + idx[0]:
+    for j in _candidate_nodes(sig, zero_cut, coarse_cut):
         if sig[j] <= zero_cut:
             t_star, s_star, cols = traj.times[j], None, None
         else:
-            j_lo = max(j - 1, idx[0])
-            j_hi = min(j + 1, idx[-1])
+            j_lo = max(j - 1, 0)
+            j_hi = min(j + 1, last)
             t_star = None
             if dets[j_lo] * dets[j] < 0.0:
                 t_star = _bisect_det(traj, traj.times[j_lo], traj.times[j])

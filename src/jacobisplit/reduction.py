@@ -200,7 +200,7 @@ def reduced_boundary_check(
     j = traj.node_index(alpha)
     if not rs.regular[j]:
         raise ValueError(f"alpha={alpha} is not a regular node of the reduction")
-    s_full = np.asarray(riccati(traj, traj.times[j]))
+    s_full = riccati(traj, traj.times[j])
     eigs_full, _ = spectrum((s_full + s_full.T) / 2.0)
     s_max = float(eigs_full[-1])
     if rs.dim_h:
@@ -253,7 +253,7 @@ def hce_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -> tuple[str, 
     if not gate["passed"]:
         return "hypothesis-violated", details
     rs = shared_reduction(traj, params)
-    tol = float(params.get("tol", 1e-3))
+    tol = params.get("tol", 1e-3)
     rep = hce_residual(rs, tol=tol)
     details.update(
         residual=rep.max_residual,
@@ -264,7 +264,7 @@ def hce_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -> tuple[str, 
     )
     ok = rep.n_checked > 0 and rep.max_residual <= tol
     if "level" in params:
-        dev = recovered_curvature_deviation(rs, float(params["level"]))
+        dev = recovered_curvature_deviation(rs, params["level"])
         details["curvature_deviation"] = dev
         ok = ok and dev <= tol
     return ("verified" if ok else "falsified"), details
@@ -280,7 +280,7 @@ def reduced_boundary_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -
         return "hypothesis-violated", details
     rs = shared_reduction(traj, params)
     tol_eig = opts.get("tol_eig", DEFAULT_TOL_EIG)
-    rep = reduced_boundary_check(rs, float(params["alpha"]), tol_eig=tol_eig)
+    rep = reduced_boundary_check(rs, params["alpha"], tol_eig=tol_eig)
     details.update(rep)
     return ("verified" if rep["passed"] else "falsified"), details
 

@@ -66,7 +66,7 @@ _FLOOR_SLACK = 1e-9
 def wronskian_defect(traj: JacobiTrajectory) -> float:
     """Largest entry of the (conserved) Wronskian form, evaluated at the
     window start: zero exactly when the family is self-adjoint."""
-    w = np.asarray(wronskian(traj, traj.alpha))
+    w = wronskian(traj, traj.alpha)
     return float(np.max(np.abs(w))) if w.size else 0.0
 
 
@@ -188,15 +188,11 @@ def sine_span(traj: JacobiTrajectory, tol: float = DEFAULT_TOL_SPAN) -> SpanResu
 
 
 def vanishing_span(
-    traj: JacobiTrajectory,
-    interval: tuple[float, float] | None = None,
-    open_ends: bool = False,
-    tol_zero: float = DEFAULT_TOL_ZERO,
+    traj: JacobiTrajectory, open_ends: bool = False, tol_zero: float = DEFAULT_TOL_ZERO
 ) -> np.ndarray:
     """Orthonormal basis (columns) of the span of member fields vanishing
-    at some instant of the interval (the whole window by default)."""
-    lo, hi = interval if interval is not None else (traj.alpha, traj.end)
-    events = singular_events(traj, lo, hi, open_ends=open_ends, tol_zero=tol_zero)
+    at some instant of the window."""
+    events = singular_events(traj, open_ends=open_ends, tol_zero=tol_zero)
     if not events:
         return np.zeros((traj.dim, 0))
     return orthonormal_columns(np.hstack([e.kernel for e in events]))
@@ -219,23 +215,6 @@ class SplittingReport:
     window: tuple[float, float]
     open_ends: bool
     completeness: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "verdict": self.verdict,
-            "dim_z": self.dim_z,
-            "dim_p": self.dim_p,
-            "z_basis": self.z_basis.tolist(),
-            "p_basis": self.p_basis.tolist(),
-            "zero_times": [[i, t] for i, t in self.zero_times],
-            "residual_orth": self.residual_orth,
-            "residual_span": self.residual_span,
-            "hypothesis_flags": self.hypothesis_flags,
-            "window": list(self.window),
-            "open_ends": self.open_ends,
-            "completeness": self.completeness,
-        }
 
 
 def _orthogonality_residual(traj: JacobiTrajectory, zb: np.ndarray, pb: np.ndarray) -> float:
@@ -298,7 +277,7 @@ def check_splitting(
     flags["self_adjoint"] = self_adjoint_gate(traj)
 
     if needs_alpha:
-        flags["boundary_eig"] = boundary_eigenvalue_gate(traj, float(alpha), tol_eig)
+        flags["boundary_eig"] = boundary_eigenvalue_gate(traj, alpha, tol_eig)
     else:
         flags["boundary_eig"] = {"name": "boundary_eig", "applicable": False, "passed": True}
 
@@ -318,9 +297,7 @@ def check_splitting(
 
     open_ends = theorem in ("B", "E")
     window = (traj.alpha, traj.end)
-    events = singular_events(
-        traj, window[0], window[1], open_ends=open_ends, tol_zero=tol_zero
-    )
+    events = singular_events(traj, open_ends=open_ends, tol_zero=tol_zero)
     z_basis = (
         orthonormal_columns(np.hstack([e.kernel for e in events]))
         if events
@@ -334,7 +311,7 @@ def check_splitting(
 
     dim_z, dim_p = z_basis.shape[1], p_basis.shape[1]
     if needs_k:
-        limit = n - int(k) - 1
+        limit = n - k - 1
         flags["dim_condition"] = {
             "name": "dim_condition",
             "applicable": True,
@@ -418,7 +395,7 @@ def splitting_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -> tuple
         tol_zero=opts.get("tol_zero", DEFAULT_TOL_ZERO),
         tol_eig=opts.get("tol_eig", DEFAULT_TOL_EIG),
     )
-    details = report.to_dict()
+    details = dict(vars(report))
     _floor_cross_check(traj, report.hypothesis_flags["ric_k_floor"]["k"], opts, details)
     return report.verdict, details
 
@@ -427,7 +404,7 @@ def vanishing_floor_verdict(traj: JacobiTrajectory, params: dict, opts: dict) ->
     """The ``vanishing-floor`` check: under self-adjointness and a positive
     Ric_k floor over the window (``k = params["k"]``), at least ``n - k``
     independent members vanish somewhere in the closed window."""
-    k = int(params["k"])
+    k = params["k"]
     gate = self_adjoint_gate(traj)
     floor = ric_k_floor(traj.spec.field, traj.times, k)
     details = {"self_adjoint": gate, "floor": floor}

@@ -16,7 +16,7 @@ import jacobisplit as js
 def test_scalar_traces_sphere(trajs):
     tr = js.scalar_traces(trajs("sphere-zero"))
     assert not tr.regular[0] and not tr.regular[-1]
-    t = tr.regular_times
+    t = tr.times[tr.regular]
     assert np.max(np.abs(tr.s[tr.regular] - np.cos(t) / np.sin(t))) <= 1e-6
     assert np.max(np.abs(tr.r[tr.regular] - 1.0)) <= 1e-6
     assert np.max(np.abs(tr.s0sq[tr.regular])) <= 1e-9
@@ -162,9 +162,8 @@ def test_comparison_anchor_errors(trajs):
 def test_comparison_report_dict(trajs):
     tr = js.scalar_traces(trajs("sphere-zero"))
     rep = js.comparison_check(tr, 1.5)
-    d = rep.to_dict()
-    assert d["hypothesis_ok"] and d["left_ok"] and d["right_ok"]
-    assert abs(d["model_shift"]) <= 1e-9
+    assert rep.hypothesis_ok and rep.left_ok and rep.right_ok
+    assert abs(rep.model.shift) <= 1e-9
 
 
 # ---------------------------------------------------------------- rigidity

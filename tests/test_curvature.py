@@ -7,7 +7,6 @@ perpendicular to v, evaluated with explicit matrices.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -74,7 +73,7 @@ def test_diagonal_constant():
 def test_fubini_study_matches_tensor_oracle():
     fld = js.fubini_study_model(4)
     assert_allclose(fld.matrix(0.7), cp2_oracle_matrix())
-    w, _ = js.spectrum(fld.operator(0.0))
+    w, _ = js.spectrum(fld.matrix(0.0))
     assert_allclose(w, [1.0, 1.0, 4.0])
 
 
@@ -101,7 +100,7 @@ def test_ric_k_floor_constant():
 
 def test_ric_k_floor_superadditive_in_k():
     fld = js.diagonal_constant([4.0, 1.0, -0.5, 2.0])
-    w, _ = js.spectrum(np.asarray(fld.operator(0.0)))
+    w, _ = js.spectrum(fld.matrix(0.0))
     for k in range(1, 4):
         assert js.ric_k_floor(fld, 0.0, k + 1) >= js.ric_k_floor(fld, 0.0, k) + w[0] - 1e-12
 
@@ -188,13 +187,6 @@ def test_sampled_field_from_json_malformed():
 def test_field_kind_is_validated():
     with pytest.raises(ValueError, match="unknown curvature field kind"):
         js.CurvatureField(kind="mystery", n=3, label="", _eval=lambda t: np.eye(2))
-
-
-def test_operator_wraps_symmetric_view():
-    fld = js.fubini_study_model(6)
-    op = fld.operator(math.pi / 3)
-    assert isinstance(op, js.SymOperator)
-    assert op.dim == 5
 
 
 def test_matrices_reads_a_whole_grid():

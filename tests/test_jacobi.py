@@ -132,6 +132,13 @@ def test_integrate_rejects_overflow():
     assert np.all(traj.y[-1] == 1e200 * np.eye(2))
 
 
+def test_integrate_rejects_bad_step():
+    # an infinite step would integrate the window in one step
+    for step in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            js.integrate(sphere_like(), step=step)
+
+
 def test_familyspec_validation():
     fld = js.constant_sectional(3, 1.0)
     with pytest.raises(ValueError, match="must be 2x2"):
@@ -148,6 +155,9 @@ def test_familyspec_validation():
         )
     with pytest.raises(ValueError, match="finite"):
         js.FamilySpec(field=fld, alpha=0.0, end=1.0, y0=np.eye(2) * np.nan, yd0=np.eye(2))
+    for alpha, end in ((0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="alpha and end must be finite"):
+            js.FamilySpec(field=fld, alpha=alpha, end=end, y0=np.eye(2), yd0=np.eye(2))
 
 
 def test_integrate_sphere_closed_form(trajs):
@@ -289,39 +299,15 @@ def test_interpolate_matches_fine_grid():
         coarse.interpolate(2.5)
 
 
-def test_evaluate_field(trajs):
-    traj = trajs("sphere-zero")
-    val, der = js.evaluate_field(traj, np.array([1.0, 0.0]), traj.times[traj.node_index(math.pi / 2)])
-    assert_allclose(val, [1.0, 0.0], atol=1e-6)
-    assert np.max(np.abs(der)) <= 1e-6
-    val0, der0 = js.evaluate_field(traj, np.zeros(2), 1.0)
-    assert np.max(np.abs(val0)) == 0.0 and np.max(np.abs(der0)) == 0.0
-    with pytest.raises(ValueError, match="length"):
-        js.evaluate_field(traj, np.ones(3), 1.0)
-
-
-def test_first_singular_time_cases(trajs):
-    traj = trajs("sphere-zero")
-    t = js.first_singular_time(traj, 0.1)
-    assert t == pytest.approx(math.pi, abs=1e-3)
-    assert js.first_singular_time(trajs("flat-parallel"), 0.0) is None
-    # starting past the last zero finds nothing
-    assert js.first_singular_time(trajs("example-shifted-sine"), math.pi / 2) is None
-
-
-def test_first_singular_time_even_multiplicity():
-    # scalar-matrix family: det touches zero without a sign change
+def test_singular_events_even_multiplicity():
+    # scalar-matrix family: det touches zero without a sign change, so the
+    # parabola fit on sigma_min^2 refines it
     spec = sphere_like(alpha=1.0, y0=np.eye(2), yd0=-0.5 * np.eye(2))
     traj = js.integrate(spec)
-    found = js.first_singular_time(traj, 1.0)
+    (found,) = js.singular_events(traj)
     expected = (1.0 - math.atan2(1.0, -0.5)) + math.pi
-    assert found == pytest.approx(expected, abs=1e-9)
-
-
-def test_first_singular_time_odd_crossing_bisected(trajs):
-    traj = trajs("hopf-holonomy")
-    found = js.first_singular_time(traj, 0.5)
-    assert found == pytest.approx(math.pi / 2, abs=1e-9)
+    assert found.time == pytest.approx(expected, abs=1e-9)
+    assert found.kernel.shape == (2, 2)
 
 
 def test_singular_events_sphere(trajs):
@@ -355,10 +341,9 @@ def test_singular_events_window_selection(trajs):
     traj = trajs("hopf-holonomy")
     all_events = js.singular_events(traj)
     assert [round(e.time, 6) for e in all_events] == [0.0, 1.570796, 3.141593]
-    inner = js.singular_events(traj, t_min=0.3, t_max=2.8)
-    assert [round(e.time, 6) for e in inner] == [1.570796]
-    with pytest.raises(ValueError, match="empty window"):
-        js.singular_events(traj, t_min=2.0, t_max=1.0)
+    # the open window drops the ends; the odd crossing inside is bisected
+    (inner,) = js.singular_events(traj, open_ends=True)
+    assert inner.time == pytest.approx(math.pi / 2, abs=1e-9)
 
 
 def _loop_candidates(s, zero_cut, coarse_cut):
@@ -393,12 +378,11 @@ def test_candidate_scan_matches_node_loop():
 def test_singular_events_unchanged_under_loop_scan(trajs, monkeypatch, name):
     name, _, step = name.partition("@")
     traj = trajs(name, float(step) if step else None)
-    windows = [{}, {"t_min": traj.alpha + 0.3, "t_max": traj.end - 0.3, "open_ends": True}]
 
     def events():
         return [
-            [(e.time, e.sigma, e.node, e.kernel.tobytes()) for e in js.singular_events(traj, **w)]
-            for w in windows
+            [(e.time, e.sigma, e.node, e.kernel.tobytes()) for e in js.singular_events(traj, ends)]
+            for ends in (False, True)
         ]
 
     fast = events()

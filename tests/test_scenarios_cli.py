@@ -238,9 +238,12 @@ def test_cli_exit_two_on_malformed_config(tmp_path, capsys):
     p.write_text("{not json")
     assert js.main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err
-    # values of the wrong type name their key; an empty check list would
-    # verify nothing and report success
-    for key, bad in (("alpha", [1]), ("checks", {"a": 1}), ("checks", [])):
+    # values of the wrong type or not finite name their key; an empty check
+    # list would verify nothing and report success
+    cases = [("alpha", [1]), ("checks", {"a": 1}), ("checks", [])]
+    cases += [("end", float("inf")), ("alpha", float("nan")), ("step", float("inf"))]
+    cases += [("y0", [[float("nan"), 0.0], [0.0, 1.0]]), ("yd0", [[0.0, 0.0], [0.0, float("inf")]])]
+    for key, bad in cases:
         path = _example_with(tmp_path, lambda doc: doc.update({key: bad}))
         assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
         assert f"config key {key!r}" in capsys.readouterr().err
@@ -316,6 +319,40 @@ def test_missing_mode_param_is_rejected_before_integration(tmp_path, capsys):
     assert js.main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "check 'splitting' is missing required param 'alpha'" in err
+
+
+def test_check_param_values_are_validated_before_integration(tmp_path, capsys, monkeypatch):
+    bad = [
+        ("splitting", {"theorem": "Z"}, "'theorem' must be one of A, B, C, E, got 'Z'"),
+        ("splitting", {"theorem": "C", "k": 1.5}, "'k' must be an integer, got 1.5"),
+        ("vanishing-floor", {"k": True}, "'k' must be an integer, got True"),
+        ("rigidity", {"alpha": "x"}, "'alpha' must be a finite number, got 'x'"),
+        ("reduced-boundary", {"alpha": float("nan")}, "'alpha' must be a finite number"),
+        ("hce", {"tol": float("inf")}, "'tol' must be a finite number"),
+        ("hce", {"level": None}, "'level' must be a finite number, got None"),
+        ("hce", {"psi": [["a", 0.0]]}, "'psi' must be a list of equally long rows"),
+        ("hce", {"psi": [[1.0, float("nan")]]}, "'psi' must be a list of equally long rows"),
+        ("hce", {"psi": [[1.0, 0.0], [1.0]]}, "'psi' must be a list of equally long rows"),
+        ("hce", {"psi": "1 0"}, "'psi' must be a list of equally long rows"),
+    ]
+    for kind, params, message in bad:
+        with pytest.raises(ValueError) as info:
+            js.CheckSpec(kind, params, "verified")
+        assert f"check {kind!r} param {message}" in str(info.value)
+    for params in ({"psi": [1.0, 0.0], "level": 4}, {"psi": []}, {"psi": [[1, 0], [0, 1]]}):
+        js.CheckSpec("hce", params, "verified")
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated a scenario with an invalid check param")
+
+    monkeypatch.setattr(js.cli, "integrate", no_integration)
+    for key, value, message in (
+        ("alpha", "x", "check 'splitting' param 'alpha' must be a finite number, got 'x'"),
+        ("theorem", "Z", "check 'splitting' param 'theorem' must be one of A, B, C, E, got 'Z'"),
+    ):
+        path = _example_with(tmp_path, lambda doc: doc["checks"][0]["params"].update({key: value}))
+        assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_traced_run_integrates_and_reduces_once(tmp_path, monkeypatch):

@@ -8,6 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import jacobisplit as js
+from jacobisplit import cli
+from jacobisplit.splitting import splitting_verdict
 
 
 EPS = math.pi / 12.0
@@ -206,8 +208,8 @@ def test_verdict_falsified_when_conclusion_layer_inconsistent(trajs):
 
 
 def test_splitting_report_dict_is_jsonable(trajs):
-    rep = js.check_splitting(trajs("product-s2xr2"), "A")
-    blob = json.dumps(rep.to_dict(), sort_keys=True)
+    _, details = splitting_verdict(trajs("product-s2xr2"), {"theorem": "A"}, {})
+    blob = json.dumps(cli._jsonable(details), sort_keys=True)
     assert '"verdict": "verified"' in blob
 
 

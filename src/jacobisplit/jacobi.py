@@ -11,9 +11,9 @@ selects the member ``J(t) = Y(t) c``.
 
 The integrator is classical fixed-step fourth-order Runge-Kutta on the
 first-order system ``(Y, Yd)' = (Yd, -R(t) Y)``. Node data are stored for
-every grid point; between nodes, values are recovered by cubic Hermite
-interpolation (using the stored derivatives, and ``-R Y`` for the slope of
-``Yd``), which keeps interpolation error at the integrator's own order.
+every grid point; between nodes, ``Y`` is recovered by cubic Hermite
+interpolation from its node values and the stored derivatives ``Yd``,
+which keeps interpolation error at the integrator's own order.
 
 The system is linear, so each RK4 step maps the stacked state ``z = [Y; Yd]``
 by one ``2d x 2d`` matrix ``P_j``, and the ``N`` steps run as a two-level
@@ -40,7 +40,9 @@ On top of the trajectory this module provides the Riccati operator
 ``S = Yd Y^{-1}``, the Wronskian ``W = Y^T Yd - Yd^T Y`` (the conserved
 self-adjointness certificate), detection and refinement of singular
 times (instants where ``Y`` drops rank), and a central-difference residual
-check of the Riccati equation ``S' + S^2 + R = 0``.
+check of the Riccati equation ``S' + S^2 + R = 0``. The singular values of
+``Y`` at every node come from the Gram matrices ``Y^T Y``, with an exact
+SVD wherever ``Y`` is near singular (``JacobiTrajectory.svals``).
 """
 
 from __future__ import annotations
@@ -77,6 +79,10 @@ DEFAULT_STEP = 1e-3
 # times the grid-wide scale: the one regularity rule (JacobiTrajectory.regular)
 TOL_SING = 1e-8
 DEFAULT_TOL_ZERO = 1e-7
+# singular values come from the Gram matrix Y^T Y except at nodes where
+# sigma_min is below _GRAM_CUT times the scale, which get an exact SVD
+_GRAM_CUT = 1e-3
+_CHUNK = 4096  # nodes per Gram pass block
 
 
 class SingularTimeError(ValueError):
@@ -168,9 +174,42 @@ class JacobiTrajectory:
         return self.times.size
 
     @cached_property
+    def _spectra(self) -> tuple[np.ndarray, float]:
+        """``(svals, stacked_scale)`` from one pass over the nodes.
+
+        Per chunk of nodes, ``g = Y^T Y`` gives the squared singular values
+        of Y as ``eigvalsh(g)``, and ``g + Yd^T Yd`` gives those of
+        ``[Y; Yd]``, of which only the grid maximum is kept. The Gram route
+        errs on sigma^2 by about ``d eps scale^2`` (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2002, section 20), so rows whose
+        sigma_min falls below ``_GRAM_CUT`` times the scale are redone by an
+        exact SVD of Y: every cut on sigma_min (the regular mask, the zero
+        threshold of singular events) is decided by SVD values."""
+        n, d = self.y.shape[:2]
+        sq = np.empty((n, d))
+        g = np.empty((min(n, _CHUNK), d, d))
+        gd = np.empty_like(g)
+        top = 0.0
+        for lo in range(0, n, _CHUNK):
+            y, yd = self.y[lo : lo + _CHUNK], self.yd[lo : lo + _CHUNK]
+            m = len(y)
+            np.matmul(y.transpose(0, 2, 1), y, out=g[:m])
+            np.matmul(yd.transpose(0, 2, 1), yd, out=gd[:m])
+            sq[lo : lo + m] = np.linalg.eigvalsh(g[:m])[:, ::-1]
+            gd[:m] += g[:m]
+            top = max(top, float(np.max(np.linalg.eigvalsh(gd[:m])[:, -1])))
+        svals = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
+        low = np.flatnonzero(svals[:, -1] < _GRAM_CUT * np.max(svals[:, 0]))
+        if low.size:
+            svals[low] = np.linalg.svd(self.y[low], compute_uv=False)
+        return svals, math.sqrt(top)
+
+    @cached_property
     def svals(self) -> np.ndarray:
-        """Singular values of Y at every node, descending per node."""
-        return np.linalg.svd(self.y, compute_uv=False)
+        """Singular values of Y at every node, descending per node: from the
+        Gram matrix ``Y^T Y``, and from an exact SVD wherever sigma_min is
+        below ``_GRAM_CUT`` times the scale (see ``_spectra``)."""
+        return self._spectra[0]
 
     @property
     def sigma_min(self) -> np.ndarray:
@@ -187,9 +226,10 @@ class JacobiTrajectory:
 
     @cached_property
     def stacked_scale(self) -> float:
-        """Largest singular value of the stacked matrix [Y; Yd] over the grid."""
-        stacked = np.concatenate([self.y, self.yd], axis=1)
-        return float(np.max(np.linalg.svd(stacked, compute_uv=False)))
+        """Largest singular value of the stacked matrix [Y; Yd] over the grid,
+        the square root of the largest eigenvalue of ``Y^T Y + Yd^T Yd``
+        (computed in the same pass as ``svals``)."""
+        return self._spectra[1]
 
     @cached_property
     def dets(self) -> np.ndarray:
@@ -212,8 +252,9 @@ class JacobiTrajectory:
             raise ValueError(f"time {t} is not aligned with the trajectory grid")
         return j
 
-    def interpolate(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Cubic Hermite values (Y(t), Yd(t)) between nodes."""
+    def interpolate(self, t: float) -> np.ndarray:
+        """Cubic Hermite value Y(t) between nodes, from the node values and
+        derivatives of Y."""
         t = float(t)
         if not (self.alpha - 1e-12 <= t <= self.end + 1e-12):
             raise ValueError(f"time {t} outside trajectory window")
@@ -226,13 +267,7 @@ class JacobiTrajectory:
         h10 = u * (1.0 - u) ** 2
         h01 = u * u * (3.0 - 2.0 * u)
         h11 = u * u * (u - 1.0)
-        y0, y1 = self.y[j], self.y[j + 1]
-        yd0, yd1 = self.yd[j], self.yd[j + 1]
-        yt = h00 * y0 + h01 * y1 + h * (h10 * yd0 + h11 * yd1)
-        ydd0 = -self.spec.field.matrix(t0) @ y0
-        ydd1 = -self.spec.field.matrix(t1) @ y1
-        ydt = h00 * yd0 + h01 * yd1 + h * (h10 * ydd0 + h11 * ydd1)
-        return yt, ydt
+        return h00 * self.y[j] + h01 * self.y[j + 1] + h * (h10 * self.yd[j] + h11 * self.yd[j + 1])
 
 
 def _increments(y, yd, r0, rh, r1, h):
@@ -379,12 +414,12 @@ def riccati_series(traj: JacobiTrajectory) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hermite_sigma_min(traj: JacobiTrajectory, t: float) -> float:
-    yt, _ = traj.interpolate(t)
+    yt = traj.interpolate(t)
     return float(np.linalg.svd(yt, compute_uv=False)[-1])
 
 
 def _hermite_det(traj: JacobiTrajectory, t: float) -> float:
-    yt, _ = traj.interpolate(t)
+    yt = traj.interpolate(t)
     return float(np.linalg.det(yt))
 
 
@@ -429,7 +464,7 @@ def _parabola_vertex(ts, vals) -> float | None:
 
 
 def _kernel_at(traj: JacobiTrajectory, t: float, tol_zero: float) -> tuple[float, np.ndarray]:
-    yt, _ = traj.interpolate(t)
+    yt = traj.interpolate(t)
     _, svals, vh = np.linalg.svd(yt)
     cut = tol_zero * traj.scale
     cols = lead_nonnegative(vh[svals <= cut].T)

@@ -30,6 +30,7 @@ import numpy as np
 
 from .curvature import ric_k_floor, ric_k_floor_sampled, ric_k_traces
 from .jacobi import (
+    _CHUNK,
     DEFAULT_TOL_ZERO,
     TOL_SING,
     JacobiTrajectory,
@@ -154,7 +155,8 @@ def _span_from_test(test_mats: np.ndarray, scale: float, tol: float) -> SpanResu
     alone) keeps locally-supported failures from slipping through.
     """
     d = test_mats.shape[2]
-    gram = np.einsum("nij,nik->jk", test_mats, test_mats) / test_mats.shape[0]
+    flat = test_mats.reshape(-1, d)
+    gram = (flat.T @ flat) / test_mats.shape[0]
     _, vecs = spectrum(gram)
     accepted: list[np.ndarray] = []
     residuals: list[float] = []
@@ -184,7 +186,10 @@ def sine_span(traj: JacobiTrajectory, tol: float = DEFAULT_TOL_SPAN) -> SpanResu
     every node."""
     st = np.sin(traj.times)[:, None, None]
     ct = np.cos(traj.times)[:, None, None]
-    return _span_from_test(st * traj.yd - ct * traj.y, traj.stacked_scale, tol)
+    test = st * traj.yd
+    for lo in range(0, len(test), _CHUNK):  # subtract cos(t) Y without a full-size temporary
+        test[lo : lo + _CHUNK] -= ct[lo : lo + _CHUNK] * traj.y[lo : lo + _CHUNK]
+    return _span_from_test(test, traj.stacked_scale, tol)
 
 
 def vanishing_span(

@@ -57,6 +57,17 @@ def test_no_check_is_ever_falsified(builtin_runs):
             assert check.verdict != "falsified", (name, check.kind)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: at step 0.1 the sphere's rigidity and mode-B splitting "
+    "checks read 'falsified'; the conclusion tolerances do not scale with the "
+    "step error and no gate checks that the step resolves the window",
+)
+def test_coarse_step_is_never_falsified():
+    report = js.run_scenario("sphere-zero", step=0.1)
+    assert [c.verdict for c in report.checks if c.verdict == "falsified"] == []
+
+
 def test_randomized_splitting_dims(builtin_runs):
     d1 = builtin_runs["random-selfadjoint-1"].checks[0].details
     assert (d1["dim_z"], d1["dim_p"]) == (2, 1)

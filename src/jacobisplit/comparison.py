@@ -175,13 +175,14 @@ class ComparisonReport:
 
 
 def _regular_stretch(mask: np.ndarray, j0: int) -> tuple[int, int]:
-    """Half-open index range of the maximal run of True values around j0."""
-    lo = j0
-    while lo > 0 and mask[lo - 1]:
-        lo -= 1
-    hi = j0 + 1
-    while hi < mask.size and mask[hi]:
-        hi += 1
+    """Half-open index range of the maximal run of True values around j0:
+    from past the last False node before j0 to the first False node after
+    it (j0 itself always inside)."""
+    breaks = np.flatnonzero(~mask)
+    k_lo = np.searchsorted(breaks, j0, side="left")
+    k_hi = np.searchsorted(breaks, j0, side="right")
+    lo = int(breaks[k_lo - 1]) + 1 if k_lo else 0
+    hi = int(breaks[k_hi]) if k_hi < breaks.size else mask.size
     return lo, hi
 
 

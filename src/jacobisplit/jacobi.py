@@ -42,7 +42,11 @@ self-adjointness certificate), detection and refinement of singular
 times (instants where ``Y`` drops rank), and a central-difference residual
 check of the Riccati equation ``S' + S^2 + R = 0``. The singular values of
 ``Y`` at every node come from the Gram matrices ``Y^T Y``, with an exact
-SVD wherever ``Y`` is near singular (``JacobiTrajectory.svals``).
+SVD wherever ``Y`` is near singular (``JacobiTrajectory.svals``). The grid
+maximum of ``sigma_max([Y; Yd])`` is exact but evaluated only on the blocks
+of nodes that a Weyl bound cannot rule out (``stacked_scale``), ``det Y`` is
+taken only where the event search reads it (``dets``), and the refined
+events are kept per trajectory, so each is scanned once.
 """
 
 from __future__ import annotations
@@ -82,7 +86,14 @@ DEFAULT_TOL_ZERO = 1e-7
 # singular values come from the Gram matrix Y^T Y except at nodes where
 # sigma_min is below _GRAM_CUT times the scale, which get an exact SVD
 _GRAM_CUT = 1e-3
-_CHUNK = 4096  # nodes per Gram pass block
+_CHUNK = 1024  # nodes per temporary of the Gram, bound and span passes
+# stacked_scale: nodes per bounded block, and the relative slack on a
+# block's bound that covers the roundoff of eigvalsh and of the path sums
+_BLOCK = 16
+_SLACK = 1e-12
+# singular_events refines local minima of sigma_min at or below _COARSE_CUT
+# times the scale; det Y is read only there and at their neighbours
+_COARSE_CUT = 0.05
 
 
 class SingularTimeError(ValueError):
@@ -145,9 +156,11 @@ class FamilySpec:
 class JacobiTrajectory:
     """Integrated family: node times plus (Y, Yd) matrices per node.
 
-    ``derived`` keeps analyses that several checks of one run share (the
-    reductions of ``reduction.shared_reduction``), keyed by their inputs,
-    so each is computed once and dropped together with the trajectory.
+    ``derived`` keeps analyses that several checks of one run share, keyed
+    by their inputs: the refined singular events (``("events", tol_zero)``,
+    see ``singular_events``) and the reductions of
+    ``reduction.shared_reduction``. Each is computed once and dropped
+    together with the trajectory.
     """
 
     spec: FamilySpec
@@ -174,42 +187,29 @@ class JacobiTrajectory:
         return self.times.size
 
     @cached_property
-    def _spectra(self) -> tuple[np.ndarray, float]:
-        """``(svals, stacked_scale)`` from one pass over the nodes.
+    def svals(self) -> np.ndarray:
+        """Singular values of Y at every node, descending per node.
 
-        Per chunk of nodes, ``g = Y^T Y`` gives the squared singular values
-        of Y as ``eigvalsh(g)``, and ``g + Yd^T Yd`` gives those of
-        ``[Y; Yd]``, of which only the grid maximum is kept. The Gram route
-        errs on sigma^2 by about ``d eps scale^2`` (Higham, Accuracy and
-        Stability of Numerical Algorithms, 2002, section 20), so rows whose
-        sigma_min falls below ``_GRAM_CUT`` times the scale are redone by an
-        exact SVD of Y: every cut on sigma_min (the regular mask, the zero
-        threshold of singular events) is decided by SVD values."""
+        Per chunk of nodes, ``g = Y^T Y`` gives their squares as
+        ``eigvalsh(g)``. The Gram route errs on sigma^2 by about
+        ``d eps scale^2`` (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2002, section 20), so rows whose sigma_min falls below
+        ``_GRAM_CUT`` times the scale are redone by an exact SVD of Y: every
+        cut on sigma_min (the regular mask, the zero threshold of singular
+        events) is decided by SVD values."""
         n, d = self.y.shape[:2]
         sq = np.empty((n, d))
         g = np.empty((min(n, _CHUNK), d, d))
-        gd = np.empty_like(g)
-        top = 0.0
         for lo in range(0, n, _CHUNK):
-            y, yd = self.y[lo : lo + _CHUNK], self.yd[lo : lo + _CHUNK]
+            y = self.y[lo : lo + _CHUNK]
             m = len(y)
             np.matmul(y.transpose(0, 2, 1), y, out=g[:m])
-            np.matmul(yd.transpose(0, 2, 1), yd, out=gd[:m])
             sq[lo : lo + m] = np.linalg.eigvalsh(g[:m])[:, ::-1]
-            gd[:m] += g[:m]
-            top = max(top, float(np.max(np.linalg.eigvalsh(gd[:m])[:, -1])))
         svals = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
         low = np.flatnonzero(svals[:, -1] < _GRAM_CUT * np.max(svals[:, 0]))
         if low.size:
             svals[low] = np.linalg.svd(self.y[low], compute_uv=False)
-        return svals, math.sqrt(top)
-
-    @cached_property
-    def svals(self) -> np.ndarray:
-        """Singular values of Y at every node, descending per node: from the
-        Gram matrix ``Y^T Y``, and from an exact SVD wherever sigma_min is
-        below ``_GRAM_CUT`` times the scale (see ``_spectra``)."""
-        return self._spectra[0]
+        return svals
 
     @property
     def sigma_min(self) -> np.ndarray:
@@ -226,14 +226,68 @@ class JacobiTrajectory:
 
     @cached_property
     def stacked_scale(self) -> float:
-        """Largest singular value of the stacked matrix [Y; Yd] over the grid,
-        the square root of the largest eigenvalue of ``Y^T Y + Yd^T Yd``
-        (computed in the same pass as ``svals``)."""
-        return self._spectra[1]
+        """Largest singular value of the stacked matrix ``Z = [Y; Yd]`` over
+        the grid: the square root of the largest top eigenvalue of
+        ``Y^T Y + Yd^T Yd``, taken exactly at the nodes that can hold it.
+
+        The nodes are cut into blocks of ``_BLOCK``. By Weyl's inequality
+        for singular values (Horn and Johnson, Topics in Matrix Analysis,
+        1991, Thm 3.3.16), ``sigma_max(Z_n) <= sigma_max(Z_c) + sum
+        ||Z_{i+1} - Z_i||_F`` over the nodes between n and c. So the exact
+        top eigenvalue at each block's centre, plus the path length from
+        the centre to the block's ends, bounds the whole block. Only the
+        blocks whose bound, widened by ``_SLACK`` for roundoff, reaches the
+        best centre value are evaluated, by the same formula and as
+        contiguous slices; the result is the maximum over every node."""
+        y, yd = self.y, self.yd
+        n = len(y)
+        nb = -(-n // _BLOCK)
+        # ||Z_{i+1} - Z_i||_F for every node i, zero past the last node
+        step = np.zeros(nb * _BLOCK)
+        for lo in range(0, n - 1, _CHUNK):
+            hi = min(lo + _CHUNK, n - 1)
+            dz = y[lo + 1 : hi + 1] - y[lo:hi]
+            sq = np.einsum("nij,nij->n", dz, dz)
+            np.subtract(yd[lo + 1 : hi + 1], yd[lo:hi], out=dz)
+            sq += np.einsum("nij,nij->n", dz, dz)
+            step[lo:hi] = np.sqrt(sq, out=sq)
+        # path[b, k]: path length from block b's first node to its node k
+        path = np.zeros((nb, _BLOCK))
+        np.cumsum(step.reshape(nb, _BLOCK)[:, :-1], axis=1, out=path[:, 1:])
+        first = _BLOCK * np.arange(nb)
+        mid = np.minimum(_BLOCK // 2, n - 1 - first)  # the last block may be short
+        left = path[np.arange(nb), mid]
+        reach = np.maximum(left, path[:, -1] - left)
+        centre = first + mid
+        top = np.empty(nb)
+        for lo in range(0, nb, _CHUNK):
+            c = centre[lo : lo + _CHUNK]
+            top[lo : lo + _CHUNK] = _stacked_top(y[c], yd[c])
+        best = float(np.max(top))
+        keep = (np.sqrt(top) + reach) ** 2 * (1.0 + _SLACK) >= best
+        # runs [b0, b1) of kept blocks, each evaluated as contiguous slices
+        edges = np.diff(keep.astype(np.int8), prepend=0, append=0)
+        for b0, b1 in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
+            start, stop = b0 * _BLOCK, min(b1 * _BLOCK, n)
+            for lo in range(start, stop, _CHUNK):
+                hi = min(lo + _CHUNK, stop)
+                best = max(best, float(np.max(_stacked_top(y[lo:hi], yd[lo:hi]))))
+        return math.sqrt(best)
 
     @cached_property
     def dets(self) -> np.ndarray:
-        return np.linalg.det(self.y)
+        """det Y where ``singular_events`` reads it: at the local minima of
+        sigma_min at or below ``_COARSE_CUT`` times the scale and at their
+        neighbours; NaN at every other node."""
+        n = self.n_nodes
+        cand = _candidate_nodes(self.sigma_min, -math.inf, _COARSE_CUT * self.scale)
+        near = np.zeros(n, dtype=bool)
+        for shift in (-1, 0, 1):
+            near[np.clip(cand + shift, 0, n - 1)] = True
+        idx = np.flatnonzero(near)
+        dets = np.full(n, np.nan)
+        dets[idx] = np.linalg.det(self.y[idx])
+        return dets
 
     @cached_property
     def regular(self) -> np.ndarray:
@@ -268,6 +322,13 @@ class JacobiTrajectory:
         h01 = u * u * (3.0 - 2.0 * u)
         h11 = u * u * (u - 1.0)
         return h00 * self.y[j] + h01 * self.y[j + 1] + h * (h10 * self.yd[j] + h11 * self.yd[j + 1])
+
+
+def _stacked_top(y, yd) -> np.ndarray:
+    """Top eigenvalue of ``Y^T Y + Yd^T Yd`` at every node of a batch."""
+    g = np.matmul(yd.transpose(0, 2, 1), yd)
+    g += np.matmul(y.transpose(0, 2, 1), y)
+    return np.linalg.eigvalsh(g)[:, -1]
 
 
 def _increments(y, yd, r0, rh, r1, h):
@@ -488,20 +549,35 @@ def singular_events(
 ) -> list[ZeroEvent]:
     """Locate and refine all instants of the window where Y drops rank.
 
-    Candidate nodes are local minima of sigma_min (or nodes already below
-    the zero threshold). Each candidate is refined: by det-sign bisection
-    when the determinant changes sign across the bracket, else by repeated
-    parabola fits on sigma_min^2 over shrinking stencils. A refined
-    candidate qualifies as an event when its sigma_min is at most
-    ``tol_zero`` times the grid-wide scale. With ``open_ends`` set, events
-    within half a step of the window ends are discarded.
+    Candidate nodes are local minima of sigma_min at or below
+    ``_COARSE_CUT`` times the scale (or nodes already below the zero
+    threshold). Each candidate is refined: by det-sign bisection when the
+    determinant changes sign across the bracket, else by repeated parabola
+    fits on sigma_min^2 over shrinking stencils. A refined candidate
+    qualifies as an event when its sigma_min is at most ``tol_zero`` times
+    the grid-wide scale. The refined list of the closed window is kept in
+    ``traj.derived`` per ``tol_zero``, so each trajectory is scanned once;
+    with ``open_ends`` set, events within half a step of the window ends
+    are dropped from it. The events' kernels are read-only.
     """
+    key = ("events", tol_zero)
+    if key not in traj.derived:
+        traj.derived[key] = _refined_events(traj, tol_zero)
+    events = traj.derived[key]
+    if open_ends:
+        lo, hi, h = traj.alpha, traj.end, traj.step
+        return [e for e in events if lo + 0.5 * h < e.time < hi - 0.5 * h]
+    return list(events)
+
+
+def _refined_events(traj: JacobiTrajectory, tol_zero: float) -> tuple[ZeroEvent, ...]:
+    """The refined, merged events of the closed window (``singular_events``)."""
     lo, hi = traj.alpha, traj.end
     last = traj.n_nodes - 1
     sig = traj.sigma_min
     scale = traj.scale
     zero_cut = tol_zero * scale
-    coarse_cut = 0.05 * scale
+    coarse_cut = _COARSE_CUT * scale
     h = traj.step
 
     events: list[ZeroEvent] = []
@@ -557,9 +633,9 @@ def singular_events(
         else:
             merged.append(ev)
 
-    if open_ends:
-        merged = [e for e in merged if lo + 0.5 * h < e.time < hi - 0.5 * h]
-    return merged
+    for ev in merged:
+        ev.kernel.flags.writeable = False
+    return tuple(merged)
 
 
 def default_resolvability_cap(step: float, tol: float) -> float:

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import jacobisplit as js
+from jacobisplit import comparison
 
 
 # ---------------------------------------------------------------- traces
@@ -118,6 +119,26 @@ def test_model_solution_rejects_bad_anchor():
 def anchor_indices(trace, count=20):
     reg = np.nonzero(trace.regular)[0]
     return [reg[int(q * (reg.size - 1))] for q in np.linspace(0.1, 0.9, count)]
+
+
+def _loop_stretch(mask, j0):
+    """The node loop ``comparison._regular_stretch`` replaced: the reference."""
+    lo = j0
+    while lo > 0 and mask[lo - 1]:
+        lo -= 1
+    hi = j0 + 1
+    while hi < mask.size and mask[hi]:
+        hi += 1
+    return lo, hi
+
+
+def test_regular_stretch_matches_node_loop():
+    rng = np.random.default_rng(3)
+    masks = [np.ones(9, bool), np.zeros(9, bool), np.ones(1, bool), np.zeros(1, bool)]
+    masks += [rng.random(size) < p for size in (2, 5, 40) for p in (0.2, 0.5, 0.9) for _ in range(20)]
+    for mask in masks:
+        for j0 in range(mask.size):  # every anchor, the ends and singular nodes included
+            assert comparison._regular_stretch(mask, j0) == _loop_stretch(mask, j0)
 
 
 def test_comparison_sphere_anchors(trajs):

@@ -295,6 +295,13 @@ def _d16_family(step):
     return js.integrate(spec, step=step)
 
 
+def _stacked_unpruned(traj):
+    """``stacked_scale`` by its formula at every node, with no bound."""
+    g = np.matmul(traj.yd.transpose(0, 2, 1), traj.yd)
+    g += np.matmul(traj.y.transpose(0, 2, 1), traj.y)
+    return math.sqrt(float(np.max(np.linalg.eigvalsh(g)[:, -1])))
+
+
 def _check_spectra_against_svd(traj):
     svd = np.linalg.svd(traj.y, compute_uv=False)
     scale = float(np.max(svd[:, 0]))
@@ -302,6 +309,8 @@ def _check_spectra_against_svd(traj):
     stacked_scale = float(np.max(np.linalg.svd(stacked, compute_uv=False)))
     assert traj.scale == pytest.approx(scale, rel=1e-14, abs=0.0)
     assert traj.stacked_scale == pytest.approx(stacked_scale, rel=1e-14, abs=0.0)
+    # the pruned pass gives the same float as its formula at every node
+    assert traj.stacked_scale == _stacked_unpruned(traj)
     assert np.array_equal(traj.regular, svd[:, -1] > jacobi.TOL_SING * scale)
     low = traj.sigma_min < jacobi._GRAM_CUT * traj.scale
     assert np.array_equal(traj.svals[low], svd[low])
@@ -339,6 +348,120 @@ def test_spectra_memory_stays_near_one_trajectory():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * traj.y.nbytes
+
+
+def test_stacked_scale_bound_covers_every_node():
+    # random walks of matrices put the grid maximum anywhere in a block,
+    # the last, partial block included; the pass must still find it
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n, d = int(rng.integers(1, 200)), int(rng.integers(1, 4))
+        y, yd = np.eye(d) + np.cumsum(0.05 * rng.standard_normal((2, n, d, d)), axis=1)
+        traj = js.JacobiTrajectory(None, 1.0, np.arange(float(n)), y, yd)
+        assert traj.stacked_scale == _stacked_unpruned(traj)
+
+
+@pytest.mark.parametrize(
+    "knots, values",
+    [
+        # the peak 2.0 sits at node 32, the first of a block whose centre
+        # (node 40) is 1.6 lower, while the block before has a centre at 1.92
+        ([0, 32, 42, 63], [1.68, 2.0, 0.0, 0.0]),
+        # the mirror case: the peak is at node 47, the last of its block
+        ([0, 37, 47, 63], [0.0, 0.0, 2.0, 1.84]),
+    ],
+)
+def test_stacked_scale_bound_is_tight_on_a_radial_path(knots, values):
+    # d = 1 and Yd = 0: Z moves radially, so the path length from a centre
+    # is exactly the change of sigma_max and a shorter reach misses the peak
+    y = np.interp(np.arange(64.0), knots, values).reshape(64, 1, 1)
+    traj = js.JacobiTrajectory(None, 1.0, np.arange(64.0), y, np.zeros_like(y))
+    assert traj.stacked_scale == 2.0
+
+
+def _rotated_d16_family(step):
+    """The d = 16 family's slopes in a rotated frame, at curvature 1.1, so
+    sigma_max([Y; Yd]) varies along the window."""
+    offsets = np.linspace(0.3, 2.4, 16)
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((16, 16)))
+    spec = js.FamilySpec(
+        field=js.constant_sectional(17, 1.1),
+        alpha=0.2,
+        end=math.pi,
+        y0=np.eye(16),
+        yd0=q @ np.diag(-1.0 / np.tan(offsets)) @ q.T,
+        label="d16-rotated",
+    )
+    return js.integrate(spec, step=step)
+
+
+def test_stacked_scale_prunes_and_stays_exact(monkeypatch):
+    traj = _rotated_d16_family(4e-4)
+    assert traj.n_nodes == 7355
+    traj.svals
+    sent = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        sent.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    value = traj.stacked_scale
+    monkeypatch.undo()
+    assert sum(sent) <= 0.30 * traj.n_nodes
+    assert value == _stacked_unpruned(traj)
+
+
+def _event_rows(traj):
+    return [
+        [(e.time, e.sigma, e.node, e.kernel.tobytes()) for e in js.singular_events(traj, ends)]
+        for ends in (False, True)
+    ]
+
+
+@pytest.mark.parametrize("name", [sc.name for sc in js.list_scenarios()] + ["d16"])
+def test_singular_events_unchanged_under_full_grid_dets(trajs, name):
+    traj = _d16_family(1e-3) if name == "d16" else trajs(name)
+    # a fresh trajectory on the same arrays, its dets taken at every node
+    full = js.JacobiTrajectory(traj.spec, traj.step, traj.times, traj.y, traj.yd)
+    full.dets = np.linalg.det(traj.y)
+    assert _event_rows(full) == _event_rows(traj)
+    taken = ~np.isnan(traj.dets)
+    assert np.array_equal(traj.dets[taken], full.dets[taken])
+    minima = jacobi._candidate_nodes(traj.sigma_min, -1.0, jacobi._COARSE_CUT * traj.scale)
+    assert taken.sum() <= 3 * minima.size
+
+
+def test_singular_events_refined_once_per_trajectory(monkeypatch):
+    tols = []
+    refine = jacobi._refined_events
+
+    def counting(traj, tol_zero):
+        tols.append(tol_zero)
+        return refine(traj, tol_zero)
+
+    monkeypatch.setattr(jacobi, "_refined_events", counting)
+    report = js.run_scenario("cp2-zero")
+    assert len(report.checks) == 3  # modes B and E and rigidity all read the events
+    assert tols == [jacobi.DEFAULT_TOL_ZERO]
+
+
+def test_singular_events_open_window_filters_the_cached_list(trajs):
+    traj = trajs("hopf-holonomy")
+    closed = js.singular_events(traj)
+    inner = [e for e in closed if traj.alpha + 0.5 * traj.step < e.time < traj.end - 0.5 * traj.step]
+    opened = js.singular_events(traj, open_ends=True)
+    assert len(opened) == len(inner) == 1
+    assert all(a is b for a, b in zip(opened, inner))
+    # every call gets its own list; the shared kernels are read-only
+    closed.clear()
+    events = js.singular_events(traj)
+    assert len(events) == 3
+    for e in events:
+        assert not e.kernel.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            e.kernel[0, 0] = 1.0
 
 
 def test_node_index_alignment(trajs):
@@ -439,16 +562,10 @@ def test_candidate_scan_matches_node_loop():
 def test_singular_events_unchanged_under_loop_scan(trajs, monkeypatch, name):
     name, _, step = name.partition("@")
     traj = trajs(name, float(step) if step else None)
-
-    def events():
-        return [
-            [(e.time, e.sigma, e.node, e.kernel.tobytes()) for e in js.singular_events(traj, ends)]
-            for ends in (False, True)
-        ]
-
-    fast = events()
+    fast = _event_rows(traj)
     monkeypatch.setattr(jacobi, "_candidate_nodes", _loop_candidates)
-    assert events() == fast
+    # a fresh trajectory on the same arrays: the events and dets are not cached
+    assert _event_rows(js.JacobiTrajectory(traj.spec, traj.step, traj.times, traj.y, traj.yd)) == fast
 
 
 def test_default_resolvability_cap():

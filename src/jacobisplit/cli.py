@@ -12,9 +12,14 @@ Check verdicts are three-valued: ``verified``, ``hypothesis-violated`` and
 while a conclusion failed; it must never occur on the built-in scenarios
 and the test suite enforces that. Each check kind is one row of ``CHECKS``:
 the library function that forms its verdict and the params it requires.
+A run sets only the step and a seed. The detection and gate tolerances are
+module constants (``jacobi.TOL_SING``, ``jacobi.TOL_ZERO``,
+``splitting.TOL_EIG``, ``splitting.TOL_SPAN``), so no run can widen a gate
+until a violated hypothesis passes.
 
 Exit codes: 0 when every check's verdict matches its expectation, 1 when
-some check mismatches, 2 for input or numerical errors.
+some check mismatches, 2 for input or numerical errors and for a step too
+fine to fit in memory.
 """
 
 from __future__ import annotations
@@ -100,14 +105,13 @@ _ROWS = (_is_finite_rows, "a list of equally long rows of finite numbers")
 
 class CheckKind(NamedTuple):
     """One row of the check table. ``verdict`` is the library function
-    behind the check: (trajectory, params, run options) -> (verdict,
-    details), where the run options ``tol_zero``, ``tol_eig`` and ``seed``
-    are present only when given. ``params`` maps the keys it reads from its
-    params to their validators, ``(test, what a valid value is)``, and
-    ``required`` maps a check's params to the keys it cannot run without
-    (for a splitting check they depend on its mode)."""
+    behind the check: (trajectory, params, seed) -> (verdict, details),
+    where ``seed`` is the run's seed or None. ``params`` maps the keys it
+    reads from its params to their validators, ``(test, what a valid value
+    is)``, and ``required`` maps a check's params to the keys it cannot run
+    without (for a splitting check they depend on its mode)."""
 
-    verdict: Callable[[JacobiTrajectory, dict, dict], tuple[str, dict]]
+    verdict: Callable[[JacobiTrajectory, dict, int | None], tuple[str, dict]]
     params: dict[str, tuple[Callable[[object], bool], str]]
     required: Callable[[dict], tuple[str, ...]] = _needs()
     reduces: bool = False  # --traces exports the reduction its ``psi`` names
@@ -181,14 +185,7 @@ class CheckResult:
     details: dict
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": _jsonable(self.params),
-            "expectation": self.expectation,
-            "verdict": self.verdict,
-            "matched": self.matched,
-            "details": _jsonable(self.details),
-        }
+        return _jsonable(vars(self))
 
 
 @dataclass
@@ -521,8 +518,6 @@ def scenario_from_config(path: str | Path) -> Scenario:
 def run_scenario(
     scenario: Scenario | str,
     step: float | None = None,
-    tol_zero: float | None = None,
-    tol_eig: float | None = None,
     seed: int | None = None,
     _traces_dir: Path | None = None,
 ) -> RunReport:
@@ -535,11 +530,9 @@ def run_scenario(
     t0 = time.perf_counter()
     h = step if step is not None else scenario.step
     traj = integrate(scenario.family(), step=h)
-    opts = dict(tol_zero=tol_zero, tol_eig=tol_eig, seed=seed)
-    opts = {key: value for key, value in opts.items() if value is not None}
     results = []
     for spec in scenario.checks:
-        verdict, details = CHECKS[spec.kind].verdict(traj, spec.params, opts)
+        verdict, details = CHECKS[spec.kind].verdict(traj, spec.params, seed)
         results.append(
             CheckResult(
                 kind=spec.kind,
@@ -614,8 +607,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("name", nargs="?", help="built-in scenario name")
     run.add_argument("--config", help="JSON scenario config file (instead of a name)")
     run.add_argument("--step", type=float, help="integration step override")
-    run.add_argument("--tol-zero", type=float, help="zero-detection tolerance override")
-    run.add_argument("--tol-eig", type=float, help="boundary eigenvalue tolerance override")
     run.add_argument("--seed", type=int, help="seed for sampled curvature cross-checks")
     run.add_argument("--traces", action="store_true", help="also write per-node CSV traces")
     run.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
@@ -633,20 +624,24 @@ def _cmd_run(args) -> int:
     if bool(args.name) == bool(args.config):
         print("error: give exactly one of a scenario name or --config", file=sys.stderr)
         return 2
+    if args.seed is not None and args.seed < 0:
+        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
+        return 2
     try:
         scenario = (
             scenario_from_config(args.config) if args.config else get_scenario(args.name)
         )
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        report = run_scenario(
-            scenario,
-            step=args.step,
-            tol_zero=args.tol_zero,
-            tol_eig=args.tol_eig,
-            seed=args.seed,
-            _traces_dir=out if args.traces else None,
-        )
+        step = scenario.step if args.step is None else args.step
+        try:
+            report = run_scenario(
+                scenario, step=step, seed=args.seed, _traces_dir=out if args.traces else None
+            )
+        except MemoryError:
+            nodes = max(1, round((scenario.end - scenario.alpha) / step)) + 1
+            msg = f"out of memory at step {step:g} ({nodes} nodes); give a larger --step"
+            raise ValueError(msg) from None
         if args.format == "json":
             report_path = out / f"{scenario.name}-report.json"
             report_path.write_text(report.to_json())

@@ -31,14 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import (
-    DEFAULT_TOL_ZERO,
-    JacobiTrajectory,
-    riccati_series,
-    singular_events,
-    write_table,
-)
-from .splitting import DEFAULT_TOL_EIG, boundary_eigenvalue_gate, self_adjoint_gate
+from .jacobi import JacobiTrajectory, riccati_series, singular_events, write_table
+from .splitting import boundary_eigenvalue_gate, self_adjoint_gate
 
 __all__ = [
     "ScalarTrace",
@@ -247,12 +241,7 @@ class RigidityReport:
     window: tuple[float, float]
 
 
-def rigidity_check(
-    traj: JacobiTrajectory,
-    alpha: float | None = None,
-    tol_eig: float = DEFAULT_TOL_EIG,
-    tol_zero: float = DEFAULT_TOL_ZERO,
-) -> RigidityReport:
+def rigidity_check(traj: JacobiTrajectory, alpha: float | None = None) -> RigidityReport:
     """Mechanical check of the scalar rigidity statement.
 
     Gates: self-adjointness; trace curvature floor tr R >= n - 1;
@@ -282,7 +271,7 @@ def rigidity_check(
     if not floor_ok:
         reasons.append(f"trace curvature floor fails (min {tr_min:.6g} < {m})")
 
-    events = singular_events(traj, open_ends=True, tol_zero=tol_zero)
+    events = singular_events(traj, open_ends=True)
     reg_ok = not events
     gates["regularity"] = {
         "name": "regularity",
@@ -292,9 +281,7 @@ def rigidity_check(
     if not reg_ok:
         reasons.append(f"interior regularity fails (singular near t={events[0].time:.6g})")
 
-    gates["boundary_eig"] = boundary_eigenvalue_gate(
-        traj, traj.alpha if alpha is None else alpha, tol_eig
-    )
+    gates["boundary_eig"] = boundary_eigenvalue_gate(traj, traj.alpha if alpha is None else alpha)
     if not gates["boundary_eig"]["passed"]:
         note = gates["boundary_eig"].get("note") or "eigenvalue bound exceeded"
         gates_val = gates["boundary_eig"].get("value")
@@ -337,15 +324,10 @@ def rigidity_check(
     )
 
 
-def rigidity_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -> tuple[str, dict]:
+def rigidity_verdict(traj: JacobiTrajectory, params: dict, seed: int | None) -> tuple[str, dict]:
     """The ``rigidity`` check of a scenario: ``rigidity_check`` with the
-    boundary time ``params.get("alpha")`` and the run's tolerance overrides."""
-    report = rigidity_check(
-        traj,
-        alpha=params.get("alpha"),
-        tol_eig=opts.get("tol_eig", DEFAULT_TOL_EIG),
-        tol_zero=opts.get("tol_zero", DEFAULT_TOL_ZERO),
-    )
+    boundary time ``params.get("alpha")``."""
+    report = rigidity_check(traj, alpha=params.get("alpha"))
     return report.verdict, dict(vars(report))
 
 

@@ -82,7 +82,7 @@ DEFAULT_STEP = 1e-3
 # Y(t) is singular where its smallest singular value is at most TOL_SING
 # times the grid-wide scale: the one regularity rule (JacobiTrajectory.regular)
 TOL_SING = 1e-8
-DEFAULT_TOL_ZERO = 1e-7
+TOL_ZERO = 1e-7  # a vanishing instant: sigma_min at most TOL_ZERO times the scale
 # singular values come from the Gram matrix Y^T Y except at nodes where
 # sigma_min is below _GRAM_CUT times the scale, which get an exact SVD
 _GRAM_CUT = 1e-3
@@ -157,8 +157,8 @@ class JacobiTrajectory:
     """Integrated family: node times plus (Y, Yd) matrices per node.
 
     ``derived`` keeps analyses that several checks of one run share, keyed
-    by their inputs: the refined singular events (``("events", tol_zero)``,
-    see ``singular_events``) and the reductions of
+    by their inputs: the refined singular events (``"events"``, see
+    ``singular_events``) and the reductions of
     ``reduction.shared_reduction``. Each is computed once and dropped
     together with the trajectory.
     """
@@ -524,10 +524,10 @@ def _parabola_vertex(ts, vals) -> float | None:
     return 0.5 * (t0 + t1 - d1 / curv)
 
 
-def _kernel_at(traj: JacobiTrajectory, t: float, tol_zero: float) -> tuple[float, np.ndarray]:
+def _kernel_at(traj: JacobiTrajectory, t: float) -> tuple[float, np.ndarray]:
     yt = traj.interpolate(t)
     _, svals, vh = np.linalg.svd(yt)
-    cut = tol_zero * traj.scale
+    cut = TOL_ZERO * traj.scale
     cols = lead_nonnegative(vh[svals <= cut].T)
     return float(svals[-1]), cols
 
@@ -542,11 +542,7 @@ def _candidate_nodes(s: np.ndarray, zero_cut: float, coarse_cut: float) -> np.nd
     return np.flatnonzero((s <= zero_cut) | ((s <= coarse_cut) & local_min))
 
 
-def singular_events(
-    traj: JacobiTrajectory,
-    open_ends: bool = False,
-    tol_zero: float = DEFAULT_TOL_ZERO,
-) -> list[ZeroEvent]:
+def singular_events(traj: JacobiTrajectory, open_ends: bool = False) -> list[ZeroEvent]:
     """Locate and refine all instants of the window where Y drops rank.
 
     Candidate nodes are local minima of sigma_min at or below
@@ -554,29 +550,28 @@ def singular_events(
     threshold). Each candidate is refined: by det-sign bisection when the
     determinant changes sign across the bracket, else by repeated parabola
     fits on sigma_min^2 over shrinking stencils. A refined candidate
-    qualifies as an event when its sigma_min is at most ``tol_zero`` times
+    qualifies as an event when its sigma_min is at most ``TOL_ZERO`` times
     the grid-wide scale. The refined list of the closed window is kept in
-    ``traj.derived`` per ``tol_zero``, so each trajectory is scanned once;
-    with ``open_ends`` set, events within half a step of the window ends
-    are dropped from it. The events' kernels are read-only.
+    ``traj.derived``, so each trajectory is scanned once; with
+    ``open_ends`` set, events within half a step of the window ends are
+    dropped from it. The events' kernels are read-only.
     """
-    key = ("events", tol_zero)
-    if key not in traj.derived:
-        traj.derived[key] = _refined_events(traj, tol_zero)
-    events = traj.derived[key]
+    if "events" not in traj.derived:
+        traj.derived["events"] = _refined_events(traj)
+    events = traj.derived["events"]
     if open_ends:
         lo, hi, h = traj.alpha, traj.end, traj.step
         return [e for e in events if lo + 0.5 * h < e.time < hi - 0.5 * h]
     return list(events)
 
 
-def _refined_events(traj: JacobiTrajectory, tol_zero: float) -> tuple[ZeroEvent, ...]:
+def _refined_events(traj: JacobiTrajectory) -> tuple[ZeroEvent, ...]:
     """The refined, merged events of the closed window (``singular_events``)."""
     lo, hi = traj.alpha, traj.end
     last = traj.n_nodes - 1
     sig = traj.sigma_min
     scale = traj.scale
-    zero_cut = tol_zero * scale
+    zero_cut = TOL_ZERO * scale
     coarse_cut = _COARSE_CUT * scale
     h = traj.step
 
@@ -617,7 +612,7 @@ def _refined_events(traj: JacobiTrajectory, tol_zero: float) -> tuple[ZeroEvent,
             t_star = min(max(t_star, lo), hi)
             s_star, cols = None, None
         if s_star is None:
-            s_star, cols = _kernel_at(traj, t_star, tol_zero)
+            s_star, cols = _kernel_at(traj, t_star)
         if s_star > zero_cut or cols.shape[1] == 0:
             continue
         events.append(ZeroEvent(time=float(t_star), sigma=s_star, kernel=cols, node=int(j)))

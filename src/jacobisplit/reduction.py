@@ -43,7 +43,7 @@ from .jacobi import (
     riccati,
     write_table,
 )
-from .splitting import DEFAULT_TOL_EIG, self_adjoint_gate
+from .splitting import TOL_EIG, self_adjoint_gate
 from .symlin import orthonormal_columns, spectrum
 
 __all__ = [
@@ -189,13 +189,12 @@ def recovered_curvature_deviation(rs: ReducedSystem, level: float) -> float:
     return float(np.max(dev, initial=0.0))
 
 
-def reduced_boundary_check(
-    rs: ReducedSystem, alpha: float, tol_eig: float = DEFAULT_TOL_EIG
-) -> dict:
+def reduced_boundary_check(rs: ReducedSystem, alpha: float) -> dict:
     """Eigenvalue-domination check at a boundary time: the largest
     eigenvalue of the reduced operator must not exceed the largest
-    eigenvalue of the full operator (both symmetrized). The node must be
-    regular for the reduction, and the full operator must exist there."""
+    eigenvalue of the full operator (both symmetrized) by more than
+    ``splitting.TOL_EIG``. The node must be regular for the reduction, and
+    the full operator must exist there."""
     traj = rs.traj
     j = traj.node_index(alpha)
     if not rs.regular[j]:
@@ -213,8 +212,8 @@ def reduced_boundary_check(
         "alpha": float(traj.times[j]),
         "shat_max": shat_max,
         "s_max": s_max,
-        "margin": s_max + tol_eig - shat_max,
-        "passed": bool(shat_max <= s_max + tol_eig),
+        "margin": s_max + TOL_EIG - shat_max,
+        "passed": bool(shat_max <= s_max + TOL_EIG),
     }
 
 
@@ -243,7 +242,7 @@ def shared_reduction(traj: JacobiTrajectory, params: dict) -> ReducedSystem:
     return traj.derived[key]
 
 
-def hce_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -> tuple[str, dict]:
+def hce_verdict(traj: JacobiTrajectory, params: dict, seed: int | None) -> tuple[str, dict]:
     """The ``hce`` check: under self-adjointness, the horizontal Riccati
     equation with the 3 A A^* term holds within ``params["tol"]`` (default
     1e-3) and, when ``params["level"]`` is given, the recovered horizontal
@@ -270,7 +269,9 @@ def hce_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -> tuple[str, 
     return ("verified" if ok else "falsified"), details
 
 
-def reduced_boundary_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -> tuple[str, dict]:
+def reduced_boundary_verdict(
+    traj: JacobiTrajectory, params: dict, seed: int | None
+) -> tuple[str, dict]:
     """The ``reduced-boundary`` check: under self-adjointness, the reduced
     operator's top eigenvalue at ``params["alpha"]`` is dominated by the
     full operator's (``reduced_boundary_check``)."""
@@ -279,8 +280,7 @@ def reduced_boundary_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -
     if not gate["passed"]:
         return "hypothesis-violated", details
     rs = shared_reduction(traj, params)
-    tol_eig = opts.get("tol_eig", DEFAULT_TOL_EIG)
-    rep = reduced_boundary_check(rs, params["alpha"], tol_eig=tol_eig)
+    rep = reduced_boundary_check(rs, params["alpha"])
     details.update(rep)
     return ("verified" if rep["passed"] else "falsified"), details
 

@@ -31,7 +31,6 @@ import numpy as np
 from .curvature import ric_k_floor, ric_k_floor_sampled, ric_k_traces
 from .jacobi import (
     _CHUNK,
-    DEFAULT_TOL_ZERO,
     TOL_SING,
     JacobiTrajectory,
     ZeroEvent,
@@ -58,9 +57,9 @@ __all__ = [
 MODES = ("A", "B", "C", "E")
 # the params each mode needs besides ``theorem``
 MODE_PARAMS = {"A": (), "B": ("alpha",), "C": ("k",), "E": ("k", "alpha")}
-DEFAULT_TOL_SPAN = 1e-6
+TOL_SPAN = 1e-6  # largest node residual of a span member, relative to the family scale
 TOL_ORTH = 1e-6  # largest normalized inner product between Z- and P-members
-DEFAULT_TOL_EIG = 1e-6
+TOL_EIG = 1e-6  # slack of the boundary eigenvalue bound cot(alpha)
 _FLOOR_SLACK = 1e-9
 
 
@@ -85,9 +84,7 @@ def self_adjoint_gate(traj: JacobiTrajectory) -> dict:
     }
 
 
-def boundary_eigenvalue_gate(
-    traj: JacobiTrajectory, alpha: float, tol_eig: float = DEFAULT_TOL_EIG
-) -> dict:
+def boundary_eigenvalue_gate(traj: JacobiTrajectory, alpha: float) -> dict:
     """Boundary hypothesis: the largest eigenvalue of the (symmetrized)
     Riccati operator at the window start must not exceed cot(alpha).
 
@@ -109,7 +106,7 @@ def boundary_eigenvalue_gate(
     if alpha <= 1e-12:
         out.update(passed=True, bound=math.inf, margin=math.inf, note="cot(0+) bound is +inf")
         return out
-    bound = math.cos(alpha) / math.sin(alpha) + tol_eig
+    bound = math.cos(alpha) / math.sin(alpha) + TOL_EIG
     out["bound"] = bound
     j = traj.node_index(alpha)
     yj, ydj = traj.y[j], traj.yd[j]
@@ -145,12 +142,12 @@ class SpanResult:
     rejected_residual: float | None
 
 
-def _span_from_test(test_mats: np.ndarray, scale: float, tol: float) -> SpanResult:
+def _span_from_test(test_mats: np.ndarray, scale: float) -> SpanResult:
     """Near-null space of a time-indexed family of test matrices.
 
     Candidates are eigenvectors of the time-averaged Gram operator of the
     test, taken in ascending eigenvalue order; a candidate joins the span
-    while its worst node residual stays below ``tol`` times the family
+    while its worst node residual stays below ``TOL_SPAN`` times the family
     scale. The max-node qualification (rather than the averaged Gram value
     alone) keeps locally-supported failures from slipping through.
     """
@@ -164,7 +161,7 @@ def _span_from_test(test_mats: np.ndarray, scale: float, tol: float) -> SpanResu
     for i in range(d):
         v = vecs[:, i]
         res = float(np.max(np.linalg.norm(test_mats @ v, axis=1))) / scale
-        if res <= tol:
+        if res <= TOL_SPAN:
             accepted.append(v)
             residuals.append(res)
         else:
@@ -174,13 +171,13 @@ def _span_from_test(test_mats: np.ndarray, scale: float, tol: float) -> SpanResu
     return SpanResult(basis=basis, residuals=np.asarray(residuals), rejected_residual=rejected)
 
 
-def parallel_span(traj: JacobiTrajectory, tol: float = DEFAULT_TOL_SPAN) -> SpanResult:
+def parallel_span(traj: JacobiTrajectory) -> SpanResult:
     """Coefficient vectors whose member fields are parallel: Yd(t) c = 0 at
     every node."""
-    return _span_from_test(traj.yd, traj.stacked_scale, tol)
+    return _span_from_test(traj.yd, traj.stacked_scale)
 
 
-def sine_span(traj: JacobiTrajectory, tol: float = DEFAULT_TOL_SPAN) -> SpanResult:
+def sine_span(traj: JacobiTrajectory) -> SpanResult:
     """Coefficient vectors whose member fields have the form sin(t) E(t)
     with E parallel; equivalently (sin(t) Yd(t) - cos(t) Y(t)) c = 0 at
     every node."""
@@ -189,15 +186,13 @@ def sine_span(traj: JacobiTrajectory, tol: float = DEFAULT_TOL_SPAN) -> SpanResu
     test = st * traj.yd
     for lo in range(0, len(test), _CHUNK):  # subtract cos(t) Y without a full-size temporary
         test[lo : lo + _CHUNK] -= ct[lo : lo + _CHUNK] * traj.y[lo : lo + _CHUNK]
-    return _span_from_test(test, traj.stacked_scale, tol)
+    return _span_from_test(test, traj.stacked_scale)
 
 
-def vanishing_span(
-    traj: JacobiTrajectory, open_ends: bool = False, tol_zero: float = DEFAULT_TOL_ZERO
-) -> np.ndarray:
+def vanishing_span(traj: JacobiTrajectory, open_ends: bool = False) -> np.ndarray:
     """Orthonormal basis (columns) of the span of member fields vanishing
     at some instant of the window."""
-    events = singular_events(traj, open_ends=open_ends, tol_zero=tol_zero)
+    events = singular_events(traj, open_ends=open_ends)
     if not events:
         return np.zeros((traj.dim, 0))
     return orthonormal_columns(np.hstack([e.kernel for e in events]))
@@ -257,9 +252,6 @@ def check_splitting(
     theorem: str,
     k: int | None = None,
     alpha: float | None = None,
-    tol_zero: float = DEFAULT_TOL_ZERO,
-    tol_eig: float = DEFAULT_TOL_EIG,
-    tol_span: float = DEFAULT_TOL_SPAN,
 ) -> SplittingReport:
     """Run the hypothesis gates and splitting conclusion for one mode.
 
@@ -282,7 +274,7 @@ def check_splitting(
     flags["self_adjoint"] = self_adjoint_gate(traj)
 
     if needs_alpha:
-        flags["boundary_eig"] = boundary_eigenvalue_gate(traj, alpha, tol_eig)
+        flags["boundary_eig"] = boundary_eigenvalue_gate(traj, alpha)
     else:
         flags["boundary_eig"] = {"name": "boundary_eig", "applicable": False, "passed": True}
 
@@ -302,15 +294,10 @@ def check_splitting(
 
     open_ends = theorem in ("B", "E")
     window = (traj.alpha, traj.end)
-    events = singular_events(traj, open_ends=open_ends, tol_zero=tol_zero)
-    z_basis = (
-        orthonormal_columns(np.hstack([e.kernel for e in events]))
-        if events
-        else np.zeros((d, 0))
-    )
-    zero_times = _zero_time_map(events, z_basis)
+    z_basis = vanishing_span(traj, open_ends)
+    zero_times = _zero_time_map(singular_events(traj, open_ends=open_ends), z_basis)
 
-    span = parallel_span(traj, tol_span) if theorem in ("A", "C") else sine_span(traj, tol_span)
+    span = parallel_span(traj) if theorem in ("A", "C") else sine_span(traj)
     p_basis = span.basis
     residual_span = float(np.max(span.residuals)) if span.residuals.size else 0.0
 
@@ -372,14 +359,14 @@ def check_splitting(
     )
 
 
-def _floor_cross_check(traj: JacobiTrajectory, k: int, opts: dict, details: dict) -> None:
-    """With a ``seed`` among the run options, add a Monte Carlo estimate of
-    the Ric_k floor to ``details``, sampled at the grid time where the exact
-    floor is reached, so it bounds that floor from above."""
-    if "seed" in opts:
+def _floor_cross_check(traj: JacobiTrajectory, k: int, seed: int | None, details: dict) -> None:
+    """With a run ``seed``, add a Monte Carlo estimate of the Ric_k floor to
+    ``details``, sampled at the grid time where the exact floor is reached,
+    so it bounds that floor from above."""
+    if seed is not None:
         fld = traj.spec.field
         t_floor = traj.times[int(np.argmin(ric_k_traces(fld, traj.times, k)))]
-        details["floor_sampled"] = ric_k_floor_sampled(fld, t_floor, k, seed=opts["seed"])
+        details["floor_sampled"] = ric_k_floor_sampled(fld, t_floor, k, seed=seed)
 
 
 def splitting_params(params: dict) -> tuple[str, ...]:
@@ -388,24 +375,18 @@ def splitting_params(params: dict) -> tuple[str, ...]:
     return ("theorem",) + MODE_PARAMS.get(params.get("theorem"), ())
 
 
-def splitting_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -> tuple[str, dict]:
+def splitting_verdict(traj: JacobiTrajectory, params: dict, seed: int | None) -> tuple[str, dict]:
     """The ``splitting`` check of a scenario: ``check_splitting`` in the mode
-    ``params["theorem"]``. ``opts`` holds the run's overrides (``tol_zero``,
-    ``tol_eig``, ``seed``), each present only when given."""
-    report = check_splitting(
-        traj,
-        params["theorem"],
-        k=params.get("k"),
-        alpha=params.get("alpha"),
-        tol_zero=opts.get("tol_zero", DEFAULT_TOL_ZERO),
-        tol_eig=opts.get("tol_eig", DEFAULT_TOL_EIG),
-    )
+    ``params["theorem"]``, plus the sampled floor when ``seed`` is given."""
+    report = check_splitting(traj, params["theorem"], k=params.get("k"), alpha=params.get("alpha"))
     details = dict(vars(report))
-    _floor_cross_check(traj, report.hypothesis_flags["ric_k_floor"]["k"], opts, details)
+    _floor_cross_check(traj, report.hypothesis_flags["ric_k_floor"]["k"], seed, details)
     return report.verdict, details
 
 
-def vanishing_floor_verdict(traj: JacobiTrajectory, params: dict, opts: dict) -> tuple[str, dict]:
+def vanishing_floor_verdict(
+    traj: JacobiTrajectory, params: dict, seed: int | None
+) -> tuple[str, dict]:
     """The ``vanishing-floor`` check: under self-adjointness and a positive
     Ric_k floor over the window (``k = params["k"]``), at least ``n - k``
     independent members vanish somewhere in the closed window."""
@@ -413,10 +394,10 @@ def vanishing_floor_verdict(traj: JacobiTrajectory, params: dict, opts: dict) ->
     gate = self_adjoint_gate(traj)
     floor = ric_k_floor(traj.spec.field, traj.times, k)
     details = {"self_adjoint": gate, "floor": floor}
-    _floor_cross_check(traj, k, opts, details)
+    _floor_cross_check(traj, k, seed, details)
     if not gate["passed"] or floor <= 0.0:
         return "hypothesis-violated", details
-    basis = vanishing_span(traj, open_ends=False, tol_zero=opts.get("tol_zero", DEFAULT_TOL_ZERO))
+    basis = vanishing_span(traj)
     need = traj.spec.field.n - k
     details.update(dim_z_closed=basis.shape[1], required=need)
     return ("verified" if basis.shape[1] >= need else "falsified"), details

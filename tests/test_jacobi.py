@@ -434,17 +434,17 @@ def test_singular_events_unchanged_under_full_grid_dets(trajs, name):
 
 
 def test_singular_events_refined_once_per_trajectory(monkeypatch):
-    tols = []
+    scanned = []
     refine = jacobi._refined_events
 
-    def counting(traj, tol_zero):
-        tols.append(tol_zero)
-        return refine(traj, tol_zero)
+    def counting(traj):
+        scanned.append(traj)
+        return refine(traj)
 
     monkeypatch.setattr(jacobi, "_refined_events", counting)
     report = js.run_scenario("cp2-zero")
     assert len(report.checks) == 3  # modes B and E and rigidity all read the events
-    assert tols == [jacobi.DEFAULT_TOL_ZERO]
+    assert len(scanned) == 1
 
 
 def test_singular_events_open_window_filters_the_cached_list(trajs):

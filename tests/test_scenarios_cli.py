@@ -1,5 +1,6 @@
 """Tests for the scenario registry, the run pipeline, and the command line."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -66,6 +67,20 @@ def test_no_check_is_ever_falsified(builtin_runs):
 def test_coarse_step_is_never_falsified():
     report = js.run_scenario("sphere-zero", step=0.1)
     assert [c.verdict for c in report.checks if c.verdict == "falsified"] == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: on hopf-holonomy an hce check with tol 1e-7 reads "
+    "'falsified' (residual about 1.7e-6 over 276 nodes); tol sets both the "
+    "resolvability cap and the bound, and the cap does not keep the central "
+    "difference's truncation error under a tol that small at step 1e-3",
+)
+def test_fine_hce_tol_is_never_falsified():
+    hopf = js.get_scenario("hopf-holonomy")
+    params = {"psi": [[1.0, 0.0]], "tol": 1e-7, "level": 4.0}
+    scenario = dataclasses.replace(hopf, checks=(js.CheckSpec("hce", params, "verified"),))
+    assert js.run_scenario(scenario).checks[0].verdict != "falsified"
 
 
 def test_randomized_splitting_dims(builtin_runs):
@@ -220,7 +235,7 @@ def test_cli_exit_one_on_mismatch(tmp_path, capsys):
     assert rep["all_matched"] is False
 
 
-def test_cli_exit_two_on_bad_input(tmp_path, capsys):
+def test_cli_exit_two_on_bad_input(tmp_path, capsys, monkeypatch):
     assert js.main(["run", "no-such-scenario", "--out", str(tmp_path)]) == 2
     assert "unknown scenario" in capsys.readouterr().err
 
@@ -232,6 +247,33 @@ def test_cli_exit_two_on_bad_input(tmp_path, capsys):
 
     assert js.main(["run"]) == 2
     assert "exactly one" in capsys.readouterr().err
+
+    # a negative seed is refused before anything is integrated
+    monkeypatch.setattr(js.cli, "integrate", _no_integration)
+    assert js.main(["run", "sphere-zero", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+def _no_integration(*args, **kwargs):
+    raise AssertionError("integrated a scenario from invalid input")
+
+
+def test_cli_has_no_tolerance_overrides(tmp_path, capsys):
+    for flag, value in (("--tol-eig", "0.5"), ("--tol-zero", "1e-3")):
+        with pytest.raises(SystemExit) as info:
+            js.main(["run", "sphere-zero", flag, value, "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_cli_exit_two_when_the_grid_does_not_fit_in_memory(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(js.cli, "integrate", out_of_memory)
+    assert js.main(["run", "sphere-zero", "--step", "1e-12", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: out of memory at step 1e-12 (3141592653591 nodes)" in err
 
 
 def _example_with(tmp_path, edit) -> str:
@@ -353,10 +395,7 @@ def test_check_param_values_are_validated_before_integration(tmp_path, capsys, m
     for params in ({"psi": [1.0, 0.0], "level": 4}, {"psi": []}, {"psi": [[1, 0], [0, 1]]}):
         js.CheckSpec("hce", params, "verified")
 
-    def no_integration(*args, **kwargs):
-        raise AssertionError("integrated a scenario with an invalid check param")
-
-    monkeypatch.setattr(js.cli, "integrate", no_integration)
+    monkeypatch.setattr(js.cli, "integrate", _no_integration)
     for key, value, message in (
         ("alpha", "x", "check 'splitting' param 'alpha' must be a finite number, got 'x'"),
         ("theorem", "Z", "check 'splitting' param 'theorem' must be one of A, B, C, E, got 'Z'"),

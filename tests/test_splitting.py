@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import jacobisplit as js
-from jacobisplit import cli
+from jacobisplit import cli, splitting
 from jacobisplit.splitting import splitting_verdict
 
 
@@ -199,16 +199,17 @@ def test_splitting_shifted_sine_gates_out(trajs):
     assert (rep.dim_z, rep.dim_p) == (0, 0)
 
 
-def test_verdict_falsified_when_conclusion_layer_inconsistent(trajs):
+def test_verdict_falsified_when_conclusion_layer_inconsistent(trajs, monkeypatch):
     # with a nonsense span tolerance every candidate is accepted, making
     # dim_z + dim_p exceed the family dimension while all gates still pass
-    rep = js.check_splitting(trajs("sphere-zero"), "A", tol_span=1e9)
+    monkeypatch.setattr(splitting, "TOL_SPAN", 1e9)
+    rep = js.check_splitting(trajs("sphere-zero"), "A")
     assert rep.verdict == "falsified"
     assert rep.completeness["dims_sum"] > rep.completeness["expected"]
 
 
 def test_splitting_report_dict_is_jsonable(trajs):
-    _, details = splitting_verdict(trajs("product-s2xr2"), {"theorem": "A"}, {})
+    _, details = splitting_verdict(trajs("product-s2xr2"), {"theorem": "A"}, None)
     blob = json.dumps(cli._jsonable(details), sort_keys=True)
     assert '"verdict": "verified"' in blob
 

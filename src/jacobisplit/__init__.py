@@ -76,7 +76,6 @@ from .splitting import (
     self_adjoint_gate,
     sine_span,
     vanishing_span,
-    wronskian_defect,
 )
 from .symlin import orthonormal_columns, spectrum
 
@@ -114,7 +113,6 @@ __all__ = [
     # splitting
     "SpanResult",
     "SplittingReport",
-    "wronskian_defect",
     "self_adjoint_gate",
     "boundary_eigenvalue_gate",
     "vanishing_span",

@@ -152,6 +152,15 @@ class CheckSpec:
                 raise ValueError(f"check {self.kind!r} is missing required param {key!r}")
 
 
+# check params that must fit the scenario they run on: (test of the value
+# against the field's family dimension d and the window [lo, hi], what fits)
+_FITS = {
+    "k": (lambda v, d, lo, hi: 1 <= v <= d, "a level in 1..{d}"),
+    "psi": (lambda v, d, lo, hi: not v or np.shape(v)[-1] == d, "rows of length {d}"),
+    "alpha": (lambda v, d, lo, hi: lo <= v <= hi, "in the window [{lo:g}, {hi:g}]"),
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -163,6 +172,19 @@ class Scenario:
     yd0: np.ndarray
     checks: tuple[CheckSpec, ...]
     step: float = DEFAULT_STEP
+
+    def __post_init__(self):
+        """Reject a check param that contradicts the field or the window,
+        so it fails before anything is integrated."""
+        d = self.fld.dim
+        for spec in self.checks:
+            for key, value in spec.params.items():
+                if key in _FITS and not _FITS[key][0](value, d, self.alpha, self.end):
+                    what = _FITS[key][1].format(d=d, lo=self.alpha, hi=self.end)
+                    raise ValueError(
+                        f"check {spec.kind!r} param {key!r} must be {what} "
+                        f"for this scenario, got {value!r}"
+                    )
 
     def family(self) -> FamilySpec:
         return FamilySpec(
@@ -582,15 +604,6 @@ def _write_traces(report_traj: JacobiTrajectory, scenario: Scenario, out: Path) 
     return written
 
 
-def _report_csv(report: RunReport) -> str:
-    lines = ["scenario,check_index,kind,expectation,verdict,matched"]
-    for i, c in enumerate(report.checks):
-        lines.append(
-            f"{report.scenario},{i},{c.kind},{c.expectation},{c.verdict},{int(c.matched)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -609,7 +622,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--step", type=float, help="integration step override")
     run.add_argument("--seed", type=int, help="seed for sampled curvature cross-checks")
     run.add_argument("--traces", action="store_true", help="also write per-node CSV traces")
-    run.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
     run.add_argument("--out", default=".", help="output directory for reports and traces")
     return parser
 
@@ -642,12 +654,8 @@ def _cmd_run(args) -> int:
             nodes = max(1, round((scenario.end - scenario.alpha) / step)) + 1
             msg = f"out of memory at step {step:g} ({nodes} nodes); give a larger --step"
             raise ValueError(msg) from None
-        if args.format == "json":
-            report_path = out / f"{scenario.name}-report.json"
-            report_path.write_text(report.to_json())
-        else:
-            report_path = out / f"{scenario.name}-report.csv"
-            report_path.write_text(_report_csv(report))
+        report_path = out / f"{scenario.name}-report.json"
+        report_path.write_text(report.to_json())
     except (ValueError, KeyError, OSError, np.linalg.LinAlgError, json.JSONDecodeError) as exc:
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import JacobiTrajectory, riccati_series, singular_events, write_table
-from .splitting import boundary_eigenvalue_gate, self_adjoint_gate
+from .jacobi import JacobiTrajectory, nearest_node, riccati_series, singular_events, write_table
+from .splitting import _FLOOR_SLACK, boundary_eigenvalue_gate, self_adjoint_gate
 
 __all__ = [
     "ScalarTrace",
@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 TOL_R = 1e-6  # slack of the comparison hypothesis r >= 1
+TOL_F = 1e-6  # slack of the comparison conclusions s >= f and s <= f
 TOL_ROUND = 1e-4  # largest S and R deviation from the round model, operator norm
 
 
@@ -62,9 +63,7 @@ class ScalarTrace:
     s: np.ndarray
     r: np.ndarray
     s0sq: np.ndarray
-    n: int
     step: float
-    label: str
 
 
 def scalar_traces(traj: JacobiTrajectory) -> ScalarTrace:
@@ -93,9 +92,7 @@ def scalar_traces(traj: JacobiTrajectory) -> ScalarTrace:
         s=s,
         r=r,
         s0sq=s0sq,
-        n=fld.n,
         step=traj.step,
-        label=traj.spec.label,
     )
 
 
@@ -127,12 +124,6 @@ class ModelSolution:
         u = np.asarray(t, dtype=float) - self.shift
         with np.errstate(divide="ignore"):
             out = np.cos(u) / np.sin(u)
-        return float(out) if np.isscalar(t) else out
-
-    def derivative(self, t):
-        u = np.asarray(t, dtype=float) - self.shift
-        with np.errstate(divide="ignore"):
-            out = -1.0 / np.sin(u) ** 2
         return float(out) if np.isscalar(t) else out
 
 
@@ -180,24 +171,19 @@ def _regular_stretch(mask: np.ndarray, j0: int) -> tuple[int, int]:
     return lo, hi
 
 
-def comparison_check(
-    trace: ScalarTrace,
-    t0: float,
-    tol: float = 1e-6,
-) -> ComparisonReport:
+def comparison_check(trace: ScalarTrace, t0: float) -> ComparisonReport:
     """Compare the scalar trace against the unit model anchored at t0.
 
-    The anchor must be a regular node. The inequalities are checked on the
-    maximal regular stretch containing the anchor, intersected with the
-    open branch domain of the model: s >= f - tol strictly left of the
-    anchor, s <= f + tol strictly right of it. The curvature hypothesis
-    r >= 1 - TOL_R is evaluated over all regular nodes and reported; the
-    inequality checks run either way so a hypothesis failure can be seen
-    alongside its consequences.
+    The anchor is the node nearest t0 (``jacobi.nearest_node``) and must be
+    regular. The inequalities are checked on the maximal regular stretch
+    containing the anchor, intersected with the open branch domain of the
+    model: s >= f - TOL_F strictly left of the anchor, s <= f + TOL_F
+    strictly right of it. The curvature hypothesis r >= 1 - TOL_R is
+    evaluated over all regular nodes and reported; the inequality checks
+    run either way so a hypothesis failure can be seen alongside its
+    consequences.
     """
-    j0 = int(np.argmin(np.abs(trace.times - t0)))
-    if abs(trace.times[j0] - t0) > trace.step / 2 + 1e-12:
-        raise ValueError(f"anchor {t0} does not lie on the node grid")
+    j0 = nearest_node(trace.times, trace.step, t0)
     if not trace.regular[j0]:
         raise ValueError(f"anchor node t={trace.times[j0]} is singular")
     s0 = float(trace.s[j0])
@@ -220,8 +206,8 @@ def comparison_check(
         s0=s0,
         hypothesis_ok=hypothesis_ok,
         r_min=r_min,
-        left_ok=bool(left_viol <= tol),
-        right_ok=bool(right_viol <= tol),
+        left_ok=bool(left_viol <= TOL_F),
+        right_ok=bool(right_viol <= TOL_F),
         max_violation=max(left_viol, right_viol),
         n_left=int(left.sum()),
         n_right=int(right.sum()),
@@ -261,7 +247,7 @@ def rigidity_check(traj: JacobiTrajectory, alpha: float | None = None) -> Rigidi
         reasons.append(f"self-adjointness fails (defect {gates['self_adjoint']['defect']:.3g})")
 
     tr_min = float(np.min(np.trace(fld.matrices(traj.times), axis1=1, axis2=2)))
-    floor_ok = tr_min >= m - 1e-9
+    floor_ok = tr_min >= m - _FLOOR_SLACK
     gates["trace_floor"] = {
         "name": "trace_floor",
         "passed": bool(floor_ok),
@@ -292,10 +278,7 @@ def rigidity_check(traj: JacobiTrajectory, alpha: float | None = None) -> Rigidi
     max_r_dev: float | None = None
     if not reasons:
         mask, s_ops = riccati_series(traj)
-        interior = (traj.times > traj.alpha + traj.step / 2) & (
-            traj.times < traj.end - traj.step / 2
-        )
-        idx = np.nonzero(mask & interior)[0]
+        idx = np.nonzero(mask & traj.in_open_window(traj.times))[0]
         eye = np.eye(m)
         ts = traj.times[idx]
         sym = (s_ops[idx] + np.transpose(s_ops[idx], (0, 2, 1))) / 2.0
@@ -331,13 +314,8 @@ def rigidity_verdict(traj: JacobiTrajectory, params: dict, seed: int | None) -> 
     return report.verdict, dict(vars(report))
 
 
-def export_scalar_csv(trace: ScalarTrace, path: str, model: ModelSolution | None = None) -> None:
-    """Write the scalar trace (and optionally the anchored model values)
-    as CSV with columns t, regular, s, r and, when a model is given, f."""
-    head, fmts = ["t", "regular", "s", "r"], ["%.17g", "%d", "%.17g", "%.17g"]
+def export_scalar_csv(trace: ScalarTrace, path: str) -> None:
+    """Write the scalar trace as CSV with columns t, regular, s and r."""
     columns = [trace.times, trace.regular, trace.s, trace.r]
-    if model is not None:
-        head.append("f")
-        fmts.append("%.17g")
-        columns.append(model.value(trace.times))
-    write_table(path, [",".join(head)], fmts, columns, newline="\r\n")
+    fmts = ["%.17g", "%d", "%.17g", "%.17g"]
+    write_table(path, ["t,regular,s,r"], fmts, columns, newline="\r\n")

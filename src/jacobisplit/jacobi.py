@@ -74,6 +74,7 @@ __all__ = [
     "riccati_residual",
     "default_resolvability_cap",
     "difference_nodes",
+    "nearest_node",
     "write_table",
     "export_csv",
 ]
@@ -299,12 +300,15 @@ class JacobiTrajectory:
         return mask
 
     def node_index(self, t: float) -> int:
-        """Index of the grid node nearest to ``t`` (must lie within half a
-        step of some node)."""
-        j = int(round((float(t) - self.alpha) / self.step))
-        if j < 0 or j >= self.n_nodes or abs(self.times[j] - t) > 0.5 * self.step + 1e-9:
-            raise ValueError(f"time {t} is not aligned with the trajectory grid")
-        return j
+        """Index of the grid node nearest to ``t`` (``nearest_node``)."""
+        return nearest_node(self.times, self.step, t)
+
+    def in_open_window(self, t):
+        """Whether ``t`` (a time or an array of times) lies more than half a
+        step inside both window ends: the open window of the mode B and E
+        vanishing spans and of the rigidity conclusion."""
+        h = self.step
+        return (t > self.alpha + h / 2) & (t < self.end - h / 2)
 
     def interpolate(self, t: float) -> np.ndarray:
         """Cubic Hermite value Y(t) between nodes, from the node values and
@@ -322,6 +326,15 @@ class JacobiTrajectory:
         h01 = u * u * (3.0 - 2.0 * u)
         h11 = u * u * (u - 1.0)
         return h00 * self.y[j] + h01 * self.y[j + 1] + h * (h10 * self.yd[j] + h11 * self.yd[j + 1])
+
+
+def nearest_node(times: np.ndarray, step: float, t: float) -> int:
+    """Index of the node of the uniform grid ``times`` nearest to ``t``;
+    ``t`` must lie within half a ``step`` of some node."""
+    j = int(round((float(t) - times[0]) / step))
+    if j < 0 or j >= times.size or abs(times[j] - t) > 0.5 * step + 1e-9:
+        raise ValueError(f"time {t} is not aligned with the node grid")
+    return j
 
 
 def _stacked_top(y, yd) -> np.ndarray:
@@ -484,9 +497,9 @@ def _hermite_det(traj: JacobiTrajectory, t: float) -> float:
     return float(np.linalg.det(yt))
 
 
-def _bisect_det(traj: JacobiTrajectory, lo: float, hi: float, iters: int = 80) -> float:
+def _bisect_det(traj: JacobiTrajectory, lo: float, hi: float) -> float:
     flo = _hermite_det(traj, lo)
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         fmid = _hermite_det(traj, mid)
         if fmid == 0.0:
@@ -553,15 +566,14 @@ def singular_events(traj: JacobiTrajectory, open_ends: bool = False) -> list[Zer
     qualifies as an event when its sigma_min is at most ``TOL_ZERO`` times
     the grid-wide scale. The refined list of the closed window is kept in
     ``traj.derived``, so each trajectory is scanned once; with
-    ``open_ends`` set, events within half a step of the window ends are
-    dropped from it. The events' kernels are read-only.
+    ``open_ends`` set, only its events in ``traj.in_open_window`` are
+    returned. The events' kernels are read-only.
     """
     if "events" not in traj.derived:
         traj.derived["events"] = _refined_events(traj)
     events = traj.derived["events"]
     if open_ends:
-        lo, hi, h = traj.alpha, traj.end, traj.step
-        return [e for e in events if lo + 0.5 * h < e.time < hi - 0.5 * h]
+        return [e for e in events if traj.in_open_window(e.time)]
     return list(events)
 
 

@@ -42,7 +42,6 @@ from .symlin import orthonormal_columns, spectrum
 __all__ = [
     "SpanResult",
     "SplittingReport",
-    "wronskian_defect",
     "self_adjoint_gate",
     "boundary_eigenvalue_gate",
     "vanishing_span",
@@ -63,17 +62,11 @@ TOL_EIG = 1e-6  # slack of the boundary eigenvalue bound cot(alpha)
 _FLOOR_SLACK = 1e-9
 
 
-def wronskian_defect(traj: JacobiTrajectory) -> float:
-    """Largest entry of the (conserved) Wronskian form, evaluated at the
-    window start: zero exactly when the family is self-adjoint."""
-    w = wronskian(traj, traj.alpha)
-    return float(np.max(np.abs(w))) if w.size else 0.0
-
-
 def self_adjoint_gate(traj: JacobiTrajectory) -> dict:
-    """Self-adjointness hypothesis: the Wronskian must vanish relative to
-    the family's scale."""
-    defect = wronskian_defect(traj)
+    """Self-adjointness hypothesis: the (conserved) Wronskian form at the
+    window start must vanish relative to the family's scale; its largest
+    entry is the ``defect``."""
+    defect = float(np.max(np.abs(wronskian(traj, traj.alpha)), initial=0.0))
     threshold = 1e-8 * (1.0 + traj.stacked_scale**2)
     return {
         "name": "self_adjoint",
@@ -109,20 +102,16 @@ def boundary_eigenvalue_gate(traj: JacobiTrajectory, alpha: float) -> dict:
     bound = math.cos(alpha) / math.sin(alpha) + TOL_EIG
     out["bound"] = bound
     j = traj.node_index(alpha)
-    yj, ydj = traj.y[j], traj.yd[j]
-    u, svals, vh = np.linalg.svd(yj)
+    u, svals, vh = np.linalg.svd(traj.y[j])
     rank = int(np.sum(svals > TOL_SING * traj.scale))
-    if rank == yj.shape[0]:
-        s = np.linalg.solve(yj.T, ydj.T).T
-    elif rank > 0:
-        ur, vr = u[:, :rank], vh[:rank].T
-        s = ur.T @ ydj @ vr @ np.diag(1.0 / svals[:rank])
-        out["note"] = f"quotient restriction to rank-{rank} image of Y(alpha)"
-    else:
+    if rank == 0:
         out["note"] = "not evaluable: Y(alpha) has trivial image"
         return out
-    eigs, _ = spectrum((s + s.T) / 2.0)
-    value = float(eigs[-1])
+    if rank < traj.dim:
+        out["note"] = f"quotient restriction to rank-{rank} image of Y(alpha)"
+    # U_r^T Yd V_r Sigma_r^-1; at full rank U^T (Yd Y^-1) U, with its spectrum
+    s = u[:, :rank].T @ traj.yd[j] @ vh[:rank].T @ np.diag(1.0 / svals[:rank])
+    value = float(spectrum(s)[0][-1])
     out.update(value=value, margin=bound - value, passed=bool(value <= bound))
     return out
 

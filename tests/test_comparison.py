@@ -100,7 +100,12 @@ def test_model_solution_derivative_identity():
     lo, hi = model.branch
     ts = np.linspace(lo + 0.05, hi - 0.05, 100)
     f = model.value(ts)
-    df = model.derivative(ts)
+    h = 3e-5
+
+    def spread(k):
+        return model.value(ts + k * h) - model.value(ts - k * h)
+
+    df = (8.0 * spread(1) - spread(2)) / (12.0 * h)  # fourth-order central difference
     assert np.max(np.abs(df + (1.0 + f**2)) / (1.0 + f**2)) <= 1e-10
 
 
@@ -261,21 +266,14 @@ def test_rigidity_falsified_on_slack_family():
 
 def test_export_scalar_csv(tmp_path, trajs):
     tr = js.scalar_traces(trajs("sphere-zero"))
-    model = js.model_solution(1.5, float(tr.s[tr.times.searchsorted(1.5)]))
     path = tmp_path / "trace.csv"
-    js.export_scalar_csv(tr, path, model=model)
+    js.export_scalar_csv(tr, path)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
-    assert list(rows[0].keys()) == ["t", "regular", "s", "r", "f"]
+    assert list(rows[0].keys()) == ["t", "regular", "s", "r"]
     assert len(rows) == tr.times.size
     assert rows[0]["regular"] == "0" and math.isnan(float(rows[0]["s"]))
     j = 1500
     assert float(rows[j]["t"]) == pytest.approx(tr.times[j])
     assert float(rows[j]["s"]) == pytest.approx(tr.s[j])
-    assert float(rows[j]["f"]) == pytest.approx(model.value(float(tr.times[j])))
-
-    bare = tmp_path / "bare.csv"
-    js.export_scalar_csv(tr, bare)
-    with open(bare) as fh:
-        header = fh.readline().strip().split(",")
-    assert header == ["t", "regular", "s", "r"]
+    assert float(rows[j]["r"]) == pytest.approx(tr.r[j])

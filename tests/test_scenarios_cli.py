@@ -69,6 +69,26 @@ def test_coarse_step_is_never_falsified():
     assert [c.verdict for c in report.checks if c.verdict == "falsified"] == []
 
 
+def test_hce_without_a_checked_node_is_not_evaluable():
+    (hce, *_) = js.run_scenario("hopf-holonomy", step=0.1).checks
+    assert hce.details["n_checked"] == 0
+    assert hce.verdict == "hypothesis-violated"
+    assert hce.details["note"].startswith("not evaluable")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: at step 0.05 and 0.02 the hopf-holonomy hce check reads "
+    "'falsified' (4 of 4 and 2 of 26 checked nodes over tol 1e-3); the "
+    "resolvability cap does not keep the central difference's truncation error "
+    "under tol on a coarse grid",
+)
+def test_coarse_step_hce_is_never_falsified():
+    for step in (0.05, 0.02):
+        (hce, *_) = js.run_scenario("hopf-holonomy", step=step).checks
+        assert hce.verdict != "falsified", step
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="known defect: on hopf-holonomy an hce check with tol 1e-7 reads "
@@ -190,12 +210,12 @@ def test_cli_run_writes_report(tmp_path, capsys):
     assert doc["all_matched"] is True
 
 
-def test_cli_run_csv_format(tmp_path):
-    code = js.main(["run", "flat-parallel", "--format", "csv", "--out", str(tmp_path)])
-    assert code == 0
-    lines = (tmp_path / "flat-parallel-report.csv").read_text().splitlines()
-    assert lines[0] == "scenario,check_index,kind,expectation,verdict,matched"
-    assert all(line.endswith(",1") for line in lines[1:])
+def test_cli_has_no_format_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        js.main(["run", "flat-parallel", "--format", "csv", "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_run_step_override(tmp_path):
@@ -403,6 +423,29 @@ def test_check_param_values_are_validated_before_integration(tmp_path, capsys, m
         path = _example_with(tmp_path, lambda doc: doc["checks"][0]["params"].update({key: value}))
         assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_check_params_that_contradict_the_scenario_exit_two_before_integration(
+    tmp_path, capsys, monkeypatch
+):
+    # the example config: a family of dimension 2 on the window [0.3, pi]
+    monkeypatch.setattr(js.cli, "integrate", _no_integration)
+    window = "in the window [0.3, 3.14159]"
+    for kind, params, message in (
+        ("splitting", {"theorem": "C", "k": 0}, "'k' must be a level in 1..2"),
+        ("splitting", {"theorem": "E", "k": 3, "alpha": 0.3}, "'k' must be a level in 1..2"),
+        ("vanishing-floor", {"k": 5}, "'k' must be a level in 1..2"),
+        ("hce", {"psi": [[1.0, 0.0, 0.0]]}, "'psi' must be rows of length 2"),
+        ("reduced-boundary", {"psi": [1.0], "alpha": 0.3}, "'psi' must be rows of length 2"),
+        ("splitting", {"theorem": "B", "alpha": 0.0}, f"'alpha' must be {window}"),
+        ("rigidity", {"alpha": 3.5}, f"'alpha' must be {window}"),
+        ("reduced-boundary", {"psi": [1.0, 0.0], "alpha": 0.2}, f"'alpha' must be {window}"),
+    ):
+        check = {"kind": kind, "params": params, "expect": "verified"}
+        path = _example_with(tmp_path, lambda doc: doc.update(checks=[check]))
+        assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"check {kind!r} param {message} for this scenario, got" in err, err
 
 
 def test_traced_run_integrates_and_reduces_once(tmp_path, monkeypatch):

@@ -31,11 +31,10 @@ def _rows_export_csv(traj, path):
             fh.write(",".join(row) + "\n")
 
 
-def _rows_export_scalar_csv(trace, path, model=None):
+def _rows_export_scalar_csv(trace, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["t", "regular", "s", "r"] + (["f"] if model is not None else [])
-        writer.writerow(header)
+        writer.writerow(["t", "regular", "s", "r"])
         for j, t in enumerate(trace.times):
             row = [
                 f"{t:.17g}",
@@ -43,8 +42,6 @@ def _rows_export_scalar_csv(trace, path, model=None):
                 f"{trace.s[j]:.17g}",
                 f"{trace.r[j]:.17g}",
             ]
-            if model is not None:
-                row.append(f"{model.value(float(t)):.17g}")
             writer.writerow(row)
 
 
@@ -87,14 +84,6 @@ def test_traces_match_the_row_writers(tmp_path, source):
     assert len(written) == (2 if from_config else 4)
     for name in written:
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
-
-
-def test_scalar_table_with_model_matches_the_row_writer(tmp_path, trajs):
-    trace = js.scalar_traces(trajs("sphere-zero"))
-    model = js.model_solution(1.0, float(trace.s[1000]))
-    js.export_scalar_csv(trace, tmp_path / "new.csv", model)
-    _rows_export_scalar_csv(trace, tmp_path / "ref.csv", model)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_write_table_formats_one_row_per_node(tmp_path):

@@ -40,13 +40,19 @@ On top of the trajectory this module provides the Riccati operator
 ``S = Yd Y^{-1}``, the Wronskian ``W = Y^T Yd - Yd^T Y`` (the conserved
 self-adjointness certificate), detection and refinement of singular
 times (instants where ``Y`` drops rank), and a central-difference residual
-check of the Riccati equation ``S' + S^2 + R = 0``. The singular values of
-``Y`` at every node come from the Gram matrices ``Y^T Y``, with an exact
-SVD wherever ``Y`` is near singular (``JacobiTrajectory.svals``). The grid
-maximum of ``sigma_max([Y; Yd])`` is exact but evaluated only on the blocks
-of nodes that a Weyl bound cannot rule out (``stacked_scale``), ``det Y`` is
-taken only where the event search reads it (``dets``), and the refined
-events are kept per trajectory, so each is scanned once.
+check of the Riccati equation ``S' + S^2 + R = 0``. Each trajectory
+analysis evaluates the nodes it reads and no others. One pass takes the
+step norms ``||Y_{j+1} - Y_j||_F`` and ``||Yd_{j+1} - Yd_j||_F``, and by
+Weyl's inequality they bound every singular value across a block of nodes
+from its value at the block's centre. The singular values of ``Y``
+(``JacobiTrajectory.svals``) are exact, from the Gram matrices ``Y^T Y`` or
+an SVD where ``Y`` is near singular, at every node that may hold the grid
+maximum or whose lower bound, widened by the cubic Hermite interpolant's
+reach, does not clear the zero threshold; they are NaN elsewhere. The grid
+maximum of ``sigma_max([Y; Yd])`` is exact but evaluated only where the
+same bound cannot rule it out (``stacked_scale``), ``det Y`` is taken only
+where the event search reads it (``dets``), and the refined events are
+kept per trajectory, so each is scanned once.
 """
 
 from __future__ import annotations
@@ -88,8 +94,8 @@ TOL_ZERO = 1e-7  # a vanishing instant: sigma_min at most TOL_ZERO times the sca
 # sigma_min is below _GRAM_CUT times the scale, which get an exact SVD
 _GRAM_CUT = 1e-3
 _CHUNK = 1024  # nodes per temporary of the Gram, bound and span passes
-# stacked_scale: nodes per bounded block, and the relative slack on a
-# block's bound that covers the roundoff of eigvalsh and of the path sums
+# svals and stacked_scale: nodes per bounded block, and the relative slack
+# on a block's bound that covers the roundoff of eigvalsh and of the path sums
 _BLOCK = 16
 _SLACK = 1e-12
 # singular_events refines local minima of sigma_min at or below _COARSE_CUT
@@ -188,26 +194,86 @@ class JacobiTrajectory:
         return self.times.size
 
     @cached_property
-    def svals(self) -> np.ndarray:
-        """Singular values of Y at every node, descending per node.
+    def _step_norms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(||Y_{j+1} - Y_j||_F, ||Yd_{j+1} - Yd_j||_F, ||Yd_j||_F)`` at
+        every node j, from one chunked pass; the two step norms are zero at
+        the last node. ``svals`` and ``stacked_scale`` bound their nodes
+        with them (``_block_paths``)."""
+        y, yd = self.y, self.yd
+        n = len(y)
+        dy, dyd = np.zeros(n), np.zeros(n)
+        for lo in range(0, n - 1, _CHUNK):
+            hi = min(lo + _CHUNK, n - 1)
+            diff = y[lo + 1 : hi + 1] - y[lo:hi]
+            dy[lo:hi] = np.einsum("nij,nij->n", diff, diff)
+            np.subtract(yd[lo + 1 : hi + 1], yd[lo:hi], out=diff)
+            dyd[lo:hi] = np.einsum("nij,nij->n", diff, diff)
+        ydn = np.einsum("nij,nij->n", yd, yd)
+        return np.sqrt(dy, out=dy), np.sqrt(dyd, out=dyd), np.sqrt(ydn, out=ydn)
 
-        Per chunk of nodes, ``g = Y^T Y`` gives their squares as
-        ``eigvalsh(g)``. The Gram route errs on sigma^2 by about
-        ``d eps scale^2`` (Higham, Accuracy and Stability of Numerical
-        Algorithms, 2002, section 20), so rows whose sigma_min falls below
-        ``_GRAM_CUT`` times the scale are redone by an exact SVD of Y: every
-        cut on sigma_min (the regular mask, the zero threshold of singular
-        events) is decided by SVD values."""
+    @cached_property
+    def svals(self) -> np.ndarray:
+        """Singular values of Y, descending per node: exact at every node
+        that can change ``scale``, ``regular``, ``dets`` or the singular
+        events, and NaN at every other node.
+
+        The nodes are cut into blocks of ``_BLOCK``, and every block's
+        centre is evaluated first. By Weyl's inequality for singular values
+        (Horn and Johnson, Topics in Matrix Analysis, 1991, Thm 3.3.16),
+        each singular value at a node lies within the path length ``sum
+        ||Y_{i+1} - Y_i||_F`` to its block's centre (``_block_paths``) of
+        its value there. The cubic Hermite interpolant that every
+        refinement reads (``interpolate``) stays within ``r_j = ||Y_{j+1} -
+        Y_j||_F + 4/27 h (||Yd_j||_F + ||Yd_{j+1}||_F)`` of both ends of
+        interval j, as its weights have ``0 <= h00, h01 <= 1`` and ``|h10|,
+        |h11| <= 4/27``. A node is evaluated when
+
+        * its upper bound, the centre's sigma_max plus the path length,
+          widened by ``_SLACK``, reaches the best centre value: the node
+          may hold ``scale``; or
+        * its lower bound, the centre's sigma_min minus the path length and
+          the larger ``r_j`` of the node's two intervals, is not clear of
+          ``TOL_ZERO`` times the scale by a roundoff slack.
+
+        At every other node Y is regular, and no candidate of the event
+        search can refine to a singular event: a refined time stays within
+        one step of its node, where the lower bound holds. The evaluated
+        nodes run as contiguous slices, widened by one node on each side
+        for the local-minimum test of the event search.
+
+        Per chunk of nodes, ``g = Y^T Y`` gives the squares as
+        ``eigvalsh(g)``. The Gram route errs on sigma^2 by about ``d eps
+        scale^2`` (Higham, Accuracy and Stability of Numerical Algorithms,
+        2002, section 20), which the lower bound carries in its slack; rows
+        whose sigma_min falls below ``_GRAM_CUT`` times the scale are redone
+        by an exact SVD of Y, so every cut on sigma_min (the regular mask,
+        the zero threshold of singular events) is decided by SVD values."""
         n, d = self.y.shape[:2]
-        sq = np.empty((n, d))
-        g = np.empty((min(n, _CHUNK), d, d))
-        for lo in range(0, n, _CHUNK):
-            y = self.y[lo : lo + _CHUNK]
-            m = len(y)
-            np.matmul(y.transpose(0, 2, 1), y, out=g[:m])
-            sq[lo : lo + m] = np.linalg.eigvalsh(g[:m])[:, ::-1]
-        svals = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
-        low = np.flatnonzero(svals[:, -1] < _GRAM_CUT * np.max(svals[:, 0]))
+        dy, _, ydn = self._step_norms
+        centre, dist = _block_paths(dy)
+        # r[j] bounds the interpolant on the interval from node j to node j + 1;
+        # r_node is the larger r of the two intervals at each node
+        r = dy[:-1] + (4.0 / 27.0) * np.diff(self.times) * (ydn[:-1] + ydn[1:])
+        r_node = np.maximum(np.append(r, 0.0), np.insert(r, 0, 0.0))
+        svals = np.full((n, d), np.nan)
+        svals[centre] = _gram_svals(self.y[centre])
+        top, bot = (np.repeat(svals[centre, k], _BLOCK)[:n] for k in (0, -1))
+        upper = (top + dist) * (1.0 + _SLACK)
+        keep = upper >= np.max(top)
+        # skip where bot - dist - r_node - err > (TOL_ZERO + _SLACK) * ub, with
+        # ub >= scale and err <= d^2 eps ub^2 / bot a worst-case bound on the
+        # Gram route's error on bot; multiplied through by bot >= 0, so a
+        # centre with bot = 0 keeps its whole block
+        ub = float(np.max(upper))
+        margin = bot - dist - r_node - (TOL_ZERO + _SLACK) * ub
+        keep |= margin * bot <= d * d * np.finfo(float).eps * ub**2
+        # one more node on each side for the local-minimum test
+        wide = keep.copy()
+        wide[1:] |= keep[:-1]
+        wide[:-1] |= keep[1:]
+        for start, stop in _runs(wide):
+            svals[start:stop] = _gram_svals(self.y[start:stop])
+        low = np.flatnonzero(svals[:, -1] < _GRAM_CUT * np.nanmax(svals[:, 0]))
         if low.size:
             svals[low] = np.linalg.svd(self.y[low], compute_uv=False)
         return svals
@@ -222,8 +288,10 @@ class JacobiTrajectory:
 
     @cached_property
     def scale(self) -> float:
-        """Largest singular value of Y over the whole grid."""
-        return float(np.max(self.sigma_max))
+        """Largest singular value of Y over the whole grid: the largest
+        evaluated value of ``svals``, which evaluates every node that can
+        hold it."""
+        return float(np.nanmax(self.sigma_max))
 
     @cached_property
     def stacked_scale(self) -> float:
@@ -231,45 +299,24 @@ class JacobiTrajectory:
         the grid: the square root of the largest top eigenvalue of
         ``Y^T Y + Yd^T Yd``, taken exactly at the nodes that can hold it.
 
-        The nodes are cut into blocks of ``_BLOCK``. By Weyl's inequality
-        for singular values (Horn and Johnson, Topics in Matrix Analysis,
-        1991, Thm 3.3.16), ``sigma_max(Z_n) <= sigma_max(Z_c) + sum
-        ||Z_{i+1} - Z_i||_F`` over the nodes between n and c. So the exact
-        top eigenvalue at each block's centre, plus the path length from
-        the centre to the block's ends, bounds the whole block. Only the
-        blocks whose bound, widened by ``_SLACK`` for roundoff, reaches the
-        best centre value are evaluated, by the same formula and as
-        contiguous slices; the result is the maximum over every node."""
+        As in ``svals``, Weyl's inequality bounds the value at every node
+        by the exact value at its block's centre plus the path length
+        between them, here over the steps ``||Z_{i+1} - Z_i||_F``, with
+        ``||dZ||^2 = ||dY||^2 + ||dYd||^2``. After the centres of the blocks
+        of ``_BLOCK``, only the nodes whose bound, widened by ``_SLACK`` for
+        roundoff, reaches the best centre value are evaluated, by the same
+        formula and as contiguous slices; the result is the maximum over
+        every node."""
         y, yd = self.y, self.yd
-        n = len(y)
-        nb = -(-n // _BLOCK)
-        # ||Z_{i+1} - Z_i||_F for every node i, zero past the last node
-        step = np.zeros(nb * _BLOCK)
-        for lo in range(0, n - 1, _CHUNK):
-            hi = min(lo + _CHUNK, n - 1)
-            dz = y[lo + 1 : hi + 1] - y[lo:hi]
-            sq = np.einsum("nij,nij->n", dz, dz)
-            np.subtract(yd[lo + 1 : hi + 1], yd[lo:hi], out=dz)
-            sq += np.einsum("nij,nij->n", dz, dz)
-            step[lo:hi] = np.sqrt(sq, out=sq)
-        # path[b, k]: path length from block b's first node to its node k
-        path = np.zeros((nb, _BLOCK))
-        np.cumsum(step.reshape(nb, _BLOCK)[:, :-1], axis=1, out=path[:, 1:])
-        first = _BLOCK * np.arange(nb)
-        mid = np.minimum(_BLOCK // 2, n - 1 - first)  # the last block may be short
-        left = path[np.arange(nb), mid]
-        reach = np.maximum(left, path[:, -1] - left)
-        centre = first + mid
-        top = np.empty(nb)
-        for lo in range(0, nb, _CHUNK):
+        dy, dyd, _ = self._step_norms
+        centre, dist = _block_paths(np.hypot(dy, dyd))
+        top = np.empty(len(centre))
+        for lo in range(0, len(centre), _CHUNK):
             c = centre[lo : lo + _CHUNK]
             top[lo : lo + _CHUNK] = _stacked_top(y[c], yd[c])
         best = float(np.max(top))
-        keep = (np.sqrt(top) + reach) ** 2 * (1.0 + _SLACK) >= best
-        # runs [b0, b1) of kept blocks, each evaluated as contiguous slices
-        edges = np.diff(keep.astype(np.int8), prepend=0, append=0)
-        for b0, b1 in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
-            start, stop = b0 * _BLOCK, min(b1 * _BLOCK, n)
+        bound = np.sqrt(np.repeat(top, _BLOCK)[: len(y)]) + dist
+        for start, stop in _runs(bound**2 * (1.0 + _SLACK) >= best):
             for lo in range(start, stop, _CHUNK):
                 hi = min(lo + _CHUNK, stop)
                 best = max(best, float(np.max(_stacked_top(y[lo:hi], yd[lo:hi]))))
@@ -279,7 +326,8 @@ class JacobiTrajectory:
     def dets(self) -> np.ndarray:
         """det Y where ``singular_events`` reads it: at the local minima of
         sigma_min at or below ``_COARSE_CUT`` times the scale and at their
-        neighbours; NaN at every other node."""
+        neighbours; NaN at every other node. A node where ``svals`` is NaN,
+        or next to one, is never such a local minimum."""
         n = self.n_nodes
         cand = _candidate_nodes(self.sigma_min, -math.inf, _COARSE_CUT * self.scale)
         near = np.zeros(n, dtype=bool)
@@ -294,8 +342,9 @@ class JacobiTrajectory:
     def regular(self) -> np.ndarray:
         """Read-only mask of the nodes where Y has full rank relative to the
         grid-wide scale. The Riccati operator, and every check built on it,
-        exists exactly there."""
-        mask = self.sigma_min > TOL_SING * self.scale
+        exists exactly there. A node where ``svals`` is NaN is regular: its
+        lower bound clears ``TOL_ZERO`` times the scale."""
+        mask = ~(self.sigma_min <= TOL_SING * self.scale)
         mask.flags.writeable = False
         return mask
 
@@ -316,6 +365,8 @@ class JacobiTrajectory:
         t = float(t)
         if not (self.alpha - 1e-12 <= t <= self.end + 1e-12):
             raise ValueError(f"time {t} outside trajectory window")
+        if self.n_nodes == 1:
+            return self.y[0].copy()
         j = int((t - self.alpha) / self.step)
         j = min(max(j, 0), self.n_nodes - 2)
         t0, t1 = self.times[j], self.times[j + 1]
@@ -335,6 +386,41 @@ def nearest_node(times: np.ndarray, step: float, t: float) -> int:
     if j < 0 or j >= times.size or abs(times[j] - t) > 0.5 * step + 1e-9:
         raise ValueError(f"time {t} is not aligned with the node grid")
     return j
+
+
+def _block_paths(step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The centre node of every block of ``_BLOCK`` nodes (the last block
+    may be short), and the path length from each node to its block's
+    centre, given the length ``step[i]`` of the path from node i to node
+    i + 1 (zero at the last node)."""
+    n = len(step)
+    nb = -(-n // _BLOCK)
+    padded = np.zeros((nb, _BLOCK))
+    padded.ravel()[:n] = step
+    # path[b, k]: path length from block b's first node to its node k
+    path = np.zeros((nb, _BLOCK))
+    np.cumsum(padded[:, :-1], axis=1, out=path[:, 1:])
+    first = _BLOCK * np.arange(nb)
+    mid = np.minimum(_BLOCK // 2, n - 1 - first)
+    dist = np.abs(path - path[np.arange(nb), mid][:, None])
+    return first + mid, dist.ravel()[:n]
+
+
+def _runs(mask: np.ndarray):
+    """``(start, stop)`` slices of the runs of True in ``mask``."""
+    edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
+    return zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))
+
+
+def _gram_svals(y) -> np.ndarray:
+    """Singular values of every Y of a batch, descending, from
+    ``eigvalsh(Y^T Y)``, ``_CHUNK`` nodes at a time."""
+    out = np.empty(y.shape[:2])
+    for lo in range(0, len(y), _CHUNK):
+        c = y[lo : lo + _CHUNK]
+        sq = np.linalg.eigvalsh(np.matmul(c.transpose(0, 2, 1), c))[:, ::-1]
+        np.sqrt(np.maximum(sq, 0.0), out=out[lo : lo + _CHUNK])
+    return out
 
 
 def _stacked_top(y, yd) -> np.ndarray:

@@ -81,12 +81,20 @@ def boundary_eigenvalue_gate(traj: JacobiTrajectory, alpha: float) -> dict:
     """Boundary hypothesis: the largest eigenvalue of the (symmetrized)
     Riccati operator at the window start must not exceed cot(alpha).
 
-    At alpha = 0 the bound is +infinity and the gate always passes. When
-    the value matrix is singular at alpha > 0, the operator is evaluated on
-    the regular quotient (its restriction to the image of Y(alpha), using
-    minimum-norm preimages); when that image is trivial the gate is not
-    evaluable and reported as failed.
+    ``alpha`` must lie within half a step of the window ``[traj.alpha,
+    traj.end]``, else this is a ValueError naming both. At alpha = 0 (a
+    window that starts at 0) the bound is +infinity and the gate always
+    passes. When the value matrix is singular at alpha > 0, the operator is
+    evaluated on the regular quotient (its restriction to the image of
+    Y(alpha), using minimum-norm preimages); when that image is trivial the
+    gate is not evaluable and reported as failed.
     """
+    h = traj.step
+    if not traj.alpha - h / 2 <= alpha <= traj.end + h / 2:
+        raise ValueError(
+            f"boundary gate: alpha={alpha:.12g} lies outside the window "
+            f"[{traj.alpha:.12g}, {traj.end:.12g}]"
+        )
     out = {
         "name": "boundary_eig",
         "applicable": True,

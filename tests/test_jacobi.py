@@ -15,6 +15,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jacobisplit as js
@@ -302,6 +304,32 @@ def _stacked_unpruned(traj):
     return math.sqrt(float(np.max(np.linalg.eigvalsh(g)[:, -1])))
 
 
+def _all_node_svals(y):
+    """``svals`` by its row route at every node: Gram eigenvalues, and an
+    exact SVD below ``_GRAM_CUT`` times the largest of them."""
+    g = np.matmul(y.transpose(0, 2, 1), y)
+    svals = np.sqrt(np.maximum(np.linalg.eigvalsh(g)[:, ::-1], 0.0))
+    low = svals[:, -1] < jacobi._GRAM_CUT * np.max(svals[:, 0])
+    svals[low] = np.linalg.svd(y[low], compute_uv=False)
+    return svals
+
+
+def _assert_same_as_all_nodes(traj):
+    """What ``svals`` feeds is identical to evaluating every node: the scale,
+    the regular mask, ``dets`` where taken and the refined events; and every
+    evaluated row is the all-node row."""
+    full = js.JacobiTrajectory(traj.spec, traj.step, traj.times, traj.y, traj.yd)
+    full.svals = _all_node_svals(traj.y)
+    assert traj.scale == full.scale
+    assert np.array_equal(traj.regular, full.regular)
+    taken = ~np.isnan(traj.dets)
+    assert np.array_equal(traj.dets[taken], full.dets[taken])
+    assert _event_rows(traj) == _event_rows(full)
+    evaluated = ~np.isnan(traj.svals[:, 0])
+    assert np.array_equal(traj.svals[evaluated], full.svals[evaluated])
+    return evaluated
+
+
 def _check_spectra_against_svd(traj):
     svd = np.linalg.svd(traj.y, compute_uv=False)
     scale = float(np.max(svd[:, 0]))
@@ -312,10 +340,14 @@ def _check_spectra_against_svd(traj):
     # the pruned pass gives the same float as its formula at every node
     assert traj.stacked_scale == _stacked_unpruned(traj)
     assert np.array_equal(traj.regular, svd[:, -1] > jacobi.TOL_SING * scale)
-    low = traj.sigma_min < jacobi._GRAM_CUT * traj.scale
+    evaluated = _assert_same_as_all_nodes(traj)
+    # exact where evaluated; a skipped node is clear of the zero threshold
+    low = evaluated & (traj.sigma_min < jacobi._GRAM_CUT * traj.scale)
     assert np.array_equal(traj.svals[low], svd[low])
-    assert_allclose(traj.sigma_min[~low], svd[~low, -1], rtol=1e-8, atol=0.0)
-    return low
+    high = evaluated & ~low
+    assert_allclose(traj.sigma_min[high], svd[high, -1], rtol=1e-8, atol=0.0)
+    assert np.all(svd[~evaluated, -1] > jacobi.TOL_ZERO * scale)
+    return evaluated, low
 
 
 @pytest.mark.parametrize("name", [sc.name for sc in js.list_scenarios()])
@@ -324,8 +356,8 @@ def test_spectra_match_svd_builtins(trajs, name):
 
 
 def test_spectra_match_svd_d16():
-    low = _check_spectra_against_svd(_d16_family(1e-3))
-    assert 0 < low.sum() < low.size
+    evaluated, low = _check_spectra_against_svd(_d16_family(1e-3))
+    assert 0 < low.sum() < evaluated.sum() < evaluated.size
 
 
 def test_spectra_near_singular_node_is_exact(trajs):
@@ -411,6 +443,96 @@ def test_stacked_scale_prunes_and_stays_exact(monkeypatch):
     monkeypatch.undo()
     assert sum(sent) <= 0.30 * traj.n_nodes
     assert value == _stacked_unpruned(traj)
+
+
+def test_svals_evaluates_few_nodes_and_stays_exact(monkeypatch):
+    traj = _rotated_d16_family(4e-4)
+    assert traj.n_nodes == 7355
+    sent = []
+    for name in ("eigvalsh", "svd"):
+        solver = getattr(np.linalg, name)
+
+        def counting(a, *args, solver=solver, **kwargs):
+            sent.append(len(a))
+            return solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    traj.svals
+    monkeypatch.undo()
+    assert sum(sent) <= 0.25 * traj.n_nodes
+    _assert_same_as_all_nodes(traj)
+    assert traj.stacked_scale == _stacked_unpruned(traj)
+
+
+@pytest.mark.parametrize(
+    "segments, step_of_event",
+    [
+        # node 16, the first of its block, is a local minimum at 0.01 beside
+        # a sign change; node 15 clears the zero threshold by its own bound,
+        # so the search sees node 16's left neighbour only through the
+        # widened run
+        ([(16, 0.5), (1, 0.01), (1, -0.02), (14, -0.5), (32, -1.0)], 16),
+        # the mirror: node 47, the last of its block, needs its right neighbour
+        ([(32, -1.0), (14, -0.5), (1, -0.02), (1, 0.01), (16, 0.5)], 46),
+        # node 8, a block centre at 0.04, is a local minimum whose sign
+        # change lies in the step before it: that step's reach keeps it
+        ([(8, -0.5), (40, 0.04), (16, 1.0)], 7),
+        # the mirror at node 24, with the sign change in the step after it
+        ([(25, 0.04), (15, -0.5), (24, -1.0)], 24),
+    ],
+)
+def test_svals_keeps_every_candidate_of_the_event_search(segments, step_of_event):
+    # d = 1 and Yd = 0, so the bounds are exact path lengths
+    y = np.concatenate([np.full(k, v) for k, v in segments]).reshape(64, 1, 1)
+    traj = js.JacobiTrajectory(None, 1.0, np.arange(64.0), y, np.zeros_like(y))
+    assert np.isnan(traj.svals[:, 0]).any()
+    _assert_same_as_all_nodes(traj)
+    (event,) = js.singular_events(traj)
+    assert step_of_event < event.time < step_of_event + 1
+
+
+def test_svals_skips_no_node_whose_interpolant_reaches_zero():
+    # d = 1 with Y = 0.3 at nodes 0..47 and slopes +-4 alternating up to node
+    # 32, at step 0.3: the cubic Hermite interpolant touches zero in the
+    # middle of every step from an odd node there, which no node value shows
+    y = np.concatenate([np.full(48, 0.3), np.full(16, 1.0)]).reshape(64, 1, 1)
+    yd = np.where(np.arange(64) <= 32, 4.0 * (-1.0) ** np.arange(64), 0.0).reshape(64, 1, 1)
+    traj = js.JacobiTrajectory(None, 0.3, 0.3 * np.arange(64.0), y, yd)
+    skipped = np.flatnonzero(np.isnan(traj.svals[:, 0]))
+    assert skipped.size > 0
+    offsets = traj.step * np.array([-2 / 3, -1 / 2, -1 / 3, 1 / 3, 1 / 2, 2 / 3])
+    for i in skipped:
+        for t in traj.times[i] + offsets:
+            if traj.alpha <= t <= traj.end:
+                assert abs(traj.interpolate(t)[0, 0]) > jacobi.TOL_ZERO * traj.scale
+    _assert_same_as_all_nodes(traj)
+
+
+@st.composite
+def _walks(draw):
+    """A random matrix walk of d = 1..4 and 1..300 nodes (the last block
+    often short), with rank drops at random nodes and at block ends."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 300))
+    h = draw(st.floats(1e-4, 1.0))
+    size = draw(st.floats(1e-4, 0.2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    first = range(0, n, jacobi._BLOCK)
+    ends = sorted({i for b in first for i in (b, min(b + jacobi._BLOCK, n) - 1)})
+    drops = draw(st.lists(st.one_of(st.integers(0, n - 1), st.sampled_from(ends)), max_size=4))
+    rank = draw(st.integers(0, d - 1))
+    rng = np.random.default_rng(seed)
+    y, yd = np.eye(d) + np.cumsum(size * rng.standard_normal((2, n, d, d)), axis=1)
+    for k in drops:
+        u, s, vh = np.linalg.svd(y[k])
+        y[k] = (u[:, :rank] * s[:rank]) @ vh[:rank]
+    return js.JacobiTrajectory(None, h, h * np.arange(n), y, yd)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_walks())
+def test_svals_certified_matches_all_nodes_on_walks(traj):
+    _assert_same_as_all_nodes(traj)
 
 
 def _event_rows(traj):

@@ -32,6 +32,19 @@ def test_boundary_gate_at_zero_is_vacuous(trajs):
     assert out["passed"] and out["bound"] == math.inf
 
 
+def test_boundary_gate_outside_the_window_raises(trajs):
+    # the window starts at pi/2: alpha = 0 is not a cot(0+) pass there
+    traj = trajs("example-shifted-sine")
+    with pytest.raises(ValueError, match=r"alpha=0 lies outside the window \[1\.5707"):
+        js.boundary_eigenvalue_gate(traj, 0.0)
+    with pytest.raises(ValueError, match="outside the window"):
+        js.rigidity_check(traj, alpha=0.0)
+    with pytest.raises(ValueError, match="outside the window"):
+        js.boundary_eigenvalue_gate(traj, traj.end + traj.step)
+    # within half a step of an end the gate reads the nearest node
+    assert js.boundary_eigenvalue_gate(traj, traj.alpha - 0.4 * traj.step)["value"] is not None
+
+
 def test_boundary_gate_shifted_sine_fails(trajs):
     traj = trajs("example-shifted-sine")
     out = js.boundary_eigenvalue_gate(traj, traj.alpha)

@@ -43,8 +43,10 @@ times (instants where ``Y`` drops rank), and a central-difference residual
 check of the Riccati equation ``S' + S^2 + R = 0``. Each trajectory
 analysis evaluates the nodes it reads and no others. One pass takes the
 step norms ``||Y_{j+1} - Y_j||_F`` and ``||Yd_{j+1} - Yd_j||_F``, and by
-Weyl's inequality they bound every singular value across a block of nodes
-from its value at the block's centre. The singular values of ``Y``
+Weyl's inequality they bound every singular value at a node from its
+value at another node by the path length between them. The nodes are
+certified level by level, in blocks of 256, 32 and 8 (``_certify``), and
+none is evaluated twice. The singular values of ``Y``
 (``JacobiTrajectory.svals``) are exact, from the Gram matrices ``Y^T Y`` or
 an SVD where ``Y`` is near singular, at every node that may hold the grid
 maximum or whose lower bound, widened by the cubic Hermite interpolant's
@@ -94,9 +96,10 @@ TOL_ZERO = 1e-7  # a vanishing instant: sigma_min at most TOL_ZERO times the sca
 # sigma_min is below _GRAM_CUT times the scale, which get an exact SVD
 _GRAM_CUT = 1e-3
 _CHUNK = 1024  # nodes per temporary of the Gram, bound and span passes
-# svals and stacked_scale: nodes per bounded block, and the relative slack
-# on a block's bound that covers the roundoff of eigvalsh and of the path sums
-_BLOCK = 16
+# svals and stacked_scale: the block sizes of the certification levels, each
+# dividing the one before (_certify), and the relative slack on a bound that
+# covers the roundoff of eigvalsh and of the path sums
+_LEVELS = (256, 32, 8)
 _SLACK = 1e-12
 # singular_events refines local minima of sigma_min at or below _COARSE_CUT
 # times the scale; det Y is read only there and at their neighbours
@@ -198,7 +201,7 @@ class JacobiTrajectory:
         """``(||Y_{j+1} - Y_j||_F, ||Yd_{j+1} - Yd_j||_F, ||Yd_j||_F)`` at
         every node j, from one chunked pass; the two step norms are zero at
         the last node. ``svals`` and ``stacked_scale`` bound their nodes
-        with them (``_block_paths``)."""
+        with them (``_certify``)."""
         y, yd = self.y, self.yd
         n = len(y)
         dy, dyd = np.zeros(n), np.zeros(n)
@@ -217,29 +220,30 @@ class JacobiTrajectory:
         that can change ``scale``, ``regular``, ``dets`` or the singular
         events, and NaN at every other node.
 
-        The nodes are cut into blocks of ``_BLOCK``, and every block's
-        centre is evaluated first. By Weyl's inequality for singular values
-        (Horn and Johnson, Topics in Matrix Analysis, 1991, Thm 3.3.16),
-        each singular value at a node lies within the path length ``sum
-        ||Y_{i+1} - Y_i||_F`` to its block's centre (``_block_paths``) of
-        its value there. The cubic Hermite interpolant that every
+        The nodes are certified level by level (``_certify``). By Weyl's
+        inequality for singular values (Horn and Johnson, Topics in Matrix
+        Analysis, 1991, Thm 3.3.16), each singular value at a node lies
+        within the path length ``sum ||Y_{i+1} - Y_i||_F`` to an evaluated
+        node of its value there. The cubic Hermite interpolant that every
         refinement reads (``interpolate``) stays within ``r_j = ||Y_{j+1} -
         Y_j||_F + 4/27 h (||Yd_j||_F + ||Yd_{j+1}||_F)`` of both ends of
         interval j, as its weights have ``0 <= h00, h01 <= 1`` and ``|h10|,
-        |h11| <= 4/27``. A node is evaluated when
+        |h11| <= 4/27``. A node stays undecided while
 
-        * its upper bound, the centre's sigma_max plus the path length,
-          widened by ``_SLACK``, reaches the best centre value: the node
+        * its upper bound, the evaluated sigma_max plus the path length,
+          widened by ``_SLACK``, reaches the best evaluated value: the node
           may hold ``scale``; or
-        * its lower bound, the centre's sigma_min minus the path length and
+        * its lower bound, the evaluated sigma_min minus the path length and
           the larger ``r_j`` of the node's two intervals, is not clear of
-          ``TOL_ZERO`` times the scale by a roundoff slack.
+          ``TOL_ZERO`` times an upper bound of the scale by a roundoff
+          slack.
 
-        At every other node Y is regular, and no candidate of the event
-        search can refine to a singular event: a refined time stays within
-        one step of its node, where the lower bound holds. The evaluated
-        nodes run as contiguous slices, widened by one node on each side
-        for the local-minimum test of the event search.
+        Every node still undecided after the last level is evaluated, and
+        then the two neighbours of every evaluated node whose own bound is
+        not clear, for the local-minimum test of the event search. At every
+        other node Y is regular, and no candidate of the event search can
+        refine to a singular event: a refined time stays within one step of
+        its node, where the lower bound holds.
 
         Per chunk of nodes, ``g = Y^T Y`` gives the squares as
         ``eigvalsh(g)``. The Gram route errs on sigma^2 by about ``d eps
@@ -250,29 +254,36 @@ class JacobiTrajectory:
         the zero threshold of singular events) is decided by SVD values."""
         n, d = self.y.shape[:2]
         dy, _, ydn = self._step_norms
-        centre, dist = _block_paths(dy)
         # r[j] bounds the interpolant on the interval from node j to node j + 1;
         # r_node is the larger r of the two intervals at each node
         r = dy[:-1] + (4.0 / 27.0) * np.diff(self.times) * (ydn[:-1] + ydn[1:])
         r_node = np.maximum(np.append(r, 0.0), np.insert(r, 0, 0.0))
         svals = np.full((n, d), np.nan)
-        svals[centre] = _gram_svals(self.y[centre])
-        top, bot = (np.repeat(svals[centre, k], _BLOCK)[:n] for k in (0, -1))
-        upper = (top + dist) * (1.0 + _SLACK)
-        keep = upper >= np.max(top)
-        # skip where bot - dist - r_node - err > (TOL_ZERO + _SLACK) * ub, with
-        # ub >= scale and err <= d^2 eps ub^2 / bot a worst-case bound on the
-        # Gram route's error on bot; multiplied through by bot >= 0, so a
-        # centre with bot = 0 keeps its whole block
-        ub = float(np.max(upper))
-        margin = bot - dist - r_node - (TOL_ZERO + _SLACK) * ub
-        keep |= margin * bot <= d * d * np.finfo(float).eps * ub**2
-        # one more node on each side for the local-minimum test
-        wide = keep.copy()
-        wide[1:] |= keep[:-1]
-        wide[:-1] |= keep[1:]
-        for start, stop in _runs(wide):
-            svals[start:stop] = _gram_svals(self.y[start:stop])
+
+        def evaluate(idx):
+            svals[idx] = _gram_svals(self.y[idx])
+
+        def undecided(i, c, dist):
+            top, bot = svals[c, 0], svals[c, -1]
+            upper = (top + dist) * (1.0 + _SLACK)
+            best = np.nanmax(svals[:, 0])
+            # clear where bot - dist - r_node - err > (TOL_ZERO + _SLACK) * ub,
+            # with ub >= scale and err <= d^2 eps ub^2 / bot a worst-case bound
+            # on the Gram route's error on bot; multiplied through by bot >= 0,
+            # so a zero bot clears no node
+            ub = max(best, float(np.max(upper)))
+            margin = bot - dist - r_node[i] - (TOL_ZERO + _SLACK) * ub
+            return (upper >= best) | (margin * bot <= d * d * np.finfo(float).eps * ub**2)
+
+        _certify(dy, evaluate, undecided)
+        # every node that can hold the scale is evaluated now, so the own
+        # bounds of the evaluated nodes decide where the widening goes
+        seen = np.flatnonzero(~np.isnan(svals[:, 0]))
+        near = seen[undecided(seen, seen, 0.0)]
+        side = np.zeros(n, dtype=bool)
+        side[near[near > 0] - 1] = True
+        side[near[near < n - 1] + 1] = True
+        _in_chunks(evaluate, np.flatnonzero(side & np.isnan(svals[:, 0])))
         low = np.flatnonzero(svals[:, -1] < _GRAM_CUT * np.nanmax(svals[:, 0]))
         if low.size:
             svals[low] = np.linalg.svd(self.y[low], compute_uv=False)
@@ -300,27 +311,33 @@ class JacobiTrajectory:
         ``Y^T Y + Yd^T Yd``, taken exactly at the nodes that can hold it.
 
         As in ``svals``, Weyl's inequality bounds the value at every node
-        by the exact value at its block's centre plus the path length
+        by the exact value at an evaluated node plus the path length
         between them, here over the steps ``||Z_{i+1} - Z_i||_F``, with
-        ``||dZ||^2 = ||dY||^2 + ||dYd||^2``. After the centres of the blocks
-        of ``_BLOCK``, only the nodes whose bound, widened by ``_SLACK`` for
-        roundoff, reaches the best centre value are evaluated, by the same
-        formula and as contiguous slices; the result is the maximum over
-        every node."""
+        ``||dZ||^2 = ||dY||^2 + ||dYd||^2``. Level by level (``_certify``),
+        a node is decided when its bound, widened by ``_SLACK`` for
+        roundoff, falls short of the best evaluated value. The descent
+        stops at the first level that decides no node, and every node left
+        undecided is evaluated by the same formula; the result is the
+        maximum over every node. Where the values tie (on a family of unit
+        curvature ``sigma_max(Z)`` is constant) that is the first level,
+        and each node is evaluated once. ``svals`` descends through every
+        level: on a short trajectory a coarse level can decide no node
+        while the finer ones decide most."""
         y, yd = self.y, self.yd
         dy, dyd, _ = self._step_norms
-        centre, dist = _block_paths(np.hypot(dy, dyd))
-        top = np.empty(len(centre))
-        for lo in range(0, len(centre), _CHUNK):
-            c = centre[lo : lo + _CHUNK]
-            top[lo : lo + _CHUNK] = _stacked_top(y[c], yd[c])
-        best = float(np.max(top))
-        bound = np.sqrt(np.repeat(top, _BLOCK)[: len(y)]) + dist
-        for start, stop in _runs(bound**2 * (1.0 + _SLACK) >= best):
-            for lo in range(start, stop, _CHUNK):
-                hi = min(lo + _CHUNK, stop)
-                best = max(best, float(np.max(_stacked_top(y[lo:hi], yd[lo:hi]))))
-        return math.sqrt(best)
+        top = np.full(len(y), -np.inf)
+
+        def evaluate(idx):
+            # one copied batch at a time: Yd^T Yd, then Y^T Y added to it
+            g = _gram(yd[idx])
+            g += _gram(y[idx])
+            top[idx] = np.linalg.eigvalsh(g)[:, -1]
+
+        def undecided(i, c, dist):
+            return (np.sqrt(top[c]) + dist) ** 2 * (1.0 + _SLACK) >= np.max(top)
+
+        _certify(np.hypot(dy, dyd), evaluate, undecided, stop_idle=True)
+        return math.sqrt(float(np.max(top)))
 
     @cached_property
     def dets(self) -> np.ndarray:
@@ -388,46 +405,64 @@ def nearest_node(times: np.ndarray, step: float, t: float) -> int:
     return j
 
 
-def _block_paths(step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The centre node of every block of ``_BLOCK`` nodes (the last block
-    may be short), and the path length from each node to its block's
-    centre, given the length ``step[i]`` of the path from node i to node
-    i + 1 (zero at the last node)."""
+def _certify(step, evaluate, undecided, stop_idle=False) -> None:
+    """Evaluate, each at most once, every node that no Weyl bound decides.
+
+    ``step[i]`` is the path length from node i to node i + 1 (zero at the
+    last node). Each level of ``_LEVELS`` cuts the nodes into blocks (the
+    last may be short) and evaluates the centres of the blocks that still
+    hold an undecided node; ``undecided(i, c, dist)`` tells which undecided
+    nodes ``i`` stay so, bounded from their centre ``c`` at the path length
+    ``dist``. The nodes left after the last level, or with ``stop_idle``
+    after the first level that decides none, are evaluated in one pass.
+    Path lengths are prefix sums within first-level blocks, which hold
+    every finer block, so their roundoff stays relative to one such
+    block."""
     n = len(step)
-    nb = -(-n // _BLOCK)
-    padded = np.zeros((nb, _BLOCK))
+    width = _LEVELS[0]
+    blocks = -(-n // width)
+    padded = np.zeros((blocks, width))
     padded.ravel()[:n] = step
-    # path[b, k]: path length from block b's first node to its node k
-    path = np.zeros((nb, _BLOCK))
+    path = np.zeros((blocks, width))
     np.cumsum(padded[:, :-1], axis=1, out=path[:, 1:])
-    first = _BLOCK * np.arange(nb)
-    mid = np.minimum(_BLOCK // 2, n - 1 - first)
-    dist = np.abs(path - path[np.arange(nb), mid][:, None])
-    return first + mid, dist.ravel()[:n]
+    path = path.ravel()[:n]
+    done = np.zeros(n, dtype=bool)
+    todo = np.ones(n, dtype=bool)
+    for size in _LEVELS:
+        first = np.arange(0, n, size)
+        centre = first + np.minimum(size // 2, n - 1 - first)
+        fresh = centre[np.logical_or.reduceat(todo, first)]
+        fresh = fresh[~done[fresh]]
+        _in_chunks(evaluate, fresh)
+        done[fresh] = True
+        todo[fresh] = False
+        i = np.flatnonzero(todo)
+        if not i.size:
+            return
+        c = centre[i // size]
+        keep = undecided(i, c, np.abs(path[i] - path[c]))
+        if stop_idle and keep.all():
+            break
+        todo[i[~keep]] = False
+    _in_chunks(evaluate, np.flatnonzero(todo))
 
 
-def _runs(mask: np.ndarray):
-    """``(start, stop)`` slices of the runs of True in ``mask``."""
-    edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
-    return zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))
+def _in_chunks(evaluate, idx) -> None:
+    """``evaluate`` the nodes ``idx``, ``_CHUNK`` nodes at a time."""
+    for lo in range(0, len(idx), _CHUNK):
+        evaluate(idx[lo : lo + _CHUNK])
+
+
+def _gram(y) -> np.ndarray:
+    """``Y^T Y`` for every Y of a batch."""
+    return np.matmul(y.transpose(0, 2, 1), y)
 
 
 def _gram_svals(y) -> np.ndarray:
     """Singular values of every Y of a batch, descending, from
-    ``eigvalsh(Y^T Y)``, ``_CHUNK`` nodes at a time."""
-    out = np.empty(y.shape[:2])
-    for lo in range(0, len(y), _CHUNK):
-        c = y[lo : lo + _CHUNK]
-        sq = np.linalg.eigvalsh(np.matmul(c.transpose(0, 2, 1), c))[:, ::-1]
-        np.sqrt(np.maximum(sq, 0.0), out=out[lo : lo + _CHUNK])
-    return out
-
-
-def _stacked_top(y, yd) -> np.ndarray:
-    """Top eigenvalue of ``Y^T Y + Yd^T Yd`` at every node of a batch."""
-    g = np.matmul(yd.transpose(0, 2, 1), yd)
-    g += np.matmul(y.transpose(0, 2, 1), y)
-    return np.linalg.eigvalsh(g)[:, -1]
+    ``eigvalsh(Y^T Y)``."""
+    sq = np.linalg.eigvalsh(_gram(y))[:, ::-1]
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def _increments(y, yd, r0, rh, r1, h):

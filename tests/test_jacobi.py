@@ -393,21 +393,37 @@ def test_stacked_scale_bound_covers_every_node():
         assert traj.stacked_scale == _stacked_unpruned(traj)
 
 
+def _steep_peak(n, at):
+    """Knots and values of a path of n > 256 nodes: 1.95 on nodes 0..255, so
+    the first centres read nearly the peak, and from node 256 on a peak of
+    2.0 on node ``at`` that falls by 0.3 a node for three nodes on each side,
+    then by 0.001, so a bound short by one step misses it."""
+    knots = sorted({256, max(at - 3, 256), at, min(at + 3, n - 1), n - 1})
+    off = np.abs(np.array(knots) - at)
+    peak = 2.0 - 0.3 * np.minimum(off, 3) - 0.001 * np.maximum(off - 3, 0)
+    return [0, 255] + knots, [1.95, 1.95] + list(peak)
+
+
 @pytest.mark.parametrize(
     "knots, values",
     [
-        # the peak 2.0 sits at node 32, the first of a block whose centre
-        # (node 40) is 1.6 lower, while the block before has a centre at 1.92
+        # the peak 2.0 sits at node 32, the first of a 32-node block whose
+        # centre (node 48) is 2.0 lower, while the block before has its
+        # centre at 1.84
         ([0, 32, 42, 63], [1.68, 2.0, 0.0, 0.0]),
-        # the mirror case: the peak is at node 47, the last of its block
+        # the mirror case: the peak is at node 47, the last of an 8-node block
         ([0, 37, 47, 63], [0.0, 0.0, 2.0, 1.84]),
-    ],
+    ]
+    # on 650 nodes the peak sits on the first or last node of a 256-, 32- or
+    # 8-node block, or in the short last block of every level
+    + [_steep_peak(650, at) for at in (256, 511, 288, 319, 296, 303, 645, 649)],
 )
 def test_stacked_scale_bound_is_tight_on_a_radial_path(knots, values):
     # d = 1 and Yd = 0: Z moves radially, so the path length from a centre
     # is exactly the change of sigma_max and a shorter reach misses the peak
-    y = np.interp(np.arange(64.0), knots, values).reshape(64, 1, 1)
-    traj = js.JacobiTrajectory(None, 1.0, np.arange(64.0), y, np.zeros_like(y))
+    n = knots[-1] + 1
+    y = np.interp(np.arange(float(n)), knots, values).reshape(n, 1, 1)
+    traj = js.JacobiTrajectory(None, 1.0, np.arange(float(n)), y, np.zeros_like(y))
     assert traj.stacked_scale == 2.0
 
 
@@ -441,7 +457,7 @@ def test_stacked_scale_prunes_and_stays_exact(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     value = traj.stacked_scale
     monkeypatch.undo()
-    assert sum(sent) <= 0.30 * traj.n_nodes
+    assert sum(sent) <= 0.18 * traj.n_nodes
     assert value == _stacked_unpruned(traj)
 
 
@@ -459,32 +475,59 @@ def test_svals_evaluates_few_nodes_and_stays_exact(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting)
     traj.svals
     monkeypatch.undo()
-    assert sum(sent) <= 0.25 * traj.n_nodes
+    assert sum(sent) <= 0.18 * traj.n_nodes
     _assert_same_as_all_nodes(traj)
     assert traj.stacked_scale == _stacked_unpruned(traj)
+
+
+@pytest.mark.parametrize("name", ["sphere-zero", "flat-parallel"])
+def test_caches_send_each_node_to_eigvalsh_once(trajs, name, monkeypatch):
+    # sigma_max([Y; Yd]) is constant on both families, so stacked_scale
+    # evaluates every node; flat-parallel's svals evaluates every node too
+    base = trajs(name)
+    traj = js.JacobiTrajectory(base.spec, base.step, base.times, base.y, base.yd)
+    traj._step_norms
+    sent = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        sent.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    traj.svals
+    assert sum(sent) == np.count_nonzero(~np.isnan(traj.svals[:, 0]))
+    sent.clear()
+    traj.stacked_scale
+    assert sum(sent) == traj.n_nodes
 
 
 @pytest.mark.parametrize(
     "segments, step_of_event",
     [
-        # node 16, the first of its block, is a local minimum at 0.01 beside
-        # a sign change; node 15 clears the zero threshold by its own bound,
-        # so the search sees node 16's left neighbour only through the
-        # widened run
+        # node 16 is a local minimum at 0.01 beside a sign change; node 15
+        # clears the zero threshold by its own bound, so the search sees
+        # node 16's left neighbour only through the widening
         ([(16, 0.5), (1, 0.01), (1, -0.02), (14, -0.5), (32, -1.0)], 16),
-        # the mirror: node 47, the last of its block, needs its right neighbour
+        # the mirror: node 47 needs its right neighbour
         ([(32, -1.0), (14, -0.5), (1, -0.02), (1, 0.01), (16, 0.5)], 46),
-        # node 8, a block centre at 0.04, is a local minimum whose sign
-        # change lies in the step before it: that step's reach keeps it
+        # node 8 at 0.04 is a local minimum whose sign change lies in the
+        # step before it: that step's reach keeps it
         ([(8, -0.5), (40, 0.04), (16, 1.0)], 7),
         # the mirror at node 24, with the sign change in the step after it
         ([(25, 0.04), (15, -0.5), (24, -1.0)], 24),
+        # on 300 nodes, node 128, the centre of the first 256-node block, is
+        # the candidate, and its left neighbour clears by its own bound: the
+        # widening around an evaluated centre must reach it
+        ([(128, 0.5), (1, 0.01), (1, -0.02), (14, -0.5), (156, -1.0)], 128),
+        # the mirror at node 48, the centre of a 32-node block
+        ([(33, -1.0), (14, -0.5), (1, -0.02), (1, 0.01), (251, 0.5)], 47),
     ],
 )
 def test_svals_keeps_every_candidate_of_the_event_search(segments, step_of_event):
     # d = 1 and Yd = 0, so the bounds are exact path lengths
-    y = np.concatenate([np.full(k, v) for k, v in segments]).reshape(64, 1, 1)
-    traj = js.JacobiTrajectory(None, 1.0, np.arange(64.0), y, np.zeros_like(y))
+    y = np.concatenate([np.full(k, v) for k, v in segments]).reshape(-1, 1, 1)
+    traj = js.JacobiTrajectory(None, 1.0, np.arange(float(len(y))), y, np.zeros_like(y))
     assert np.isnan(traj.svals[:, 0]).any()
     _assert_same_as_all_nodes(traj)
     (event,) = js.singular_events(traj)
@@ -517,8 +560,8 @@ def _walks(draw):
     h = draw(st.floats(1e-4, 1.0))
     size = draw(st.floats(1e-4, 0.2))
     seed = draw(st.integers(0, 2**32 - 1))
-    first = range(0, n, jacobi._BLOCK)
-    ends = sorted({i for b in first for i in (b, min(b + jacobi._BLOCK, n) - 1)})
+    block = jacobi._LEVELS[-1]  # its block ends include those of every level
+    ends = sorted({i for b in range(0, n, block) for i in (b, min(b + block, n) - 1)})
     drops = draw(st.lists(st.one_of(st.integers(0, n - 1), st.sampled_from(ends)), max_size=4))
     rank = draw(st.integers(0, d - 1))
     rng = np.random.default_rng(seed)

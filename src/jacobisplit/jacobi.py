@@ -98,7 +98,8 @@ _GRAM_CUT = 1e-3
 _CHUNK = 1024  # nodes per temporary of the Gram, bound and span passes
 # svals and stacked_scale: the block sizes of the certification levels, each
 # dividing the one before (_certify), and the relative slack on a bound that
-# covers the roundoff of eigvalsh and of the path sums
+# covers the roundoff of eigvalsh and the step norms (the path sums carry
+# their own, _certify)
 _LEVELS = (256, 32, 8)
 _SLACK = 1e-12
 # singular_events refines local minima of sigma_min at or below _COARSE_CUT
@@ -315,14 +316,11 @@ class JacobiTrajectory:
         between them, here over the steps ``||Z_{i+1} - Z_i||_F``, with
         ``||dZ||^2 = ||dY||^2 + ||dYd||^2``. Level by level (``_certify``),
         a node is decided when its bound, widened by ``_SLACK`` for
-        roundoff, falls short of the best evaluated value. The descent
-        stops at the first level that decides no node, and every node left
-        undecided is evaluated by the same formula; the result is the
-        maximum over every node. Where the values tie (on a family of unit
-        curvature ``sigma_max(Z)`` is constant) that is the first level,
-        and each node is evaluated once. ``svals`` descends through every
-        level: on a short trajectory a coarse level can decide no node
-        while the finer ones decide most."""
+        roundoff, falls short of the best evaluated value. Every node left
+        undecided after the last level is evaluated by the same formula; the
+        result is the maximum over every node. Where the values tie (on a
+        family of unit curvature ``sigma_max(Z)`` is constant) no level
+        decides a node, and each node is evaluated once."""
         y, yd = self.y, self.yd
         dy, dyd, _ = self._step_norms
         top = np.full(len(y), -np.inf)
@@ -336,7 +334,7 @@ class JacobiTrajectory:
         def undecided(i, c, dist):
             return (np.sqrt(top[c]) + dist) ** 2 * (1.0 + _SLACK) >= np.max(top)
 
-        _certify(np.hypot(dy, dyd), evaluate, undecided, stop_idle=True)
+        _certify(np.hypot(dy, dyd), evaluate, undecided)
         return math.sqrt(float(np.max(top)))
 
     @cached_property
@@ -405,7 +403,7 @@ def nearest_node(times: np.ndarray, step: float, t: float) -> int:
     return j
 
 
-def _certify(step, evaluate, undecided, stop_idle=False) -> None:
+def _certify(step, evaluate, undecided) -> None:
     """Evaluate, each at most once, every node that no Weyl bound decides.
 
     ``step[i]`` is the path length from node i to node i + 1 (zero at the
@@ -413,19 +411,17 @@ def _certify(step, evaluate, undecided, stop_idle=False) -> None:
     last may be short) and evaluates the centres of the blocks that still
     hold an undecided node; ``undecided(i, c, dist)`` tells which undecided
     nodes ``i`` stay so, bounded from their centre ``c`` at the path length
-    ``dist``. The nodes left after the last level, or with ``stop_idle``
-    after the first level that decides none, are evaluated in one pass.
-    Path lengths are prefix sums within first-level blocks, which hold
-    every finer block, so their roundoff stays relative to one such
-    block."""
+    ``dist``. The nodes left after the last level are evaluated in one pass.
+
+    ``dist`` is the difference of the running sums of ``step`` at ``i`` and
+    ``c``, widened by ``|i - c| eps`` times the larger of the two: each of
+    the ``|i - c|`` additions between them rounds by at most ``eps / 2``
+    times that sum (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, section 4.2), however long the path before them. The relative
+    roundoff of the difference itself is left to ``_SLACK``."""
     n = len(step)
-    width = _LEVELS[0]
-    blocks = -(-n // width)
-    padded = np.zeros((blocks, width))
-    padded.ravel()[:n] = step
-    path = np.zeros((blocks, width))
-    np.cumsum(padded[:, :-1], axis=1, out=path[:, 1:])
-    path = path.ravel()[:n]
+    path = np.zeros(n)
+    np.cumsum(step[:-1], out=path[1:])
     done = np.zeros(n, dtype=bool)
     todo = np.ones(n, dtype=bool)
     for size in _LEVELS:
@@ -440,9 +436,9 @@ def _certify(step, evaluate, undecided, stop_idle=False) -> None:
         if not i.size:
             return
         c = centre[i // size]
-        keep = undecided(i, c, np.abs(path[i] - path[c]))
-        if stop_idle and keep.all():
-            break
+        far = np.maximum(path[i], path[c])
+        dist = np.abs(path[i] - path[c]) + np.abs(i - c) * np.finfo(float).eps * far
+        keep = undecided(i, c, dist)
         todo[i[~keep]] = False
     _in_chunks(evaluate, np.flatnonzero(todo))
 

@@ -404,6 +404,21 @@ def _steep_peak(n, at):
     return [0, 255] + knots, [1.95, 1.95] + list(peak)
 
 
+def _climb_behind_a_long_prefix():
+    """Knots and values of a 300-node path. Nodes 0..127 alternate between
+    1.9 and -1.9, a path of about 485 ahead of node 128, the centre of the
+    first 256-node block. From there 100 equal steps s climb exactly to the
+    peak 2.0 on node 228; s is a whole number of ulps of 485 plus 0.45 of
+    one, so a running sum taken from node 0 rounds each step down and comes
+    2.6e-12 short over the climb, more than the slack. The last node, the
+    centre of the short second block, reads 2 - 2^-42, so a bound that
+    ignores that roundoff misses the peak."""
+    s = (2**52 // 100 - 115) // 256 * 256 + 115
+    climb = [(2**53 - (100 - k) * s) * 2.0**-52 for k in range(101)]
+    values = [1.9, -1.9] * 64 + climb + [1.5] * 70 + [2.0 - 2.0**-42]
+    return list(range(300)), values
+
+
 @pytest.mark.parametrize(
     "knots, values",
     [
@@ -416,7 +431,8 @@ def _steep_peak(n, at):
     ]
     # on 650 nodes the peak sits on the first or last node of a 256-, 32- or
     # 8-node block, or in the short last block of every level
-    + [_steep_peak(650, at) for at in (256, 511, 288, 319, 296, 303, 645, 649)],
+    + [_steep_peak(650, at) for at in (256, 511, 288, 319, 296, 303, 645, 649)]
+    + [_climb_behind_a_long_prefix()],
 )
 def test_stacked_scale_bound_is_tight_on_a_radial_path(knots, values):
     # d = 1 and Yd = 0: Z moves radially, so the path length from a centre

@@ -95,7 +95,7 @@ TOL_ZERO = 1e-7  # a vanishing instant: sigma_min at most TOL_ZERO times the sca
 # singular values come from the Gram matrix Y^T Y except at nodes where
 # sigma_min is below _GRAM_CUT times the scale, which get an exact SVD
 _GRAM_CUT = 1e-3
-_CHUNK = 1024  # nodes per temporary of the Gram, bound and span passes
+_CHUNK = 1024  # nodes per temporary of the Gram, bound, span and orthogonality passes
 # svals and stacked_scale: the block sizes of the certification levels, each
 # dividing the one before (_certify), and the relative slack on a bound that
 # covers the roundoff of eigvalsh and the step norms (the path sums carry
@@ -205,14 +205,15 @@ class JacobiTrajectory:
         with them (``_certify``)."""
         y, yd = self.y, self.yd
         n = len(y)
-        dy, dyd = np.zeros(n), np.zeros(n)
-        for lo in range(0, n - 1, _CHUNK):
-            hi = min(lo + _CHUNK, n - 1)
+        dy, dyd, ydn = np.zeros(n), np.zeros(n), np.empty(n)
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n - 1)  # the steps of the chunk; none at the last node
+            block = yd[lo : lo + _CHUNK]
+            ydn[lo : lo + _CHUNK] = np.einsum("nij,nij->n", block, block)
             diff = y[lo + 1 : hi + 1] - y[lo:hi]
             dy[lo:hi] = np.einsum("nij,nij->n", diff, diff)
             np.subtract(yd[lo + 1 : hi + 1], yd[lo:hi], out=diff)
             dyd[lo:hi] = np.einsum("nij,nij->n", diff, diff)
-        ydn = np.einsum("nij,nij->n", yd, yd)
         return np.sqrt(dy, out=dy), np.sqrt(dyd, out=dyd), np.sqrt(ydn, out=ydn)
 
     @cached_property

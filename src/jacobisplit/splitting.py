@@ -139,25 +139,54 @@ class SpanResult:
     rejected_residual: float | None
 
 
-def _span_from_test(test_mats: np.ndarray, scale: float) -> SpanResult:
-    """Near-null space of a time-indexed family of test matrices.
+def _weighted(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``w[j] * a[j]`` for every node j of the leading axis."""
+    return w.reshape((-1,) + (1,) * (a.ndim - 1)) * a
+
+
+def _span_from_test(terms: tuple, scale: float) -> SpanResult:
+    """Near-null space of the test ``sum_k w_k(t) M_k(t)``, a time-indexed
+    family of ``d x d`` matrices given as ``terms``, pairs ``(w_k, M_k)`` of
+    per-node weights (None for a unit weight) and ``(N, d, d)`` arrays.
 
     Candidates are eigenvectors of the time-averaged Gram operator of the
     test, taken in ascending eigenvalue order; a candidate joins the span
     while its worst node residual stays below ``TOL_SPAN`` times the family
     scale. The max-node qualification (rather than the averaged Gram value
     alone) keeps locally-supported failures from slipping through.
+
+    The test is streamed ``_CHUNK`` nodes at a time, once for the Gram
+    operator and once per candidate for its residuals, so no full-size array
+    is made; a lone unit-weight term is read in place.
     """
-    d = test_mats.shape[2]
-    flat = test_mats.reshape(-1, d)
-    gram = (flat.T @ flat) / test_mats.shape[0]
-    _, vecs = spectrum(gram)
+    n, d = terms[0][1].shape[:2]
+    chunks = [slice(lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
+
+    def test(chunk, f):
+        # sum_k w_k f(M_k[chunk]), f keeping the node axis first; only a lone
+        # term has a unit weight (None), so a sum of several is a fresh array
+        (w, m), *rest = terms
+        total = f(m[chunk]) if w is None else _weighted(w[chunk], f(m[chunk]))
+        for w, m in rest:
+            total += _weighted(w[chunk], f(m[chunk]))
+        return total
+
+    def gram(chunk):  # the chunk's test is freed on return
+        flat = test(chunk, lambda b: b).reshape(-1, d)
+        return flat.T @ flat
+
+    def worst_residual(v):
+        # node rows from a gemv on the flat view of each term
+        rows = (test(c, lambda b: (b.reshape(-1, d) @ v).reshape(-1, d)) for c in chunks)
+        return max(float(np.max(np.linalg.norm(r, axis=1))) for r in rows) / scale
+
+    _, vecs = spectrum(sum(gram(c) for c in chunks) / n)
     accepted: list[np.ndarray] = []
     residuals: list[float] = []
     rejected = None
     for i in range(d):
         v = vecs[:, i]
-        res = float(np.max(np.linalg.norm(test_mats @ v, axis=1))) / scale
+        res = worst_residual(v)
         if res <= TOL_SPAN:
             accepted.append(v)
             residuals.append(res)
@@ -170,20 +199,18 @@ def _span_from_test(test_mats: np.ndarray, scale: float) -> SpanResult:
 
 def parallel_span(traj: JacobiTrajectory) -> SpanResult:
     """Coefficient vectors whose member fields are parallel: Yd(t) c = 0 at
-    every node."""
-    return _span_from_test(traj.yd, traj.stacked_scale)
+    every node. The test is ``Yd`` itself, read in place ``_CHUNK`` nodes
+    at a time; no full-size array is made."""
+    return _span_from_test(((None, traj.yd),), traj.stacked_scale)
 
 
 def sine_span(traj: JacobiTrajectory) -> SpanResult:
     """Coefficient vectors whose member fields have the form sin(t) E(t)
     with E parallel; equivalently (sin(t) Yd(t) - cos(t) Y(t)) c = 0 at
-    every node."""
-    st = np.sin(traj.times)[:, None, None]
-    ct = np.cos(traj.times)[:, None, None]
-    test = st * traj.yd
-    for lo in range(0, len(test), _CHUNK):  # subtract cos(t) Y without a full-size temporary
-        test[lo : lo + _CHUNK] -= ct[lo : lo + _CHUNK] * traj.y[lo : lo + _CHUNK]
-    return _span_from_test(test, traj.stacked_scale)
+    every node. The test is streamed ``_CHUNK`` nodes at a time from ``Y``
+    and ``Yd``; no full-size array is made."""
+    t = traj.times
+    return _span_from_test(((np.sin(t), traj.yd), (-np.cos(t), traj.y)), traj.stacked_scale)
 
 
 def vanishing_span(traj: JacobiTrajectory, open_ends: bool = False) -> np.ndarray:
@@ -223,13 +250,17 @@ def _orthogonality_residual(traj: JacobiTrajectory, zb: np.ndarray, pb: np.ndarr
     """
     if zb.shape[1] == 0 or pb.shape[1] == 0:
         return 0.0
-    vz = np.einsum("nij,jk->nik", traj.y, zb)  # (N, d, mz)
-    vp = np.einsum("nij,jk->nik", traj.y, pb)
-    inner = np.abs(np.einsum("nik,nil->nkl", vz, vp))
-    nz = np.linalg.norm(vz, axis=1)[:, :, None]
-    np_ = np.linalg.norm(vp, axis=1)[:, None, :]
-    violation = (inner - 1e-9) / np.maximum(nz * np_, 1e-300)
-    return float(max(np.max(violation), 0.0))
+    worst = 0.0
+    for lo in range(0, traj.n_nodes, _CHUNK):  # a max over nodes, taken chunk by chunk
+        y = traj.y[lo : lo + _CHUNK]
+        vz = np.einsum("nij,jk->nik", y, zb)  # (chunk, d, mz)
+        vp = np.einsum("nij,jk->nik", y, pb)
+        inner = np.abs(np.einsum("nik,nil->nkl", vz, vp))
+        nz = np.linalg.norm(vz, axis=1)[:, :, None]
+        np_ = np.linalg.norm(vp, axis=1)[:, None, :]
+        violation = (inner - 1e-9) / np.maximum(nz * np_, 1e-300)
+        worst = max(float(np.max(violation)), worst)
+    return worst
 
 
 def _zero_time_map(events: list[ZeroEvent], z_basis: np.ndarray) -> list[tuple[int, float]]:

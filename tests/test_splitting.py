@@ -1,18 +1,29 @@
-"""Tests for the splitting gates, structured spans, and verdict logic."""
+"""Tests for the splitting gates, structured spans, and verdict logic.
+
+The full-array span ``_span_full`` is the reference for the streamed span
+tests of ``sine_span`` and ``parallel_span``: the same Gram candidates and
+max-node residuals, from the whole ``(N, d, d)`` test at once.
+"""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from test_jacobi import _d16_family
 
 import jacobisplit as js
 from jacobisplit import cli, splitting
+from jacobisplit.jacobi import _CHUNK
 from jacobisplit.splitting import splitting_verdict
 
 
 EPS = math.pi / 12.0
+# The streamed test sums its rows in another order, which moves a normalized
+# value near zero (an accepted residual, a basis entry) by a few d eps.
+ROUNDOFF = 1e-14
 
 
 # ---------------------------------------------------------------- gates
@@ -117,6 +128,98 @@ def test_sine_span_shifted_sine_rejected(trajs):
     span = js.sine_span(trajs("example-shifted-sine"))
     assert span.basis.shape[1] == 0
     assert span.rejected_residual == pytest.approx(math.sin(EPS), abs=2e-3)
+
+
+def _span_full(test_mats, scale):
+    """(basis, residuals, rejected residual) of the near-null space of the
+    whole test array ``test_mats`` of shape (N, d, d)."""
+    d = test_mats.shape[2]
+    flat = test_mats.reshape(-1, d)
+    _, vecs = js.spectrum((flat.T @ flat) / test_mats.shape[0])
+    accepted, residuals, rejected = [], [], None
+    for v in vecs.T:
+        res = float(np.max(np.linalg.norm(test_mats @ v, axis=1))) / scale
+        if res > splitting.TOL_SPAN:
+            rejected = res
+            break
+        accepted.append(v)
+        residuals.append(res)
+    basis = np.column_stack(accepted) if accepted else np.zeros((d, 0))
+    return basis, residuals, rejected
+
+
+def _assert_spans_match_full(traj):
+    sine = np.sin(traj.times)[:, None, None] * traj.yd - np.cos(traj.times)[:, None, None] * traj.y
+    for span, test in [(js.sine_span(traj), sine), (js.parallel_span(traj), traj.yd)]:
+        basis, residuals, rejected = _span_full(test, traj.stacked_scale)
+        assert_allclose(span.basis, basis, rtol=1e-12, atol=ROUNDOFF)
+        assert_allclose(span.residuals, residuals, rtol=1e-12, atol=ROUNDOFF)
+        if rejected is None:
+            assert span.rejected_residual is None
+        else:
+            assert span.rejected_residual == pytest.approx(rejected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", [sc.name for sc in js.list_scenarios()] + ["d16"])
+def test_spans_match_the_full_array(trajs, name):
+    _assert_spans_match_full(_d16_family(4e-4) if name == "d16" else trajs(name))
+
+
+@pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+def test_spans_match_the_full_array_on_walks(n):
+    # random matrix walks with one sine-type member (column 0) and one
+    # parallel member (column 1), so each span accepts a candidate and
+    # rejects the next, across every chunk layout
+    rng = np.random.default_rng(n)
+    d = 4
+    h = 1e-3
+    times = 0.3 + h * np.arange(n)
+    y, yd = np.eye(d) + np.cumsum(0.05 * rng.standard_normal((2, n, d, d)), axis=1)
+    u = 1.0 + np.cumsum(0.05 * rng.standard_normal((n, d)), axis=0)
+    y[:, :, 0] = np.sin(times)[:, None] * u
+    yd[:, :, 0] = np.cos(times)[:, None] * u
+    yd[:, :, 1] = 0.0
+    traj = js.JacobiTrajectory(None, h, times, y, yd)
+    _assert_spans_match_full(traj)
+    assert js.sine_span(traj).basis.shape[1] == 1
+    assert js.parallel_span(traj).basis.shape[1] == 1
+
+
+@pytest.mark.parametrize("span", ["sine", "parallel"])
+def test_span_rejects_a_violation_at_the_last_node(span):
+    # the test vanishes at every node but the last one, which is the last
+    # node of the short final chunk; the max-node residual must see it
+    n, d, h = 2 * _CHUNK + 5, 3, 4e-4
+    times = 0.2 + h * np.arange(n)
+    if span == "sine":
+        y = np.sin(times)[:, None, None] * np.eye(d)
+        yd = np.cos(times)[:, None, None] * np.eye(d)
+        y[-1, 0, 0] += 1e-3
+    else:
+        y = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+        yd = np.zeros((n, d, d))
+        yd[-1, 0, 0] = 1e-3
+    traj = js.JacobiTrajectory(None, h, times, y, yd)
+    out = js.sine_span(traj) if span == "sine" else js.parallel_span(traj)
+    assert out.basis.shape[1] == d - 1
+    assert_allclose(np.abs(out.basis[0]), 0.0, atol=1e-12)
+    assert out.rejected_residual > 1e-4
+    _assert_spans_match_full(traj)
+
+
+def test_spans_memory_stays_off_the_trajectory_scale():
+    # the span tests are streamed: at most two chunks of the d = 16 test
+    # (sin(t) Yd and cos(t) Y) are live at once, whatever the node count
+    traj = _d16_family(4e-4)
+    js.check_splitting(traj, "B", alpha=traj.alpha)  # warm the caches
+    tracemalloc.start()
+    try:
+        js.sine_span(traj), js.parallel_span(traj)
+        js.check_splitting(traj, "B", alpha=traj.alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * _CHUNK * traj.y[0].nbytes < 0.4 * traj.y.nbytes
 
 
 def test_vanishing_span_windows(trajs):

@@ -651,8 +651,9 @@ def _cmd_run(args) -> int:
                 scenario, step=step, seed=args.seed, _traces_dir=out if args.traces else None
             )
         except MemoryError:
-            nodes = max(1, round((scenario.end - scenario.alpha) / step)) + 1
-            msg = f"out of memory at step {step:g} ({nodes} nodes); give a larger --step"
+            # a float: the node count of a subnormal step overflows to inf
+            nodes = max(1.0, np.rint((scenario.end - scenario.alpha) / step)) + 1
+            msg = f"out of memory at step {step:g} ({nodes:.15g} nodes); give a larger --step"
             raise ValueError(msg) from None
         report_path = out / f"{scenario.name}-report.json"
         report_path.write_text(report.to_json())

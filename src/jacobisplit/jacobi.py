@@ -28,18 +28,21 @@ steps are cut into ``ceil(N/B)`` blocks of ``B = isqrt(N)``:
    writing ``Y`` and ``Yd`` in place.
 
 A field that does not depend on time has one step map for every block:
-pass 1 runs once and keeps the powers ``E_1 .. E_B``, and pass 3 is one
-broadcast product into the output arrays. Propagators are held in
-increment form ``E = P - I`` and advanced as ``E <- E + inc(I + E)``, so the
-``O(h)`` per-step changes are never rounded against the identity; forming
-``P`` itself loses about a digit on fine grids. The result is the same RK4
-map with its products grouped differently, equal to the step loop up to
-roundoff.
+pass 1 takes one step, ``E_1``, and builds the powers ``E_2 .. E_B`` by
+doubling, ``ceil(log2 B)`` batched products ``E_{m+j} = E_m + E_j + E_m E_j``
+for ``j = 1 .. min(m, B - m)``; pass 3 is one broadcast product into the
+output arrays. Propagators are held in increment form ``E = P - I`` and
+advanced as ``E <- E + inc(I + E)``, and ``E_m + E_j + E_m E_j`` is the
+increment form of ``(I + E_m)(I + E_j)``, so the ``O(h)`` per-step changes
+are never rounded against the identity; forming ``P`` itself loses about a
+digit on fine grids. The result is the same RK4 map with its products
+grouped differently, equal to the step loop up to roundoff.
 
 On top of the trajectory this module provides the Riccati operator
 ``S = Yd Y^{-1}``, the Wronskian ``W = Y^T Yd - Yd^T Y`` (the conserved
 self-adjointness certificate), detection and refinement of singular
-times (instants where ``Y`` drops rank), and a central-difference residual
+times (instants where ``Y`` drops rank; a sign change of ``det Y`` is
+refined by the Illinois method), and a central-difference residual
 check of the Riccati equation ``S' + S^2 + R = 0``. Each trajectory
 analysis evaluates the nodes it reads and no others. One pass takes the
 step norms ``||Y_{j+1} - Y_j||_F`` and ``||Yd_{j+1} - Yd_j||_F``, and by
@@ -496,15 +499,21 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
 
     The ``N`` steps run as a two-level blocked scan (see the module
     docstring): blocks of ``B = isqrt(N)`` steps, about ``3 B`` array
-    iterations in all. A family that overflows is a ValueError naming the
-    first node that is not finite."""
+    iterations in all; a constant field builds its ``B`` block powers by
+    doubling instead, with one step evaluated. A family that overflows is a
+    ValueError naming the first node that is not finite, and a grid larger
+    than numpy can index is a MemoryError, raised before allocating."""
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     span = spec.end - spec.alpha
+    d = spec.dim
+    # the field at 2 N + 1 stages is the largest array; numpy cannot even
+    # index one of more bytes than intp holds, so fail before allocating
+    if not 16.0 * d * d * (span / step + 1) < np.iinfo(np.intp).max:
+        raise MemoryError(f"{span / step + 1:.15g} nodes of {d}x{d} matrices do not fit")
     n_steps = max(1, int(round(span / step)))
     times = np.linspace(spec.alpha, spec.end, n_steps + 1)
     h = span / n_steps
-    d = spec.dim
     # the field at every node (even index) and step midpoint (odd index)
     stages = np.empty(2 * n_steps + 1)
     stages[0::2] = times
@@ -527,11 +536,19 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
 
     # pass 1: the propagator of every block but the last, E_b = P_b - I
     if constant:
-        # one step map for all blocks: keep E_i = P^i - I for i = 0..blk
+        # one step map for all blocks: keep E_i = P^i - I for i = 0..blk, by
+        # doubling, E_{m+j} = E_m + E_j + E_m E_j for j = 1..min(m, blk - m),
+        # each product written straight into its slice
         powers = np.zeros((blk + 1, 2 * d, 2 * d))
-        for i in range(blk):
-            powers[i + 1] = powers[i]
-            _advance(powers[i + 1], r[0], r[0], r[0], h)
+        _advance(powers[1], r[0], r[0], r[0], h)
+        m = 1
+        while m < blk:
+            k = min(m, blk - m)
+            out = powers[m + 1 : m + k + 1]
+            np.matmul(powers[m], powers[1 : k + 1], out=out)
+            out += powers[1 : k + 1]
+            out += powers[m]
+            m += k
         e = np.broadcast_to(powers[blk], (nb - 1, 2 * d, 2 * d))
     else:
         e = np.zeros((nb - 1, 2 * d, 2 * d))
@@ -615,17 +632,32 @@ def _hermite_det(traj: JacobiTrajectory, t: float) -> float:
     return float(np.linalg.det(yt))
 
 
-def _bisect_det(traj: JacobiTrajectory, lo: float, hi: float) -> float:
-    flo = _hermite_det(traj, lo)
+def _det_root(traj: JacobiTrajectory, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """A zero of the Hermite ``det Y`` in ``[lo, hi]``, whose end values
+    ``flo`` and ``fhi`` differ in sign, by the Illinois method (Dowell and
+    Jarratt, BIT 11, 1971): regula falsi on a bracket, halving the value
+    kept at an end that survives twice in a row, so neither end stalls. A
+    secant point that leaves the open bracket is replaced by its midpoint.
+    At most 80 evaluations; the bracket's midpoint is returned once it is at
+    most ``1e-15 max(1, |hi|)`` wide."""
+    moved = 0  # the end the last probe replaced: 1 for lo, -1 for hi
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fmid = _hermite_det(traj, mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
+        t = (lo * fhi - hi * flo) / (fhi - flo)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        ft = _hermite_det(traj, t)
+        if ft == 0.0:
+            return t
+        if (ft < 0.0) == (flo < 0.0):
+            lo, flo = t, ft
+            if moved == 1:
+                fhi *= 0.5
+            moved = 1
         else:
-            hi = mid
+            hi, fhi = t, ft
+            if moved == -1:
+                flo *= 0.5
+            moved = -1
         if hi - lo <= 1e-15 * max(1.0, abs(hi)):
             break
     return 0.5 * (lo + hi)
@@ -678,14 +710,15 @@ def singular_events(traj: JacobiTrajectory, open_ends: bool = False) -> list[Zer
 
     Candidate nodes are local minima of sigma_min at or below
     ``_COARSE_CUT`` times the scale (or nodes already below the zero
-    threshold). Each candidate is refined: by det-sign bisection when the
-    determinant changes sign across the bracket, else by repeated parabola
-    fits on sigma_min^2 over shrinking stencils. A refined candidate
-    qualifies as an event when its sigma_min is at most ``TOL_ZERO`` times
-    the grid-wide scale. The refined list of the closed window is kept in
-    ``traj.derived``, so each trajectory is scanned once; with
-    ``open_ends`` set, only its events in ``traj.in_open_window`` are
-    returned. The events' kernels are read-only.
+    threshold). Each candidate is refined: by the Illinois method on the
+    Hermite ``det Y`` when the determinant changes sign across the bracket
+    (``_det_root``), else by repeated parabola fits on sigma_min^2 over
+    shrinking stencils. A refined candidate qualifies as an event when its
+    sigma_min is at most ``TOL_ZERO`` times the grid-wide scale. The
+    refined list of the closed window is kept in ``traj.derived``, so each
+    trajectory is scanned once; with ``open_ends`` set, only its events in
+    ``traj.in_open_window`` are returned. The events' kernels are
+    read-only.
     """
     if "events" not in traj.derived:
         traj.derived["events"] = _refined_events(traj)
@@ -714,10 +747,12 @@ def _refined_events(traj: JacobiTrajectory) -> tuple[ZeroEvent, ...]:
             j_lo = max(j - 1, 0)
             j_hi = min(j + 1, last)
             t_star = None
+            # the Hermite interpolant is Y itself at a node, so the node dets
+            # are the bracket's end values
             if dets[j_lo] * dets[j] < 0.0:
-                t_star = _bisect_det(traj, traj.times[j_lo], traj.times[j])
+                t_star = _det_root(traj, traj.times[j_lo], traj.times[j], dets[j_lo], dets[j])
             elif dets[j] * dets[j_hi] < 0.0:
-                t_star = _bisect_det(traj, traj.times[j], traj.times[j_hi])
+                t_star = _det_root(traj, traj.times[j], traj.times[j_hi], dets[j], dets[j_hi])
             elif j_lo < j < j_hi:
                 ts = [traj.times[j_lo], traj.times[j], traj.times[j_hi]]
                 vertex = _parabola_vertex(ts, [sig[i] ** 2 for i in (j_lo, j, j_hi)])

@@ -215,6 +215,25 @@ def test_rigidity_shifted_start_verified():
     assert rep.max_s_dev <= 1e-6
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: at step 3e-7 the family sin(t) I on [pi - 0.01, pi] "
+    "reads 'falsified' (S deviation about 2.1e-3 against TOL_ROUND = 1e-4); "
+    "a roundoff-level error in Y at the last interior node (about 2e-16) is "
+    "amplified by 1 / sin(t)^2, about 1 / h^2, in S - cot(t) id",
+)
+def test_rigidity_fine_step_near_the_end_zero_is_not_falsified():
+    alpha = math.pi - 0.01
+    spec = js.FamilySpec(
+        field=js.constant_sectional(3, 1.0),
+        alpha=alpha,
+        end=math.pi,
+        y0=math.sin(alpha) * np.eye(2),
+        yd0=math.cos(alpha) * np.eye(2),
+    )
+    assert js.rigidity_check(js.integrate(spec, step=3e-7)).verdict != "falsified"
+
+
 def test_rigidity_flat_floor_fails(trajs):
     rep = js.rigidity_check(trajs("flat-parallel"))
     assert rep.verdict == "hypothesis-violated"

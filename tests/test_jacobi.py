@@ -10,6 +10,7 @@ The step loop ``_loop_integrate`` is the reference for the blocked scan in
 """
 
 import csv
+import json
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from test_bench_names import PERFBENCH, _load
 
 import jacobisplit as js
 from jacobisplit import jacobi
@@ -122,7 +124,8 @@ def test_integrate_array_iterations_grow_like_sqrt_n(monkeypatch):
     assert len(calls) == 2 * 56
     calls.clear()
     js.integrate(sphere_like(), step=math.pi / 3142)
-    assert len(calls) == 56  # a constant field: one propagator pass
+    # a constant field: one step, whose powers come by doubling
+    assert len(calls) == 1
 
 
 def test_integrate_rejects_overflow():
@@ -706,9 +709,135 @@ def test_singular_events_window_selection(trajs):
     traj = trajs("hopf-holonomy")
     all_events = js.singular_events(traj)
     assert [round(e.time, 6) for e in all_events] == [0.0, 1.570796, 3.141593]
-    # the open window drops the ends; the odd crossing inside is bisected
+    # the open window drops the ends; the odd crossing inside is refined on det Y
     (inner,) = js.singular_events(traj, open_ends=True)
     assert inner.time == pytest.approx(math.pi / 2, abs=1e-9)
+
+
+def _bisect_det(traj, lo, hi):
+    """The det-sign bisection that ``jacobi._det_root`` replaced: the
+    reference for its event times, with the same 80-evaluation cap and the
+    same stopping width."""
+    flo = jacobi._hermite_det(traj, lo)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fmid = jacobi._hermite_det(traj, mid)
+        if fmid == 0.0:
+            return mid
+        if (flo < 0.0) == (fmid < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+            break
+    return 0.5 * (lo + hi)
+
+
+def _counted_dets(monkeypatch) -> list:
+    """The times of every Hermite det evaluation from here on."""
+    calls = []
+    det = jacobi._hermite_det
+
+    def counted(traj, t):
+        calls.append(t)
+        return det(traj, t)
+
+    monkeypatch.setattr(jacobi, "_hermite_det", counted)
+    return calls
+
+
+def _refinements(trajectories, monkeypatch):
+    """``(traj, lo, hi, refined time, det evaluations)`` of every bracket
+    that ``singular_events`` refines on fresh copies of the trajectories."""
+    calls = _counted_dets(monkeypatch)
+    root = jacobi._det_root
+    rows = []
+
+    def recording(traj, lo, hi, flo, fhi):
+        before = len(calls)
+        t = root(traj, lo, hi, flo, fhi)
+        rows.append((traj, lo, hi, t, len(calls) - before))
+        return t
+
+    monkeypatch.setattr(jacobi, "_det_root", recording)
+    for traj in trajectories:
+        js.singular_events(js.JacobiTrajectory(traj.spec, traj.step, traj.times, traj.y, traj.yd))
+    return rows, calls
+
+
+def _assert_matches_bisection(rows, calls) -> tuple[int, int]:
+    """Check every refined time against ``_bisect_det``; the det evaluations
+    of the refinement and of the bisection."""
+    ours = bisected = 0
+    for traj, lo, hi, t, n in rows:
+        before = len(calls)
+        ref = _bisect_det(traj, lo, hi)
+        assert lo <= t <= hi
+        assert abs(t - ref) <= 1e-10 * traj.step, (traj.spec.label, lo, t, ref)
+        ours += n
+        bisected += len(calls) - before
+    return ours, bisected
+
+
+def test_det_root_matches_bisection_on_the_builtins(trajs, monkeypatch):
+    rows, calls = _refinements([trajs(sc.name) for sc in js.list_scenarios()], monkeypatch)
+    assert len(rows) >= 20
+    ours, bisected = _assert_matches_bisection(rows, calls)
+    assert 3 * ours <= bisected  # bisection takes about 40 evaluations a bracket
+
+
+def test_det_root_matches_bisection_on_fine_grid_families(monkeypatch):
+    families = _load("families")
+    expected = json.loads((PERFBENCH / "expected_verdicts.json").read_text())
+    built = families.fine_grid_families(np.random.default_rng([3, 0]), expected, "3-0")
+    rows, calls = _refinements(
+        [js.integrate(sc.family(), step=sc.step) for sc in built], monkeypatch
+    )
+    assert {traj.spec.field.dim for traj, *_ in rows} == {3, 16}
+    _assert_matches_bisection(rows, calls)
+
+
+def _one_step(lo, hi, f, df):
+    """A d = 1 trajectory of one step from ``lo`` to ``hi`` whose Hermite
+    interpolant is the cubic ``f`` (``df`` its derivative)."""
+    spec = js.FamilySpec(js.constant_sectional(2, 1.0), lo, hi, [[f(lo)]], [[df(lo)]])
+    y = np.array([f(lo), f(hi)]).reshape(2, 1, 1)
+    yd = np.array([df(lo), df(hi)]).reshape(2, 1, 1)
+    return js.JacobiTrajectory(spec, hi - lo, np.array([lo, hi]), y, yd)
+
+
+@pytest.mark.parametrize("bend", [1.0, 1e3, 1e6])
+def test_det_root_does_not_stall_on_a_root_next_to_an_end(bend, monkeypatch):
+    # a convex det with its root 1e-14 h past the lower end: every secant
+    # point falls short of the root, so with a strong bend regula falsi keeps
+    # the upper end and its bracket never narrows
+    h = 1e-3
+    root = 1e-14 * h
+
+    def f(t):
+        return (t - root) * (1.0 + bend * t / h)
+
+    def df(t):
+        return 1.0 + bend * (2.0 * t - root) / h
+
+    traj = _one_step(0.0, h, f, df)
+    calls = _counted_dets(monkeypatch)
+    t = jacobi._det_root(traj, 0.0, h, f(0.0), f(h))
+    assert 0.0 <= t <= h
+    assert len(calls) <= 80
+    assert abs(t - root) <= 1e-10 * h
+    assert abs(t - _bisect_det(traj, 0.0, h)) <= 1e-10 * h
+
+
+def test_det_root_stops_on_a_probe_at_the_zero(monkeypatch):
+    # det = t - h/4 in binary fractions: the first secant point is h/4 and
+    # the Hermite det there is exactly 0.0
+    h = 2.0**-10
+    traj = _one_step(0.0, h, lambda t: t - h / 4, lambda t: 1.0)
+    calls = _counted_dets(monkeypatch)
+    assert jacobi._det_root(traj, 0.0, h, -h / 4, 3 * h / 4) == h / 4
+    assert calls == [h / 4]
+    assert _bisect_det(traj, 0.0, h) == h / 4
 
 
 def _loop_candidates(s, zero_cut, coarse_cut):

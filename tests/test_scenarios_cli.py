@@ -2,6 +2,11 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +299,37 @@ def test_cli_exit_two_when_the_grid_does_not_fit_in_memory(tmp_path, capsys, mon
     assert js.main(["run", "sphere-zero", "--step", "1e-12", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "error: out of memory at step 1e-12 (3141592653591 nodes)" in err
+
+
+# 3e300 nodes, and a subnormal step whose node count overflows to inf: both
+# refused before anything of the grid is allocated
+@pytest.mark.parametrize("step, nodes", [("1e-300", "3.14159265358979e+300"), ("1e-310", "inf")])
+def test_cli_names_the_step_of_a_grid_numpy_cannot_size(tmp_path, capsys, step, nodes):
+    tracemalloc.start()
+    try:
+        code = js.main(["run", "sphere-zero", "--step", step, "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: out of memory at step {step} ({nodes} nodes)" in err
+    assert peak < 2**20
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    src = str(Path(js.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "jacobisplit", "list"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("sphere-zero ")
 
 
 def _example_with(tmp_path, edit) -> str:

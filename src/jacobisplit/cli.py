@@ -59,6 +59,7 @@ from .reduction import (
     shared_reduction,
 )
 from .splitting import MODES, splitting_params, splitting_verdict, vanishing_floor_verdict
+from .symlin import orthonormal_columns
 
 __all__ = [
     "VERSION",
@@ -96,11 +97,26 @@ def _is_finite_rows(value) -> bool:
     return len(lengths) == 1 and all(_is_finite_number(x) for row in rows for x in row)
 
 
-# check param validators: (test, what a valid value is)
+def _is_psi(value) -> bool:
+    """Finite rows that ``reduce`` keeps whole: by its rank rule,
+    ``orthonormal_columns`` drops none of them."""
+    if not _is_finite_rows(value):
+        return False
+    rows = np.array(value, dtype=float, ndmin=2)
+    return not rows.size or orthonormal_columns(rows.T).shape[1] == len(rows)
+
+
+# check param and config field validators: (test, what a valid value is)
 _MODE = (lambda v: v in MODES, f"one of {', '.join(MODES)}")
 _INTEGER = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer")
 _NUMBER = (_is_finite_number, "a finite number")
-_ROWS = (_is_finite_rows, "a list of equally long rows of finite numbers")
+_NUMBERS = (
+    lambda v: isinstance(v, list) and all(_is_finite_number(x) for x in v),
+    "a list of finite numbers",
+)
+_POSITIVE = (lambda v: _is_finite_number(v) and v > 0, "a finite number above zero")
+_ANY = (lambda v: True, "anything")
+_PSI = (_is_psi, "a list of equally long rows of finite numbers, linearly independent")
 
 
 class CheckKind(NamedTuple):
@@ -122,10 +138,10 @@ CHECKS = {
         splitting_verdict, {"theorem": _MODE, "k": _INTEGER, "alpha": _NUMBER}, splitting_params
     ),
     "rigidity": CheckKind(rigidity_verdict, {"alpha": _NUMBER}),
-    "hce": CheckKind(hce_verdict, {"psi": _ROWS, "tol": _NUMBER, "level": _NUMBER}, reduces=True),
+    "hce": CheckKind(hce_verdict, {"psi": _PSI, "tol": _POSITIVE, "level": _NUMBER}, reduces=True),
     "vanishing-floor": CheckKind(vanishing_floor_verdict, {"k": _INTEGER}, _needs("k")),
     "reduced-boundary": CheckKind(
-        reduced_boundary_verdict, {"psi": _ROWS, "alpha": _NUMBER}, _needs("alpha"), reduces=True
+        reduced_boundary_verdict, {"psi": _PSI, "alpha": _NUMBER}, _needs("alpha"), reduces=True
     ),
 }
 
@@ -433,19 +449,20 @@ def get_scenario(name: str) -> Scenario:
 # config files
 
 
-# config field kind -> (the keys of its JSON object, builder from that object)
+# config field kind -> (the keys of its JSON object with the validators of
+# their values, builder from that object)
 _FIELD_BUILDERS = {
     "constant-sectional": (
-        ("kind", "n", "c"),
-        lambda doc: constant_sectional(int(doc["n"]), float(doc["c"])),
+        {"kind": _ANY, "n": _INTEGER, "c": _NUMBER},
+        lambda doc: constant_sectional(doc["n"], float(doc["c"])),
     ),
     "diagonal-constant": (
-        ("kind", "eigs"),
-        lambda doc: diagonal_constant([float(x) for x in doc["eigs"]]),
+        {"kind": _ANY, "eigs": _NUMBERS},
+        lambda doc: diagonal_constant(doc["eigs"]),
     ),
-    "fubini-study": (("kind", "n"), lambda doc: fubini_study_model(int(doc["n"]))),
+    "fubini-study": ({"kind": _ANY, "n": _INTEGER}, lambda doc: fubini_study_model(doc["n"])),
     "sampled": (
-        ("kind", "path", "n", "grid", "ops", "label"),
+        {"kind": _ANY, "path": _ANY, "n": _INTEGER, "grid": _ANY, "ops": _ANY, "label": _ANY},
         lambda doc: (
             load_sampled_field(doc["path"]) if "path" in doc else sampled_field_from_json(doc)
         ),
@@ -459,8 +476,12 @@ def _field_from_config(doc: dict) -> CurvatureField:
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _FIELD_BUILDERS:
         raise ValueError(f"unknown field kind in config: {kind!r}")
-    keys, build = _FIELD_BUILDERS[kind]
-    _reject_unknown_keys(doc, keys, f"{kind!r} field key")
+    validators, build = _FIELD_BUILDERS[kind]
+    _reject_unknown_keys(doc, tuple(validators), f"{kind!r} field key")
+    for key, value in doc.items():
+        test, what = validators[key]
+        if not test(value):
+            raise ValueError(f"{kind!r} field key {key!r} must be {what}, got {value!r}")
     return build(doc)
 
 

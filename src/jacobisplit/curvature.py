@@ -93,6 +93,8 @@ def constant_sectional(n: int, c: float, label: str = "") -> CurvatureField:
     """Field of constant sectional curvature ``c`` in ambient dimension ``n``."""
     if n < 2:
         raise ValueError("ambient dimension must be >= 2")
+    if not np.isfinite(c):
+        raise ValueError("sectional curvature must be finite")
     cached = _frozen(float(c) * np.eye(n - 1))
     return CurvatureField(
         kind="constant-sectional",

@@ -50,14 +50,13 @@ Weyl's inequality they bound every singular value at a node from its
 value at another node by the path length between them. The nodes are
 certified level by level, in blocks of 256, 32 and 8 (``_certify``), and
 none is evaluated twice. The singular values of ``Y``
-(``JacobiTrajectory.svals``) are exact, from the Gram matrices ``Y^T Y`` or
-an SVD where ``Y`` is near singular, at every node that may hold the grid
-maximum or whose lower bound, widened by the cubic Hermite interpolant's
-reach, does not clear the zero threshold; they are NaN elsewhere. The grid
-maximum of ``sigma_max([Y; Yd])`` is exact but evaluated only where the
-same bound cannot rule it out (``stacked_scale``), ``det Y`` is taken only
-where the event search reads it (``dets``), and the refined events are
-kept per trajectory, so each is scanned once.
+(``JacobiTrajectory.svals``) are one LAPACK SVD of ``Y`` at every node
+that may hold the grid maximum or whose lower bound, widened by the cubic
+Hermite interpolant's reach, does not clear the zero threshold; they are
+NaN elsewhere. The grid maximum of ``sigma_max([Y; Yd])`` is exact but
+evaluated only where the same bound cannot rule it out (``stacked_scale``),
+``det Y`` is taken only where the event search reads it (``dets``), and
+the refined events are kept per trajectory, so each is scanned once.
 """
 
 from __future__ import annotations
@@ -95,14 +94,11 @@ DEFAULT_STEP = 1e-3
 # times the grid-wide scale: the one regularity rule (JacobiTrajectory.regular)
 TOL_SING = 1e-8
 TOL_ZERO = 1e-7  # a vanishing instant: sigma_min at most TOL_ZERO times the scale
-# singular values come from the Gram matrix Y^T Y except at nodes where
-# sigma_min is below _GRAM_CUT times the scale, which get an exact SVD
-_GRAM_CUT = 1e-3
-_CHUNK = 1024  # nodes per temporary of the Gram, bound, span and orthogonality passes
+_CHUNK = 1024  # nodes per temporary of the SVD, Gram, bound, span and orthogonality passes
 # svals and stacked_scale: the block sizes of the certification levels, each
 # dividing the one before (_certify), and the relative slack on a bound that
-# covers the roundoff of eigvalsh and the step norms (the path sums carry
-# their own, _certify)
+# covers the roundoff of the SVD, eigvalsh and the step norms (the path sums
+# carry their own, _certify)
 _LEVELS = (256, 32, 8)
 _SLACK = 1e-12
 # singular_events refines local minima of sigma_min at or below _COARSE_CUT
@@ -250,13 +246,9 @@ class JacobiTrajectory:
         refine to a singular event: a refined time stays within one step of
         its node, where the lower bound holds.
 
-        Per chunk of nodes, ``g = Y^T Y`` gives the squares as
-        ``eigvalsh(g)``. The Gram route errs on sigma^2 by about ``d eps
-        scale^2`` (Higham, Accuracy and Stability of Numerical Algorithms,
-        2002, section 20), which the lower bound carries in its slack; rows
-        whose sigma_min falls below ``_GRAM_CUT`` times the scale are redone
-        by an exact SVD of Y, so every cut on sigma_min (the regular mask,
-        the zero threshold of singular events) is decided by SVD values."""
+        Each evaluated node is one LAPACK SVD of Y, ``_CHUNK`` nodes at a
+        time, whose error of order ``d eps scale`` the ``_SLACK`` widening
+        covers."""
         n, d = self.y.shape[:2]
         dy, _, ydn = self._step_norms
         # r[j] bounds the interpolant on the interval from node j to node j + 1;
@@ -266,19 +258,15 @@ class JacobiTrajectory:
         svals = np.full((n, d), np.nan)
 
         def evaluate(idx):
-            svals[idx] = _gram_svals(self.y[idx])
+            svals[idx] = np.linalg.svd(self.y[idx], compute_uv=False)
 
         def undecided(i, c, dist):
             top, bot = svals[c, 0], svals[c, -1]
             upper = (top + dist) * (1.0 + _SLACK)
             best = np.nanmax(svals[:, 0])
-            # clear where bot - dist - r_node - err > (TOL_ZERO + _SLACK) * ub,
-            # with ub >= scale and err <= d^2 eps ub^2 / bot a worst-case bound
-            # on the Gram route's error on bot; multiplied through by bot >= 0,
-            # so a zero bot clears no node
             ub = max(best, float(np.max(upper)))
             margin = bot - dist - r_node[i] - (TOL_ZERO + _SLACK) * ub
-            return (upper >= best) | (margin * bot <= d * d * np.finfo(float).eps * ub**2)
+            return (upper >= best) | (margin <= 0.0)
 
         _certify(dy, evaluate, undecided)
         # every node that can hold the scale is evaluated now, so the own
@@ -289,9 +277,6 @@ class JacobiTrajectory:
         side[near[near > 0] - 1] = True
         side[near[near < n - 1] + 1] = True
         _in_chunks(evaluate, np.flatnonzero(side & np.isnan(svals[:, 0])))
-        low = np.flatnonzero(svals[:, -1] < _GRAM_CUT * np.nanmax(svals[:, 0]))
-        if low.size:
-            svals[low] = np.linalg.svd(self.y[low], compute_uv=False)
         return svals
 
     @property
@@ -456,13 +441,6 @@ def _in_chunks(evaluate, idx) -> None:
 def _gram(y) -> np.ndarray:
     """``Y^T Y`` for every Y of a batch."""
     return np.matmul(y.transpose(0, 2, 1), y)
-
-
-def _gram_svals(y) -> np.ndarray:
-    """Singular values of every Y of a batch, descending, from
-    ``eigvalsh(Y^T Y)``."""
-    sq = np.linalg.eigvalsh(_gram(y))[:, ::-1]
-    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def _increments(y, yd, r0, rh, r1, h):
@@ -806,6 +784,8 @@ def default_resolvability_cap(step: float, tol: float) -> float:
     cotangent-type blowup, so residual checks are restricted to nodes with
     |S| below this cap; beyond it the discretization itself exceeds tol.
     """
+    if not tol > 0:
+        raise ValueError(f"resolvability tolerance must be positive, got {tol!r}")
     return 0.5 * (tol / step**2) ** 0.25
 
 

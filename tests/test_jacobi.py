@@ -308,13 +308,8 @@ def _stacked_unpruned(traj):
 
 
 def _all_node_svals(y):
-    """``svals`` by its row route at every node: Gram eigenvalues, and an
-    exact SVD below ``_GRAM_CUT`` times the largest of them."""
-    g = np.matmul(y.transpose(0, 2, 1), y)
-    svals = np.sqrt(np.maximum(np.linalg.eigvalsh(g)[:, ::-1], 0.0))
-    low = svals[:, -1] < jacobi._GRAM_CUT * np.max(svals[:, 0])
-    svals[low] = np.linalg.svd(y[low], compute_uv=False)
-    return svals
+    """``svals`` by its row route at every node: one SVD of each Y."""
+    return np.linalg.svd(y, compute_uv=False)
 
 
 def _assert_same_as_all_nodes(traj):
@@ -344,13 +339,11 @@ def _check_spectra_against_svd(traj):
     assert traj.stacked_scale == _stacked_unpruned(traj)
     assert np.array_equal(traj.regular, svd[:, -1] > jacobi.TOL_SING * scale)
     evaluated = _assert_same_as_all_nodes(traj)
-    # exact where evaluated; a skipped node is clear of the zero threshold
-    low = evaluated & (traj.sigma_min < jacobi._GRAM_CUT * traj.scale)
-    assert np.array_equal(traj.svals[low], svd[low])
-    high = evaluated & ~low
-    assert_allclose(traj.sigma_min[high], svd[high, -1], rtol=1e-8, atol=0.0)
+    # the SVD's own value where evaluated; a skipped node is clear of the
+    # zero threshold
+    assert np.array_equal(traj.svals[evaluated], svd[evaluated])
     assert np.all(svd[~evaluated, -1] > jacobi.TOL_ZERO * scale)
-    return evaluated, low
+    return evaluated
 
 
 @pytest.mark.parametrize("name", [sc.name for sc in js.list_scenarios()])
@@ -359,13 +352,15 @@ def test_spectra_match_svd_builtins(trajs, name):
 
 
 def test_spectra_match_svd_d16():
-    evaluated, low = _check_spectra_against_svd(_d16_family(1e-3))
-    assert 0 < low.sum() < evaluated.sum() < evaluated.size
+    traj = _d16_family(1e-3)
+    evaluated = _check_spectra_against_svd(traj)
+    assert 0 < evaluated.sum() < evaluated.size
+    assert np.any(traj.sigma_min[evaluated] < 1e-3 * traj.scale)
 
 
 def test_spectra_near_singular_node_is_exact(trajs):
-    # hopf-holonomy ends on a node where Y is singular to roundoff; the
-    # Gram route cannot see such a value, so it must be the SVD's
+    # hopf-holonomy ends on a node where Y is singular to roundoff; a Gram
+    # route cannot see such a value, so it must be the SVD's
     traj = trajs("hopf-holonomy")
     assert traj.sigma_min[-1] < 1e-12 * traj.scale
     assert traj.svals[-1, -1] == np.linalg.svd(traj.y[-1], compute_uv=False)[-1]
@@ -501,24 +496,29 @@ def test_svals_evaluates_few_nodes_and_stays_exact(monkeypatch):
 
 @pytest.mark.parametrize("name", ["sphere-zero", "flat-parallel"])
 def test_caches_send_each_node_to_eigvalsh_once(trajs, name, monkeypatch):
-    # sigma_max([Y; Yd]) is constant on both families, so stacked_scale
-    # evaluates every node; flat-parallel's svals evaluates every node too
+    # svals sends each node it evaluates to the SVD once and none to
+    # eigvalsh; sigma_max([Y; Yd]) is constant on both families, so
+    # stacked_scale sends every node to eigvalsh once; flat-parallel's svals
+    # evaluates every node too
     base = trajs(name)
     traj = js.JacobiTrajectory(base.spec, base.step, base.times, base.y, base.yd)
     traj._step_norms
-    sent = []
-    eigvalsh = np.linalg.eigvalsh
+    sent = {"eigvalsh": [], "svd": []}
+    for solver_name in sent:
+        solver = getattr(np.linalg, solver_name)
 
-    def counting(a, *args, **kwargs):
-        sent.append(len(a))
-        return eigvalsh(a, *args, **kwargs)
+        def counting(a, *args, solver=solver, rows=sent[solver_name], **kwargs):
+            rows.append(len(a))
+            return solver(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(np.linalg, solver_name, counting)
     traj.svals
-    assert sum(sent) == np.count_nonzero(~np.isnan(traj.svals[:, 0]))
-    sent.clear()
+    assert sum(sent["svd"]) == np.count_nonzero(~np.isnan(traj.svals[:, 0]))
+    assert sent["eigvalsh"] == []
+    sent["svd"].clear()
     traj.stacked_scale
-    assert sum(sent) == traj.n_nodes
+    assert sum(sent["eigvalsh"]) == traj.n_nodes
+    assert sent["svd"] == []
 
 
 @pytest.mark.parametrize(

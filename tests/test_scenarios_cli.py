@@ -484,6 +484,58 @@ def test_check_params_that_contradict_the_scenario_exit_two_before_integration(
         assert f"check {kind!r} param {message} for this scenario, got" in err, err
 
 
+def test_hce_tol_must_be_positive_before_integration(tmp_path, capsys, monkeypatch):
+    # a negative tol made the resolvability cap complex, a zero tol left no
+    # node to check; both are input errors
+    for tol in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="resolvability tolerance must be positive"):
+            js.default_resolvability_cap(1e-3, tol)
+    monkeypatch.setattr(js.cli, "integrate", _no_integration)
+    for tol in (-1.0, 0.0):
+        check = {"kind": "hce", "params": {"psi": [[1.0, 0.0]], "tol": tol}, "expect": "verified"}
+        path = _example_with(tmp_path, lambda doc: doc.update(checks=[check]))
+        assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"check 'hce' param 'tol' must be a finite number above zero, got {tol}" in err
+
+
+def test_config_field_values_are_validated_before_integration(tmp_path, capsys, monkeypatch):
+    with pytest.raises(ValueError, match="sectional curvature must be finite"):
+        js.constant_sectional(3, float("nan"))
+    monkeypatch.setattr(js.cli, "integrate", _no_integration)
+    ops = [[1.0, 0.0, 0.0, 1.0]] * 2
+    for field, key in (
+        ({"kind": "constant-sectional", "n": 3.7, "c": 1.0}, "n"),
+        ({"kind": "constant-sectional", "n": "3", "c": 1.0}, "n"),
+        ({"kind": "constant-sectional", "n": 3, "c": "1.0"}, "c"),
+        ({"kind": "constant-sectional", "n": 3, "c": float("nan")}, "c"),
+        ({"kind": "diagonal-constant", "eigs": [1.0, "1.0"]}, "eigs"),
+        ({"kind": "diagonal-constant", "eigs": [1.0, float("inf")]}, "eigs"),
+        ({"kind": "fubini-study", "n": 4.0}, "n"),
+        ({"kind": "sampled", "n": 3.0, "grid": [0.0, 4.0], "ops": ops}, "n"),
+    ):
+        path = _example_with(tmp_path, lambda doc: doc.update(field=field))
+        assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config key 'field': {field['kind']!r} field key {key!r} must be" in err, err
+
+
+@pytest.mark.parametrize("psi", [[[1.0, 0.0], [2.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0]])
+def test_rank_deficient_psi_exits_two_before_integration(tmp_path, capsys, monkeypatch, psi):
+    monkeypatch.setattr(js.cli, "integrate", _no_integration)
+    for kind, params in (("hce", {}), ("reduced-boundary", {"alpha": 0.3})):
+        check = {"kind": kind, "params": {"psi": psi, **params}, "expect": "verified"}
+        path = _example_with(tmp_path, lambda doc: doc.update(checks=[check]))
+        assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"check {kind!r} param 'psi' must be" in err, err
+        assert "linearly independent" in err
+    # the rule is reduce's own: it rejects the same basis
+    traj = js.integrate(js.get_scenario("hopf-holonomy").family(), step=0.1)
+    with pytest.raises(ValueError, match="rank-deficient"):
+        js.reduce(traj, np.array(psi, ndmin=2).T)
+
+
 def test_traced_run_integrates_and_reduces_once(tmp_path, monkeypatch):
     import jacobisplit.cli as cli
     import jacobisplit.reduction as reduction

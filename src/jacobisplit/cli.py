@@ -604,7 +604,9 @@ def run_scenario(
 
 def _write_traces(report_traj: JacobiTrajectory, scenario: Scenario, out: Path) -> list[Path]:
     """Write the per-node CSV traces of a run's trajectory, reusing the
-    reductions its checks computed; returns the written paths."""
+    reductions its checks computed; returns the written paths. Each
+    distinct reduction is exported once: a later check that names the same
+    ``psi`` gets a byte copy of the first check's table."""
     written = []
     traj_path = out / f"{scenario.name}-trajectory.csv"
     export_csv(report_traj, str(traj_path))
@@ -617,10 +619,16 @@ def _write_traces(report_traj: JacobiTrajectory, scenario: Scenario, out: Path) 
         sc_path = out / f"{scenario.name}-scalars.csv"
         export_scalar_csv(trace, str(sc_path))
         written.append(sc_path)
+    exported = {}  # id of a reduction -> the path it was first written to
     for i, check in enumerate(scenario.checks):
         if CHECKS[check.kind].reduces:
             red_path = out / f"{scenario.name}-reduction-{i}.csv"
-            export_reduction_csv(shared_reduction(report_traj, check.params), str(red_path))
+            rs = shared_reduction(report_traj, check.params)
+            if id(rs) in exported:
+                red_path.write_bytes(exported[id(rs)].read_bytes())
+            else:
+                export_reduction_csv(rs, str(red_path))
+                exported[id(rs)] = red_path
             written.append(red_path)
     return written
 

@@ -22,6 +22,7 @@ independent cross-check: it can only overshoot the true floor.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -143,9 +144,9 @@ def fubini_study_model(n: int) -> CurvatureField:
 def sampled_field(grid, ops, label: str = "") -> CurvatureField:
     """Field given by node samples, linearly interpolated.
 
-    ``grid``: strictly increasing 1-D array of times (one node is allowed,
-    giving a field defined only at that instant). ``ops``: array of shape
-    ``(len(grid), d, d)`` with the operator entries at the nodes. Node
+    ``grid``: strictly increasing 1-D array of finite times (one node is
+    allowed, giving a field defined only at that instant). ``ops``: array of
+    shape ``(len(grid), d, d)`` with the operator entries at the nodes. Node
     operators must be finite and numerically symmetric; they are stored
     symmetrized, so the entrywise interpolant is exactly self-adjoint too.
     Evaluation outside ``[grid[0], grid[-1]]`` raises ValueError.
@@ -154,6 +155,9 @@ def sampled_field(grid, ops, label: str = "") -> CurvatureField:
     ops = np.asarray(ops, dtype=float)
     if grid.size < 1:
         raise ValueError("sampled field needs at least one grid node")
+    bad = np.flatnonzero(~np.isfinite(grid))
+    if bad.size:
+        raise ValueError(f"grid time {bad[0]} is not finite ({grid[bad[0]]})")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid times must be strictly increasing")
     if ops.ndim != 3 or ops.shape[0] != grid.size or ops.shape[1] != ops.shape[2]:
@@ -195,11 +199,13 @@ def sampled_field_from_json(doc: dict) -> CurvatureField:
     nodes are reported with their index.
     """
     try:
-        n = int(doc["n"])
+        n = doc["n"]
         grid = np.asarray(doc["grid"], dtype=float)
         raw = doc["ops"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed sampled-field document: {exc}") from exc
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise ValueError(f"sampled-field key 'n' must be an integer, got {n!r}")
     d = n - 1
     if d < 1:
         raise ValueError("ambient dimension must be >= 2")

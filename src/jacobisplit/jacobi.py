@@ -839,13 +839,16 @@ def riccati_residual(
 def write_table(path, head: list[str], fmts: list[str], columns, newline: str = "\n") -> None:
     """Write a CSV table: the ``head`` lines, then one row per node of the
     ``columns`` (1-D arrays, or 2-D arrays giving one column each), each
-    row formatted by the one %-format string joined from ``fmts``."""
+    row formatted by the one %-format string joined from ``fmts``. A block
+    of rows, about 2**15 values, is formatted by one ``%``."""
     row = ",".join(fmts) + newline
     table = np.column_stack(columns)
+    k = max(1, 32768 // table.shape[1])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(line + newline for line in head)
-        for lo in range(0, len(table), 4096):  # Python floats for 4096 rows at a time
-            fh.writelines(row % tuple(r) for r in table[lo : lo + 4096].tolist())
+        for lo in range(0, len(table), k):
+            block = table[lo : lo + k]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def export_csv(traj: JacobiTrajectory, path) -> None:

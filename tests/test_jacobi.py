@@ -926,3 +926,21 @@ def test_export_csv_round_trip(tmp_path, trajs):
     assert float(rows[j]["t"]) == pytest.approx(traj.times[j])
     assert float(rows[j]["y00"]) == pytest.approx(traj.y[j, 0, 0])
     assert float(rows[j]["yd11"]) == pytest.approx(traj.yd[j, 1, 1])
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_write_table_blocks_match_one_row_per_format(tmp_path, newline):
+    fmts = ["%.12g", "%d"] + ["%.17g"] * 4
+    k = 32768 // len(fmts)  # the rows write_table formats per block
+    row = ",".join(fmts) + newline
+    rng = np.random.default_rng(5)
+    for n_rows in (1, k - 1, k, k + 1, 2 * k + 1):
+        vals = rng.standard_normal((n_rows, 4)) * 10.0 ** rng.integers(-20, 20, (n_rows, 4))
+        vals[rng.random((n_rows, 4)) < 0.1] = np.nan
+        flag = rng.random(n_rows) < 0.5
+        cols = [np.arange(n_rows) * 1e-3, flag, vals]
+        path = tmp_path / f"t{n_rows}.csv"
+        jacobi.write_table(path, ["# note", "t,f,a,b,c,d"], fmts, cols, newline=newline)
+        ref = "# note" + newline + "t,f,a,b,c,d" + newline
+        ref += "".join(row % tuple(r) for r in np.column_stack(cols).tolist())
+        assert path.read_bytes() == ref.encode("utf-8"), n_rows

@@ -573,3 +573,70 @@ def test_traced_run_integrates_and_reduces_once(tmp_path, monkeypatch):
         lines = (tmp_path / f"hopf-holonomy-{name}.csv").read_text().splitlines()
         assert lines[comment_lines].split(",") == header, name
         assert len(lines) == comment_lines + 1 + n_nodes, name
+
+
+def test_sampled_field_file_n_must_be_an_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(js.cli, "integrate", _no_integration)
+    field_path = tmp_path / "field.json"
+    field = {"kind": "sampled", "path": str(field_path)}
+    path = _example_with(tmp_path, lambda doc: doc.update(field=field))
+    for n in (3.7, "3"):
+        ops = [[1.0, 0.0, 0.0, 1.0]] * 2
+        field_path.write_text(json.dumps({"n": n, "grid": [0.0, 4.0], "ops": ops}))
+        assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config key 'field': sampled-field key 'n' must be an integer, got {n!r}" in err
+
+
+@pytest.mark.parametrize("grid, bad", [([0.0, float("nan"), 4.0], 1), ([0.0, 2.0, float("inf")], 2)])
+def test_sampled_field_grid_times_must_be_finite(tmp_path, capsys, monkeypatch, grid, bad):
+    monkeypatch.setattr(js.cli, "integrate", _no_integration)
+    field = {"kind": "sampled", "n": 3, "grid": grid, "ops": [[1.0, 0.0, 0.0, 1.0]] * 3}
+    path = _example_with(tmp_path, lambda doc: doc.update(field=field))
+    assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key 'field': grid time {bad} is not finite" in err, err
+
+
+def _counting_exports(monkeypatch) -> list:
+    paths = []
+    real_export = js.cli.export_reduction_csv
+
+    def counting_export(rs, path):
+        paths.append(path)
+        return real_export(rs, path)
+
+    monkeypatch.setattr(js.cli, "export_reduction_csv", counting_export)
+    return paths
+
+
+def test_checks_on_one_psi_share_one_reduction_table(tmp_path, monkeypatch):
+    exports = _counting_exports(monkeypatch)
+    assert js.main(["run", "hopf-holonomy", "--traces", "--out", str(tmp_path)]) == 0
+    assert exports == [str(tmp_path / "hopf-holonomy-reduction-0.csv")]
+    first = (tmp_path / "hopf-holonomy-reduction-0.csv").read_bytes()
+    assert first == (tmp_path / "hopf-holonomy-reduction-2.csv").read_bytes()
+
+
+def test_checks_on_different_psi_write_their_own_tables(tmp_path, monkeypatch):
+    hopf = js.get_scenario("hopf-holonomy")
+    doc = {
+        "name": "two-psi",
+        "field": {"kind": "constant-sectional", "n": 3, "c": 1.0},
+        "alpha": hopf.alpha,
+        "end": hopf.end,
+        "y0": hopf.y0.tolist(),
+        "yd0": hopf.yd0.tolist(),
+        "step": hopf.step,
+        "checks": [
+            {"kind": "hce", "params": {"psi": psi}, "expect": "verified"}
+            for psi in ([[1.0, 0.0]], [[0.0, 1.0]])
+        ],
+    }
+    config = tmp_path / "two-psi.json"
+    config.write_text(json.dumps(doc))
+    exports = _counting_exports(monkeypatch)
+    assert js.main(["run", "--config", str(config), "--traces", "--out", str(tmp_path)]) == 0
+    assert len(exports) == 2
+    tables = [(tmp_path / f"two-psi-reduction-{i}.csv").read_bytes() for i in range(2)]
+    assert tables[0] != tables[1]

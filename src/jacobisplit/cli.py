@@ -85,7 +85,9 @@ def _needs(*keys: str) -> Callable[[dict], tuple[str, ...]]:
 
 
 def _is_finite_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    # a comparison, as math.isfinite raises on a JSON integer too large for a float
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
 
 
 def _is_finite_rows(value) -> bool:
@@ -116,7 +118,14 @@ _NUMBERS = (
 )
 _POSITIVE = (lambda v: _is_finite_number(v) and v > 0, "a finite number above zero")
 _ANY = (lambda v: True, "anything")
-_PSI = (_is_psi, "a list of equally long rows of finite numbers, linearly independent")
+_ROWS = (_is_finite_rows, "a list of equally long rows of finite numbers")
+_PSI = (_is_psi, f"{_ROWS[1]}, linearly independent")
+_TEXT = (lambda v: isinstance(v, str), "a string")
+# a scenario name names the report file in --out: one plain path component
+_NAME = (
+    lambda v: isinstance(v, str) and v not in ("", ".", "..") and not set(v) & {"/", "\\"},
+    "a non-empty string without '/' or '\\', other than '.' and '..'",
+)
 
 
 class CheckKind(NamedTuple):
@@ -495,14 +504,14 @@ def _reject_unknown_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
         raise ValueError(f"unknown {what} {unknown[0]!r} (known: {', '.join(known)})")
 
 
-def _finite_of(convert: Callable) -> Callable:
-    """``convert``, then a check that every number it gave is finite."""
+def _valid(rule: tuple[Callable[[object], bool], str], convert: Callable = lambda v: v) -> Callable:
+    """``convert`` of a value that passes the validator ``rule``."""
+    test, what = rule
 
     def read(value):
-        out = convert(value)
-        if not np.all(np.isfinite(out)):
-            raise ValueError("must be finite")
-        return out
+        if not test(value):
+            raise ValueError(f"must be {what}, got {value!r}")
+        return convert(value)
 
     return read
 
@@ -514,6 +523,8 @@ def _checks_from_config(items) -> tuple[CheckSpec, ...]:
         raise ValueError("must list at least one check")
     for c in items:
         _reject_unknown_keys(c, _CHECK_KEYS, "check key")
+        if not isinstance(c.get("params", {}), dict):
+            raise TypeError(f"check key 'params' must be a JSON object, got {c['params']!r}")
     return tuple(CheckSpec(c["kind"], dict(c.get("params", {})), c["expect"]) for c in items)
 
 
@@ -521,9 +532,12 @@ def scenario_from_config(path: str | Path) -> Scenario:
     """Build a scenario from a JSON config file.
 
     Required keys: name, field, alpha, end, y0, yd0, checks. Each check
-    needs kind and expect, and may give params. Optional: description,
-    step. A missing or unknown key, a value of the wrong type, or a
-    number that is not finite, is a ValueError that names the key.
+    needs kind and expect, and may give params (an object). Optional:
+    description, step. The name is one plain path component, as it names
+    the report and trace files in the output directory. A missing or
+    unknown key, a value of the wrong type (a number written as a string
+    included), or a number that is not finite, is a ValueError that names
+    the key.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -542,15 +556,15 @@ def scenario_from_config(path: str | Path) -> Scenario:
             raise ValueError(f"config key {key!r}: {exc}") from exc
 
     return Scenario(
-        name=value("name", str),
-        description=value("description", str, ""),
+        name=value("name", _valid(_NAME)),
+        description=value("description", _valid(_TEXT), ""),
         fld=value("field", _field_from_config),
-        alpha=value("alpha", _finite_of(float)),
-        end=value("end", _finite_of(float)),
-        y0=value("y0", _finite_of(lambda v: np.asarray(v, dtype=float))),
-        yd0=value("yd0", _finite_of(lambda v: np.asarray(v, dtype=float))),
+        alpha=value("alpha", _valid(_NUMBER, float)),
+        end=value("end", _valid(_NUMBER, float)),
+        y0=value("y0", _valid(_ROWS, lambda v: np.asarray(v, dtype=float))),
+        yd0=value("yd0", _valid(_ROWS, lambda v: np.asarray(v, dtype=float))),
         checks=value("checks", _checks_from_config),
-        step=value("step", _finite_of(float), DEFAULT_STEP),
+        step=value("step", _valid(_NUMBER, float), DEFAULT_STEP),
     )
 
 

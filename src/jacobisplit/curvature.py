@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -190,22 +191,34 @@ def sampled_field(grid, ops, label: str = "") -> CurvatureField:
     return CurvatureField(kind="sampled", n=d + 1, label=label or "sampled", _eval=_eval)
 
 
+def _is_number_list(value) -> bool:
+    """A list of JSON numbers: floats (a non-finite one is reported by node
+    later) and integers that a float holds; not booleans."""
+    return isinstance(value, list) and all(
+        isinstance(x, float) or (type(x) is int and abs(x) <= sys.float_info.max) for x in value
+    )
+
+
 def sampled_field_from_json(doc: dict) -> CurvatureField:
     """Build a sampled field from a parsed JSON document.
 
     Expected keys: ``n`` (ambient dimension), ``grid`` (list of times),
     ``ops`` (list with one entry per grid node, each a row-major flat list
-    of the (n-1) x (n-1) operator entries); optional ``label``. Malformed
+    of the (n-1) x (n-1) operator entries); optional ``label``. Every time
+    and entry must be a JSON number, not a string or a boolean. Malformed
     nodes are reported with their index.
     """
     try:
-        n = doc["n"]
-        grid = np.asarray(doc["grid"], dtype=float)
-        raw = doc["ops"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed sampled-field document: {exc}") from exc
+        n, grid, raw = doc["n"], doc["grid"], doc["ops"]
+    except KeyError as exc:
+        raise ValueError(f"malformed sampled-field document: missing key {exc}") from exc
     if not isinstance(n, numbers.Integral) or isinstance(n, bool):
         raise ValueError(f"sampled-field key 'n' must be an integer, got {n!r}")
+    if not _is_number_list(grid):
+        raise ValueError(f"sampled-field key 'grid' must be a list of numbers, got {grid!r}")
+    if not (isinstance(raw, list) and all(map(_is_number_list, raw))):
+        raise ValueError("sampled-field key 'ops' must be a list of lists of numbers")
+    grid = np.asarray(grid, dtype=float)
     d = n - 1
     if d < 1:
         raise ValueError("ambient dimension must be >= 2")

@@ -45,18 +45,19 @@ times (instants where ``Y`` drops rank; a sign change of ``det Y`` is
 refined by the Illinois method), and a central-difference residual
 check of the Riccati equation ``S' + S^2 + R = 0``. Each trajectory
 analysis evaluates the nodes it reads and no others. One pass takes the
-step norms ``||Y_{j+1} - Y_j||_F`` and ``||Yd_{j+1} - Yd_j||_F``, and by
-Weyl's inequality they bound every singular value at a node from its
-value at another node by the path length between them. The nodes are
-certified level by level, in blocks of 256, 32 and 8 (``_certify``), and
-none is evaluated twice. The singular values of ``Y``
-(``JacobiTrajectory.svals``) are one LAPACK SVD of ``Y`` at every node
-that may hold the grid maximum or whose lower bound, widened by the cubic
-Hermite interpolant's reach, does not clear the zero threshold; they are
-NaN elsewhere. The grid maximum of ``sigma_max([Y; Yd])`` is exact but
-evaluated only where the same bound cannot rule it out (``stacked_scale``),
-``det Y`` is taken only where the event search reads it (``dets``), and
-the refined events are kept per trajectory, so each is scanned once.
+step norms ``||Y_{j+1} - Y_j||_F``, and by Weyl's inequality they bound
+every singular value of ``Y`` at a node from its value at another node by
+the path length between them. The nodes are certified level by level, in
+blocks of 256, 32 and 8 (``_certify``), and none is evaluated twice. The
+singular values of ``Y`` (``JacobiTrajectory.svals``) are one LAPACK SVD
+of ``Y`` at every node that may hold the grid maximum or whose lower
+bound, widened by the cubic Hermite interpolant's reach, does not clear
+the zero threshold; they are NaN elsewhere. The size of the family that
+the span tests and the self-adjointness gate are relative to
+(``stacked_scale``) is ``sigma_max([Y; Yd])`` at the window start, where
+the Wronskian is read. ``det Y`` is taken only where the event search
+reads it (``dets``), and the refined events are kept per trajectory, so
+each is scanned once.
 """
 
 from __future__ import annotations
@@ -94,11 +95,11 @@ DEFAULT_STEP = 1e-3
 # times the grid-wide scale: the one regularity rule (JacobiTrajectory.regular)
 TOL_SING = 1e-8
 TOL_ZERO = 1e-7  # a vanishing instant: sigma_min at most TOL_ZERO times the scale
-_CHUNK = 1024  # nodes per temporary of the SVD, Gram, bound, span and orthogonality passes
-# svals and stacked_scale: the block sizes of the certification levels, each
-# dividing the one before (_certify), and the relative slack on a bound that
-# covers the roundoff of the SVD, eigvalsh and the step norms (the path sums
-# carry their own, _certify)
+_CHUNK = 1024  # nodes per temporary of the SVD, step-norm, span and orthogonality passes
+# svals: the block sizes of the certification levels, each dividing the one
+# before (_certify), and the relative slack on a bound that covers the
+# roundoff of the SVD and the step norms (the path sums carry their own,
+# _certify)
 _LEVELS = (256, 32, 8)
 _SLACK = 1e-12
 # singular_events refines local minima of sigma_min at or below _COARSE_CUT
@@ -197,23 +198,20 @@ class JacobiTrajectory:
         return self.times.size
 
     @cached_property
-    def _step_norms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(||Y_{j+1} - Y_j||_F, ||Yd_{j+1} - Yd_j||_F, ||Yd_j||_F)`` at
-        every node j, from one chunked pass; the two step norms are zero at
-        the last node. ``svals`` and ``stacked_scale`` bound their nodes
-        with them (``_certify``)."""
+    def _step_norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(||Y_{j+1} - Y_j||_F, ||Yd_j||_F)`` at every node j, from one
+        chunked pass; the step norm is zero at the last node. ``svals``
+        bounds its nodes with them (``_certify``)."""
         y, yd = self.y, self.yd
         n = len(y)
-        dy, dyd, ydn = np.zeros(n), np.zeros(n), np.empty(n)
+        dy, ydn = np.zeros(n), np.empty(n)
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n - 1)  # the steps of the chunk; none at the last node
             block = yd[lo : lo + _CHUNK]
             ydn[lo : lo + _CHUNK] = np.einsum("nij,nij->n", block, block)
             diff = y[lo + 1 : hi + 1] - y[lo:hi]
             dy[lo:hi] = np.einsum("nij,nij->n", diff, diff)
-            np.subtract(yd[lo + 1 : hi + 1], yd[lo:hi], out=diff)
-            dyd[lo:hi] = np.einsum("nij,nij->n", diff, diff)
-        return np.sqrt(dy, out=dy), np.sqrt(dyd, out=dyd), np.sqrt(ydn, out=ydn)
+        return np.sqrt(dy, out=dy), np.sqrt(ydn, out=ydn)
 
     @cached_property
     def svals(self) -> np.ndarray:
@@ -250,7 +248,7 @@ class JacobiTrajectory:
         time, whose error of order ``d eps scale`` the ``_SLACK`` widening
         covers."""
         n, d = self.y.shape[:2]
-        dy, _, ydn = self._step_norms
+        dy, ydn = self._step_norms
         # r[j] bounds the interpolant on the interval from node j to node j + 1;
         # r_node is the larger r of the two intervals at each node
         r = dy[:-1] + (4.0 / 27.0) * np.diff(self.times) * (ydn[:-1] + ydn[1:])
@@ -296,35 +294,11 @@ class JacobiTrajectory:
 
     @cached_property
     def stacked_scale(self) -> float:
-        """Largest singular value of the stacked matrix ``Z = [Y; Yd]`` over
-        the grid: the square root of the largest top eigenvalue of
-        ``Y^T Y + Yd^T Yd``, taken exactly at the nodes that can hold it.
-
-        As in ``svals``, Weyl's inequality bounds the value at every node
-        by the exact value at an evaluated node plus the path length
-        between them, here over the steps ``||Z_{i+1} - Z_i||_F``, with
-        ``||dZ||^2 = ||dY||^2 + ||dYd||^2``. Level by level (``_certify``),
-        a node is decided when its bound, widened by ``_SLACK`` for
-        roundoff, falls short of the best evaluated value. Every node left
-        undecided after the last level is evaluated by the same formula; the
-        result is the maximum over every node. Where the values tie (on a
-        family of unit curvature ``sigma_max(Z)`` is constant) no level
-        decides a node, and each node is evaluated once."""
-        y, yd = self.y, self.yd
-        dy, dyd, _ = self._step_norms
-        top = np.full(len(y), -np.inf)
-
-        def evaluate(idx):
-            # one copied batch at a time: Yd^T Yd, then Y^T Y added to it
-            g = _gram(yd[idx])
-            g += _gram(y[idx])
-            top[idx] = np.linalg.eigvalsh(g)[:, -1]
-
-        def undecided(i, c, dist):
-            return (np.sqrt(top[c]) + dist) ** 2 * (1.0 + _SLACK) >= np.max(top)
-
-        _certify(np.hypot(dy, dyd), evaluate, undecided)
-        return math.sqrt(float(np.max(top)))
+        """Largest singular value of the stacked matrix ``Z = [Y; Yd]`` at
+        the window start, ``sigma_max([y0; yd0])``: the size of the initial
+        data that the Wronskian, read at ``alpha``, depends on. It is at
+        most the grid maximum of ``sigma_max(Z)``."""
+        return float(np.linalg.svd(np.vstack([self.y[0], self.yd[0]]), compute_uv=False)[0])
 
     @cached_property
     def dets(self) -> np.ndarray:
@@ -436,11 +410,6 @@ def _in_chunks(evaluate, idx) -> None:
     """``evaluate`` the nodes ``idx``, ``_CHUNK`` nodes at a time."""
     for lo in range(0, len(idx), _CHUNK):
         evaluate(idx[lo : lo + _CHUNK])
-
-
-def _gram(y) -> np.ndarray:
-    """``Y^T Y`` for every Y of a batch."""
-    return np.matmul(y.transpose(0, 2, 1), y)
 
 
 def _increments(y, yd, r0, rh, r1, h):

@@ -72,5 +72,6 @@ def test_parallel_span_finds_the_flat_members_at_rest():
     assert span.basis.shape == (4, 1)
     np.testing.assert_allclose(span.basis[:, 0], [0.0, 1.0, 0.0, 0.0], atol=1e-12)
     assert span.residuals[0] == 0.0
-    # the next candidate is e_0: max |sin t| over the stacked scale sqrt(cosh 6)
-    assert span.rejected_residual == pytest.approx(1.0 / math.sqrt(math.cosh(6.0)), rel=1e-6)
+    # the next candidate is e_0: max |sin t| = 1 over the stacked scale
+    # sqrt(2), the largest column norm of [y0; yd0] (e_2's)
+    assert span.rejected_residual == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-6)

@@ -300,13 +300,6 @@ def _d16_family(step):
     return js.integrate(spec, step=step)
 
 
-def _stacked_unpruned(traj):
-    """``stacked_scale`` by its formula at every node, with no bound."""
-    g = np.matmul(traj.yd.transpose(0, 2, 1), traj.yd)
-    g += np.matmul(traj.y.transpose(0, 2, 1), traj.y)
-    return math.sqrt(float(np.max(np.linalg.eigvalsh(g)[:, -1])))
-
-
 def _all_node_svals(y):
     """``svals`` by its row route at every node: one SVD of each Y."""
     return np.linalg.svd(y, compute_uv=False)
@@ -332,11 +325,11 @@ def _check_spectra_against_svd(traj):
     svd = np.linalg.svd(traj.y, compute_uv=False)
     scale = float(np.max(svd[:, 0]))
     stacked = np.concatenate([traj.y, traj.yd], axis=1)
-    stacked_scale = float(np.max(np.linalg.svd(stacked, compute_uv=False)))
+    start = np.linalg.svd(np.vstack([traj.spec.y0, traj.spec.yd0]), compute_uv=False)[0]
     assert traj.scale == pytest.approx(scale, rel=1e-14, abs=0.0)
-    assert traj.stacked_scale == pytest.approx(stacked_scale, rel=1e-14, abs=0.0)
-    # the pruned pass gives the same float as its formula at every node
-    assert traj.stacked_scale == _stacked_unpruned(traj)
+    # the initial data's own value, at most the maximum over every node
+    assert traj.stacked_scale == start
+    assert traj.stacked_scale <= np.max(np.linalg.svd(stacked, compute_uv=False)[:, 0])
     assert np.array_equal(traj.regular, svd[:, -1] > jacobi.TOL_SING * scale)
     evaluated = _assert_same_as_all_nodes(traj)
     # the SVD's own value where evaluated; a skipped node is clear of the
@@ -368,7 +361,7 @@ def test_spectra_near_singular_node_is_exact(trajs):
 
 
 def test_spectra_memory_stays_near_one_trajectory():
-    # one chunked pass: neither the (N, d, d) Gram stack nor [Y; Yd] is kept
+    # chunked passes: no (N, d, d) temporary is kept
     traj = _d16_family(4e-4)
     assert traj.n_nodes == 7355
     tracemalloc.start()
@@ -378,17 +371,6 @@ def test_spectra_memory_stays_near_one_trajectory():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * traj.y.nbytes
-
-
-def test_stacked_scale_bound_covers_every_node():
-    # random walks of matrices put the grid maximum anywhere in a block,
-    # the last, partial block included; the pass must still find it
-    rng = np.random.default_rng(11)
-    for _ in range(60):
-        n, d = int(rng.integers(1, 200)), int(rng.integers(1, 4))
-        y, yd = np.eye(d) + np.cumsum(0.05 * rng.standard_normal((2, n, d, d)), axis=1)
-        traj = js.JacobiTrajectory(None, 1.0, np.arange(float(n)), y, yd)
-        assert traj.stacked_scale == _stacked_unpruned(traj)
 
 
 def _steep_peak(n, at):
@@ -404,14 +386,16 @@ def _steep_peak(n, at):
 
 def _climb_behind_a_long_prefix():
     """Knots and values of a 300-node path. Nodes 0..127 alternate between
-    1.9 and -1.9, a path of about 485 ahead of node 128, the centre of the
-    first 256-node block. From there 100 equal steps s climb exactly to the
-    peak 2.0 on node 228; s is a whole number of ulps of 485 plus 0.45 of
-    one, so a running sum taken from node 0 rounds each step down and comes
-    2.6e-12 short over the climb, more than the slack. The last node, the
-    centre of the short second block, reads 2 - 2^-42, so a bound that
-    ignores that roundoff misses the peak."""
-    s = (2**52 // 100 - 115) // 256 * 256 + 115
+    1.9 and -1.9, a path of about 486 ahead of node 128, the centre of the
+    first 256-node block. From there 100 equal steps s climb exactly from
+    about 1.5 to the peak 2.0 on node 228; s is a whole number of ulps of 486
+    plus 0.45 of one, so a running sum taken from node 0 rounds each step
+    down and comes 2.6e-12 short over the climb, more than the slack. The
+    climb stays clear of zero by more than its path from node 128, so only
+    the upper bound can keep its nodes. The last node, the centre of the
+    short second block, reads 2 - 2^-42, so a bound that ignores that
+    roundoff misses the peak."""
+    s = (2**51 // 100 - 115) // 256 * 256 + 115
     climb = [(2**53 - (100 - k) * s) * 2.0**-52 for k in range(101)]
     values = [1.9, -1.9] * 64 + climb + [1.5] * 70 + [2.0 - 2.0**-42]
     return list(range(300)), values
@@ -433,17 +417,17 @@ def _climb_behind_a_long_prefix():
     + [_climb_behind_a_long_prefix()],
 )
 def test_stacked_scale_bound_is_tight_on_a_radial_path(knots, values):
-    # d = 1 and Yd = 0: Z moves radially, so the path length from a centre
-    # is exactly the change of sigma_max and a shorter reach misses the peak
+    # the upper bound of svals, which finds the scale: d = 1, so Y moves
+    # radially, and the path length from a centre is exactly the change of
+    # sigma_max and a shorter reach misses the peak
     n = knots[-1] + 1
     y = np.interp(np.arange(float(n)), knots, values).reshape(n, 1, 1)
     traj = js.JacobiTrajectory(None, 1.0, np.arange(float(n)), y, np.zeros_like(y))
-    assert traj.stacked_scale == 2.0
+    assert traj.scale == 2.0
 
 
 def _rotated_d16_family(step):
-    """The d = 16 family's slopes in a rotated frame, at curvature 1.1, so
-    sigma_max([Y; Yd]) varies along the window."""
+    """The d = 16 family's slopes in a rotated frame, at curvature 1.1."""
     offsets = np.linspace(0.3, 2.4, 16)
     q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((16, 16)))
     spec = js.FamilySpec(
@@ -455,24 +439,6 @@ def _rotated_d16_family(step):
         label="d16-rotated",
     )
     return js.integrate(spec, step=step)
-
-
-def test_stacked_scale_prunes_and_stays_exact(monkeypatch):
-    traj = _rotated_d16_family(4e-4)
-    assert traj.n_nodes == 7355
-    traj.svals
-    sent = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        sent.append(len(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    value = traj.stacked_scale
-    monkeypatch.undo()
-    assert sum(sent) <= 0.18 * traj.n_nodes
-    assert value == _stacked_unpruned(traj)
 
 
 def test_svals_evaluates_few_nodes_and_stays_exact(monkeypatch):
@@ -491,15 +457,13 @@ def test_svals_evaluates_few_nodes_and_stays_exact(monkeypatch):
     monkeypatch.undo()
     assert sum(sent) <= 0.18 * traj.n_nodes
     _assert_same_as_all_nodes(traj)
-    assert traj.stacked_scale == _stacked_unpruned(traj)
 
 
 @pytest.mark.parametrize("name", ["sphere-zero", "flat-parallel"])
-def test_caches_send_each_node_to_eigvalsh_once(trajs, name, monkeypatch):
+def test_caches_send_each_node_to_the_svd_once(trajs, name, monkeypatch):
     # svals sends each node it evaluates to the SVD once and none to
-    # eigvalsh; sigma_max([Y; Yd]) is constant on both families, so
-    # stacked_scale sends every node to eigvalsh once; flat-parallel's svals
-    # evaluates every node too
+    # eigvalsh (flat-parallel's svals evaluates every node); stacked_scale
+    # sends the one 2d x d matrix [y0; yd0]
     base = trajs(name)
     traj = js.JacobiTrajectory(base.spec, base.step, base.times, base.y, base.yd)
     traj._step_norms
@@ -517,8 +481,8 @@ def test_caches_send_each_node_to_eigvalsh_once(trajs, name, monkeypatch):
     assert sent["eigvalsh"] == []
     sent["svd"].clear()
     traj.stacked_scale
-    assert sum(sent["eigvalsh"]) == traj.n_nodes
-    assert sent["svd"] == []
+    assert sent["svd"] == [2 * traj.dim]
+    assert sent["eigvalsh"] == []
 
 
 @pytest.mark.parametrize(

@@ -177,7 +177,7 @@ def test_scenario_from_config(tmp_path):
 
 
 def test_scenario_from_config_missing_key(tmp_path):
-    doc = json.loads(open("configs/example_scenario.json").read())
+    doc = json.loads(Path("configs/example_scenario.json").read_text())
     del doc["alpha"]
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
@@ -186,7 +186,7 @@ def test_scenario_from_config_missing_key(tmp_path):
 
 
 def test_scenario_from_config_bad_field(tmp_path):
-    doc = json.loads(open("configs/example_scenario.json").read())
+    doc = json.loads(Path("configs/example_scenario.json").read_text())
     doc["field"] = {"kind": "hyperbolic", "n": 3}
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
@@ -247,7 +247,7 @@ def test_cli_run_config(tmp_path):
 
 
 def test_cli_exit_one_on_mismatch(tmp_path, capsys):
-    doc = json.loads(open("configs/example_scenario.json").read())
+    doc = json.loads(Path("configs/example_scenario.json").read_text())
     doc["checks"][0]["expect"] = "falsified"
     doc["name"] = "expect-flip"
     p = tmp_path / "flip.json"
@@ -352,10 +352,49 @@ def test_cli_exit_two_on_malformed_config(tmp_path, capsys):
     cases = [("alpha", [1]), ("checks", {"a": 1}), ("checks", [])]
     cases += [("end", float("inf")), ("alpha", float("nan")), ("step", float("inf"))]
     cases += [("y0", [[float("nan"), 0.0], [0.0, 1.0]]), ("yd0", [[0.0, 0.0], [0.0, float("inf")]])]
+    # numbers written as strings or booleans, and params as a list of pairs
+    cases += [("alpha", "0.3"), ("alpha", True), ("end", "3"), ("step", "0.001"), ("end", 10**400)]
+    cases += [("y0", [["0.3", 0.0], [0.0, 0.3]]), ("yd0", [[1.0, 0.0], [0.0, False]])]
+    pairs = {"kind": "splitting", "params": [["theorem", "A"]], "expect": "verified"}
+    cases += [("checks", [pairs])]
     for key, bad in cases:
         path = _example_with(tmp_path, lambda doc: doc.update({key: bad}))
         assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
         assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_sampled_field_grid_and_ops_must_be_numbers(tmp_path, capsys, monkeypatch):
+    # one rule for a field given inline and one read from its file
+    monkeypatch.setattr(js.cli, "integrate", _no_integration)
+    field_path = tmp_path / "field.json"
+    ops = [[1.0, 0.0, 0.0, 1.0]] * 2
+    for grid, field_ops, key in (
+        (["0", "4"], ops, "grid"),
+        ([0.0, True], ops, "grid"),
+        ([0.0, 10**400], ops, "grid"),
+        ([0.0, 4.0], [["1.0", 0, 0, 1], [1, 0, 0, 1]], "ops"),
+        ([0.0, 4.0], [[[1, 0], [0, 1]], [1, 0, 0, 1]], "ops"),
+    ):
+        sampled = {"n": 3, "grid": grid, "ops": field_ops}
+        field_path.write_text(json.dumps(sampled))
+        for field in ({"kind": "sampled", **sampled}, {"kind": "sampled", "path": str(field_path)}):
+            path = _example_with(tmp_path, lambda doc: doc.update(field=field))
+            assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert f"config key 'field': sampled-field key {key!r} must be a list" in err, err
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [("name", v) for v in ("../escaped", "a/b", "a\\b", ".", "..", "", 123)] + [("description", 5)],
+)
+def test_config_name_is_one_plain_path_component(tmp_path, capsys, key, bad):
+    # the name names the report file: none may land outside --out
+    out = tmp_path / "out"
+    path = _example_with(tmp_path, lambda doc: doc.update({key: bad}))
+    assert js.main(["run", "--config", path, "--out", str(out)]) == 2
+    assert f"config key {key!r}: must be" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["edited.json"]
 
 
 def test_cli_exit_two_on_unknown_config_key(tmp_path, capsys):

@@ -42,6 +42,7 @@ from .curvature import (
     constant_sectional,
     diagonal_constant,
     fubini_study_model,
+    is_json_number,
     load_sampled_field,
     sampled_field_from_json,
 )
@@ -85,9 +86,7 @@ def _needs(*keys: str) -> Callable[[dict], tuple[str, ...]]:
 
 
 def _is_finite_number(value) -> bool:
-    # a comparison, as math.isfinite raises on a JSON integer too large for a float
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and abs(value) <= sys.float_info.max
+    return is_json_number(value) and math.isfinite(value)
 
 
 def _is_finite_rows(value) -> bool:

@@ -191,12 +191,17 @@ def sampled_field(grid, ops, label: str = "") -> CurvatureField:
     return CurvatureField(kind="sampled", n=d + 1, label=label or "sampled", _eval=_eval)
 
 
+def is_json_number(value) -> bool:
+    """A number that a float holds: a real other than a boolean, and no
+    integer beyond the float range. NaN and the infinities pass; a sampled
+    field reports them by node, a config rejects them."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    return not isinstance(value, numbers.Integral) or abs(value) <= sys.float_info.max
+
+
 def _is_number_list(value) -> bool:
-    """A list of JSON numbers: floats (a non-finite one is reported by node
-    later) and integers that a float holds; not booleans."""
-    return isinstance(value, list) and all(
-        isinstance(x, float) or (type(x) is int and abs(x) <= sys.float_info.max) for x in value
-    )
+    return isinstance(value, list) and all(map(is_json_number, value))
 
 
 def sampled_field_from_json(doc: dict) -> CurvatureField:

@@ -52,12 +52,13 @@ blocks of 256, 32 and 8 (``_certify``), and none is evaluated twice. The
 singular values of ``Y`` (``JacobiTrajectory.svals``) are one LAPACK SVD
 of ``Y`` at every node that may hold the grid maximum or whose lower
 bound, widened by the cubic Hermite interpolant's reach, does not clear
-the zero threshold; they are NaN elsewhere. The size of the family that
-the span tests and the self-adjointness gate are relative to
-(``stacked_scale``) is ``sigma_max([Y; Yd])`` at the window start, where
-the Wronskian is read. ``det Y`` is taken only where the event search
-reads it (``dets``), and the refined events are kept per trajectory, so
-each is scanned once.
+the zero threshold; they are NaN elsewhere. The self-adjointness gate is
+relative to ``sigma_max([Y; Yd])`` at the window start, where the
+Wronskian is read (``stacked_scale``), and the span tests to a lower
+bound on its grid maximum from that, the scale and the largest
+``||Yd||_F`` (``stacked_bound``). ``det Y`` is taken only where the event
+search reads it (``dets``), and the refined events are kept per
+trajectory, so each is scanned once.
 """
 
 from __future__ import annotations
@@ -201,7 +202,8 @@ class JacobiTrajectory:
     def _step_norms(self) -> tuple[np.ndarray, np.ndarray]:
         """``(||Y_{j+1} - Y_j||_F, ||Yd_j||_F)`` at every node j, from one
         chunked pass; the step norm is zero at the last node. ``svals``
-        bounds its nodes with them (``_certify``)."""
+        bounds its nodes with them (``_certify``), and ``stacked_bound``
+        reads the largest ``||Yd_j||_F``."""
         y, yd = self.y, self.yd
         n = len(y)
         dy, ydn = np.zeros(n), np.empty(n)
@@ -299,6 +301,17 @@ class JacobiTrajectory:
         data that the Wronskian, read at ``alpha``, depends on. It is at
         most the grid maximum of ``sigma_max(Z)``."""
         return float(np.linalg.svd(np.vstack([self.y[0], self.yd[0]]), compute_uv=False)[0])
+
+    @cached_property
+    def stacked_bound(self) -> float:
+        """The size the span tests are relative to: the largest of
+        ``stacked_scale``, the scale and ``max_j ||Yd_j||_F / sqrt(d)``, each
+        at most the grid maximum of ``sigma_max(Z)``, which is at most
+        ``sqrt(d + 1)`` times it. A span residual's roundoff grows with the
+        family at its node, so the size at the start alone would reject
+        members of a growing family."""
+        ydn = float(np.max(self._step_norms[1])) / math.sqrt(self.dim)
+        return max(self.stacked_scale, self.scale, ydn)
 
     @cached_property
     def dets(self) -> np.ndarray:

@@ -56,7 +56,9 @@ __all__ = [
 MODES = ("A", "B", "C", "E")
 # the params each mode needs besides ``theorem``
 MODE_PARAMS = {"A": (), "B": ("alpha",), "C": ("k",), "E": ("k", "alpha")}
-TOL_SPAN = 1e-6  # largest node residual of a span member, relative to the family scale
+# largest node residual of a span member, relative to the family's size over
+# the grid (JacobiTrajectory.stacked_bound)
+TOL_SPAN = 1e-6
 TOL_ORTH = 1e-6  # largest normalized inner product between Z- and P-members
 TOL_EIG = 1e-6  # slack of the boundary eigenvalue bound cot(alpha)
 _FLOOR_SLACK = 1e-9
@@ -151,9 +153,10 @@ def _span_from_test(terms: tuple, scale: float) -> SpanResult:
 
     Candidates are eigenvectors of the time-averaged Gram operator of the
     test, taken in ascending eigenvalue order; a candidate joins the span
-    while its worst node residual stays below ``TOL_SPAN`` times the family
-    scale. The max-node qualification (rather than the averaged Gram value
-    alone) keeps locally-supported failures from slipping through.
+    while its worst node residual stays below ``TOL_SPAN`` times ``scale``,
+    the family's size over the grid. The max-node qualification (rather
+    than the averaged Gram value alone) keeps locally-supported failures
+    from slipping through.
 
     The test is streamed ``_CHUNK`` nodes at a time, once for the Gram
     operator and once per candidate for its residuals, so no full-size array
@@ -201,7 +204,7 @@ def parallel_span(traj: JacobiTrajectory) -> SpanResult:
     """Coefficient vectors whose member fields are parallel: Yd(t) c = 0 at
     every node. The test is ``Yd`` itself, read in place ``_CHUNK`` nodes
     at a time; no full-size array is made."""
-    return _span_from_test(((None, traj.yd),), traj.stacked_scale)
+    return _span_from_test(((None, traj.yd),), traj.stacked_bound)
 
 
 def sine_span(traj: JacobiTrajectory) -> SpanResult:
@@ -210,7 +213,7 @@ def sine_span(traj: JacobiTrajectory) -> SpanResult:
     every node. The test is streamed ``_CHUNK`` nodes at a time from ``Y``
     and ``Yd``; no full-size array is made."""
     t = traj.times
-    return _span_from_test(((np.sin(t), traj.yd), (-np.cos(t), traj.y)), traj.stacked_scale)
+    return _span_from_test(((np.sin(t), traj.yd), (-np.cos(t), traj.y)), traj.stacked_bound)
 
 
 def vanishing_span(traj: JacobiTrajectory, open_ends: bool = False) -> np.ndarray:

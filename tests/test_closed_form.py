@@ -72,6 +72,7 @@ def test_parallel_span_finds_the_flat_members_at_rest():
     assert span.basis.shape == (4, 1)
     np.testing.assert_allclose(span.basis[:, 0], [0.0, 1.0, 0.0, 0.0], atol=1e-12)
     assert span.residuals[0] == 0.0
-    # the next candidate is e_0: max |sin t| = 1 over the stacked scale
-    # sqrt(2), the largest column norm of [y0; yd0] (e_2's)
-    assert span.rejected_residual == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-6)
+    # the next candidate is e_0: max |sin t| = 1 over the spans' size, here
+    # the scale cosh 3 (e_3's at the window end), which is above sqrt(2) at
+    # the start and above max ||Yd||_F / 2, about 5.03
+    assert span.rejected_residual == pytest.approx(1.0 / math.cosh(3.0), rel=1e-6)

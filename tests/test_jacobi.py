@@ -329,7 +329,10 @@ def _check_spectra_against_svd(traj):
     assert traj.scale == pytest.approx(scale, rel=1e-14, abs=0.0)
     # the initial data's own value, at most the maximum over every node
     assert traj.stacked_scale == start
-    assert traj.stacked_scale <= np.max(np.linalg.svd(stacked, compute_uv=False)[:, 0])
+    top = np.max(np.linalg.svd(stacked, compute_uv=False)[:, 0])
+    assert traj.stacked_scale <= top
+    # the spans' size is at most the maximum over every node, within sqrt(d + 1)
+    assert top / math.sqrt(traj.dim + 1) <= traj.stacked_bound <= top * (1.0 + 1e-14)
     assert np.array_equal(traj.regular, svd[:, -1] > jacobi.TOL_SING * scale)
     evaluated = _assert_same_as_all_nodes(traj)
     # the SVD's own value where evaluated; a skipped node is clear of the
@@ -366,7 +369,7 @@ def test_spectra_memory_stays_near_one_trajectory():
     assert traj.n_nodes == 7355
     tracemalloc.start()
     try:
-        traj.svals, traj.stacked_scale
+        traj.svals, traj.stacked_scale, traj.stacked_bound
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -417,13 +420,15 @@ def _climb_behind_a_long_prefix():
     + [_climb_behind_a_long_prefix()],
 )
 def test_stacked_scale_bound_is_tight_on_a_radial_path(knots, values):
-    # the upper bound of svals, which finds the scale: d = 1, so Y moves
-    # radially, and the path length from a centre is exactly the change of
-    # sigma_max and a shorter reach misses the peak
+    # stacked_bound takes the scale from the upper bound of svals: d = 1, so
+    # Y moves radially, and the path length from a centre is exactly the
+    # change of sigma_max and a shorter reach misses the peak; with Yd = 0
+    # the bound meets the grid maximum of sigma_max([Y; Yd]), the peak itself
     n = knots[-1] + 1
     y = np.interp(np.arange(float(n)), knots, values).reshape(n, 1, 1)
     traj = js.JacobiTrajectory(None, 1.0, np.arange(float(n)), y, np.zeros_like(y))
     assert traj.scale == 2.0
+    assert traj.stacked_bound == 2.0
 
 
 def _rotated_d16_family(step):

@@ -151,7 +151,7 @@ def _span_full(test_mats, scale):
 def _assert_spans_match_full(traj):
     sine = np.sin(traj.times)[:, None, None] * traj.yd - np.cos(traj.times)[:, None, None] * traj.y
     for span, test in [(js.sine_span(traj), sine), (js.parallel_span(traj), traj.yd)]:
-        basis, residuals, rejected = _span_full(test, traj.stacked_scale)
+        basis, residuals, rejected = _span_full(test, traj.stacked_bound)
         assert_allclose(span.basis, basis, rtol=1e-12, atol=ROUNDOFF)
         assert_allclose(span.residuals, residuals, rtol=1e-12, atol=ROUNDOFF)
         if rejected is None:
@@ -204,6 +204,30 @@ def test_span_rejects_a_violation_at_the_last_node(span):
     assert out.basis.shape[1] == d - 1
     assert_allclose(np.abs(out.basis[0]), 0.0, atol=1e-12)
     assert out.rejected_residual > 1e-4
+    _assert_spans_match_full(traj)
+
+
+@pytest.mark.parametrize(
+    "span, eigs, y0, yd0",
+    [
+        # Y = diag(1, sinh(10 t) / 10) Q: the member Q^T e1 is parallel
+        ("parallel", [0.0, -100.0], [1.0, 0.0], [0.0, 1.0]),
+        # Y = diag(sin t, cosh(10 t)) Q: the member Q^T e1 is sin(t) e1
+        ("sine", [1.0, -100.0], [0.0, 1.0], [1.0, 0.0]),
+    ],
+)
+def test_spans_keep_a_rotated_member_of_a_growing_family(span, eigs, y0, yd0):
+    # the other member grows like e^30, and the rotation leaves roundoff of
+    # eps times its size in the kept member's residual: about 1e-3 of the
+    # size at the window start, 1e-16 of the size over the grid
+    th = 0.7
+    q = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+    spec = js.FamilySpec(js.diagonal_constant(eigs), 0.0, 3.0, np.diag(y0) @ q, np.diag(yd0) @ q)
+    traj = js.integrate(spec)
+    out = js.sine_span(traj) if span == "sine" else js.parallel_span(traj)
+    assert out.basis.shape == (2, 1)
+    assert abs(out.basis[:, 0] @ q[0]) == pytest.approx(1.0, abs=1e-12)
+    assert out.residuals[0] < 1e-12
     _assert_spans_match_full(traj)
 
 

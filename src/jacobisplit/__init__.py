@@ -54,7 +54,6 @@ from .jacobi import (
     export_csv,
     integrate,
     riccati,
-    riccati_residual,
     riccati_series,
     singular_events,
     wronskian,
@@ -66,6 +65,7 @@ from .reduction import (
     recovered_curvature_deviation,
     reduce,
     reduced_boundary_check,
+    riccati_residual,
 )
 from .splitting import (
     SpanResult,
@@ -108,7 +108,6 @@ __all__ = [
     "riccati_series",
     "singular_events",
     "default_resolvability_cap",
-    "riccati_residual",
     "export_csv",
     # splitting
     "SpanResult",
@@ -133,6 +132,7 @@ __all__ = [
     "ReducedSystem",
     "reduce",
     "hce_residual",
+    "riccati_residual",
     "recovered_curvature_deviation",
     "reduced_boundary_check",
     "export_reduction_csv",

@@ -43,7 +43,7 @@ from .curvature import (
     diagonal_constant,
     fubini_study_model,
     is_json_number,
-    load_sampled_field,
+    read_json_object,
     sampled_field_from_json,
 )
 from .jacobi import (
@@ -120,6 +120,7 @@ _ANY = (lambda v: True, "anything")
 _ROWS = (_is_finite_rows, "a list of equally long rows of finite numbers")
 _PSI = (_is_psi, f"{_ROWS[1]}, linearly independent")
 _TEXT = (lambda v: isinstance(v, str), "a string")
+_PATH = (lambda v: isinstance(v, str) and v != "", "a non-empty string")
 # a scenario name names the report file in --out: one plain path component
 _NAME = (
     lambda v: isinstance(v, str) and v not in ("", ".", "..") and not set(v) & {"/", "\\"},
@@ -165,12 +166,7 @@ class CheckSpec:
             raise ValueError(f"unknown check kind: {self.kind!r}")
         if self.expectation not in VERDICTS:
             raise ValueError(f"unknown expectation: {self.expectation!r}")
-        validators = CHECKS[self.kind].params
-        _reject_unknown_keys(self.params, tuple(validators), f"{self.kind!r} check param")
-        for key, value in self.params.items():
-            test, what = validators[key]
-            if not test(value):
-                raise ValueError(f"check {self.kind!r} param {key!r} must be {what}, got {value!r}")
+        _check_keys(self.params, CHECKS[self.kind].params, f"check {self.kind!r} param")
         for key in CHECKS[self.kind].required(self.params):
             if key not in self.params:
                 raise ValueError(f"check {self.kind!r} is missing required param {key!r}")
@@ -457,6 +453,23 @@ def get_scenario(name: str) -> Scenario:
 # config files
 
 
+# a sampled field's keys; given a ``path``, its file holds the others
+_SAMPLED = {
+    "kind": (lambda v: v == "sampled", "'sampled'"), "path": _PATH, "n": _INTEGER,
+    "grid": _ANY, "ops": _ANY, "label": _TEXT,
+}
+
+
+def _sampled_from_config(doc: dict) -> CurvatureField:
+    """A sampled field given inline, or in its ``path`` file by the same rules."""
+    if "path" in doc:
+        if doc.keys() & {"n", "grid", "ops", "label"}:
+            raise ValueError("'sampled' field key 'path' excludes n, grid, ops and label")
+        doc = read_json_object(doc["path"], "sampled-field file")
+        _check_keys(doc, {k: v for k, v in _SAMPLED.items() if k != "path"}, "sampled-field key")
+    return sampled_field_from_json(doc)
+
+
 # config field kind -> (the keys of its JSON object with the validators of
 # their values, builder from that object)
 _FIELD_BUILDERS = {
@@ -469,12 +482,7 @@ _FIELD_BUILDERS = {
         lambda doc: diagonal_constant(doc["eigs"]),
     ),
     "fubini-study": ({"kind": _ANY, "n": _INTEGER}, lambda doc: fubini_study_model(doc["n"])),
-    "sampled": (
-        {"kind": _ANY, "path": _ANY, "n": _INTEGER, "grid": _ANY, "ops": _ANY, "label": _ANY},
-        lambda doc: (
-            load_sampled_field(doc["path"]) if "path" in doc else sampled_field_from_json(doc)
-        ),
-    ),
+    "sampled": (_SAMPLED, _sampled_from_config),
 }
 
 
@@ -485,11 +493,7 @@ def _field_from_config(doc: dict) -> CurvatureField:
     if not isinstance(kind, str) or kind not in _FIELD_BUILDERS:
         raise ValueError(f"unknown field kind in config: {kind!r}")
     validators, build = _FIELD_BUILDERS[kind]
-    _reject_unknown_keys(doc, tuple(validators), f"{kind!r} field key")
-    for key, value in doc.items():
-        test, what = validators[key]
-        if not test(value):
-            raise ValueError(f"{kind!r} field key {key!r} must be {what}, got {value!r}")
+    _check_keys(doc, validators, f"{kind!r} field key")
     return build(doc)
 
 
@@ -501,6 +505,15 @@ def _reject_unknown_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
     unknown = [key for key in doc if key not in known]
     if unknown:
         raise ValueError(f"unknown {what} {unknown[0]!r} (known: {', '.join(known)})")
+
+
+def _check_keys(doc: dict, validators: dict, what: str) -> None:
+    """Reject a key of ``doc`` that ``validators`` lacks or whose value fails."""
+    _reject_unknown_keys(doc, tuple(validators), what)
+    for key, value in doc.items():
+        test, rule = validators[key]
+        if not test(value):
+            raise ValueError(f"{what} {key!r} must be {rule}, got {value!r}")
 
 
 def _valid(rule: tuple[Callable[[object], bool], str], convert: Callable = lambda v: v) -> Callable:
@@ -536,12 +549,9 @@ def scenario_from_config(path: str | Path) -> Scenario:
     the report and trace files in the output directory. A missing or
     unknown key, a value of the wrong type (a number written as a string
     included), or a number that is not finite, is a ValueError that names
-    the key.
+    the key, and so is a value too large to build in memory.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("config file must hold a JSON object")
+    doc = read_json_object(path, "config file")
     _reject_unknown_keys(doc, _CONFIG_KEYS, "config key")
 
     def value(key, convert, *default):
@@ -553,6 +563,8 @@ def scenario_from_config(path: str | Path) -> Scenario:
             raise ValueError(f"config key {key!r} is missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config key {key!r}: {exc}") from exc
+        except MemoryError:
+            raise ValueError(f"config key {key!r}: out of memory") from None
 
     return Scenario(
         name=value("name", _valid(_NAME)),

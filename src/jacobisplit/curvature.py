@@ -238,13 +238,18 @@ def sampled_field_from_json(doc: dict) -> CurvatureField:
     return sampled_field(grid, ops, label=str(doc.get("label", "sampled")))
 
 
-def load_sampled_field(path) -> CurvatureField:
-    """Read a sampled field from a JSON file (see sampled_field_from_json)."""
-    with open(path, "r", encoding="utf-8") as fh:
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in a UTF-8 file; ``what`` names the file."""
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
-        raise ValueError("sampled-field file must contain a JSON object")
-    return sampled_field_from_json(doc)
+        raise ValueError(f"{what} must contain a JSON object")
+    return doc
+
+
+def load_sampled_field(path) -> CurvatureField:
+    """Read a sampled field from a JSON file (see sampled_field_from_json)."""
+    return sampled_field_from_json(read_json_object(path, "sampled-field file"))
 
 
 def ric_k_traces(field: CurvatureField, t, k: int) -> np.ndarray:

@@ -42,8 +42,8 @@ On top of the trajectory this module provides the Riccati operator
 ``S = Yd Y^{-1}``, the Wronskian ``W = Y^T Yd - Yd^T Y`` (the conserved
 self-adjointness certificate), detection and refinement of singular
 times (instants where ``Y`` drops rank; a sign change of ``det Y`` is
-refined by the Illinois method), and a central-difference residual
-check of the Riccati equation ``S' + S^2 + R = 0``. Each trajectory
+refined by the Illinois method), and the node rule and report of the
+central-difference residual checks in ``reduction``. Each trajectory
 analysis evaluates the nodes it reads and no others. One pass takes the
 step norms ``||Y_{j+1} - Y_j||_F``, and by Weyl's inequality they bound
 every singular value of ``Y`` at a node from its value at another node by
@@ -83,7 +83,6 @@ __all__ = [
     "riccati",
     "riccati_series",
     "singular_events",
-    "riccati_residual",
     "default_resolvability_cap",
     "difference_nodes",
     "nearest_node",
@@ -799,23 +798,6 @@ class ResidualReport:
     @property
     def n_checked(self) -> int:
         return int(self.values.size)
-
-
-def riccati_residual(
-    traj: JacobiTrajectory, s_cap: float | None = None, tol: float = 1e-4
-) -> ResidualReport:
-    """Central-difference residual of S' + S^2 + R = 0 at interior nodes.
-
-    Checks the ``difference_nodes`` of S under the resolvability cap (see
-    ``default_resolvability_cap``; pass ``s_cap`` to override, or
-    ``float('inf')`` to disable the cap).
-    """
-    reg, s = riccati_series(traj)
-    cap = default_resolvability_cap(traj.step, tol) if s_cap is None else float(s_cap)
-    j = difference_nodes(reg, s, cap)
-    ds = (s[j + 1] - s[j - 1]) / (2.0 * traj.step)
-    res = ds + s[j] @ s[j] + traj.spec.field.matrices(traj.times[j])
-    return ResidualReport(traj.times[j], np.linalg.norm(res, 2, axis=(1, 2)), cap)
 
 
 def write_table(path, head: list[str], fmts: list[str], columns, newline: str = "\n") -> None:

@@ -8,8 +8,8 @@ reduction produces:
 
 * the orthogonal projector PH(t) onto H(t) and an orthonormal horizontal
   basis BH(t) (columns),
-* the reduced Riccati operator S_hat(t) acting on H(t), computed
-  algebraically as BH^T Yd C where C lifts BH through Y (Y C = BH),
+* the reduced Riccati operator S_hat(t) = BH^T S BH acting on H(t), the
+  Riccati operator S = Yd Y^{-1} (``jacobi.riccati_series``) restricted,
 * the vertical-derivative operator A(t): for v = Y(t) c in V(t) with c the
   minimum-norm Psi-coefficient, A maps v to the horizontal part of Yd(t) c;
   its columns are expressed against the singular directions of Y Psi, so
@@ -17,10 +17,10 @@ reduction produces:
 
 The reduced operator satisfies a horizontal Riccati equation whose
 curvature term is the horizontal block of R plus 3 A A^*; the residual of
-that equation (`hce_residual`) is the reduction's consistency measure,
-computed exactly like the plain Riccati residual: central differences of
-the ambient-coordinate reduced operator, restricted back to H, at interior
-runs of regular nodes below the resolvability cap.
+that equation (`hce_residual`) is the reduction's consistency measure:
+central differences of the ambient-coordinate reduced operator, restricted
+back to H, at interior runs of regular nodes below the resolvability cap.
+For the empty subfamily (BH = I, A = 0) it is the plain Riccati residual.
 
 Differencing the ambient form BH S_hat BH^T rather than the BH-coordinate
 matrix keeps the derivative basis-independent; the projector-derivative
@@ -41,6 +41,7 @@ from .jacobi import (
     default_resolvability_cap,
     difference_nodes,
     riccati,
+    riccati_series,
     write_table,
 )
 from .splitting import TOL_EIG, self_adjoint_gate
@@ -50,6 +51,7 @@ __all__ = [
     "ReducedSystem",
     "reduce",
     "hce_residual",
+    "riccati_residual",
     "recovered_curvature_deviation",
     "reduced_boundary_check",
     "export_reduction_csv",
@@ -103,8 +105,8 @@ def reduce(traj: JacobiTrajectory, psi_basis) -> ReducedSystem:
 
     A node is regular when V(t) has full rank and Y(t) is regular
     (``JacobiTrajectory.regular``), the rule the Riccati operator follows.
-    ``lift_err``, the residual of the least-squares lift of BH through Y,
-    is a diagnostic only.
+    ``lift_err``, the residual of the lift of BH through Y, is a diagnostic
+    only: 0 where Y is regular and the lift exact, else least squares.
     """
     d = traj.dim
     psi_in = np.asarray(psi_basis, dtype=float)
@@ -118,14 +120,13 @@ def reduce(traj: JacobiTrajectory, psi_basis) -> ReducedSystem:
     if p != p_in:
         raise ValueError("psi basis is rank-deficient")
 
-    n_nodes = traj.n_nodes
     # full U of Y Psi: its first p columns span V(t), the others H(t)
     u, sig, wt = np.linalg.svd(traj.y @ psi)
     full = sig.min(axis=1, initial=np.inf) >= RANK_TOL * max(sig.max(initial=0.0), 1e-300)
     reg = full & traj.regular
 
     def blank(*shape):
-        return np.full((n_nodes, *shape), np.nan)
+        return np.full((traj.n_nodes, *shape), np.nan)
 
     ph, bh, lift_err = blank(d, d), blank(d, d - p), blank()
     shat_bh, shat_amb = blank(d - p, d - p), blank(d, d)
@@ -134,12 +135,13 @@ def reduce(traj: JacobiTrajectory, psi_basis) -> ReducedSystem:
     uv = u[full, :, :p]
     ph[full] = np.eye(d) - uv @ _t(uv)
     bh[full] = u[full, :, p:]
-    y = traj.y[full]
-    c = np.linalg.pinv(y) @ bh[full]  # the lift: Y C = BH
-    lift_err[full] = np.linalg.norm(y @ c - bh[full], axis=1).max(axis=1, initial=0.0)
+    lift_err[reg] = 0.0  # the lift Y C = BH is exact where Y is regular
+    sing = full & ~reg
+    c = np.linalg.pinv(traj.y[sing]) @ bh[sing]
+    lift_err[sing] = np.linalg.norm(traj.y[sing] @ c - bh[sing], axis=1).max(axis=1, initial=0.0)
 
     b, yd = bh[reg], traj.yd[reg]
-    shat_bh[reg] = _t(b) @ yd @ c[reg[full]]
+    shat_bh[reg] = _t(b) @ riccati_series(traj)[1][reg] @ b
     shat_amb[reg] = b @ shat_bh[reg] @ _t(b)
     # A on the singular directions of Y Psi: Gamma = Psi W^T diag(1 / sigma)
     gamma = psi @ _t(wt[reg]) * (1.0 / sig[reg])[:, None, :]
@@ -154,17 +156,14 @@ def hce_residual(
     """Residual of the horizontal Riccati equation with the 3 A A^* term.
 
     At the ``difference_nodes`` of the ambient reduced operator under the
-    resolvability cap, its central difference is combined with its square,
-    the horizontal curvature block and three times A A^*, and the result
-    is restricted to H; the report collects the spectral norms. Requires
-    at least one interior node with both neighbors regular.
+    resolvability cap (``s_cap``, ``default_resolvability_cap`` if None),
+    its central difference is combined with its square, the horizontal
+    curvature block and three times A A^*, and the result is restricted to
+    H; the report collects the spectral norms, none if no node qualifies.
     """
     traj = rs.traj
     cap = default_resolvability_cap(traj.step, tol) if s_cap is None else float(s_cap)
-    reg = rs.regular
-    if not (reg[:-2] & reg[1:-1] & reg[2:]).any():
-        raise ValueError("too few consecutive regular nodes for differencing")
-    idx = difference_nodes(reg, rs.shat_amb, cap)
+    idx = difference_nodes(rs.regular, rs.shat_amb, cap)
     ds = (rs.shat_amb[idx + 1] - rs.shat_amb[idx - 1]) / (2.0 * traj.step)
     ph, shat, bh = rs.ph[idx], rs.shat_amb[idx], rs.bh[idx]
     r_amb = ph @ traj.spec.field.matrices(traj.times[idx]) @ ph
@@ -172,6 +171,14 @@ def hce_residual(
     res_h = _t(bh) @ total @ bh
     values = np.linalg.norm(res_h, 2, axis=(1, 2)) if rs.dim_h else np.zeros(idx.size)
     return ResidualReport(traj.times[idx], values, cap)
+
+
+def riccati_residual(
+    traj: JacobiTrajectory, s_cap: float | None = None, tol: float = 1e-4
+) -> ResidualReport:
+    """Central-difference residual of S' + S^2 + R = 0: ``hce_residual`` of
+    the reduction by the empty subfamily, whose BH is I and whose A is 0."""
+    return hce_residual(reduce(traj, np.zeros((traj.dim, 0))), s_cap, tol)
 
 
 def recovered_curvature_deviation(rs: ReducedSystem, level: float) -> float:
@@ -213,15 +220,8 @@ def reduced_boundary_check(rs: ReducedSystem, alpha: float) -> dict:
 def _psi_from_params(params: dict, dim: int) -> np.ndarray:
     """The subfamily basis a check names in ``params["psi"]``: a list of
     coefficient rows, as (dim, p) columns; none gives the empty basis."""
-    rows = params.get("psi", [])
-    if not rows:
-        return np.zeros((dim, 0))
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.shape[1] != dim:
-        raise ValueError(f"psi vectors must have length {dim}, got {arr.shape[1]}")
-    return arr.T
+    rows = np.array(params.get("psi", []), dtype=float, ndmin=2)
+    return rows.T if rows.size else np.zeros((dim, 0))
 
 
 def shared_reduction(traj: JacobiTrajectory, params: dict) -> ReducedSystem:

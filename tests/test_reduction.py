@@ -3,7 +3,8 @@ the reduced boundary comparison.
 
 The node loop ``_loop_reduce`` is the reference for the whole-array
 ``reduce``: the same formulas, one node at a time, with a least-squares
-lift per node.
+lift per node. The reduced operator it takes from the per-node S; the
+lift gives a second value of it, an oracle that agrees to roundoff.
 """
 
 import csv
@@ -22,7 +23,9 @@ E1 = np.array([1.0, 0.0])
 def _loop_reduce(traj, psi, rank_tol=1e-8, lift_tol=1e-6):
     """Per-node reduction by ``psi`` (orthonormal (d, p) columns): a node is
     regular when V(t) has full rank and the lift of BH through Y leaves a
-    residual of at most ``lift_tol``."""
+    residual of at most ``lift_tol``. There the reduced operator is
+    ``BH^T S BH`` with S from one solve, and ``shat_lift`` the lift's
+    ``BH^T Yd C``."""
     d, p = psi.shape
     n = traj.n_nodes
     out = {
@@ -30,6 +33,8 @@ def _loop_reduce(traj, psi, rank_tol=1e-8, lift_tol=1e-6):
         "ph": np.full((n, d, d), np.nan),
         "bh": np.full((n, d, d - p), np.nan),
         "shat_bh": np.full((n, d - p, d - p), np.nan),
+        "shat_lift": np.full((n, d - p, d - p), np.nan),
+        "s_norm": np.full(n, np.nan),
         "shat_amb": np.full((n, d, d), np.nan),
         "a_amb": np.full((n, d, p), np.nan),
         "aastar": np.full((n, d, d), np.nan),
@@ -55,8 +60,10 @@ def _loop_reduce(traj, psi, rank_tol=1e-8, lift_tol=1e-6):
         if err > lift_tol:
             continue
         out["regular"][j] = True
-        s_bh = bh_j.T @ traj.yd[j] @ c
-        out["shat_bh"][j] = s_bh
+        s_j = np.linalg.solve(traj.y[j].T, traj.yd[j].T).T
+        s_bh = bh_j.T @ s_j @ bh_j
+        out["shat_bh"][j], out["shat_lift"][j] = s_bh, bh_j.T @ traj.yd[j] @ c
+        out["s_norm"][j] = np.linalg.norm(s_j, 2)
         out["shat_amb"][j] = bh_j @ s_bh @ bh_j.T
         a_j = np.zeros((d, 0))
         if p:
@@ -103,7 +110,14 @@ def test_reduce_matches_node_loop(trajs, name, psi):
         got, want = getattr(rs, key)[both], ref[key][both]
         scale = np.abs(want).max(axis=(1, 2), initial=0.0)[:, None, None]
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(scale, 1.0)), key
-    assert_allclose(rs.lift_err[both], ref["lift_err"][both], rtol=0, atol=1e-12)
+    # the lift is exact where Y is regular: least squares leaves roundoff
+    # there, about eps cond(Y), and its reduced operator is off S's by about
+    # eps cond(Y) |S| (each route solves with Y)
+    eps_cond = np.finfo(float).eps * np.linalg.cond(traj.y[both])
+    assert np.all(rs.lift_err[both] == 0.0)
+    assert np.all(ref["lift_err"][both] <= 64 * eps_cond)
+    err = np.linalg.norm(rs.shat_bh[both] - ref["shat_lift"][both], 2, axis=(1, 2))
+    assert np.all(err <= 64 * eps_cond * np.maximum(ref["s_norm"][both], 1.0))
 
 
 def test_reduce_validates_psi(trajs):
@@ -112,6 +126,9 @@ def test_reduce_validates_psi(trajs):
         js.reduce(traj, np.ones(3))
     with pytest.raises(ValueError, match="rank-deficient"):
         js.reduce(traj, np.array([[1.0, 2.0], [0.5, 1.0]]))
+    # a check's psi rows of the wrong length meet the same rule
+    with pytest.raises(ValueError, match=r"psi basis must be \(2, p\), got \(3, 1\)"):
+        js.reduction.hce_verdict(traj, {"psi": [[1.0, 0.0, 0.0]]}, None)
 
 
 def test_reduce_sphere_single_direction(trajs):
@@ -135,10 +152,14 @@ def test_reduce_empty_basis_matches_plain_residual(trajs):
     traj = trajs("sphere-zero")
     rs = js.reduce(traj, np.zeros((2, 0)))
     assert rs.dim_v == 0 and rs.dim_h == 2
+    # BH is the identity, so the reduced operator is S bit for bit
+    reg, s = js.riccati_series(traj)
+    assert np.array_equal(rs.regular, reg) and np.array_equal(rs.shat_amb[reg], s[reg])
+    assert np.all(rs.lift_err[reg] == 0.0)
     plain = js.riccati_residual(traj, tol=1e-4)
     red = js.hce_residual(rs, tol=1e-4)
-    assert red.n_checked == plain.n_checked
-    assert abs(red.max_residual - plain.max_residual) <= 1e-12
+    assert red.n_checked == plain.n_checked > 0
+    assert np.array_equal(red.values, plain.values) and red.cap == plain.cap
 
 
 def test_reduce_product_flat_directions(trajs):
@@ -199,17 +220,25 @@ def test_hce_residual_second_order(trajs):
     assert vals[2e-3] / vals[1e-3] >= 3.0
 
 
-def test_hce_residual_needs_regular_triples():
-    spec = js.FamilySpec(
-        field=js.constant_sectional(3, 1.0),
-        alpha=0.0,
-        end=0.002,
-        y0=np.zeros((2, 2)),
-        yd0=np.eye(2),
-    )
-    rs = js.reduce(js.integrate(spec, step=1e-3), E1)
-    with pytest.raises(ValueError, match="too few consecutive regular nodes"):
-        js.hce_residual(rs)
+def _three_nodes(*checks):
+    """Three nodes, the first singular: no node can be differenced."""
+    fld = js.constant_sectional(3, 1.0)
+    return js.Scenario("three-nodes", "", fld, 0.0, 0.002, np.zeros((2, 2)), np.eye(2), checks)
+
+
+def test_hce_residual_without_regular_triples_is_empty():
+    traj = js.integrate(_three_nodes().family(), step=1e-3)
+    assert traj.n_nodes == 3 and traj.regular.tolist() == [False, True, True]
+    for rep in (js.hce_residual(js.reduce(traj, E1)), js.riccati_residual(traj)):
+        assert rep.n_checked == 0 and rep.times.size == 0
+        assert math.isnan(rep.max_residual)
+
+
+def test_hce_check_without_regular_triples_is_not_evaluable():
+    check = js.CheckSpec("hce", {"psi": [[1.0, 0.0]]}, "hypothesis-violated")
+    (hce,) = js.run_scenario(_three_nodes(check)).checks
+    assert hce.verdict == "hypothesis-violated" and hce.details["n_checked"] == 0
+    assert hce.details["note"].startswith("not evaluable")
 
 
 def test_reduced_boundary_sphere_equality(trajs):

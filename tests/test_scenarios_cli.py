@@ -421,7 +421,7 @@ def test_cli_exit_two_on_unknown_config_key(tmp_path, capsys):
         ),
         (
             lambda doc: doc["checks"][0]["params"].update(alpah=1),
-            "unknown 'splitting' check param 'alpah' (known: theorem, k, alpha)",
+            "unknown check 'splitting' param 'alpah' (known: theorem, k, alpha)",
         ),
     ]
     for edit, message in cases:
@@ -625,6 +625,89 @@ def test_sampled_field_file_n_must_be_an_integer(tmp_path, capsys, monkeypatch):
         assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"config key 'field': sampled-field key 'n' must be an integer, got {n!r}" in err
+
+
+def _reads_only_the_config(monkeypatch, config):
+    """Make every JSON file read but that of ``config`` fail the test."""
+    real_read = js.cli.read_json_object
+
+    def read(path, what):
+        assert path == config, f"read the {what} {path!r}"
+        return real_read(path, what)
+
+    monkeypatch.setattr(js.cli, "read_json_object", read)
+
+
+SAMPLED = {"n": 3, "grid": [0.0, 4.0], "ops": [[1.0, 0.0, 0.0, 1.0]] * 2}
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"path": 0}, "'path' must be a non-empty string, got 0"),
+        ({"path": ""}, "'path' must be a non-empty string, got ''"),
+        ({"path": ["f.json"]}, "'path' must be a non-empty string, got ['f.json']"),
+        ({"path": "f.json", "n": 3}, "'path' excludes n, grid, ops and label"),
+        ({"path": "f.json", "grid": [0.0]}, "'path' excludes n, grid, ops and label"),
+        ({"path": "f.json", "ops": []}, "'path' excludes n, grid, ops and label"),
+        ({"path": "f.json", "label": "x"}, "'path' excludes n, grid, ops and label"),
+        ({**SAMPLED, "label": 5}, "'label' must be a string, got 5"),
+    ],
+)
+def test_sampled_field_path_is_checked_before_any_file_is_read(
+    tmp_path, capsys, monkeypatch, field, message
+):
+    monkeypatch.setattr(js.cli, "integrate", _no_integration)
+    path = _example_with(tmp_path, lambda doc: doc.update(field={"kind": "sampled", **field}))
+    _reads_only_the_config(monkeypatch, path)
+    assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key 'field': 'sampled' field key {message}" in err, err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"foo": 1}, "unknown sampled-field key 'foo' (known: kind, n, grid, ops, label)"),
+        ({"path": "f.json"}, "unknown sampled-field key 'path' (known: kind, n, grid, ops, label)"),
+        ({"kind": "x"}, "sampled-field key 'kind' must be 'sampled', got 'x'"),
+        ({"label": 5}, "sampled-field key 'label' must be a string, got 5"),
+    ],
+)
+def test_sampled_field_file_keys_pass_the_inline_rules(
+    tmp_path, capsys, monkeypatch, extra, message
+):
+    monkeypatch.setattr(js.cli, "integrate", _no_integration)
+    field_path = tmp_path / "field.json"
+    field_path.write_text(json.dumps({**SAMPLED, **extra}))
+    field = {"kind": "sampled", "path": str(field_path)}
+    path = _example_with(tmp_path, lambda doc: doc.update(field=field))
+    assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key 'field': {message}" in err, err
+
+
+def test_sampled_field_file_with_kind_and_label_loads(tmp_path):
+    field_path = tmp_path / "field.json"
+    field_path.write_text(json.dumps({"kind": "sampled", **SAMPLED, "label": "file"}))
+    path = _example_with(
+        tmp_path, lambda doc: doc.update(field={"kind": "sampled", "path": str(field_path)})
+    )
+    scenario = js.scenario_from_config(path)
+    assert scenario.fld.label == "file"
+    assert np.array_equal(scenario.fld.matrix(2.0), np.eye(2))
+
+
+def test_cli_exit_two_when_the_field_does_not_fit_in_memory(tmp_path, capsys, monkeypatch):
+    # "n": 1000000 asks for a 7 TiB identity; raise instead of allocating it
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(js.cli, "constant_sectional", out_of_memory)
+    monkeypatch.setattr(js.cli, "integrate", _no_integration)
+    path = _example_with(tmp_path, lambda doc: doc["field"].update(n=1000000))
+    assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "error: config key 'field': out of memory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid, bad", [([0.0, float("nan"), 4.0], 1), ([0.0, 2.0, float("inf")], 2)])

@@ -27,16 +27,25 @@ steps are cut into ``ceil(N/B)`` blocks of ``B = isqrt(N)``:
 3. replay: all blocks step from their starts together, ``B`` array steps,
    writing ``Y`` and ``Yd`` in place.
 
-A field that does not depend on time has one step map for every block:
-pass 1 takes one step, ``E_1``, and builds the powers ``E_2 .. E_B`` by
-doubling, ``ceil(log2 B)`` batched products ``E_{m+j} = E_m + E_j + E_m E_j``
-for ``j = 1 .. min(m, B - m)``; pass 3 is one broadcast product into the
-output arrays. Propagators are held in increment form ``E = P - I`` and
-advanced as ``E <- E + inc(I + E)``, and ``E_m + E_j + E_m E_j`` is the
-increment form of ``(I + E_m)(I + E_j)``, so the ``O(h)`` per-step changes
-are never rounded against the identity; forming ``P`` itself loses about a
-digit on fine grids. The result is the same RK4 map with its products
-grouped differently, equal to the step loop up to roundoff.
+A field that does not depend on time is diagonal (``c I`` or ``diag(e)``),
+and then row k of ``(Y, Yd)`` moves on its own by the scalar map of
+``y'' = -e_k y``: on a constant linear system the RK4 step is a polynomial
+in the field. Its three passes run on ``d`` scalar ``2 x 2`` maps, one
+step map for every block: pass 1 takes one step, ``E_1``, and builds the
+powers ``E_2 .. E_B`` by doubling, ``ceil(log2 B)`` batched products
+``E_{m+j} = E_m + E_j + E_m E_j`` for ``j = 1 .. min(m, B - m)``; pass 3
+writes each run of adjacent rows of equal curvature, which share their
+maps, as one rank-3 product per output array, ``[1, a_i, b_i]`` times
+``[Y_b; Y_b; Yd_b]`` into ``Y`` and ``[1, c_i, d_i]`` times
+``[Yd_b; Y_b; Yd_b]`` into ``Yd`` at node i of every block. A constant
+field that is not diagonal takes the time-varying scan. Propagators are
+held in increment form ``E = P - I`` and advanced as
+``E <- E + inc(I + E)``, ``E_m + E_j + E_m E_j`` is the increment form of
+``(I + E_m)(I + E_j)``, and the leading 1 of a pass-3 row adds the block
+start, so the ``O(h)`` per-step changes are never rounded against the
+identity; forming ``P`` itself loses about a digit on fine grids. The
+result is the same RK4 map with its products grouped differently, equal
+to the step loop up to roundoff.
 
 On top of the trajectory this module provides the Riccati operator
 ``S = Yd Y^{-1}``, the Wronskian ``W = Y^T Yd - Yd^T Y`` (the conserved
@@ -200,9 +209,10 @@ class JacobiTrajectory:
     @cached_property
     def _step_norms(self) -> tuple[np.ndarray, np.ndarray]:
         """``(||Y_{j+1} - Y_j||_F, ||Yd_j||_F)`` at every node j, from one
-        chunked pass; the step norm is zero at the last node. ``svals``
-        bounds its nodes with them (``_certify``), and ``stacked_bound``
-        reads the largest ``||Yd_j||_F``."""
+        chunked pass; the step norm is zero at the last node. ``integrate``
+        tests the family's finiteness on them, ``svals`` bounds its nodes
+        with them (``_certify``), and ``stacked_bound`` reads the largest
+        ``||Yd_j||_F``."""
         y, yd = self.y, self.yd
         n = len(y)
         dy, ydn = np.zeros(n), np.empty(n)
@@ -458,10 +468,14 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
 
     The ``N`` steps run as a two-level blocked scan (see the module
     docstring): blocks of ``B = isqrt(N)`` steps, about ``3 B`` array
-    iterations in all; a constant field builds its ``B`` block powers by
-    doubling instead, with one step evaluated. A family that overflows is a
-    ValueError naming the first node that is not finite, and a grid larger
-    than numpy can index is a MemoryError, raised before allocating."""
+    iterations in all. A diagonal constant field runs on ``d`` scalar
+    ``2 x 2`` maps instead, with one step evaluated: its ``B`` block powers
+    come by doubling, and each run of rows of equal curvature is written by
+    one rank-3 product per output array. A family that overflows is a
+    ValueError naming the first node that is not finite, tested on the step
+    norms that ``svals`` reads and node by node only when one is not finite;
+    a grid larger than numpy can index is a MemoryError, raised before
+    allocating."""
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     span = spec.end - spec.alpha
@@ -491,15 +505,19 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
     y[0], yd[0] = spec.y0, spec.yd0
     ys = y[1:].reshape(nb, blk, d, d)
     yds = yd[1:].reshape(nb, blk, d, d)
+    if r.shape[0] == 1 and np.any(r[0] != np.diag(np.diagonal(r[0]))):
+        r = np.broadcast_to(r, (stages.size, d, d))  # constant but not diagonal
     constant = r.shape[0] == 1
 
     # pass 1: the propagator of every block but the last, E_b = P_b - I
     if constant:
-        # one step map for all blocks: keep E_i = P^i - I for i = 0..blk, by
-        # doubling, E_{m+j} = E_m + E_j + E_m E_j for j = 1..min(m, blk - m),
-        # each product written straight into its slice
-        powers = np.zeros((blk + 1, 2 * d, 2 * d))
-        _advance(powers[1], r[0], r[0], r[0], h)
+        # row k of (Y, Yd) moves by the scalar map of y'' = -e_k y: keep the
+        # 2x2 E_i = P^i - I of every row for i = 0..blk, by doubling,
+        # E_{m+j} = E_m + E_j + E_m E_j for j = 1..min(m, blk - m), each
+        # product written straight into its slice
+        ek = np.diagonal(r[0])[:, None, None]
+        powers = np.zeros((blk + 1, d, 2, 2))
+        _advance(powers[1], ek, ek, ek, h)
         m = 1
         while m < blk:
             k = min(m, blk - m)
@@ -508,25 +526,36 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
             out += powers[1 : k + 1]
             out += powers[m]
             m += k
-        e = np.broadcast_to(powers[blk], (nb - 1, 2 * d, 2 * d))
+        e = np.broadcast_to(powers[blk], (nb - 1, d, 2, 2))
+        z = np.empty((nb, d, 2, d))  # z[b, k] = [Y_b[k]; Yd_b[k]]
+        z[0, :, 0], z[0, :, 1] = spec.y0, spec.yd0
     else:
         e = np.zeros((nb - 1, 2 * d, 2 * d))
         for i in range(blk):
             s = 2 * (first[:-1] + i)
             _advance(e, r[s], r[s + 1], r[s + 2], h)
+        z = np.empty((nb, 2 * d, d))  # z[b] = [Y_b; Yd_b]
+        z[0, :d], z[0, d:] = spec.y0, spec.yd0
 
     # pass 2: block starts z_{b+1} = z_b + E_b z_b
-    z = np.empty((nb, 2 * d, d))
-    z[0, :d], z[0, d:] = spec.y0, spec.yd0
     for b in range(nb - 1):
         z[b + 1] = z[b] + e[b] @ z[b]
 
     # pass 3: every block from its start, all blocks at once
     if constant:
-        np.matmul(powers[None, 1:, :d], z[:, None], out=ys)
-        ys += z[:, None, :d]
-        np.matmul(powers[None, 1:, d:], z[:, None], out=yds)
-        yds += z[:, None, d:]
+        # rows lo..hi-1 of equal curvature share their maps: node i of every
+        # block is [1, a_i, b_i] [Y_b; Y_b; Yd_b] in Y and [1, c_i, d_i]
+        # [Yd_b; Y_b; Yd_b] in Yd, one rank-3 product per output array
+        cuts = [0, *np.flatnonzero(np.diff(ek.ravel())) + 1, d]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            coef = np.ones((blk, 2, 3))
+            coef[:, :, 1:] = powers[1:, lo]
+            w = (hi - lo) * d
+            u = np.empty((nb, 3, w))
+            u[:, 1:] = z[:, lo:hi].transpose(0, 2, 1, 3).reshape(nb, 2, w)
+            for j, out in enumerate((ys, yds)):
+                u[:, 0] = u[:, 1 + j]
+                np.matmul(coef[:, j], u, out=out[:, :, lo:hi].reshape(nb, blk, w))
     else:
         yb, ydb = z[:, :d], z[:, d:]
         for i in range(blk):
@@ -536,14 +565,16 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
             yb, ydb = yb + dy, ydb + dyd
             ys[:, i], yds[:, i] = yb, ydb
     m = n_steps + 1
-    y, yd = y[:m], yd[:m]
-    # a sum of squares is cheap and is not finite if an entry is not
-    if not np.isfinite(y.ravel() @ y.ravel() + yd.ravel() @ yd.ravel()):
-        finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(yd).all(axis=(1, 2))
+    traj = JacobiTrajectory(spec=spec, step=h, times=times, y=y[:m], yd=yd[:m])
+    # Y_0 is finite, so the step norms that svals reads are all finite only
+    # if Y and Yd are; a sum of squares may overflow on finite values, so
+    # the nodes are tested one by one then
+    if not np.isfinite(traj._step_norms).all():
+        finite = np.isfinite(traj.y).all(axis=(1, 2)) & np.isfinite(traj.yd).all(axis=(1, 2))
         if not finite.all():
             t_bad = times[np.argmin(finite)]
             raise ValueError(f"the family is not finite from t={t_bad:.6g} on (overflow)")
-    return JacobiTrajectory(spec=spec, step=h, times=times, y=y, yd=yd)
+    return traj
 
 
 def wronskian(traj: JacobiTrajectory, t: float) -> np.ndarray:

@@ -12,6 +12,7 @@ The step loop ``_loop_integrate`` is the reference for the blocked scan in
 import csv
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -107,6 +108,39 @@ def test_integrate_matches_step_loop_d16(fld):
     _assert_matches_loop(fld, 1000, end=2.0)
 
 
+def _non_diagonal_constant(d, seed=5):
+    """A constant field that is not diagonal; no constructor makes one."""
+    a = np.random.default_rng(seed).standard_normal((d, d))
+    m = np.eye(d) + 0.25 * (a + a.T)
+    m.flags.writeable = False
+    return js.CurvatureField(kind="constant-sectional", n=d + 1, _eval=lambda times: m)
+
+
+# runs of equal curvature {0} and {1, 2}; equal entries that are not adjacent;
+# a constant field that is not diagonal, which takes the time-varying scan
+@pytest.mark.parametrize("n_steps", [1, 7, 3142])
+@pytest.mark.parametrize("kind", ["fubini-study", "split-runs", "non-diagonal"])
+def test_integrate_matches_step_loop_on_runs_of_equal_curvature(kind, n_steps, monkeypatch):
+    fld = {
+        "fubini-study": js.fubini_study_model(4),
+        "split-runs": js.diagonal_constant([1.0, 4.0, 1.0]),
+        "non-diagonal": _non_diagonal_constant(3),
+    }[kind]
+    rows = []  # the rows of every state that an RK4 step moves
+    step_fn = jacobi._increments
+
+    def counted(y, *args):
+        rows.append(y.shape[-2])
+        return step_fn(y, *args)
+
+    monkeypatch.setattr(jacobi, "_increments", counted)
+    _assert_matches_loop(fld, n_steps)
+    if kind == "non-diagonal":
+        assert rows == [3] * (2 * math.isqrt(n_steps))
+    else:  # one step of d scalar maps, no 2d x 2d propagator
+        assert rows == [1]
+
+
 def test_integrate_array_iterations_grow_like_sqrt_n(monkeypatch):
     calls = []
     step_fn = jacobi._increments
@@ -136,6 +170,26 @@ def test_integrate_rejects_overflow():
     # huge but finite values are kept
     traj = js.integrate(sphere_like(y0=1e200 * np.eye(2), yd0=np.zeros((2, 2)), c=0.0))
     assert np.all(traj.y[-1] == 1e200 * np.eye(2))
+
+
+def test_integrate_names_the_first_node_a_sampled_family_overflows_at():
+    fld = js.sampled_field([0.0, 1.0], [-1e6 * np.eye(2), -1.2e6 * np.eye(2)])
+    spec = js.FamilySpec(field=fld, alpha=0.0, end=1.0, y0=np.eye(2), yd0=np.zeros((2, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, y, yd = _loop_integrate(spec, 1e-3)
+    finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(yd).all(axis=(1, 2))
+    t_bad = times[np.argmin(finite)]
+    assert 0.5 < t_bad < 0.9
+    with pytest.raises(ValueError, match=re.escape(f"not finite from t={t_bad:.6g} on")):
+        js.integrate(spec, step=1e-3)
+
+
+def test_integrate_keeps_finite_values_whose_step_norms_overflow():
+    # 1e200 cos(t): the sums of squares overflow, the node test finds every value finite
+    traj = js.integrate(sphere_like(y0=1e200 * np.eye(2), yd0=np.zeros((2, 2)), c=1.0))
+    assert np.isinf(traj._step_norms[0][:-1]).all()
+    assert np.isfinite(traj.y).all() and np.isfinite(traj.yd).all()
+    assert_allclose(traj.y[:, 0, 0], 1e200 * np.cos(traj.times), rtol=0, atol=1e188)
 
 
 def test_integrate_rejects_bad_step():

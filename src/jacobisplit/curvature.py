@@ -12,6 +12,10 @@ function of time. Three kinds exist:
 * ``sampled``: symmetrized node values on a time grid, linearly
   interpolated entrywise between nodes; loadable from JSON.
 
+An evaluated field is diagonal when every off-diagonal entry is exactly
+zero (``diagonal_entries``); the integrator and the k-trace floors read
+that one test.
+
 ``ric_k_floor`` evaluates the minimum over orthonormal k-frames (orthogonal
 to the geodesic direction) of the k-trace of the operator, which equals the
 sum of its k smallest eigenvalues. ``ric_k_floor_sampled`` estimates the
@@ -252,14 +256,27 @@ def load_sampled_field(path) -> CurvatureField:
     return sampled_field_from_json(read_json_object(path, "sampled-field file"))
 
 
+def diagonal_entries(ops: np.ndarray) -> np.ndarray | None:
+    """The diagonals, shape ``(m, d)``, of the evaluated field ``ops`` of
+    shape ``(m, d, d)`` when every off-diagonal entry is exactly zero, and
+    None otherwise: the one test of whether a field is diagonal."""
+    diag = np.diagonal(ops, axis1=1, axis2=2)
+    # the off-diagonal entries are all zero when every nonzero is on the diagonal
+    return diag if np.count_nonzero(ops) == np.count_nonzero(diag) else None
+
+
 def ric_k_traces(field: CurvatureField, t, k: int) -> np.ndarray:
     """The k-trace floor at each of the times ``t`` (a scalar or an array):
     the sum of the k smallest eigenvalues of the curvature operator. One
-    value only when the field does not depend on time."""
+    value only when the field does not depend on time. The eigenvalues of
+    a diagonal field (``diagonal_entries``) are its sorted diagonal, equal
+    to LAPACK's; any other field takes ``np.linalg.eigvalsh``."""
     d = field.dim
     if not (1 <= k <= d):
         raise ValueError(f"k out of range: k={k}, dim={d}")
-    w = np.linalg.eigvalsh(field.matrices(t))
+    ops = field.matrices(t)
+    diag = diagonal_entries(ops)
+    w = np.linalg.eigvalsh(ops) if diag is None else np.sort(diag, axis=1)
     return np.sum(w[:, :k], axis=1)
 
 

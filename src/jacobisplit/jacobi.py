@@ -27,20 +27,23 @@ steps are cut into ``ceil(N/B)`` blocks of ``B = isqrt(N)``:
 3. replay: all blocks step from their starts together, ``B`` array steps,
    writing ``Y`` and ``Yd`` in place.
 
-A field that does not depend on time is diagonal (``c I`` or ``diag(e)``),
-and then row k of ``(Y, Yd)`` moves on its own by the scalar map of
-``y'' = -e_k y``: on a constant linear system the RK4 step is a polynomial
-in the field. Its three passes run on ``d`` scalar ``2 x 2`` maps, one
-step map for every block: pass 1 takes one step, ``E_1``, and builds the
-powers ``E_2 .. E_B`` by doubling, ``ceil(log2 B)`` batched products
-``E_{m+j} = E_m + E_j + E_m E_j`` for ``j = 1 .. min(m, B - m)``; pass 3
-writes each run of adjacent rows of equal curvature, which share their
-maps, as one rank-3 product per output array, ``[1, a_i, b_i]`` times
-``[Y_b; Y_b; Yd_b]`` into ``Y`` and ``[1, c_i, d_i]`` times
-``[Yd_b; Y_b; Yd_b]`` into ``Yd`` at node i of every block. A constant
-field that is not diagonal takes the time-varying scan. Propagators are
-held in increment form ``E = P - I`` and advanced as
-``E <- E + inc(I + E)``, ``E_m + E_j + E_m E_j`` is the increment form of
+A diagonal field, constant or not (``curvature.diagonal_entries``: every
+off-diagonal entry of the evaluated field is zero), moves row k of
+``(Y, Yd)`` on its own by the scalar map of ``y'' = -e_k(t) y``, so its
+three passes run on ``d`` scalar ``2 x 2`` maps. Pass 1 keeps the prefix
+maps ``E_i`` of the first ``i = 1 .. B`` steps of every block. A constant
+field has one step map for every block: one step gives ``E_1``, and
+``ceil(log2 B)`` batched products ``E_{m+j} = E_m + E_j + E_m E_j`` for
+``j = 1 .. min(m, B - m)`` give the rest. A time-varying one takes the map
+of every step from one vectorized RK4 step per chunk of steps, and composes
+them block by block, ``E_{i+1} = S_i + E_i + S_i E_i``, all blocks at once.
+Pass 3 writes each run of adjacent rows whose entries agree at every stage,
+which share their maps, as one rank-3 product per output array,
+``[1, a_i, b_i]`` times ``[Y_b; Y_b; Yd_b]`` into ``Y`` and
+``[1, c_i, d_i]`` times ``[Yd_b; Y_b; Yd_b]`` into ``Yd`` at node i of
+block b. Any other field takes the full ``2d x 2d`` scan. Propagators are
+held in increment form ``E = P - I`` and advanced as ``E <- E +
+inc(I + E)``, ``E_m + E_j + E_m E_j`` is the increment form of
 ``(I + E_m)(I + E_j)``, and the leading 1 of a pass-3 row adds the block
 start, so the ``O(h)`` per-step changes are never rounded against the
 identity; forming ``P`` itself loses about a digit on fine grids. The
@@ -61,24 +64,28 @@ blocks of 256, 32 and 8 (``_certify``), and none is evaluated twice. The
 singular values of ``Y`` (``JacobiTrajectory.svals``) are one LAPACK SVD
 of ``Y`` at every node that may hold the grid maximum or whose lower
 bound, widened by the cubic Hermite interpolant's reach, does not clear
-the zero threshold; they are NaN elsewhere. The self-adjointness gate is
-relative to ``sigma_max([Y; Yd])`` at the window start, where the
-Wronskian is read (``stacked_scale``), and the span tests to a lower
-bound on its grid maximum from that, the scale and the largest
-``||Yd||_F`` (``stacked_bound``). ``det Y`` is taken only where the event
-search reads it (``dets``), and the refined events are kept per
-trajectory, so each is scanned once.
+the zero threshold; they are NaN elsewhere. A node whose path length to
+an evaluated node is not finite, past a step norm that overflowed, stays
+undecided. The self-adjointness gate is relative to ``sigma_max([Y; Yd])``
+at the window start, where the Wronskian is read (``stacked_scale``), and
+the span tests to a lower bound on its grid maximum from that, the scale
+and the largest ``||Yd||_F`` (``stacked_bound``). ``det Y`` is taken only
+where the event search reads it (``dets``), and the refined events are
+kept per trajectory, so each is scanned once. A family so large that
+``det Y`` or ``sigma_min^2`` would overflow is searched on ``Y`` times a
+power of two (``_unit``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .curvature import CurvatureField
+from .curvature import CurvatureField, diagonal_entries
 from .symlin import lead_nonnegative, orthonormal_columns
 
 __all__ = [
@@ -273,7 +280,7 @@ class JacobiTrajectory:
             top, bot = svals[c, 0], svals[c, -1]
             upper = (top + dist) * (1.0 + _SLACK)
             best = np.nanmax(svals[:, 0])
-            ub = max(best, float(np.max(upper)))
+            ub = float(np.max(upper, initial=best))
             margin = bot - dist - r_node[i] - (TOL_ZERO + _SLACK) * ub
             return (upper >= best) | (margin <= 0.0)
 
@@ -303,6 +310,16 @@ class JacobiTrajectory:
         hold it."""
         return float(np.nanmax(self.sigma_max))
 
+    @property
+    def _unit(self) -> float:
+        """The factor on ``Y`` under which the event search takes ``det Y``
+        and ``sigma_min^2``: 1 while ``scale^max(d, 2)``, which bounds both,
+        is in the float range, so a family of ordinary size reads its plain
+        values, and else ``2^-e`` for the scale ``m 2^e``, ``1/2 <= m < 1``,
+        which keeps both below 1."""
+        e = math.frexp(self.scale)[1]
+        return 1.0 if e * max(self.dim, 2) < sys.float_info.max_exp else math.ldexp(1.0, -e)
+
     @cached_property
     def stacked_scale(self) -> float:
         """Largest singular value of the stacked matrix ``Z = [Y; Yd]`` at
@@ -324,10 +341,11 @@ class JacobiTrajectory:
 
     @cached_property
     def dets(self) -> np.ndarray:
-        """det Y where ``singular_events`` reads it: at the local minima of
-        sigma_min at or below ``_COARSE_CUT`` times the scale and at their
-        neighbours; NaN at every other node. A node where ``svals`` is NaN,
-        or next to one, is never such a local minimum."""
+        """det Y, of Y times ``_unit``, where ``singular_events`` reads it:
+        at the local minima of sigma_min at or below ``_COARSE_CUT`` times
+        the scale and at their neighbours; NaN at every other node. A node
+        where ``svals`` is NaN, or next to one, is never such a local
+        minimum."""
         n = self.n_nodes
         cand = _candidate_nodes(self.sigma_min, -math.inf, _COARSE_CUT * self.scale)
         near = np.zeros(n, dtype=bool)
@@ -335,7 +353,7 @@ class JacobiTrajectory:
             near[np.clip(cand + shift, 0, n - 1)] = True
         idx = np.flatnonzero(near)
         dets = np.full(n, np.nan)
-        dets[idx] = np.linalg.det(self.y[idx])
+        dets[idx] = np.linalg.det(self._unit * self.y[idx])
         return dets
 
     @cached_property
@@ -422,6 +440,10 @@ def _certify(step, evaluate, undecided) -> None:
             return
         c = centre[i // size]
         far = np.maximum(path[i], path[c])
+        # past a step length that overflowed, the path bounds nothing: those
+        # nodes stay undecided
+        sure = np.isfinite(far)
+        i, c, far = i[sure], c[sure], far[sure]
         dist = np.abs(path[i] - path[c]) + np.abs(i - c) * np.finfo(float).eps * far
         keep = undecided(i, c, dist)
         todo[i[~keep]] = False
@@ -438,14 +460,17 @@ def _increments(y, yd, r0, rh, r1, h):
     """RK4 increments ``(dY, dYd)`` of one step of ``(Y, Yd)' = (Yd, -R Y)``,
     with the field ``r0``, ``rh``, ``r1`` at the step's start, midpoint and
     end. Works over any leading batch axes and any number of columns; this
-    is the one definition of the step."""
-    k1d = -(r0 @ y)
+    is the one definition of the step. A ``1 x 1`` field multiplies by
+    broadcasting, which a batched ``matmul`` of ``1 x 1`` matrices is
+    several times slower at."""
+    mul = np.multiply if r0.shape[-1] == 1 else np.matmul
+    k1d = -mul(r0, y)
     y2 = y + 0.5 * h * yd
-    k2y, k2d = yd + 0.5 * h * k1d, -(rh @ y2)
+    k2y, k2d = yd + 0.5 * h * k1d, -mul(rh, y2)
     y3 = y + 0.5 * h * k2y
-    k3y, k3d = yd + 0.5 * h * k2d, -(rh @ y3)
+    k3y, k3d = yd + 0.5 * h * k2d, -mul(rh, y3)
     y4 = y + h * k3y
-    k4y, k4d = yd + h * k3d, -(r1 @ y4)
+    k4y, k4d = yd + h * k3d, -mul(r1, y4)
     dy = (h / 6.0) * (yd + 2.0 * k2y + 2.0 * k3y + k4y)
     dyd = (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
     return dy, dyd
@@ -461,6 +486,104 @@ def _advance(e, r0, rh, r1, h):
     e[..., d:, :] += dyd
 
 
+def _scan(r, spec, ys, yds, n_steps, h) -> None:
+    """The blocked scan of ``integrate`` on ``2d x 2d`` propagators, with the
+    field ``r`` at all ``2 N + 1`` stages, writing the blocks ``ys`` and
+    ``yds`` of shape ``(nb, blk, d, d)`` in place."""
+    nb, blk, d = ys.shape[:3]
+    first = blk * np.arange(nb)  # first step of every block
+    # pass 1: the propagator of every block but the last, E_b = P_b - I
+    e = np.zeros((nb - 1, 2 * d, 2 * d))
+    for i in range(blk):
+        s = 2 * (first[:-1] + i)
+        _advance(e, r[s], r[s + 1], r[s + 2], h)
+    # pass 2: block starts z_{b+1} = z_b + E_b z_b, z[b] = [Y_b; Yd_b]
+    z = np.empty((nb, 2 * d, d))
+    z[0, :d], z[0, d:] = spec.y0, spec.yd0
+    for b in range(nb - 1):
+        z[b + 1] = z[b] + e[b] @ z[b]
+    # pass 3: every block from its start, all blocks at once
+    yb, ydb = z[:, :d], z[:, d:]
+    for i in range(blk):
+        # steps past n_steps (last block only) reread the last step's field
+        s = 2 * np.minimum(first + i, n_steps - 1)
+        dy, dyd = _increments(yb, ydb, r[s], r[s + 1], r[s + 2], h)
+        yb, ydb = yb + dy, ydb + dyd
+        ys[:, i], yds[:, i] = yb, ydb
+
+
+def _scalar_scan(rows, spec, ys, yds, n_steps, h) -> None:
+    """The blocked scan of ``integrate`` for a diagonal field on ``d``
+    scalar ``2 x 2`` maps, with row k of the field, ``rows[k]``, at one
+    stage (a constant field) or at all ``2 N + 1``; writes ``ys`` and
+    ``yds`` as ``_scan`` does.
+
+    Row k of ``(Y, Yd)`` moves by the scalar map of ``y'' = -e_k(t) y``.
+    ``maps[i - 1, :, :, k, b]`` is the ``2 x 2`` ``E_i = P_i - I`` of the
+    first ``i = 1 .. blk`` steps of block b and row k; a constant field has
+    one block for all."""
+    nb, blk, d = ys.shape[:3]
+    first = blk * np.arange(nb)  # first step of every block
+    # pass 1: the prefix maps of every block
+    if rows.shape[1] == 1:
+        # the powers of the one step map by doubling, E_{m+j} = E_m + E_j +
+        # E_m E_j for j = 1..min(m, blk - m), each product written straight
+        # into its slice
+        ek = rows[:, :, None]
+        powers = np.zeros((blk, d, 2, 2))
+        _advance(powers[0], ek, ek, ek, h)
+        m = 1
+        while m < blk:
+            k = min(m, blk - m)
+            out = powers[m : m + k]
+            np.matmul(powers[m - 1], powers[:k], out=out)
+            out += powers[:k]
+            out += powers[m - 1]
+            m += k
+        maps = powers.transpose(0, 2, 3, 1)[..., None]
+    else:
+        # the map of every step, about _CHUNK steps per RK4 step: the columns
+        # of I as the state, the field at step i of block b as (i, 1, k, b,
+        # 1, 1); steps past n_steps (last block only) reread the last step's
+        # field
+        at = 2 * np.minimum(first + np.arange(blk)[:, None], n_steps - 1)
+        unit = np.eye(2).reshape(2, 2, 1, 1, 1, 1)
+        maps = np.empty((blk, 2, 2, d, nb))
+        di = max(1, _CHUNK // nb)
+        for lo in range(0, blk, di):
+            s = at[lo : lo + di]
+            r0, rh, r1 = (
+                rows[:, s + j].transpose(1, 0, 2)[:, None, :, :, None, None] for j in range(3)
+            )
+            dy, dyd = _increments(unit[0], unit[1], r0, rh, r1, h)
+            maps[lo : lo + di, 0], maps[lo : lo + di, 1] = dy[..., 0, 0], dyd[..., 0, 0]
+        # composed in place, all blocks at once: E_{i+1} = S_i + E_i + S_i
+        # E_i, the 2x2 product written out by its columns
+        for i in range(1, blk):
+            s_i, e_i = maps[i], maps[i - 1]
+            s_i += e_i + s_i[:, :1] * e_i[0] + s_i[:, 1:] * e_i[1]
+    # pass 2: block starts z_{b+1} = z_b + E_b z_b, z[b, k] = [Y_b[k]; Yd_b[k]]
+    e = np.ascontiguousarray(np.broadcast_to(maps[-1].transpose(3, 2, 0, 1), (nb, d, 2, 2)))
+    z = np.empty((nb, d, 2, d))
+    z[0, :, 0], z[0, :, 1] = spec.y0, spec.yd0
+    for b in range(nb - 1):
+        z[b + 1] = z[b] + e[b] @ z[b]
+    # pass 3: rows lo..hi-1 whose entries agree at every stage share their
+    # maps: node i of block b is [1, a_i, b_i] [Y_b; Y_b; Yd_b] in Y and
+    # [1, c_i, d_i] [Yd_b; Y_b; Yd_b] in Yd, one rank-3 product per output
+    # array
+    cuts = [0, *np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1, d]
+    coef = np.ones((maps.shape[-1], blk, 2, 3))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        coef[..., 1:] = maps[:, :, :, lo].transpose(3, 0, 1, 2)
+        w = (hi - lo) * d
+        u = np.empty((nb, 3, w))
+        u[:, 1:] = z[:, lo:hi].transpose(0, 2, 1, 3).reshape(nb, 2, w)
+        for j, out in enumerate((ys, yds)):
+            u[:, 0] = u[:, 1 + j]
+            np.matmul(coef[:, :, j], u, out=out[:, :, lo:hi].reshape(nb, blk, w))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
     """Integrate the family with classical RK4 at (approximately) the given
@@ -468,14 +591,15 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
 
     The ``N`` steps run as a two-level blocked scan (see the module
     docstring): blocks of ``B = isqrt(N)`` steps, about ``3 B`` array
-    iterations in all. A diagonal constant field runs on ``d`` scalar
-    ``2 x 2`` maps instead, with one step evaluated: its ``B`` block powers
-    come by doubling, and each run of rows of equal curvature is written by
-    one rank-3 product per output array. A family that overflows is a
-    ValueError naming the first node that is not finite, tested on the step
-    norms that ``svals`` reads and node by node only when one is not finite;
-    a grid larger than numpy can index is a MemoryError, raised before
-    allocating."""
+    iterations in all. A diagonal field runs on ``d`` scalar ``2 x 2`` maps
+    instead: a constant one from one step, whose ``B`` block powers come by
+    doubling, a time-varying one from the maps of all steps, about
+    ``_CHUNK`` steps per RK4 step, composed block by block; each run of
+    rows with equal entries is written by one rank-3 product per output
+    array. A family that overflows is a ValueError naming the first node
+    that is not finite, tested on the step norms that ``svals`` reads and
+    node by node only when one is not finite; a grid larger than numpy can
+    index is a MemoryError, raised before allocating."""
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     span = spec.end - spec.alpha
@@ -497,7 +621,6 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
         raise ValueError(f"curvature field evaluation failed: {exc}") from exc
     blk = math.isqrt(n_steps)
     nb = -(-n_steps // blk)
-    first = blk * np.arange(nb)  # first step of every block
     # node b*blk + i of block b sits at ys[b, i - 1]; the last block's rows
     # past node n_steps are padding, cut off on return
     y = np.empty((nb * blk + 1, d, d))
@@ -505,65 +628,15 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
     y[0], yd[0] = spec.y0, spec.yd0
     ys = y[1:].reshape(nb, blk, d, d)
     yds = yd[1:].reshape(nb, blk, d, d)
-    if r.shape[0] == 1 and np.any(r[0] != np.diag(np.diagonal(r[0]))):
-        r = np.broadcast_to(r, (stages.size, d, d))  # constant but not diagonal
-    constant = r.shape[0] == 1
-
-    # pass 1: the propagator of every block but the last, E_b = P_b - I
-    if constant:
-        # row k of (Y, Yd) moves by the scalar map of y'' = -e_k y: keep the
-        # 2x2 E_i = P^i - I of every row for i = 0..blk, by doubling,
-        # E_{m+j} = E_m + E_j + E_m E_j for j = 1..min(m, blk - m), each
-        # product written straight into its slice
-        ek = np.diagonal(r[0])[:, None, None]
-        powers = np.zeros((blk + 1, d, 2, 2))
-        _advance(powers[1], ek, ek, ek, h)
-        m = 1
-        while m < blk:
-            k = min(m, blk - m)
-            out = powers[m + 1 : m + k + 1]
-            np.matmul(powers[m], powers[1 : k + 1], out=out)
-            out += powers[1 : k + 1]
-            out += powers[m]
-            m += k
-        e = np.broadcast_to(powers[blk], (nb - 1, d, 2, 2))
-        z = np.empty((nb, d, 2, d))  # z[b, k] = [Y_b[k]; Yd_b[k]]
-        z[0, :, 0], z[0, :, 1] = spec.y0, spec.yd0
+    diag = diagonal_entries(r)  # (1 or 2 N + 1, d), or None
+    if diag is None:
+        _scan(np.broadcast_to(r, (stages.size, d, d)), spec, ys, yds, n_steps, h)
     else:
-        e = np.zeros((nb - 1, 2 * d, 2 * d))
-        for i in range(blk):
-            s = 2 * (first[:-1] + i)
-            _advance(e, r[s], r[s + 1], r[s + 2], h)
-        z = np.empty((nb, 2 * d, d))  # z[b] = [Y_b; Yd_b]
-        z[0, :d], z[0, d:] = spec.y0, spec.yd0
-
-    # pass 2: block starts z_{b+1} = z_b + E_b z_b
-    for b in range(nb - 1):
-        z[b + 1] = z[b] + e[b] @ z[b]
-
-    # pass 3: every block from its start, all blocks at once
-    if constant:
-        # rows lo..hi-1 of equal curvature share their maps: node i of every
-        # block is [1, a_i, b_i] [Y_b; Y_b; Yd_b] in Y and [1, c_i, d_i]
-        # [Yd_b; Y_b; Yd_b] in Yd, one rank-3 product per output array
-        cuts = [0, *np.flatnonzero(np.diff(ek.ravel())) + 1, d]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            coef = np.ones((blk, 2, 3))
-            coef[:, :, 1:] = powers[1:, lo]
-            w = (hi - lo) * d
-            u = np.empty((nb, 3, w))
-            u[:, 1:] = z[:, lo:hi].transpose(0, 2, 1, 3).reshape(nb, 2, w)
-            for j, out in enumerate((ys, yds)):
-                u[:, 0] = u[:, 1 + j]
-                np.matmul(coef[:, j], u, out=out[:, :, lo:hi].reshape(nb, blk, w))
-    else:
-        yb, ydb = z[:, :d], z[:, d:]
-        for i in range(blk):
-            # steps past n_steps (last block only) reread the last step's field
-            s = 2 * np.minimum(first + i, n_steps - 1)
-            dy, dyd = _increments(yb, ydb, r[s], r[s + 1], r[s + 2], h)
-            yb, ydb = yb + dy, ydb + dyd
-            ys[:, i], yds[:, i] = yb, ydb
+        # the entries by row, (d, 1 or 2 N + 1); nothing else of the field is
+        # read, so its array of (d, d) matrices is freed before the maps are built
+        rows = np.ascontiguousarray(diag.T)
+        del r, diag
+        _scalar_scan(rows, spec, ys, yds, n_steps, h)
     m = n_steps + 1
     traj = JacobiTrajectory(spec=spec, step=h, times=times, y=y[:m], yd=yd[:m])
     # Y_0 is finite, so the step norms that svals reads are all finite only
@@ -619,7 +692,7 @@ def _hermite_sigma_min(traj: JacobiTrajectory, t: float) -> float:
 
 def _hermite_det(traj: JacobiTrajectory, t: float) -> float:
     yt = traj.interpolate(t)
-    return float(np.linalg.det(yt))
+    return float(np.linalg.det(traj._unit * yt))
 
 
 def _det_root(traj: JacobiTrajectory, lo: float, hi: float, flo: float, fhi: float) -> float:
@@ -726,6 +799,7 @@ def _refined_events(traj: JacobiTrajectory) -> tuple[ZeroEvent, ...]:
     scale = traj.scale
     zero_cut = TOL_ZERO * scale
     coarse_cut = _COARSE_CUT * scale
+    unit = traj._unit
     h = traj.step
 
     events: list[ZeroEvent] = []
@@ -745,7 +819,7 @@ def _refined_events(traj: JacobiTrajectory) -> tuple[ZeroEvent, ...]:
                 t_star = _det_root(traj, traj.times[j], traj.times[j_hi], dets[j], dets[j_hi])
             elif j_lo < j < j_hi:
                 ts = [traj.times[j_lo], traj.times[j], traj.times[j_hi]]
-                vertex = _parabola_vertex(ts, [sig[i] ** 2 for i in (j_lo, j, j_hi)])
+                vertex = _parabola_vertex(ts, [(unit * sig[i]) ** 2 for i in (j_lo, j, j_hi)])
                 if vertex is None:
                     continue
                 t_star = min(max(vertex, ts[0]), ts[-1])
@@ -757,7 +831,7 @@ def _refined_events(traj: JacobiTrajectory) -> tuple[ZeroEvent, ...]:
                     ]
                     if probe[0] >= probe[1] or probe[1] >= probe[2]:
                         break
-                    vals = [_hermite_sigma_min(traj, p) ** 2 for p in probe]
+                    vals = [(unit * _hermite_sigma_min(traj, p)) ** 2 for p in probe]
                     vertex = _parabola_vertex(probe, vals)
                     if vertex is None:
                         break

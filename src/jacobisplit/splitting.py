@@ -67,9 +67,17 @@ _FLOOR_SLACK = 1e-9
 def self_adjoint_gate(traj: JacobiTrajectory) -> dict:
     """Self-adjointness hypothesis: the (conserved) Wronskian form at the
     window start must vanish relative to the family's scale; its largest
-    entry is the ``defect``."""
-    defect = float(np.max(np.abs(wronskian(traj, traj.alpha)), initial=0.0))
-    threshold = 1e-8 * (1.0 + traj.stacked_scale**2)
+    entry is the ``defect``. Initial data so large that the threshold or
+    the Wronskian overflows are a ValueError naming ``y0`` and ``yd0``."""
+    size = traj.stacked_scale
+    threshold = 1e-8 * (1.0 + size * size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(np.max(np.abs(wronskian(traj, traj.alpha)), initial=0.0))
+    if not (math.isfinite(threshold) and math.isfinite(defect)):
+        raise ValueError(
+            f"y0 and yd0 are too large for the self-adjointness gate: the square of "
+            f"sigma_max([y0; yd0]) = {size:.6g}, or the Wronskian, overflows"
+        )
     return {
         "name": "self_adjoint",
         "applicable": True,

@@ -13,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import jacobisplit as js
+from jacobisplit import curvature
 
 
 def cp2_oracle_matrix():
@@ -206,3 +207,66 @@ def test_matrices_reads_a_whole_grid():
     with pytest.raises(ValueError, match="time 1.25 outside sampled domain"):
         fld.matrices([0.5, 1.25, 1.5])
     assert js.ric_k_floor(fld, times, 1) == pytest.approx(min(np.linalg.eigvalsh(grid)[:, 0]))
+
+
+def _eigvalsh_traces(fld, times, k):
+    """The k-trace floors by LAPACK: the reference of ``ric_k_traces``."""
+    return np.sum(np.linalg.eigvalsh(fld.matrices(times))[:, :k], axis=1)
+
+
+def _diagonal_fields():
+    """Constant fields, and diagonal sampled fields with d from 1 to 16 whose
+    entries cross each other, repeat and vanish."""
+    rng = np.random.default_rng(11)
+    fields = [
+        js.constant_sectional(4, -0.5),
+        js.diagonal_constant([2.0, -1.0, 0.0, 2.0]),
+        js.fubini_study_model(6),
+    ]
+    for d in range(1, 17):
+        grid = np.linspace(0.0, 2.0, 9)
+        entries = rng.standard_normal((grid.size, d))
+        entries[:, : d // 3] = np.round(entries[:, : d // 3])
+        ops = np.zeros((grid.size, d, d))
+        ops[:, np.arange(d), np.arange(d)] = entries
+        fields.append(js.sampled_field(grid, ops))
+    return fields
+
+
+@pytest.mark.parametrize("fld", _diagonal_fields(), ids=lambda f: f"{f.kind}-d{f.dim}")
+def test_ric_k_traces_of_a_diagonal_field_equal_eigvalsh_bit_for_bit(fld):
+    times = np.linspace(0.0, 2.0, 101)
+    for k in range(1, fld.dim + 1):
+        assert np.array_equal(js.ric_k_traces(fld, times, k), _eigvalsh_traces(fld, times, k))
+
+
+def test_a_field_is_diagonal_when_every_off_diagonal_entry_is_zero():
+    ops = np.zeros((3, 2, 2))
+    ops[:, 0, 0], ops[:, 1, 1] = [1.0, 0.0, -2.0], [0.0, -0.0, 3.0]
+    assert np.array_equal(curvature.diagonal_entries(ops), [[1.0, 0.0], [0.0, 0.0], [-2.0, 3.0]])
+    ops[1, 0, 1] = -0.0  # a signed zero is zero
+    assert curvature.diagonal_entries(ops) is not None
+    ops[2, 1, 0] = 1e-300
+    assert curvature.diagonal_entries(ops) is None
+
+
+def test_ric_k_traces_of_a_coupled_sampled_field_take_eigvalsh(monkeypatch):
+    ops = np.zeros((3, 3, 3))
+    ops[:, np.arange(3), np.arange(3)] = [[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 2.0, 1.0]]
+    ops[1, 1, 2] = ops[1, 2, 1] = 0.75  # one coupling, at one node
+    fld = js.sampled_field([0.0, 1.0, 2.0], ops)
+    times = np.linspace(0.0, 2.0, 41)
+    expected = [_eigvalsh_traces(fld, times, k) for k in (1, 2, 3)]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for k, want in zip((1, 2, 3), expected):
+        assert np.array_equal(js.ric_k_traces(fld, times, k), want)
+    assert calls == [(41, 3, 3)] * 3
+    # at the coupled node the smallest eigenvalue is below every diagonal entry
+    assert expected[0][20] < np.min(ops[1].diagonal())

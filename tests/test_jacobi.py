@@ -14,6 +14,7 @@ import json
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -141,6 +142,66 @@ def test_integrate_matches_step_loop_on_runs_of_equal_curvature(kind, n_steps, m
         assert rows == [1]
 
 
+def _diagonal_sampled(d, end, layout):
+    """A diagonal sampled field on [0, end] whose grid ends exactly at
+    ``end``. Its rows are ``distinct`` (each its own profile), in ``runs``
+    of three equal rows, or ``split-late``: equal at the window start and
+    apart after it, so only the whole grid tells them apart."""
+    grid = np.linspace(0.0, end, 9)
+    if layout == "split-late":
+        entries = 1.0 + 0.3 * np.outer(grid / end, np.arange(d))
+    else:
+        profile = np.arange(d) if layout == "distinct" else np.arange(d) // 3
+        entries = 1.0 + 0.5 * np.sin(np.outer(grid, profile + 1.0) + profile)
+    ops = np.zeros((grid.size, d, d))
+    ops[:, np.arange(d), np.arange(d)] = entries
+    return js.sampled_field(grid, ops)
+
+
+# a time-varying diagonal field runs on d scalar maps; 2, 7, 17 and 3142
+# steps leave a short last block, which must read no field past the window
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 17, 3142])
+@pytest.mark.parametrize(
+    "layout, d",
+    [
+        ("distinct", 3),
+        ("runs", 5),
+        ("split-late", 3),
+        ("distinct", 1),
+        ("runs", 16),
+        ("distinct", 16),
+    ],
+)
+def test_integrate_matches_step_loop_on_diagonal_sampled_fields(layout, d, n_steps):
+    _assert_matches_loop(_diagonal_sampled(d, math.pi, layout), n_steps)
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_integrate_takes_a_diagonal_field_in_chunks_of_steps(diagonal, monkeypatch):
+    calls = []  # (rows of the state, columns of the field) of every RK4 step
+    step_fn = jacobi._increments
+
+    def counted(y, yd, r0, *args):
+        calls.append((y.shape[-2], r0.shape[-1]))
+        return step_fn(y, yd, r0, *args)
+
+    monkeypatch.setattr(jacobi, "_increments", counted)
+    n_steps, d = 3142, 3
+    fld = _diagonal_sampled(d, math.pi, "distinct") if diagonal else _sampled(d, math.pi)
+    spec = js.FamilySpec(field=fld, alpha=0.0, end=math.pi, y0=np.eye(d), yd0=np.zeros((d, d)))
+    js.integrate(spec, step=math.pi / n_steps)
+    blk = math.isqrt(n_steps)
+    if diagonal:
+        # every step map from whole block steps of all blocks, about _CHUNK
+        # steps per call, on a 1 x 1 field
+        nb = -(-n_steps // blk)
+        per_call = max(1, jacobi._CHUNK // nb) * nb
+        assert calls == [(1, 1)] * -(-blk * nb // per_call)
+        assert len(calls) < blk
+    else:  # the full scan: two passes of blk steps on d-row states
+        assert calls == [(d, d)] * (2 * blk)
+
+
 def test_integrate_array_iterations_grow_like_sqrt_n(monkeypatch):
     calls = []
     step_fn = jacobi._increments
@@ -173,12 +234,36 @@ def test_integrate_rejects_overflow():
 
 
 def test_integrate_names_the_first_node_a_sampled_family_overflows_at():
-    fld = js.sampled_field([0.0, 1.0], [-1e6 * np.eye(2), -1.2e6 * np.eye(2)])
+    # the off-diagonal coupling keeps the field on the full 2d x 2d scan,
+    # whose products are the loop's
+    coupling = 1e3 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    fld = js.sampled_field([0.0, 1.0], [-1e6 * np.eye(2) + coupling, -1.2e6 * np.eye(2) + coupling])
     spec = js.FamilySpec(field=fld, alpha=0.0, end=1.0, y0=np.eye(2), yd0=np.zeros((2, 2)))
     with np.errstate(over="ignore", invalid="ignore"):
         times, y, yd = _loop_integrate(spec, 1e-3)
     finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(yd).all(axis=(1, 2))
     t_bad = times[np.argmin(finite)]
+    assert 0.5 < t_bad < 0.9
+    with pytest.raises(ValueError, match=re.escape(f"not finite from t={t_bad:.6g} on")):
+        js.integrate(spec, step=1e-3)
+
+
+def test_integrate_names_the_first_node_a_diagonal_sampled_family_overflows_at():
+    """A diagonal field runs on scalar maps, which never form the RK4 stage
+    values whose products overflow first in the step loop: the named node is
+    the first whose RK4 value itself leaves the float range. The oracle is
+    the loop on the family scaled by 2**-600, which a linear system follows
+    exactly, every product scaled by a power of two."""
+    fld = js.sampled_field([0.0, 1.0], [-1e6 * np.eye(2), -1.2e6 * np.eye(2)])
+    spec = js.FamilySpec(field=fld, alpha=0.0, end=1.0, y0=np.eye(2), yd0=np.zeros((2, 2)))
+    unit = 2.0**-600
+    # the spec's rank test is relative to 1, so the scaled family skips it
+    scaled = SimpleNamespace(
+        field=fld, alpha=0.0, end=1.0, dim=2, y0=unit * np.eye(2), yd0=np.zeros((2, 2))
+    )
+    times, y, yd = _loop_integrate(scaled, 1e-3)
+    top = np.maximum(np.abs(y).max(axis=(1, 2)), np.abs(yd).max(axis=(1, 2)))
+    t_bad = times[np.argmax(top > unit * np.finfo(float).max)]
     assert 0.5 < t_bad < 0.9
     with pytest.raises(ValueError, match=re.escape(f"not finite from t={t_bad:.6g} on")):
         js.integrate(spec, step=1e-3)
@@ -190,6 +275,22 @@ def test_integrate_keeps_finite_values_whose_step_norms_overflow():
     assert np.isinf(traj._step_norms[0][:-1]).all()
     assert np.isfinite(traj.y).all() and np.isfinite(traj.yd).all()
     assert_allclose(traj.y[:, 0, 0], 1e200 * np.cos(traj.times), rtol=0, atol=1e188)
+
+
+def test_svals_leaves_nodes_past_an_overflowed_step_norm_undecided():
+    # 1e200 cos(t): every step norm is inf, so no path length bounds a node,
+    # and the events are those of the unit family
+    fld = js.constant_sectional(3, 1.0)
+    unit, huge = (
+        js.integrate(js.FamilySpec(fld, 0.0, 3.0, a * np.eye(2), np.zeros((2, 2))))
+        for a in (1.0, 1e200)
+    )
+    assert np.isinf(huge._step_norms[0][:-1]).all()
+    assert not np.isnan(huge.svals).any()
+    expected, events = js.singular_events(unit), js.singular_events(huge)
+    assert [e.time for e in expected] == [pytest.approx(math.pi / 2, abs=1e-12)]
+    assert_allclose([e.time for e in events], [e.time for e in expected], rtol=1e-14, atol=0)
+    assert [e.kernel.shape for e in events] == [(2, 2)]
 
 
 def test_integrate_rejects_bad_step():

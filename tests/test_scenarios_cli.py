@@ -342,6 +342,15 @@ def _example_with(tmp_path, edit) -> str:
     return str(p)
 
 
+def test_cli_exit_two_on_initial_data_whose_gate_overflows(tmp_path, capsys):
+    # finite, so the config accepts it, but sigma_max([y0; yd0])^2 is not
+    path = _example_with(tmp_path, lambda doc: doc.update(yd0=[[1e200, 0.0], [0.0, 1e200]]))
+    assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: y0 and yd0 are too large for the self-adjointness gate" in err
+    assert "overflows" in err
+
+
 def test_cli_exit_two_on_malformed_config(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

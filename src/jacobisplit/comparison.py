@@ -14,10 +14,11 @@ through the anchored comparison implemented here: s >= f to the left of
 the anchor and s <= f to the right of it, on the regular stretch around
 the anchor intersected with the model branch.
 
-The rigidity check chains the hypothesis gates of the scalar rigidity
-statement (trace curvature floor, interior regularity, boundary bound)
-and, when they all pass, confirms the family is the round model: S(t) is
-cot(t) times the identity and R(t) is the identity.
+The rigidity check is splitting mode E at k = n - 1 (``check_splitting``):
+its gates are the rigidity hypotheses (self-adjointness, trace floor
+tr R >= n - 1, boundary bound, no member vanishing inside the window) and
+its conclusion, every member of sine type, is S(t) = cot(t) id. The one
+test it adds is that R(t) is the identity.
 
 Note |S0|^2 is the trace of the square, not the squared Frobenius norm;
 for non-symmetric S these differ, and only the former keeps the scalar
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import JacobiTrajectory, nearest_node, riccati_series, singular_events, write_table
-from .splitting import _FLOOR_SLACK, boundary_eigenvalue_gate, self_adjoint_gate
+from .jacobi import JacobiTrajectory, nearest_node, riccati_series, write_table
+from .splitting import SplittingReport, check_splitting
 
 __all__ = [
     "ScalarTrace",
@@ -49,7 +50,7 @@ __all__ = [
 
 TOL_R = 1e-6  # slack of the comparison hypothesis r >= 1
 TOL_F = 1e-6  # slack of the comparison conclusions s >= f and s <= f
-TOL_ROUND = 1e-4  # largest S and R deviation from the round model, operator norm
+TOL_ROUND = 1e-4  # largest R(t) - id of a rigid family, operator norm
 
 
 @dataclass(frozen=True)
@@ -216,95 +217,36 @@ def comparison_check(trace: ScalarTrace, t0: float) -> ComparisonReport:
 
 
 @dataclass(frozen=True)
-class RigidityReport:
-    """Outcome of the scalar rigidity check."""
+class RigidityReport(SplittingReport):
+    """Outcome of the rigidity check: the mode-E report at k = n - 1 plus
+    ``max_r_dev``, the largest ``R - id`` deviation over the regular nodes of
+    the open window (None when a gate fails)."""
 
-    verdict: str  # verified | hypothesis-violated | falsified
-    reason: str
-    gates: dict
-    max_s_dev: float | None
-    max_r_dev: float | None
-    window: tuple[float, float]
+    max_r_dev: float | None = None
 
 
 def rigidity_check(traj: JacobiTrajectory, alpha: float | None = None) -> RigidityReport:
-    """Mechanical check of the scalar rigidity statement.
+    """Mechanical check of the rigidity statement: ``check_splitting`` in
+    mode E at k = n - 1, plus R(t) = id.
 
-    Gates: self-adjointness; trace curvature floor tr R >= n - 1;
-    interior regularity (no vanishing instant strictly inside the window);
-    boundary eigenvalue bound at alpha. When all gates pass, the
-    conclusion requires S(t) = cot(t) id and R(t) = id (within ``TOL_ROUND``
-    in operator norm) at every regular node strictly inside the window; a
-    conclusion failure with passing gates is reported as ``falsified``.
+    Mode E's gates at that level are the rigidity hypotheses:
+    self-adjointness, the trace floor tr R >= n - 1, the boundary bound at
+    ``alpha`` (default: the window start) and dim Z <= 0, i.e. no member
+    vanishes inside the window. Its conclusion, that every member is of
+    sine type, is S = cot(t) id read as sin(t) Y' - cos(t) Y = 0, which
+    divides by nothing. A mode-E ``verified`` stands when R(t) = id within
+    ``TOL_ROUND`` in operator norm at every regular node strictly inside the
+    window, and reads ``falsified`` otherwise.
     """
-    fld = traj.spec.field
-    m = traj.dim
-    gates: dict[str, dict] = {}
-    reasons: list[str] = []
-
-    gates["self_adjoint"] = self_adjoint_gate(traj)
-    if not gates["self_adjoint"]["passed"]:
-        reasons.append(f"self-adjointness fails (defect {gates['self_adjoint']['defect']:.3g})")
-
-    tr_min = float(np.min(np.trace(fld.matrices(traj.times), axis1=1, axis2=2)))
-    floor_ok = tr_min >= m - _FLOOR_SLACK
-    gates["trace_floor"] = {
-        "name": "trace_floor",
-        "passed": bool(floor_ok),
-        "value": tr_min,
-        "threshold": float(m),
-    }
-    if not floor_ok:
-        reasons.append(f"trace curvature floor fails (min {tr_min:.6g} < {m})")
-
-    events = singular_events(traj, open_ends=True)
-    reg_ok = not events
-    gates["regularity"] = {
-        "name": "regularity",
-        "passed": bool(reg_ok),
-        "first_interior_singularity": float(events[0].time) if events else None,
-    }
-    if not reg_ok:
-        reasons.append(f"interior regularity fails (singular near t={events[0].time:.6g})")
-
-    gates["boundary_eig"] = boundary_eigenvalue_gate(traj, traj.alpha if alpha is None else alpha)
-    if not gates["boundary_eig"]["passed"]:
-        note = gates["boundary_eig"].get("note") or "eigenvalue bound exceeded"
-        gates_val = gates["boundary_eig"].get("value")
-        detail = f" (max eig {gates_val:.6g})" if gates_val is not None else ""
-        reasons.append(f"boundary gate fails: {note}{detail}")
-
-    max_s_dev: float | None = None
-    max_r_dev: float | None = None
-    if not reasons:
-        mask, s_ops = riccati_series(traj)
-        idx = np.nonzero(mask & traj.in_open_window(traj.times))[0]
-        eye = np.eye(m)
-        ts = traj.times[idx]
-        sym = (s_ops[idx] + np.transpose(s_ops[idx], (0, 2, 1))) / 2.0
-        cot = (np.cos(ts) / np.sin(ts))[:, None, None]
-        s_dev = float(np.max(np.linalg.norm(sym - cot * eye, 2, axis=(1, 2)), initial=0.0))
-        r_dev = float(np.max(np.linalg.norm(fld.matrices(ts) - eye, 2, axis=(1, 2)), initial=0.0))
-        max_s_dev, max_r_dev = s_dev, r_dev
-        if s_dev <= TOL_ROUND and r_dev <= TOL_ROUND:
-            verdict, reason = "verified", "all gates pass and the family is the round model"
-        else:
+    report = check_splitting(traj, "E", k=traj.dim, alpha=traj.alpha if alpha is None else alpha)
+    verdict, r_dev = report.verdict, None
+    if verdict != "hypothesis-violated":
+        ts = traj.times[traj.regular & traj.in_open_window(traj.times)]
+        dev = np.linalg.norm(traj.spec.field.matrices(ts) - np.eye(traj.dim), 2, axis=(1, 2))
+        r_dev = float(np.max(dev, initial=0.0))
+        if r_dev > TOL_ROUND:
             verdict = "falsified"
-            reason = (
-                f"gates pass but conclusion fails (S deviation {s_dev:.3g}, "
-                f"R deviation {r_dev:.3g})"
-            )
-    else:
-        verdict, reason = "hypothesis-violated", "; ".join(reasons)
-
-    return RigidityReport(
-        verdict=verdict,
-        reason=reason,
-        gates=gates,
-        max_s_dev=max_s_dev,
-        max_r_dev=max_r_dev,
-        window=(traj.alpha, traj.end),
-    )
+    return RigidityReport(**{**vars(report), "verdict": verdict}, max_r_dev=r_dev)
 
 
 def rigidity_verdict(traj: JacobiTrajectory, params: dict, seed: int | None) -> tuple[str, dict]:

@@ -284,7 +284,10 @@ def ric_k_floor(field: CurvatureField, t, k: int) -> float:
     """Minimum over orthonormal k-frames (orthogonal to the geodesic
     direction) of the k-trace of the curvature operator at time t: the sum
     of the k smallest eigenvalues. ``t`` may also be an array of times (a
-    node grid); the floor is then the minimum over them."""
+    node grid); the floor is then the minimum over them. At k = d it is the
+    smallest trace, ``Ric_{n-1}``, read without the eigenvalues."""
+    if k == field.dim:
+        return float(np.min(np.trace(field.matrices(t), axis1=1, axis2=2)))
     return float(np.min(ric_k_traces(field, t, k)))
 
 

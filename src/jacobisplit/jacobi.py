@@ -165,7 +165,7 @@ class FamilySpec:
             raise ValueError("alpha must be strictly less than end")
         stacked = np.vstack([y0, yd0])
         svals = np.linalg.svd(stacked, compute_uv=False)
-        if svals[-1] <= 1e-12 * max(svals[0], 1.0):
+        if svals[-1] <= 1e-12 * svals[0]:
             raise ValueError("family members are linearly dependent (stacked rank < d)")
         y0.flags.writeable = False
         yd0.flags.writeable = False

@@ -10,15 +10,20 @@ some instant of the relevant window) and a structured complement P:
 * mode B: P consists of sine-type members (J = sin(t) E with E parallel);
   zeros counted on the open window; hypotheses: self-adjointness, boundary
   eigenvalue bound, sectional floor >= 1.
-* mode C: like A plus an intermediate-Ricci floor at level k >= 0 and the
-  dimension bound dim Z <= n - k - 1.
-* mode E: like B with floor at level k >= k and the same dimension bound.
+* mode C: like A plus an intermediate-Ricci floor Ric_k >= 0 at level k and
+  the dimension bound dim Z <= n - k - 1 as hypotheses.
+* mode E: like B with the floor Ric_k >= k and the same dimension bound as
+  hypotheses. At k = n - 1 it is the rigidity statement's splitting half
+  (``comparison.rigidity_check``): no member vanishes inside the window and
+  every member is of sine type.
 
 The verdict is three-valued: ``hypothesis-violated`` when a gate fails,
 ``verified`` when gates and conclusions hold, and ``falsified`` when every
 gate passes yet a conclusion fails. The last is a consistency alarm: it
 should never fire on correct inputs, and the test suite asserts it never
-does across the built-in scenarios.
+does across the built-in scenarios. The gates run per check; the
+conclusion depends only on the trajectory and the window kind (open for B
+and E, closed for A and C), so each trajectory computes it once.
 """
 
 from __future__ import annotations
@@ -168,7 +173,8 @@ def _span_from_test(terms: tuple, scale: float) -> SpanResult:
 
     The test is streamed ``_CHUNK`` nodes at a time, once for the Gram
     operator and once per candidate for its residuals, so no full-size array
-    is made; a lone unit-weight term is read in place.
+    is made; a lone unit-weight term is read in place. A family so large
+    that the Gram operator or ``scale`` overflows is a ValueError.
     """
     n, d = terms[0][1].shape[:2]
     chunks = [slice(lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
@@ -191,7 +197,14 @@ def _span_from_test(terms: tuple, scale: float) -> SpanResult:
         rows = (test(c, lambda b: (b.reshape(-1, d) @ v).reshape(-1, d)) for c in chunks)
         return max(float(np.max(np.linalg.norm(r, axis=1))) for r in rows) / scale
 
-    _, vecs = spectrum(sum(gram(c) for c in chunks) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = sum(gram(c) for c in chunks) / n
+    if not (math.isfinite(scale) and np.all(np.isfinite(op))):
+        raise ValueError(
+            f"the family's size overflows: the span test's Gram operator or the "
+            f"family's size over the grid ({scale:.6g}) is not finite"
+        )
+    _, vecs = spectrum(op)
     accepted: list[np.ndarray] = []
     residuals: list[float] = []
     rejected = None
@@ -286,6 +299,44 @@ def _zero_time_map(events: list[ZeroEvent], z_basis: np.ndarray) -> list[tuple[i
     return sorted(pairs, key=lambda p: (p[1], p[0]))
 
 
+def _conclusion(traj: JacobiTrajectory, open_ends: bool) -> tuple[dict, bool]:
+    """The splitting conclusion on ``traj``: the SplittingReport fields that
+    depend only on the trajectory and on ``open_ends`` (the vanishing span
+    and its zero times, the sine span of modes B and E or the parallel span
+    of modes A and C, and the completeness figures), and whether the family
+    splits. Kept in ``traj.derived``, so each trajectory computes it once
+    per window kind, whichever modes its checks run."""
+    key = ("conclusion", open_ends)
+    if key not in traj.derived:
+        z_basis = vanishing_span(traj, open_ends)
+        zero_times = _zero_time_map(singular_events(traj, open_ends=open_ends), z_basis)
+        span = sine_span(traj) if open_ends else parallel_span(traj)
+        p_basis = span.basis
+        residual_orth = _orthogonality_residual(traj, z_basis, p_basis)
+        stacked = np.hstack([z_basis, p_basis])
+        dims_sum = stacked.shape[1]
+        stack_sig = float(np.linalg.svd(stacked, compute_uv=False)[-1]) if dims_sum else 0.0
+        orth_ok = bool(residual_orth <= TOL_ORTH)
+        complete = dims_sum == traj.dim and (dims_sum == 0 or stack_sig >= 1e-8) and orth_ok
+        fields = {
+            "dim_z": z_basis.shape[1],
+            "dim_p": p_basis.shape[1],
+            "z_basis": z_basis,
+            "p_basis": p_basis,
+            "zero_times": zero_times,
+            "residual_orth": residual_orth,
+            "residual_span": float(np.max(span.residuals)) if span.residuals.size else 0.0,
+            "completeness": {
+                "dims_sum": dims_sum,
+                "expected": traj.dim,
+                "stacked_sigma_min": stack_sig,
+                "orth_ok": orth_ok,
+            },
+        }
+        traj.derived[key] = (fields, complete)
+    return traj.derived[key]
+
+
 def check_splitting(
     traj: JacobiTrajectory,
     theorem: str,
@@ -295,7 +346,9 @@ def check_splitting(
     """Run the hypothesis gates and splitting conclusion for one mode.
 
     Modes B and E require ``alpha`` (the boundary-condition time, normally
-    the window start); modes C and E require the floor level ``k``.
+    the window start); modes C and E require the floor level ``k``. The
+    gates run on every call; the conclusion is shared with every other
+    mode of the same window kind on ``traj`` (``_conclusion``).
     """
     if theorem not in MODES:
         raise ValueError(f"unknown splitting mode: {theorem!r}")
@@ -306,7 +359,6 @@ def check_splitting(
     if needs_k and k is None:
         raise ValueError(f"mode {theorem} requires k")
     fld = traj.spec.field
-    n = fld.n
     d = traj.dim
 
     flags: dict[str, dict] = {}
@@ -332,17 +384,9 @@ def check_splitting(
     }
 
     open_ends = theorem in ("B", "E")
-    window = (traj.alpha, traj.end)
-    z_basis = vanishing_span(traj, open_ends)
-    zero_times = _zero_time_map(singular_events(traj, open_ends=open_ends), z_basis)
-
-    span = parallel_span(traj) if theorem in ("A", "C") else sine_span(traj)
-    p_basis = span.basis
-    residual_span = float(np.max(span.residuals)) if span.residuals.size else 0.0
-
-    dim_z, dim_p = z_basis.shape[1], p_basis.shape[1]
+    conclusion, complete = _conclusion(traj, open_ends)
     if needs_k:
-        limit = n - k - 1
+        dim_z, limit = conclusion["dim_z"], fld.n - k - 1
         flags["dim_condition"] = {
             "name": "dim_condition",
             "applicable": True,
@@ -353,48 +397,17 @@ def check_splitting(
     else:
         flags["dim_condition"] = {"name": "dim_condition", "applicable": False, "passed": True}
 
-    residual_orth = _orthogonality_residual(traj, z_basis, p_basis)
-    stacked = np.hstack([z_basis, p_basis])
-    if stacked.shape[1]:
-        stack_sig = float(np.linalg.svd(stacked, compute_uv=False)[-1])
-    else:
-        stack_sig = 0.0
-    orth_ok = bool(residual_orth <= TOL_ORTH)
-    complete = dim_z + dim_p == d and (stacked.shape[1] == 0 or stack_sig >= 1e-8) and orth_ok
-    completeness = {
-        "dims_sum": dim_z + dim_p,
-        "expected": d,
-        "stacked_sigma_min": stack_sig,
-        "orth_ok": orth_ok,
-    }
-
-    gates_ok = all(
-        flags[name]["passed"]
-        for name in ("self_adjoint", "boundary_eig", "ric_k_floor")
-        if flags[name]["applicable"]
-    )
-    conclusion_ok = complete and flags["dim_condition"]["passed"]
-    if not gates_ok:
+    if not all(flag["passed"] for flag in flags.values()):
         verdict = "hypothesis-violated"
-    elif conclusion_ok:
-        verdict = "verified"
     else:
-        verdict = "falsified"
-
+        verdict = "verified" if complete else "falsified"
     return SplittingReport(
         theorem=theorem,
         verdict=verdict,
-        dim_z=dim_z,
-        dim_p=dim_p,
-        z_basis=z_basis,
-        p_basis=p_basis,
-        zero_times=zero_times,
-        residual_orth=residual_orth,
-        residual_span=residual_span,
         hypothesis_flags=flags,
-        window=window,
+        window=(traj.alpha, traj.end),
         open_ends=open_ends,
-        completeness=completeness,
+        **conclusion,
     )
 
 

@@ -4,8 +4,8 @@ reports in ``tests/golden/``, kept from an earlier version of the engine.
 Keys, strings, bools, ints and verdicts must match exactly. Floats must
 agree within ``ABS`` or ``REL``, whichever is looser: that admits the
 roundoff-level moves a change may make to a report (the largest recorded
-is a ``max_s_dev`` move of 1.2e-9) and still catches a moved zero time or
-a gate value that moves by 1e-7.
+is a 1.2e-9 move of the S deviation that rigidity reports once carried)
+and still catches a moved zero time or a gate value that moves by 1e-7.
 """
 
 import copy

@@ -314,11 +314,21 @@ def test_familyspec_validation():
             y0=np.array([[1.0, 1.0], [0.0, 0.0]]),
             yd0=np.array([[0.0, 0.0], [1.0, 1.0]]),
         )
+    with pytest.raises(ValueError, match="linearly dependent"):
+        js.FamilySpec(field=fld, alpha=0.0, end=1.0, y0=np.zeros((2, 2)), yd0=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="finite"):
         js.FamilySpec(field=fld, alpha=0.0, end=1.0, y0=np.eye(2) * np.nan, yd0=np.eye(2))
     for alpha, end in ((0.0, math.inf), (math.nan, 1.0)):
         with pytest.raises(ValueError, match="alpha and end must be finite"):
             js.FamilySpec(field=fld, alpha=alpha, end=end, y0=np.eye(2), yd0=np.eye(2))
+
+
+def test_familyspec_rank_is_relative_to_the_family_size():
+    # a tiny family is independent when its stacked matrix is well conditioned
+    fld = js.constant_sectional(3, 1.0)
+    traj = js.integrate(js.FamilySpec(fld, 0.0, 1.0, np.zeros((2, 2)), 1e-13 * np.eye(2)))
+    assert js.check_splitting(traj, "B", alpha=0.0).verdict == "verified"
+    assert js.rigidity_check(traj).verdict == "verified"
 
 
 def test_integrate_sphere_closed_form(trajs):

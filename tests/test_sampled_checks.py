@@ -47,7 +47,8 @@ def test_sampled_dip_violates_every_floor_gate():
     split, rigid, floor = (c.details for c in report.checks)
     assert not split["hypothesis_flags"]["ric_k_floor"]["passed"]
     assert split["hypothesis_flags"]["ric_k_floor"]["value"] == pytest.approx(-0.1)
-    assert "trace curvature floor fails" in rigid["reason"]
+    assert not rigid["hypothesis_flags"]["ric_k_floor"]["passed"]
+    assert rigid["hypothesis_flags"]["ric_k_floor"]["value"] == pytest.approx(-0.2)
     assert floor["floor"] == pytest.approx(-0.1)
 
 

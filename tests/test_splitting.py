@@ -305,6 +305,50 @@ def test_splitting_flat_modes_a_and_c(trajs):
     assert rep_c.hypothesis_flags["dim_condition"]["limit"] == 2
 
 
+@pytest.mark.parametrize(
+    "y0, yd0, end, mode, alpha",
+    [(0.0, 1.0, 4.0, "C", None), (1.0, 0.0, math.pi, "E", 0.0)],
+    ids=["C", "E"],
+)
+@pytest.mark.parametrize("k", [1, 2])
+def test_dimension_bound_is_a_hypothesis(y0, yd0, end, mode, alpha, k):
+    # on the round 4-sphere all three members vanish inside the window: the
+    # bound dim Z <= n - k - 1 fails, which makes the statement inapplicable
+    eye = np.eye(3)
+    spec = js.FamilySpec(js.constant_sectional(4, 1.0), 0.0, end, y0 * eye, yd0 * eye)
+    rep = js.check_splitting(js.integrate(spec), mode, k=k, alpha=alpha)
+    assert rep.verdict == "hypothesis-violated"
+    dim = rep.hypothesis_flags["dim_condition"]
+    assert not dim["passed"] and (dim["dim_z"], dim["limit"]) == (3, 3 - k)
+    others = ("self_adjoint", "boundary_eig", "ric_k_floor")
+    assert all(rep.hypothesis_flags[name]["passed"] for name in others)
+
+
+def test_the_conclusion_is_computed_once_per_trajectory(monkeypatch):
+    calls = []
+
+    def spy_on(name):
+        fn = getattr(splitting, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(splitting, name, spy)
+
+    for name in ("sine_span", "parallel_span", "vanishing_span"):
+        spy_on(name)
+    traj = js.integrate(js.get_scenario("cp2-zero").family())
+    b = js.check_splitting(traj, "B", alpha=0.0)
+    e = js.check_splitting(traj, "E", k=2, alpha=0.0)
+    assert calls.count("sine_span") == 1 and (b.dim_p, e.dim_p) == (2, 2)
+    calls.clear()
+    assert js.rigidity_check(traj).verdict == "hypothesis-violated"
+    assert calls == []
+    js.check_splitting(traj, "A")  # the closed window has its own conclusion
+    assert calls == ["vanishing_span", "parallel_span"]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="known defect: on the flat family (I, diag(0, -0.1)) over [0, 1] modes "
@@ -353,11 +397,12 @@ def test_splitting_shifted_sine_gates_out(trajs):
     assert (rep.dim_z, rep.dim_p) == (0, 0)
 
 
-def test_verdict_falsified_when_conclusion_layer_inconsistent(trajs, monkeypatch):
+def test_verdict_falsified_when_conclusion_layer_inconsistent(monkeypatch):
     # with a nonsense span tolerance every candidate is accepted, making
-    # dim_z + dim_p exceed the family dimension while all gates still pass
+    # dim_z + dim_p exceed the family dimension while all gates still pass;
+    # a fresh trajectory, since a shared one keeps its conclusion
     monkeypatch.setattr(splitting, "TOL_SPAN", 1e9)
-    rep = js.check_splitting(trajs("sphere-zero"), "A")
+    rep = js.check_splitting(js.integrate(js.get_scenario("sphere-zero").family()), "A")
     assert rep.verdict == "falsified"
     assert rep.completeness["dims_sum"] > rep.completeness["expected"]
 

@@ -42,6 +42,7 @@ from .curvature import (
     ric_k_traces,
     sampled_field,
     sampled_field_from_json,
+    spectrum_at,
 )
 from .jacobi import (
     DEFAULT_STEP,
@@ -95,6 +96,7 @@ __all__ = [
     "ric_k_floor",
     "ric_k_floor_sampled",
     "ric_k_traces",
+    "spectrum_at",
     # jacobi
     "DEFAULT_STEP",
     "FamilySpec",

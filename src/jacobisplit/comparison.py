@@ -72,7 +72,6 @@ def scalar_traces(traj: JacobiTrajectory) -> ScalarTrace:
 
     Raises ValueError when no node is regular (there is nothing to trace).
     """
-    fld = traj.spec.field
     mask, s_ops = riccati_series(traj)
     if not mask.any():
         raise ValueError("no regular nodes: scalar traces are undefined")
@@ -85,7 +84,7 @@ def scalar_traces(traj: JacobiTrajectory) -> ScalarTrace:
     tr_s2 = np.einsum("nij,nji->n", s_ops[mask], s_ops[mask])
     s[mask] = tr_s / m
     s0sq[mask] = tr_s2 - tr_s**2 / m
-    tr_r = np.trace(fld.matrices(traj.times[mask]), axis1=1, axis2=2)
+    tr_r = np.sum(traj.field_spectrum_at(mask), axis=1)  # tr R, one value when constant
     r[mask] = (tr_r + s0sq[mask]) / m
     return ScalarTrace(
         times=traj.times.copy(),
@@ -235,15 +234,15 @@ def rigidity_check(traj: JacobiTrajectory, alpha: float | None = None) -> Rigidi
     vanishes inside the window. Its conclusion, that every member is of
     sine type, is S = cot(t) id read as sin(t) Y' - cos(t) Y = 0, which
     divides by nothing. A mode-E ``verified`` stands when R(t) = id within
-    ``TOL_ROUND`` in operator norm at every regular node strictly inside the
-    window, and reads ``falsified`` otherwise.
+    ``TOL_ROUND`` in operator norm, the largest ``|lambda - 1|`` over its
+    eigenvalues (``traj.field_spectrum``), at every regular node strictly
+    inside the window, and reads ``falsified`` otherwise.
     """
     report = check_splitting(traj, "E", k=traj.dim, alpha=traj.alpha if alpha is None else alpha)
     verdict, r_dev = report.verdict, None
     if verdict != "hypothesis-violated":
-        ts = traj.times[traj.regular & traj.in_open_window(traj.times)]
-        dev = np.linalg.norm(traj.spec.field.matrices(ts) - np.eye(traj.dim), 2, axis=(1, 2))
-        r_dev = float(np.max(dev, initial=0.0))
+        lam = traj.field_spectrum_at(traj.regular & traj.in_open_window(traj.times))
+        r_dev = float(np.max(np.abs(lam - 1.0), initial=0.0))
         if r_dev > TOL_ROUND:
             verdict = "falsified"
     return RigidityReport(**{**vars(report), "verdict": verdict}, max_r_dev=r_dev)

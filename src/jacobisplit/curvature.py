@@ -13,14 +13,19 @@ function of time. Three kinds exist:
   interpolated entrywise between nodes; loadable from JSON.
 
 An evaluated field is diagonal when every off-diagonal entry is exactly
-zero (``diagonal_entries``); the integrator and the k-trace floors read
-that one test.
+zero (``diagonal_entries``); the integrator and the spectrum rule read
+that one test. ``node_spectrum`` turns evaluated values into the ascending
+eigenvalues at every node: the sorted diagonal of a diagonal field, equal
+to LAPACK's, and ``np.linalg.eigvalsh`` of any other. ``integrate`` keeps
+that table on the trajectory (``JacobiTrajectory.field_spectrum``), so the
+checks read the spectrum without evaluating the field again.
 
-``ric_k_floor`` evaluates the minimum over orthonormal k-frames (orthogonal
-to the geodesic direction) of the k-trace of the operator, which equals the
-sum of its k smallest eigenvalues. ``ric_k_floor_sampled`` estimates the
-same quantity by brute-force random frame sampling and is used as an
-independent cross-check: it can only overshoot the true floor.
+The minimum over orthonormal k-frames (orthogonal to the geodesic
+direction) of the k-trace of the operator equals the sum of its k smallest
+eigenvalues (``k_traces``); ``ric_k_floor`` is its minimum over a spectrum
+table. ``ric_k_floor_sampled`` estimates the same quantity by brute-force
+random frame sampling and is used as an independent cross-check: it can
+only overshoot the true floor.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ __all__ = [
     "sampled_field",
     "sampled_field_from_json",
     "load_sampled_field",
+    "node_spectrum",
+    "spectrum_at",
+    "k_traces",
     "ric_k_traces",
     "ric_k_floor",
     "ric_k_floor_sampled",
@@ -265,30 +273,43 @@ def diagonal_entries(ops: np.ndarray) -> np.ndarray | None:
     return diag if np.count_nonzero(ops) == np.count_nonzero(diag) else None
 
 
-def ric_k_traces(field: CurvatureField, t, k: int) -> np.ndarray:
-    """The k-trace floor at each of the times ``t`` (a scalar or an array):
-    the sum of the k smallest eigenvalues of the curvature operator. One
-    value only when the field does not depend on time. The eigenvalues of
-    a diagonal field (``diagonal_entries``) are its sorted diagonal, equal
-    to LAPACK's; any other field takes ``np.linalg.eigvalsh``."""
-    d = field.dim
+def node_spectrum(ops: np.ndarray, diag: np.ndarray | None) -> np.ndarray:
+    """The spectrum table of the evaluated field ``ops`` of shape ``(m, d,
+    d)``, given ``diag = diagonal_entries(ops)``: the ascending eigenvalues
+    of every operator, shape ``(m, d)``; the sorted diagonal of a diagonal
+    field, equal to LAPACK's, and ``np.linalg.eigvalsh`` of any other."""
+    return np.linalg.eigvalsh(ops) if diag is None else np.sort(diag, axis=1)
+
+
+def spectrum_at(field: CurvatureField, t) -> np.ndarray:
+    """``node_spectrum`` of the field at the times ``t`` (a scalar or an
+    array); one row only when the field does not depend on time."""
+    ops = field.matrices(t)
+    return node_spectrum(ops, diagonal_entries(ops))
+
+
+def k_traces(spectrum: np.ndarray, k: int) -> np.ndarray:
+    """The k-trace floor of every row of a spectrum table
+    (``node_spectrum``): the sum of its k smallest eigenvalues."""
+    d = spectrum.shape[1]
     if not (1 <= k <= d):
         raise ValueError(f"k out of range: k={k}, dim={d}")
-    ops = field.matrices(t)
-    diag = diagonal_entries(ops)
-    w = np.linalg.eigvalsh(ops) if diag is None else np.sort(diag, axis=1)
-    return np.sum(w[:, :k], axis=1)
+    return np.sum(spectrum[:, :k], axis=1)
 
 
-def ric_k_floor(field: CurvatureField, t, k: int) -> float:
+def ric_k_traces(field: CurvatureField, t, k: int) -> np.ndarray:
+    """The k-trace floor at each of the times ``t`` (a scalar or an array):
+    the sum of the k smallest eigenvalues of the curvature operator
+    (``spectrum_at``). One value only when the field does not depend on
+    time."""
+    return k_traces(spectrum_at(field, t), k)
+
+
+def ric_k_floor(spectrum: np.ndarray, k: int) -> float:
     """Minimum over orthonormal k-frames (orthogonal to the geodesic
-    direction) of the k-trace of the curvature operator at time t: the sum
-    of the k smallest eigenvalues. ``t`` may also be an array of times (a
-    node grid); the floor is then the minimum over them. At k = d it is the
-    smallest trace, ``Ric_{n-1}``, read without the eigenvalues."""
-    if k == field.dim:
-        return float(np.min(np.trace(field.matrices(t), axis1=1, axis2=2)))
-    return float(np.min(ric_k_traces(field, t, k)))
+    direction) of the k-trace of the curvature operator, over every row of
+    a spectrum table: the smallest ``k_traces`` value."""
+    return float(np.min(k_traces(spectrum, k)))
 
 
 def ric_k_floor_sampled(

@@ -85,7 +85,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curvature import CurvatureField, diagonal_entries
+from .curvature import CurvatureField, diagonal_entries, node_spectrum, spectrum_at
 from .symlin import lead_nonnegative, orthonormal_columns
 
 __all__ = [
@@ -183,9 +183,12 @@ class FamilySpec:
 class JacobiTrajectory:
     """Integrated family: node times plus (Y, Yd) matrices per node.
 
-    ``derived`` keeps analyses that several checks of one run share, keyed
-    by their inputs: the refined singular events (``"events"``, see
-    ``singular_events``) and the reductions of
+    ``field_spectrum`` holds the ascending eigenvalues of the curvature
+    operator at every node, which every floor, the rigidity check's ``R =
+    id`` test and the scalar traces' ``tr R`` read. ``derived`` keeps
+    analyses that several checks of one run share, keyed by their inputs:
+    the refined singular events (``"events"``, see ``singular_events``),
+    the splitting conclusions and the reductions of
     ``reduction.shared_reduction``. Each is computed once and dropped
     together with the trajectory.
     """
@@ -212,6 +215,22 @@ class JacobiTrajectory:
     @property
     def n_nodes(self) -> int:
         return self.times.size
+
+    @cached_property
+    def field_spectrum(self) -> np.ndarray:
+        """The ascending eigenvalues of the curvature operator at every node,
+        shape ``(N+1, d)``, or ``(1, d)`` for a field that does not depend on
+        time. ``integrate`` sets it from the field values it evaluated; a
+        trajectory built by hand evaluates the field here (``spectrum_at``),
+        by the same rule."""
+        return spectrum_at(self.spec.field, self.times)
+
+    def field_spectrum_at(self, mask: np.ndarray) -> np.ndarray:
+        """The rows of ``field_spectrum`` at the nodes of ``mask``; for a
+        field that does not depend on time, its one row when ``mask`` holds
+        a node and none otherwise."""
+        table = self.field_spectrum
+        return table[mask] if len(table) > 1 else table[: int(mask.any())]
 
     @cached_property
     def _step_norms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -596,10 +615,12 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
     doubling, a time-varying one from the maps of all steps, about
     ``_CHUNK`` steps per RK4 step, composed block by block; each run of
     rows with equal entries is written by one rank-3 product per output
-    array. A family that overflows is a ValueError naming the first node
-    that is not finite, tested on the step norms that ``svals`` reads and
-    node by node only when one is not finite; a grid larger than numpy can
-    index is a MemoryError, raised before allocating."""
+    array. The field values at the nodes also give the trajectory's
+    ``field_spectrum``, so no check evaluates the field again. A family
+    that overflows is a ValueError naming the first node that is not
+    finite, tested on the step norms that ``svals`` reads and node by node
+    only when one is not finite; a grid larger than numpy can index is a
+    MemoryError, raised before allocating."""
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     span = spec.end - spec.alpha
@@ -619,6 +640,10 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
         r = spec.field.matrices(stages)
     except Exception as exc:
         raise ValueError(f"curvature field evaluation failed: {exc}") from exc
+    diag = diagonal_entries(r)  # (1 or 2 N + 1, d), or None
+    # the node spectrum, before Y and Yd exist, so eigvalsh's copy of the
+    # node values does not add to their peak
+    spectrum = node_spectrum(r[::2], None if diag is None else diag[::2])
     blk = math.isqrt(n_steps)
     nb = -(-n_steps // blk)
     # node b*blk + i of block b sits at ys[b, i - 1]; the last block's rows
@@ -628,7 +653,6 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
     y[0], yd[0] = spec.y0, spec.yd0
     ys = y[1:].reshape(nb, blk, d, d)
     yds = yd[1:].reshape(nb, blk, d, d)
-    diag = diagonal_entries(r)  # (1 or 2 N + 1, d), or None
     if diag is None:
         _scan(np.broadcast_to(r, (stages.size, d, d)), spec, ys, yds, n_steps, h)
     else:
@@ -639,6 +663,7 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
         _scalar_scan(rows, spec, ys, yds, n_steps, h)
     m = n_steps + 1
     traj = JacobiTrajectory(spec=spec, step=h, times=times, y=y[:m], yd=yd[:m])
+    traj.field_spectrum = spectrum  # the cached_property's value
     # Y_0 is finite, so the step norms that svals reads are all finite only
     # if Y and Yd are; a sum of squares may overflow on finite values, so
     # the nodes are tested one by one then
@@ -866,9 +891,12 @@ def default_resolvability_cap(step: float, tol: float) -> float:
     """Largest Riccati-operator norm at which a central difference of S on
     a grid of the given step can resolve S' to the given tolerance.
 
-    The difference's truncation error grows like step^2 * (1 + |S|^2)^2 for
-    cotangent-type blowup, so residual checks are restricted to nodes with
-    |S| below this cap; beyond it the discretization itself exceeds tol.
+    The second-order difference's truncation error grows like step^2 *
+    (1 + |S|^2)^2 for cotangent-type blowup, so residual checks are
+    restricted to nodes with |S| below this cap; beyond it the
+    discretization itself exceeds tol. The fourth-order difference that
+    the residual checks take errs by a further factor of about step^2 *
+    (1 + |S|^2) less under the same cap.
     """
     if not tol > 0:
         raise ValueError(f"resolvability tolerance must be positive, got {tol!r}")
@@ -876,14 +904,15 @@ def default_resolvability_cap(step: float, tol: float) -> float:
 
 
 def difference_nodes(regular: np.ndarray, ops: np.ndarray, cap: float) -> np.ndarray:
-    """Interior nodes where a central difference of the operator series
-    ``ops`` is trusted: the node and both neighbours are regular, and the
-    spectral norm of ``ops`` stays at or below ``cap`` at all three. The
-    norms come from one batched SVD over the regular nodes."""
+    """Interior nodes where the five-point central difference of the
+    operator series ``ops`` is trusted: the node and its two neighbours on
+    each side are regular, and the spectral norm of ``ops`` stays at or
+    below ``cap`` at all five. The norms come from one batched SVD over the
+    regular nodes."""
     ok = np.array(regular)
     if ok.any():
         ok[ok] = np.linalg.svd(ops[ok], compute_uv=False)[:, 0] <= cap
-    return np.flatnonzero(ok[:-2] & ok[1:-1] & ok[2:]) + 1
+    return np.flatnonzero(ok[:-4] & ok[1:-3] & ok[2:-2] & ok[3:-1] & ok[4:]) + 2
 
 
 @dataclass(frozen=True)

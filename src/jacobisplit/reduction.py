@@ -18,8 +18,9 @@ reduction produces:
 The reduced operator satisfies a horizontal Riccati equation whose
 curvature term is the horizontal block of R plus 3 A A^*; the residual of
 that equation (`hce_residual`) is the reduction's consistency measure:
-central differences of the ambient-coordinate reduced operator, restricted
-back to H, at interior runs of regular nodes below the resolvability cap.
+fourth-order central differences (five-point stencil) of the
+ambient-coordinate reduced operator, restricted back to H, at interior runs
+of regular nodes below the resolvability cap.
 For the empty subfamily (BH = I, A = 0) it is the plain Riccati residual.
 
 Differencing the ambient form BH S_hat BH^T rather than the BH-coordinate
@@ -157,14 +158,16 @@ def hce_residual(
 
     At the ``difference_nodes`` of the ambient reduced operator under the
     resolvability cap (``s_cap``, ``default_resolvability_cap`` if None),
-    its central difference is combined with its square, the horizontal
+    its fourth-order central difference ``(-S_{i+2} + 8 S_{i+1} - 8 S_{i-1}
+    + S_{i-2}) / (12 h)`` is combined with its square, the horizontal
     curvature block and three times A A^*, and the result is restricted to
     H; the report collects the spectral norms, none if no node qualifies.
     """
     traj = rs.traj
     cap = default_resolvability_cap(traj.step, tol) if s_cap is None else float(s_cap)
     idx = difference_nodes(rs.regular, rs.shat_amb, cap)
-    ds = (rs.shat_amb[idx + 1] - rs.shat_amb[idx - 1]) / (2.0 * traj.step)
+    s = rs.shat_amb
+    ds = (8.0 * (s[idx + 1] - s[idx - 1]) - (s[idx + 2] - s[idx - 2])) / (12.0 * traj.step)
     ph, shat, bh = rs.ph[idx], rs.shat_amb[idx], rs.bh[idx]
     r_amb = ph @ traj.spec.field.matrices(traj.times[idx]) @ ph
     total = ds + shat @ shat + r_amb + 3.0 * rs.aastar[idx]

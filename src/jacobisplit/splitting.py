@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import ric_k_floor, ric_k_floor_sampled, ric_k_traces
+from .curvature import k_traces, ric_k_floor, ric_k_floor_sampled
 from .jacobi import (
     _CHUNK,
     TOL_SING,
@@ -358,9 +358,6 @@ def check_splitting(
         raise ValueError(f"mode {theorem} requires alpha")
     if needs_k and k is None:
         raise ValueError(f"mode {theorem} requires k")
-    fld = traj.spec.field
-    d = traj.dim
-
     flags: dict[str, dict] = {}
     flags["self_adjoint"] = self_adjoint_gate(traj)
 
@@ -371,9 +368,7 @@ def check_splitting(
 
     floor_k = k if needs_k else 1
     floor_needed = {"A": 0.0, "B": 1.0, "C": 0.0, "E": float(k or 0)}[theorem]
-    if not (1 <= floor_k <= d):
-        raise ValueError(f"floor level k={floor_k} out of range 1..{d}")
-    floor_val = ric_k_floor(fld, traj.times, floor_k)
+    floor_val = ric_k_floor(traj.field_spectrum, floor_k)
     flags["ric_k_floor"] = {
         "name": "ric_k_floor",
         "applicable": True,
@@ -386,7 +381,7 @@ def check_splitting(
     open_ends = theorem in ("B", "E")
     conclusion, complete = _conclusion(traj, open_ends)
     if needs_k:
-        dim_z, limit = conclusion["dim_z"], fld.n - k - 1
+        dim_z, limit = conclusion["dim_z"], traj.dim - k  # n - k - 1
         flags["dim_condition"] = {
             "name": "dim_condition",
             "applicable": True,
@@ -416,9 +411,8 @@ def _floor_cross_check(traj: JacobiTrajectory, k: int, seed: int | None, details
     ``details``, sampled at the grid time where the exact floor is reached,
     so it bounds that floor from above."""
     if seed is not None:
-        fld = traj.spec.field
-        t_floor = traj.times[int(np.argmin(ric_k_traces(fld, traj.times, k)))]
-        details["floor_sampled"] = ric_k_floor_sampled(fld, t_floor, k, seed=seed)
+        t_floor = traj.times[int(np.argmin(k_traces(traj.field_spectrum, k)))]
+        details["floor_sampled"] = ric_k_floor_sampled(traj.spec.field, t_floor, k, seed=seed)
 
 
 def splitting_params(params: dict) -> tuple[str, ...]:
@@ -444,7 +438,7 @@ def vanishing_floor_verdict(
     independent members vanish somewhere in the closed window."""
     k = params["k"]
     gate = self_adjoint_gate(traj)
-    floor = ric_k_floor(traj.spec.field, traj.times, k)
+    floor = ric_k_floor(traj.field_spectrum, k)
     details = {"self_adjoint": gate, "floor": floor}
     _floor_cross_check(traj, k, seed, details)
     if not gate["passed"] or floor <= 0.0:

@@ -47,3 +47,26 @@ def test_fine_grid_families_build(perfbench):
     built = families.fine_grid_families(np.random.default_rng([1, 0]), expected, "1-0")
     names = [f"{kind}-1-0-{i}" for i, kind in enumerate(families.FAMILY_KINDS)]
     assert [sc.name for sc in built] == names
+
+
+def test_a_traced_pass_fires_every_expected_span(perfbench, monkeypatch, tmp_path):
+    # one traced pass of each workload, as the traced benchmark runs it: the
+    # trajectory tap beneath the span wrappers and each job's check inside
+    # them; the reduction-traces jobs read the example config from the root
+    monkeypatch.chdir(PERFBENCH.parent)
+    worker = perfbench("worker")
+    for name in ("builtin-sweep", "fine-grid", "reduction-traces"):
+        recorder = worker.SpanRecorder()
+        inst = worker.Instrumentation(recorder)
+        tap = worker.TrajectoryTap()
+        tap.install()
+        runner = worker.Runner(worker.WORKLOADS[name](3, tap, tmp_path / name))
+        worker.under_tap(tap, inst.install)
+        runner.instrumentation = inst
+        try:
+            runner.run_pass(0)
+        finally:
+            worker.under_tap(tap, inst.restore)
+            tap.restore()
+        assert runner.errors == [], name
+        assert worker.missing_spans(recorder.table(), name) == [], name

@@ -80,9 +80,9 @@ def test_fubini_study_matches_tensor_oracle():
 
 def test_fubini_study_floors():
     fld = js.fubini_study_model(4)
-    assert js.ric_k_floor(fld, 0.0, 1) == pytest.approx(1.0)
-    assert js.ric_k_floor(fld, 0.0, 2) == pytest.approx(2.0)
-    assert js.ric_k_floor(fld, 0.0, 3) == pytest.approx(6.0)
+    assert js.ric_k_floor(js.spectrum_at(fld, 0.0), 1) == pytest.approx(1.0)
+    assert js.ric_k_floor(js.spectrum_at(fld, 0.0), 2) == pytest.approx(2.0)
+    assert js.ric_k_floor(js.spectrum_at(fld, 0.0), 3) == pytest.approx(6.0)
 
 
 def test_fubini_study_requires_even_dim():
@@ -94,16 +94,17 @@ def test_fubini_study_requires_even_dim():
 def test_ric_k_floor_constant():
     fld = js.constant_sectional(5, 1.0)
     for k in range(1, 5):
-        assert js.ric_k_floor(fld, 0.0, k) == pytest.approx(float(k))
+        assert js.ric_k_floor(js.spectrum_at(fld, 0.0), k) == pytest.approx(float(k))
     prod = js.diagonal_constant([1.0, 0.0, 0.0])
-    assert js.ric_k_floor(prod, 0.0, 2) == pytest.approx(0.0)
+    assert js.ric_k_floor(js.spectrum_at(prod, 0.0), 2) == pytest.approx(0.0)
 
 
 def test_ric_k_floor_superadditive_in_k():
     fld = js.diagonal_constant([4.0, 1.0, -0.5, 2.0])
     w, _ = js.spectrum(fld.matrix(0.0))
     for k in range(1, 4):
-        assert js.ric_k_floor(fld, 0.0, k + 1) >= js.ric_k_floor(fld, 0.0, k) + w[0] - 1e-12
+        table = js.spectrum_at(fld, 0.0)
+        assert js.ric_k_floor(table, k + 1) >= js.ric_k_floor(table, k) + w[0] - 1e-12
 
 
 def test_ric_k_floor_sampled_exact_for_isotropic():
@@ -119,7 +120,7 @@ def test_ric_k_floor_sampled_upper_bounds_floor():
         eigs = rng.uniform(-1.0, 3.0, size=int(rng.integers(2, 6)))
         fld = js.diagonal_constant(eigs)
         for k in range(1, eigs.size + 1):
-            exact = js.ric_k_floor(fld, 0.0, k)
+            exact = js.ric_k_floor(js.spectrum_at(fld, 0.0), k)
             samp = js.ric_k_floor_sampled(fld, 0.0, k, samples=4000, seed=99)
             assert samp >= exact - 1e-10
             assert samp <= exact + 0.6  # loose sanity bound on the overshoot
@@ -206,7 +207,8 @@ def test_matrices_reads_a_whole_grid():
     assert_allclose(grid, np.transpose(grid, (0, 2, 1)), rtol=0, atol=0)
     with pytest.raises(ValueError, match="time 1.25 outside sampled domain"):
         fld.matrices([0.5, 1.25, 1.5])
-    assert js.ric_k_floor(fld, times, 1) == pytest.approx(min(np.linalg.eigvalsh(grid)[:, 0]))
+    floor = js.ric_k_floor(js.spectrum_at(fld, times), 1)
+    assert floor == pytest.approx(min(np.linalg.eigvalsh(grid)[:, 0]))
 
 
 def _eigvalsh_traces(fld, times, k):

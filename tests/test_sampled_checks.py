@@ -41,7 +41,7 @@ def _sphere_zero_scenario(fld):
 def test_sampled_dip_violates_every_floor_gate():
     fld = js.sampled_field([0.0, math.pi / 2, math.pi], [EYE, -0.1 * EYE, EYE])
     # at the window start alone the field is the unit model
-    assert js.ric_k_floor(fld, 0.0, 1) == pytest.approx(1.0)
+    assert js.ric_k_floor(js.spectrum_at(fld, 0.0), 1) == pytest.approx(1.0)
     report = js.run_scenario(_sphere_zero_scenario(fld))
     assert [c.verdict for c in report.checks] == ["hypothesis-violated"] * 3
     split, rigid, floor = (c.details for c in report.checks)
@@ -100,6 +100,11 @@ def test_sampled_grid_shorter_than_window_exits_two(tmp_path, capsys):
     assert "outside sampled domain [0.0, 2.0]" in err
 
 
+def _five_point(a, j, h):
+    """The fourth-order central difference of the series ``a`` at node j."""
+    return (-a[j + 2] + 8 * a[j + 1] - 8 * a[j - 1] + a[j - 2]) / (12 * h)
+
+
 def test_grid_reads_match_per_node_loops():
     """The residuals read the field once per grid; per-node loops over
     ``matrix(t)`` are the reference, on a field that varies in time."""
@@ -115,7 +120,7 @@ def test_grid_reads_match_per_node_loops():
     _, s = js.riccati_series(traj)
     idx = np.searchsorted(ts, rep.times)
     ref = [
-        np.linalg.norm((s[j + 1] - s[j - 1]) / (2 * traj.step) + s[j] @ s[j] + fld.matrix(ts[j]), 2)
+        np.linalg.norm(_five_point(s, j, traj.step) + s[j] @ s[j] + fld.matrix(ts[j]), 2)
         for j in idx
     ]
     assert rep.n_checked > 0
@@ -126,7 +131,7 @@ def test_grid_reads_match_per_node_loops():
     idx = np.searchsorted(ts, hce.times)
     ref = []
     for j in idx:
-        ds = (rs.shat_amb[j + 1] - rs.shat_amb[j - 1]) / (2 * traj.step)
+        ds = _five_point(rs.shat_amb, j, traj.step)
         r_amb = rs.ph[j] @ fld.matrix(ts[j]) @ rs.ph[j]
         total = ds + rs.shat_amb[j] @ rs.shat_amb[j] + r_amb + 3.0 * rs.aastar[j]
         ref.append(np.linalg.norm(rs.bh[j].T @ total @ rs.bh[j], 2))
@@ -143,3 +148,97 @@ def test_grid_reads_match_per_node_loops():
     reg = np.nonzero(trace.regular)[0]
     tr_r = np.array([np.trace(fld.matrix(ts[j])) for j in reg])
     assert_allclose(trace.r[reg], (tr_r + trace.s0sq[reg]) / 2, rtol=1e-12, atol=1e-12)
+
+
+def _diagonal_field():
+    times = np.linspace(0.0, 1.0, 11)
+    return js.sampled_field(times, [np.diag([1.5 + 0.3 * t, 2.0, 2.0 - t]) for t in times])
+
+
+def _coupled_field():
+    # R - id stays away from zero, so the relative comparisons below are
+    # sharp, and its norm is set by the eigenvalue below 1
+    times = np.linspace(0.0, 1.0, 11)
+    bend = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, -0.3], [0.5, -0.3, 1.0]])
+    ops = [np.diag([-1.5, 2.0, 3.0]) + 0.3 * math.sin(t) * bend for t in times]
+    return js.sampled_field(times, ops)
+
+
+def _four_check_scenario(fld):
+    """``Y = I``, ``Y' = 0`` on ``[0, 0.5]``, where no member vanishes, with
+    splitting-B, splitting-E (k = 2), rigidity and vanishing-floor checks."""
+    return js.Scenario(
+        name="four-checks",
+        description="",
+        fld=fld,
+        alpha=0.0,
+        end=0.5,
+        y0=np.eye(fld.dim),
+        yd0=np.zeros((fld.dim, fld.dim)),
+        checks=(
+            js.CheckSpec("splitting", {"theorem": "B", "alpha": 0.0}, "verified"),
+            js.CheckSpec("splitting", {"theorem": "E", "k": 2, "alpha": 0.0}, "verified"),
+            js.CheckSpec("rigidity", {"alpha": 0.0}, "verified"),
+            js.CheckSpec("vanishing-floor", {"k": 1}, "verified"),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "fld, diagonal",
+    [(_diagonal_field(), True), (_coupled_field(), False)],
+    ids=["diagonal", "coupled"],
+)
+def test_one_run_evaluates_the_field_once(fld, diagonal, monkeypatch):
+    calls = []
+    matrices = js.CurvatureField.matrices
+
+    def counted(self, times):
+        calls.append(np.size(times))
+        return matrices(self, times)
+
+    monkeypatch.setattr(js.CurvatureField, "matrices", counted)
+    scenario = _four_check_scenario(fld)
+    report = js.run_scenario(scenario, step=1e-3)
+    assert len(calls) == 1 and len(report.checks) == 4
+    assert report.checks[2].details["max_r_dev"] is not None
+    monkeypatch.undo()
+
+    traj = js.integrate(scenario.family(), step=1e-3)
+    ops = fld.matrices(traj.times)
+    if diagonal:
+        expected = np.sort(np.diagonal(ops, axis1=1, axis2=2), axis=1)
+    else:
+        expected = np.linalg.eigvalsh(ops)
+    assert traj.field_spectrum.shape == (traj.n_nodes, 3)
+    assert np.array_equal(traj.field_spectrum, expected)
+    by_hand = js.JacobiTrajectory(traj.spec, traj.step, traj.times, traj.y, traj.yd)
+    assert np.array_equal(by_hand.field_spectrum, traj.field_spectrum)
+
+
+def test_a_constant_field_has_one_spectrum_row():
+    spec = js.FamilySpec(js.constant_sectional(4, 2.0), 0.0, 1.0, np.eye(3), np.zeros((3, 3)))
+    traj = js.integrate(spec)
+    assert np.array_equal(traj.field_spectrum, [[2.0, 2.0, 2.0]])
+    by_hand = js.JacobiTrajectory(traj.spec, traj.step, traj.times, traj.y, traj.yd)
+    assert np.array_equal(by_hand.field_spectrum, traj.field_spectrum)
+
+
+def test_spectrum_readers_match_the_matrix_formulas():
+    fld = _coupled_field()
+    traj = js.integrate(_four_check_scenario(fld).family(), step=1e-3)
+    ops = fld.matrices(traj.times)
+    lam = traj.field_spectrum
+    # |R - id| in operator norm and tr R, from the eigenvalues
+    norm = np.linalg.norm(ops - np.eye(3), 2, axis=(1, 2))
+    assert_allclose(np.max(np.abs(lam - 1.0), axis=1), norm, rtol=1e-13, atol=0)
+    assert_allclose(np.sum(lam, axis=1), np.trace(ops, axis1=1, axis2=2), rtol=1e-13, atol=0)
+    # the readers themselves: rigidity's R = id test and the scalar traces' r
+    inside = traj.regular & traj.in_open_window(traj.times)
+    rep = js.rigidity_check(traj)
+    assert rep.verdict != "hypothesis-violated"
+    assert rep.max_r_dev == pytest.approx(np.max(norm[inside]), rel=1e-13, abs=0)
+    trace = js.scalar_traces(traj)
+    reg = trace.regular
+    old_r = (np.trace(ops[reg], axis1=1, axis2=2) + trace.s0sq[reg]) / 3
+    assert_allclose(trace.r[reg], old_r, rtol=1e-13, atol=0)

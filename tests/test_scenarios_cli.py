@@ -82,26 +82,12 @@ def test_hce_without_a_checked_node_is_not_evaluable():
     assert hce.details["note"].startswith("not evaluable")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: at step 0.05 and 0.02 the hopf-holonomy hce check reads "
-    "'falsified' (4 of 4 and 2 of 26 checked nodes over tol 1e-3); the "
-    "resolvability cap does not keep the central difference's truncation error "
-    "under tol on a coarse grid",
-)
 def test_coarse_step_hce_is_never_falsified():
     for step in (0.05, 0.02):
         (hce, *_) = js.run_scenario("hopf-holonomy", step=step).checks
         assert hce.verdict != "falsified", step
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: on hopf-holonomy an hce check with tol 1e-7 reads "
-    "'falsified' (residual about 1.7e-6 over 276 nodes); tol sets both the "
-    "resolvability cap and the bound, and the cap does not keep the central "
-    "difference's truncation error under a tol that small at step 1e-3",
-)
 def test_fine_hce_tol_is_never_falsified():
     hopf = js.get_scenario("hopf-holonomy")
     params = {"psi": [[1.0, 0.0]], "tol": 1e-7, "level": 4.0}

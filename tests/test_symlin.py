@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from jacobisplit import orthonormal_columns, ric_k_floor, sampled_field, spectrum
+from jacobisplit import orthonormal_columns, ric_k_floor, sampled_field, spectrum, spectrum_at
 
 
 def ky_fan_min(a, k):
     """The Ky Fan minimum of the symmetric matrix ``a`` through the live path:
     the k-trace floor of a one-node sampled field."""
-    return ric_k_floor(sampled_field([0.0], [a]), 0.0, k)
+    return ric_k_floor(spectrum_at(sampled_field([0.0], [a]), 0.0), k)
 
 
 def test_operator_rejects_bad_input():

@@ -29,26 +29,29 @@ steps are cut into ``ceil(N/B)`` blocks of ``B = isqrt(N)``:
 
 A diagonal field, constant or not (``curvature.diagonal_entries``: every
 off-diagonal entry of the evaluated field is zero), moves row k of
-``(Y, Yd)`` on its own by the scalar map of ``y'' = -e_k(t) y``, so its
-three passes run on ``d`` scalar ``2 x 2`` maps. Pass 1 keeps the prefix
-maps ``E_i`` of the first ``i = 1 .. B`` steps of every block. A constant
-field has one step map for every block: one step gives ``E_1``, and
-``ceil(log2 B)`` batched products ``E_{m+j} = E_m + E_j + E_m E_j`` for
+``(Y, Yd)`` on its own by the scalar equation ``y'' = -e_k(t) y``. Adjacent
+rows whose entries agree at every stage form a run with one equation, and
+the three passes carry the run's fundamental solution ``Phi = [[a, b],
+[a', b']]``, ``I`` at ``alpha``, on scalar ``2 x 2`` maps. Pass 1 keeps the
+prefix maps ``E_i`` of the first ``i = 1 .. B`` steps of every block. A
+constant field has one step map for every block: one step gives ``E_1``,
+and ``ceil(log2 B)`` batched products ``E_{m+j} = E_m + E_j + E_m E_j`` for
 ``j = 1 .. min(m, B - m)`` give the rest. A time-varying one takes the map
 of every step from one vectorized RK4 step per chunk of steps, and composes
 them block by block, ``E_{i+1} = S_i + E_i + S_i E_i``, all blocks at once.
-Pass 3 writes each run of adjacent rows whose entries agree at every stage,
-which share their maps, as one rank-3 product per output array,
-``[1, a_i, b_i]`` times ``[Y_b; Y_b; Yd_b]`` into ``Y`` and
-``[1, c_i, d_i]`` times ``[Yd_b; Y_b; Yd_b]`` into ``Yd`` at node i of
-block b. Any other field takes the full ``2d x 2d`` scan. Propagators are
-held in increment form ``E = P - I`` and advanced as ``E <- E +
-inc(I + E)``, ``E_m + E_j + E_m E_j`` is the increment form of
-``(I + E_m)(I + E_j)``, and the leading 1 of a pass-3 row adds the block
-start, so the ``O(h)`` per-step changes are never rounded against the
-identity; forming ``P`` itself loses about a digit on fine grids. The
-result is the same RK4 map with its products grouped differently, equal
-to the step loop up to roundoff.
+Pass 2 takes the block starts ``Phi_b``, and pass 3 ``Phi`` at node i of
+block b as ``[E_i, I] [Phi_b; Phi_b]``, one rank-4 product per run; row k
+of ``Y`` is then ``a Y0[k] + b Yd0[k]`` and of ``Yd`` ``a' Y0[k] + b'
+Yd0[k]``, one rank-2 product per run and output array. The trajectory
+keeps ``Phi`` as its ``row_solutions``, from which the span tests of
+``splitting`` read the family in ``O(N d)``. Any other field takes the full
+``2d x 2d`` scan. Propagators are held in increment form ``E = P - I`` and
+advanced as ``E <- E + inc(I + E)``, ``E_m + E_j + E_m E_j`` is the
+increment form of ``(I + E_m)(I + E_j)``, and the identity of a pass-3 row
+adds the block start, so the ``O(h)`` per-step changes are never rounded
+against the identity; forming ``P`` itself loses about a digit on fine
+grids. The result is the same RK4 map with its products grouped
+differently, equal to the step loop up to roundoff.
 
 On top of the trajectory this module provides the Riccati operator
 ``S = Yd Y^{-1}``, the Wronskian ``W = Y^T Yd - Yd^T Y`` (the conserved
@@ -185,7 +188,14 @@ class JacobiTrajectory:
 
     ``field_spectrum`` holds the ascending eigenvalues of the curvature
     operator at every node, which every floor, the rigidity check's ``R =
-    id`` test and the scalar traces' ``tr R`` read. ``derived`` keeps
+    id`` test and the scalar traces' ``tr R`` read. For a diagonal field,
+    ``row_solutions`` is ``(Phi, run)``: the fundamental solutions ``Phi =
+    [[a, b], [a', b']]``, ``(N+1, runs, 2, 2)``, of the scalar equations of
+    its runs of equal rows, and the run of every row, so that row k of
+    ``Y`` is ``a Y0[k] + b Yd0[k]`` and of ``Yd`` is ``a' Y0[k] + b'
+    Yd0[k]`` with the run ``run[k]``'s ``Phi``; the span tests read them
+    (``splitting._span_from_test``). It is None for any other field and
+    for a trajectory built by hand. ``derived`` keeps
     analyses that several checks of one run share, keyed by their inputs:
     the refined singular events (``"events"``, see ``singular_events``),
     the splitting conclusions and the reductions of
@@ -198,6 +208,7 @@ class JacobiTrajectory:
     times: np.ndarray  # (N+1,)
     y: np.ndarray  # (N+1, d, d)
     yd: np.ndarray  # (N+1, d, d)
+    row_solutions: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -531,17 +542,23 @@ def _scan(r, spec, ys, yds, n_steps, h) -> None:
         ys[:, i], yds[:, i] = yb, ydb
 
 
-def _scalar_scan(rows, spec, ys, yds, n_steps, h) -> None:
-    """The blocked scan of ``integrate`` for a diagonal field on ``d``
-    scalar ``2 x 2`` maps, with row k of the field, ``rows[k]``, at one
-    stage (a constant field) or at all ``2 N + 1``; writes ``ys`` and
-    ``yds`` as ``_scan`` does.
+def _scalar_scan(rows, spec, ys, yds, n_steps, h) -> tuple[np.ndarray, np.ndarray]:
+    """The blocked scan of ``integrate`` for a diagonal field on scalar
+    ``2 x 2`` maps, with row k of the field, ``rows[k]``, at one stage (a
+    constant field) or at all ``2 N + 1``; writes ``ys`` and ``yds`` as
+    ``_scan`` does and returns the trajectory's ``row_solutions``.
 
-    Row k of ``(Y, Yd)`` moves by the scalar map of ``y'' = -e_k(t) y``.
-    ``maps[i - 1, :, :, k, b]`` is the ``2 x 2`` ``E_i = P_i - I`` of the
-    first ``i = 1 .. blk`` steps of block b and row k; a constant field has
-    one block for all."""
+    Adjacent rows whose entries agree at every stage form a run and share
+    one scalar equation ``y'' = -e_r(t) y``, whose fundamental solution
+    ``Phi = [[a, b], [a', b']]``, ``I`` at ``alpha``, the three passes
+    carry; row k of ``Y`` and ``Yd`` is then ``[a, b]`` and ``[a', b']``
+    times ``[Y0[k]; Yd0[k]]``. ``maps[i - 1, :, :, r, b]`` is the ``2 x 2``
+    ``E_i = P_i - I`` of the first ``i = 1 .. blk`` steps of block b and run
+    r; a constant field has one block for all."""
     nb, blk, d = ys.shape[:3]
+    cuts = [0, *np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1, d]
+    rows = rows[cuts[:-1]]  # one row per run
+    runs = len(rows)
     first = blk * np.arange(nb)  # first step of every block
     # pass 1: the prefix maps of every block
     if rows.shape[1] == 1:
@@ -549,7 +566,7 @@ def _scalar_scan(rows, spec, ys, yds, n_steps, h) -> None:
         # E_m E_j for j = 1..min(m, blk - m), each product written straight
         # into its slice
         ek = rows[:, :, None]
-        powers = np.zeros((blk, d, 2, 2))
+        powers = np.zeros((blk, runs, 2, 2))
         _advance(powers[0], ek, ek, ek, h)
         m = 1
         while m < blk:
@@ -562,12 +579,12 @@ def _scalar_scan(rows, spec, ys, yds, n_steps, h) -> None:
         maps = powers.transpose(0, 2, 3, 1)[..., None]
     else:
         # the map of every step, about _CHUNK steps per RK4 step: the columns
-        # of I as the state, the field at step i of block b as (i, 1, k, b,
+        # of I as the state, the field at step i of block b as (i, 1, r, b,
         # 1, 1); steps past n_steps (last block only) reread the last step's
         # field
         at = 2 * np.minimum(first + np.arange(blk)[:, None], n_steps - 1)
         unit = np.eye(2).reshape(2, 2, 1, 1, 1, 1)
-        maps = np.empty((blk, 2, 2, d, nb))
+        maps = np.empty((blk, 2, 2, runs, nb))
         di = max(1, _CHUNK // nb)
         for lo in range(0, blk, di):
             s = at[lo : lo + di]
@@ -581,26 +598,29 @@ def _scalar_scan(rows, spec, ys, yds, n_steps, h) -> None:
         for i in range(1, blk):
             s_i, e_i = maps[i], maps[i - 1]
             s_i += e_i + s_i[:, :1] * e_i[0] + s_i[:, 1:] * e_i[1]
-    # pass 2: block starts z_{b+1} = z_b + E_b z_b, z[b, k] = [Y_b[k]; Yd_b[k]]
-    e = np.ascontiguousarray(np.broadcast_to(maps[-1].transpose(3, 2, 0, 1), (nb, d, 2, 2)))
-    z = np.empty((nb, d, 2, d))
-    z[0, :, 0], z[0, :, 1] = spec.y0, spec.yd0
+    # pass 2: block starts Phi_{b+1} = Phi_b + E_b Phi_b
+    e = np.ascontiguousarray(np.broadcast_to(maps[-1].transpose(3, 2, 0, 1), (nb, runs, 2, 2)))
+    z = np.empty((nb, runs, 2, 2))
+    z[0] = np.eye(2)
     for b in range(nb - 1):
         z[b + 1] = z[b] + e[b] @ z[b]
-    # pass 3: rows lo..hi-1 whose entries agree at every stage share their
-    # maps: node i of block b is [1, a_i, b_i] [Y_b; Y_b; Yd_b] in Y and
-    # [1, c_i, d_i] [Yd_b; Y_b; Yd_b] in Yd, one rank-3 product per output
-    # array
-    cuts = [0, *np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1, d]
-    coef = np.ones((maps.shape[-1], blk, 2, 3))
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        coef[..., 1:] = maps[:, :, :, lo].transpose(3, 0, 1, 2)
-        w = (hi - lo) * d
-        u = np.empty((nb, 3, w))
-        u[:, 1:] = z[:, lo:hi].transpose(0, 2, 1, 3).reshape(nb, 2, w)
-        for j, out in enumerate((ys, yds)):
-            u[:, 0] = u[:, 1 + j]
-            np.matmul(coef[:, :, j], u, out=out[:, :, lo:hi].reshape(nb, blk, w))
+    # pass 3: Phi at node i of block b is [E_i, I] [Phi_b; Phi_b], one
+    # rank-4 product per run, whose identity adds the block start; row k of
+    # Y and Yd is then one rank-2 product per run and output array
+    store = np.empty((runs, nb * blk + 1, 2, 2))
+    store[:, 0] = np.eye(2)
+    coef = np.zeros((maps.shape[-1], blk, 2, 4))
+    coef[..., 2:] = np.eye(2)
+    for r, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        coef[..., :2] = maps[:, :, :, r].transpose(3, 0, 1, 2)
+        phi = store[r, 1:].reshape(nb, blk, 2, 2)
+        twice = np.tile(z[:, r], (1, 2, 1))  # [Phi_b; Phi_b]
+        np.matmul(coef.reshape(-1, 2 * blk, 4), twice, out=phi.reshape(nb, 2 * blk, 2))
+        start = np.stack([spec.y0[lo:hi].ravel(), spec.yd0[lo:hi].ravel()])
+        for p, out in enumerate((ys, yds)):
+            np.matmul(phi[:, :, p], start, out=out[:, :, lo:hi].reshape(nb, blk, (hi - lo) * d))
+    run = np.repeat(np.arange(runs), np.diff(cuts))
+    return store.transpose(1, 0, 2, 3)[: n_steps + 1], run
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -610,17 +630,18 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
 
     The ``N`` steps run as a two-level blocked scan (see the module
     docstring): blocks of ``B = isqrt(N)`` steps, about ``3 B`` array
-    iterations in all. A diagonal field runs on ``d`` scalar ``2 x 2`` maps
-    instead: a constant one from one step, whose ``B`` block powers come by
-    doubling, a time-varying one from the maps of all steps, about
-    ``_CHUNK`` steps per RK4 step, composed block by block; each run of
-    rows with equal entries is written by one rank-3 product per output
-    array. The field values at the nodes also give the trajectory's
-    ``field_spectrum``, so no check evaluates the field again. A family
-    that overflows is a ValueError naming the first node that is not
-    finite, tested on the step norms that ``svals`` reads and node by node
-    only when one is not finite; a grid larger than numpy can index is a
-    MemoryError, raised before allocating."""
+    iterations in all. A diagonal field runs on scalar ``2 x 2`` maps
+    instead, one per run of rows with equal entries: a constant one from one
+    step, whose ``B`` block powers come by doubling, a time-varying one from
+    the maps of all steps, about ``_CHUNK`` steps per RK4 step, composed
+    block by block; each run's fundamental solution is kept as the
+    trajectory's ``row_solutions`` and writes its rows by one rank-2
+    product per output array. The field values at the nodes also give the
+    trajectory's ``field_spectrum``, so no check evaluates the field
+    again. A family that overflows is a ValueError naming the first node
+    that is not finite, tested on the step norms that ``svals`` reads and
+    node by node only when one is not finite; a grid larger than numpy can
+    index is a MemoryError, raised before allocating."""
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     span = spec.end - spec.alpha
@@ -655,14 +676,15 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
     yds = yd[1:].reshape(nb, blk, d, d)
     if diag is None:
         _scan(np.broadcast_to(r, (stages.size, d, d)), spec, ys, yds, n_steps, h)
+        row_solutions = None
     else:
         # the entries by row, (d, 1 or 2 N + 1); nothing else of the field is
         # read, so its array of (d, d) matrices is freed before the maps are built
         rows = np.ascontiguousarray(diag.T)
         del r, diag
-        _scalar_scan(rows, spec, ys, yds, n_steps, h)
+        row_solutions = _scalar_scan(rows, spec, ys, yds, n_steps, h)
     m = n_steps + 1
-    traj = JacobiTrajectory(spec=spec, step=h, times=times, y=y[:m], yd=yd[:m])
+    traj = JacobiTrajectory(spec, h, times, y[:m], yd[:m], row_solutions=row_solutions)
     traj.field_spectrum = spectrum  # the cached_property's value
     # Y_0 is finite, so the step norms that svals reads are all finite only
     # if Y and Yd are; a sum of squares may overflow on finite values, so

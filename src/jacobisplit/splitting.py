@@ -72,10 +72,12 @@ _FLOOR_SLACK = 1e-9
 def self_adjoint_gate(traj: JacobiTrajectory) -> dict:
     """Self-adjointness hypothesis: the (conserved) Wronskian form at the
     window start must vanish relative to the family's scale; its largest
-    entry is the ``defect``. Initial data so large that the threshold or
-    the Wronskian overflows are a ValueError naming ``y0`` and ``yd0``."""
+    entry is the ``defect``, and the threshold is ``1e-8`` times the squared
+    size ``sigma_max([y0; yd0])^2`` (``stacked_scale``), which scales with
+    the Wronskian. Initial data so large that the threshold or the
+    Wronskian overflows are a ValueError naming ``y0`` and ``yd0``."""
     size = traj.stacked_scale
-    threshold = 1e-8 * (1.0 + size * size)
+    threshold = 1e-8 * size * size
     with np.errstate(over="ignore", invalid="ignore"):
         defect = float(np.max(np.abs(wronskian(traj, traj.alpha)), initial=0.0))
     if not (math.isfinite(threshold) and math.isfinite(defect)):
@@ -159,46 +161,28 @@ def _weighted(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     return w.reshape((-1,) + (1,) * (a.ndim - 1)) * a
 
 
-def _span_from_test(terms: tuple, scale: float) -> SpanResult:
+def _span_from_test(traj: JacobiTrajectory, terms: tuple) -> SpanResult:
     """Near-null space of the test ``sum_k w_k(t) M_k(t)``, a time-indexed
-    family of ``d x d`` matrices given as ``terms``, pairs ``(w_k, M_k)`` of
-    per-node weights (None for a unit weight) and ``(N, d, d)`` arrays.
+    family of ``d x d`` matrices given as ``terms``, pairs ``(w_k, j_k)`` of
+    per-node weights (None for a unit weight) and ``M_k``: ``Y`` for ``j_k =
+    0``, ``Yd`` for 1.
 
     Candidates are eigenvectors of the time-averaged Gram operator of the
     test, taken in ascending eigenvalue order; a candidate joins the span
-    while its worst node residual stays below ``TOL_SPAN`` times ``scale``,
-    the family's size over the grid. The max-node qualification (rather
-    than the averaged Gram value alone) keeps locally-supported failures
-    from slipping through.
+    while its worst node residual stays below ``TOL_SPAN`` times
+    ``traj.stacked_bound``, the family's size over the grid. The max-node
+    qualification (rather than the averaged Gram value alone) keeps
+    locally-supported failures from slipping through.
 
-    The test is streamed ``_CHUNK`` nodes at a time, once for the Gram
-    operator and once per candidate for its residuals, so no full-size array
-    is made; a lone unit-weight term is read in place. A family so large
-    that the Gram operator or ``scale`` overflows is a ValueError.
+    A trajectory of a diagonal field reads its ``row_solutions`` in ``O(N
+    d)`` (``_factored_test``); any other is streamed from ``Y`` and ``Yd``
+    (``_streamed_test``). A family so large that the Gram operator or the
+    size overflows is a ValueError.
     """
-    n, d = terms[0][1].shape[:2]
-    chunks = [slice(lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
-
-    def test(chunk, f):
-        # sum_k w_k f(M_k[chunk]), f keeping the node axis first; only a lone
-        # term has a unit weight (None), so a sum of several is a fresh array
-        (w, m), *rest = terms
-        total = f(m[chunk]) if w is None else _weighted(w[chunk], f(m[chunk]))
-        for w, m in rest:
-            total += _weighted(w[chunk], f(m[chunk]))
-        return total
-
-    def gram(chunk):  # the chunk's test is freed on return
-        flat = test(chunk, lambda b: b).reshape(-1, d)
-        return flat.T @ flat
-
-    def worst_residual(v):
-        # node rows from a gemv on the flat view of each term
-        rows = (test(c, lambda b: (b.reshape(-1, d) @ v).reshape(-1, d)) for c in chunks)
-        return max(float(np.max(np.linalg.norm(r, axis=1))) for r in rows) / scale
-
+    scale = traj.stacked_bound
+    test = _streamed_test if traj.row_solutions is None else _factored_test
     with np.errstate(over="ignore", invalid="ignore"):
-        op = sum(gram(c) for c in chunks) / n
+        op, worst_residual = test(traj, terms)
     if not (math.isfinite(scale) and np.all(np.isfinite(op))):
         raise ValueError(
             f"the family's size overflows: the span test's Gram operator or the "
@@ -208,33 +192,97 @@ def _span_from_test(terms: tuple, scale: float) -> SpanResult:
     accepted: list[np.ndarray] = []
     residuals: list[float] = []
     rejected = None
-    for i in range(d):
-        v = vecs[:, i]
-        res = worst_residual(v)
+    for v in vecs.T:
+        res = worst_residual(v) / scale
         if res <= TOL_SPAN:
             accepted.append(v)
             residuals.append(res)
         else:
             rejected = res
             break
-    basis = np.column_stack(accepted) if accepted else np.zeros((d, 0))
+    basis = np.column_stack(accepted) if accepted else np.zeros((traj.dim, 0))
     return SpanResult(basis=basis, residuals=np.asarray(residuals), rejected_residual=rejected)
+
+
+def _streamed_test(traj: JacobiTrajectory, terms: tuple):
+    """The time-averaged Gram operator of the test and the worst node
+    residual ``max_n ||test_n v||`` of a candidate ``v``, with the test
+    streamed ``_CHUNK`` nodes at a time, once for the Gram operator and
+    once per candidate, so no full-size array is made; a lone unit-weight
+    term is read in place."""
+    mats = (traj.y, traj.yd)
+    n, d = traj.y.shape[:2]
+    chunks = [slice(lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
+
+    def test(chunk, f):
+        # sum_k w_k f(M_k[chunk]), f keeping the node axis first; only a lone
+        # term has a unit weight (None), so a sum of several is a fresh array
+        (w, j), *rest = terms
+        m = mats[j][chunk]
+        total = f(m) if w is None else _weighted(w[chunk], f(m))
+        for w, j in rest:
+            total += _weighted(w[chunk], f(mats[j][chunk]))
+        return total
+
+    def gram(chunk):  # the chunk's test is freed on return
+        flat = test(chunk, lambda b: b).reshape(-1, d)
+        return flat.T @ flat
+
+    def worst_residual(v):
+        # node rows from a gemv on the flat view of each term
+        rows = (test(c, lambda b: (b.reshape(-1, d) @ v).reshape(-1, d)) for c in chunks)
+        return max(float(np.max(np.linalg.norm(r, axis=1))) for r in rows)
+
+    return sum(gram(c) for c in chunks) / n, worst_residual
+
+
+def _factored_test(traj: JacobiTrajectory, terms: tuple):
+    """``_streamed_test`` from the rows' scalar solutions. Row k of ``M_j``
+    is ``Phi[j, 0] Y0[k] + Phi[j, 1] Yd0[k]`` with its run's ``Phi``, so row
+    k of the test is ``P_n Y0[k] + Q_n Yd0[k]`` with ``P = sum w_j Phi[j,
+    0]`` and ``Q = sum w_j Phi[j, 1]``, series over the nodes per run. The
+    Gram operator is ``sum_k [Y0[k]; Yd0[k]]^T [[sum P^2, sum PQ], [sum PQ,
+    sum Q^2]]_k [Y0[k]; Yd0[k]]`` over the node count, and a candidate's
+    worst residual is ``max_n ||P_n o (Y0 v) + Q_n o (Yd0 v)||``, read
+    ``32 _CHUNK / d`` nodes at a time; both cost ``O(N d)``."""
+    phi, run = traj.row_solutions
+    y0, yd0 = traj.y[0], traj.yd[0]
+    n, d = len(phi), traj.dim
+    m = 32 * _CHUNK // d  # nodes per chunk, so each temporary holds 32 _CHUNK floats
+    chunks = [slice(lo, lo + m) for lo in range(0, n, m)]
+
+    def series(col):  # sum_j w_j Phi[j, col], (N+1, runs)
+        entries = ((w, phi[:, :, j, col]) for w, j in terms)
+        return sum(s if w is None else w[:, None] * s for w, s in entries)
+
+    p, q = series(0), series(1)
+    pp, pq, qq = (np.einsum("nr,nr->r", a, b)[run] for a, b in ((p, p), (p, q), (q, q)))
+    cross = (y0.T * pq) @ yd0
+    op = ((y0.T * pp) @ y0 + cross + cross.T + (yd0.T * qq) @ yd0) / n
+
+    def worst_residual(v):
+        u, w = y0 @ v, yd0 @ v  # the candidate's member and its derivative at alpha
+        rows = (p[c][:, run] * u + q[c][:, run] * w for c in chunks)
+        return math.sqrt(max(float(np.max(np.einsum("nk,nk->n", r, r))) for r in rows))
+
+    return op, worst_residual
 
 
 def parallel_span(traj: JacobiTrajectory) -> SpanResult:
     """Coefficient vectors whose member fields are parallel: Yd(t) c = 0 at
-    every node. The test is ``Yd`` itself, read in place ``_CHUNK`` nodes
-    at a time; no full-size array is made."""
-    return _span_from_test(((None, traj.yd),), traj.stacked_bound)
+    every node. The test is ``Yd`` itself: read in place ``_CHUNK`` nodes at
+    a time, or from the rows' scalar solutions of a diagonal field."""
+    return _span_from_test(traj, ((None, 1),))
 
 
 def sine_span(traj: JacobiTrajectory) -> SpanResult:
     """Coefficient vectors whose member fields have the form sin(t) E(t)
     with E parallel; equivalently (sin(t) Yd(t) - cos(t) Y(t)) c = 0 at
     every node. The test is streamed ``_CHUNK`` nodes at a time from ``Y``
-    and ``Yd``; no full-size array is made."""
+    and ``Yd``, or read from the rows' scalar solutions of a diagonal
+    field; no full-size array is made."""
     t = traj.times
-    return _span_from_test(((np.sin(t), traj.yd), (-np.cos(t), traj.y)), traj.stacked_bound)
+    return _span_from_test(traj, ((np.sin(t), 1), (-np.cos(t), 0)))
 
 
 def vanishing_span(traj: JacobiTrajectory, open_ends: bool = False) -> np.ndarray:
@@ -269,11 +317,14 @@ def _orthogonality_residual(traj: JacobiTrajectory, zb: np.ndarray, pb: np.ndarr
     """Worst normalized pointwise inner product between Z- and P-members.
 
     Pairs are compared node by node: |<Y c_z, Y c_p>| against the product
-    of the member norms, with a small absolute floor so instants where a
-    member vanishes do not divide by zero.
+    of the member norms, less a floor of ``1e-9`` times the squared family
+    size over the grid (``stacked_bound``), so instants where a member
+    vanishes do not divide by zero, and the residual does not change when
+    the family is scaled.
     """
     if zb.shape[1] == 0 or pb.shape[1] == 0:
         return 0.0
+    floor = 1e-9 * traj.stacked_bound * traj.stacked_bound
     worst = 0.0
     for lo in range(0, traj.n_nodes, _CHUNK):  # a max over nodes, taken chunk by chunk
         y = traj.y[lo : lo + _CHUNK]
@@ -282,7 +333,7 @@ def _orthogonality_residual(traj: JacobiTrajectory, zb: np.ndarray, pb: np.ndarr
         inner = np.abs(np.einsum("nik,nil->nkl", vz, vp))
         nz = np.linalg.norm(vz, axis=1)[:, :, None]
         np_ = np.linalg.norm(vp, axis=1)[:, None, :]
-        violation = (inner - 1e-9) / np.maximum(nz * np_, 1e-300)
+        violation = (inner - floor) / np.maximum(nz * np_, 1e-300)
         worst = max(float(np.max(violation)), worst)
     return worst
 

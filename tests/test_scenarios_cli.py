@@ -14,6 +14,8 @@ import pytest
 import jacobisplit as js
 
 
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_scenario.json"
+
 NAMED = [
     "sphere-zero",
     "flat-parallel",
@@ -61,6 +63,29 @@ def test_no_check_is_ever_falsified(builtin_runs):
     for name, report in builtin_runs.items():
         for check in report.checks:
             assert check.verdict != "falsified", (name, check.kind)
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1e6])
+def test_verdicts_do_not_change_with_scale(builtin_runs, factor):
+    # the family is linear in its initial data, and every gate and conclusion
+    # is relative to its size: the self-adjointness threshold to the squared
+    # size at alpha, the orthogonality floor to the squared size over the grid
+    for sc in js.list_scenarios() + [js.scenario_from_config(CONFIG)]:
+        base = builtin_runs[sc.name] if sc.name in builtin_runs else js.run_scenario(sc)
+        scaled = dataclasses.replace(sc, y0=factor * sc.y0, yd0=factor * sc.yd0)
+        verdicts = [c.verdict for c in js.run_scenario(scaled).checks]
+        assert verdicts == [c.verdict for c in base.checks], sc.name
+
+
+def test_shipped_inputs_integrate_on_their_rows_scalar_solutions(trajs):
+    # every built-in and the example config has a diagonal field, so its
+    # trajectory keeps the rows' scalar solutions that the span tests read
+    config = js.scenario_from_config(CONFIG)
+    shipped = [trajs(sc.name) for sc in js.list_scenarios()]
+    for traj in shipped + [js.integrate(config.family(), step=config.step)]:
+        assert traj.row_solutions is not None, traj.spec.label
+        phi, run = traj.row_solutions
+        assert phi.shape == (traj.n_nodes, run.max() + 1, 2, 2) and run.shape == (traj.dim,)
 
 
 @pytest.mark.xfail(

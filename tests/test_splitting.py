@@ -1,8 +1,9 @@
 """Tests for the splitting gates, structured spans, and verdict logic.
 
-The full-array span ``_span_full`` is the reference for the streamed span
-tests of ``sine_span`` and ``parallel_span``: the same Gram candidates and
-max-node residuals, from the whole ``(N, d, d)`` test at once.
+The full-array span ``_span_full`` is the reference for the span tests of
+``sine_span`` and ``parallel_span``, streamed or read from a diagonal
+field's ``row_solutions``: the same Gram candidates and max-node residuals,
+from the whole ``(N, d, d)`` test at once.
 """
 
 import json
@@ -229,6 +230,55 @@ def test_spans_keep_a_rotated_member_of_a_growing_family(span, eigs, y0, yd0):
     assert abs(out.basis[:, 0] @ q[0]) == pytest.approx(1.0, abs=1e-12)
     assert out.residuals[0] < 1e-12
     _assert_spans_match_full(traj)
+
+
+def _split_late(end):
+    """A sampled diagonal field whose rows 1 and 2 agree up to t = 1 and part
+    after it; row 0 is the unit curvature."""
+    grid = np.array([0.0, 1.0, 2.0, end])
+    entries = np.array([[1.0, 2.0, 2.0], [1.0, 2.0, 2.0], [1.0, 2.5, 2.0], [1.0, 3.0, 2.0]])
+    return js.sampled_field(grid, entries[:, :, None] * np.eye(3))
+
+
+# the field and its rows of unit curvature, whose members can be of sine type
+FACTORED_CASES = {
+    "c-identity-d16": (lambda end: js.constant_sectional(17, 1.0), range(16)),
+    "fubini-study": (lambda end: js.fubini_study_model(4), [1, 2]),
+    "diag-1-4-1": (lambda end: js.diagonal_constant([1.0, 4.0, 1.0]), [0, 2]),
+    "split-late": (_split_late, [0]),
+}
+
+
+@pytest.mark.parametrize("n_steps", [_CHUNK - 2, _CHUNK - 1, _CHUNK, 3 * _CHUNK + 7])
+@pytest.mark.parametrize("case", sorted(FACTORED_CASES))
+def test_factored_spans_match_the_streamed_spans(case, n_steps):
+    # random initial data with one sine-type member v: Y0 v = 0, and Yd0 v
+    # vanishes on the rows whose curvature is not 1. A Gram eigenvector is
+    # determined to about eps ||G|| / gap, so Y0 and Yd0 take singular
+    # values spaced over [1, 2], which keeps the gaps wide. The spans of the
+    # integrated trajectory read its rows' scalar solutions, the copy's
+    # stream Y and Yd
+    fld, unit_rows = FACTORED_CASES[case]
+    end = math.pi
+    d = fld(end).dim
+    rng = np.random.default_rng(n_steps)
+    u, w, z = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(3))
+    spaced = np.linspace(1.0, 2.0, d)
+    v = w[:, 0]
+    y0 = u @ np.diag(np.r_[0.0, spaced[1:]]) @ w.T
+    yd0 = z @ np.diag(spaced) @ u.T
+    others = np.setdiff1d(np.arange(d), unit_rows)
+    yd0[others] = yd0[others] @ (np.eye(d) - np.outer(v, v))
+    traj = js.integrate(js.FamilySpec(fld(end), 0.0, end, y0, yd0), step=end / n_steps)
+    streamed = js.JacobiTrajectory(traj.spec, traj.step, traj.times, traj.y, traj.yd)
+    assert traj.row_solutions is not None and streamed.row_solutions is None
+    for span in (js.sine_span, js.parallel_span):
+        fast, ref = span(traj), span(streamed)
+        assert_allclose(fast.basis, ref.basis, rtol=1e-12, atol=ROUNDOFF)
+        assert_allclose(fast.residuals, ref.residuals, rtol=1e-12, atol=ROUNDOFF)
+        assert_allclose(fast.rejected_residual, ref.rejected_residual, rtol=1e-12, atol=ROUNDOFF)
+    sine = js.sine_span(traj)
+    assert sine.basis.shape[1] == 1 and abs(sine.basis[:, 0] @ v) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_spans_memory_stays_off_the_trajectory_scale():

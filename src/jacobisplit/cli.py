@@ -1,11 +1,15 @@
 """Scenario registry, check runner and command-line interface.
 
 A scenario bundles a curvature field, family initial data, an integration
-window and a list of checks, each with an expected verdict. The built-in
-registry covers the model geometries (round sphere, flat space, a product
-with a flat factor, the complex projective plane, a holonomy-twisted
-family), two deliberate counterexamples that must trip specific hypothesis
-gates, and a batch of randomized self-adjoint families.
+window and a list of checks, each with an expected verdict. Every scenario
+is built from a config document by one loader, which validates each key
+and value: a user's ``--config`` file (``scenario_from_config``) or one of
+the built-ins, which the package ships as a list of config documents in
+``builtins.json``. The built-in registry covers the model geometries
+(round sphere, flat space, a product with a flat factor, the complex
+projective plane, a holonomy-twisted family), two deliberate
+counterexamples that must trip specific hypothesis gates, and a batch of
+randomized self-adjoint families.
 
 Check verdicts are three-valued: ``verified``, ``hypothesis-violated`` and
 ``falsified``. A ``falsified`` verdict means every hypothesis gate passed
@@ -43,6 +47,7 @@ from .curvature import (
     diagonal_constant,
     fubini_study_model,
     is_json_number,
+    read_json,
     read_json_object,
     sampled_field_from_json,
 )
@@ -278,178 +283,6 @@ def _jsonable(obj):
 
 
 # ---------------------------------------------------------------------------
-# built-in scenarios
-
-
-def _builtin_list() -> list[Scenario]:
-    eye2 = np.eye(2)
-    eye3 = np.eye(3)
-    eps = math.pi / 12.0
-    return [
-        Scenario(
-            name="sphere-zero",
-            description="round unit sphere, family vanishing at the start",
-            fld=constant_sectional(3, 1.0),
-            alpha=0.0,
-            end=math.pi,
-            y0=np.zeros((2, 2)),
-            yd0=eye2,
-            checks=(
-                CheckSpec("rigidity", {"alpha": 0.0}, "verified"),
-                CheckSpec("splitting", {"theorem": "B", "alpha": 0.0}, "verified"),
-            ),
-        ),
-        Scenario(
-            name="flat-parallel",
-            description="flat space, constant parallel family",
-            fld=constant_sectional(4, 0.0),
-            alpha=0.0,
-            end=math.pi,
-            y0=eye3,
-            yd0=np.zeros((3, 3)),
-            checks=(
-                CheckSpec("splitting", {"theorem": "A"}, "verified"),
-                CheckSpec("splitting", {"theorem": "C", "k": 1}, "verified"),
-            ),
-        ),
-        Scenario(
-            name="product-s2xr2",
-            description="product of a round 2-sphere with a flat plane",
-            fld=diagonal_constant([1.0, 0.0, 0.0], label="product-s2xr2"),
-            alpha=0.0,
-            end=math.pi,
-            y0=np.diag([0.0, 1.0, 1.0]),
-            yd0=np.diag([1.0, 0.0, 0.0]),
-            checks=(
-                CheckSpec("splitting", {"theorem": "A"}, "verified"),
-                CheckSpec("splitting", {"theorem": "C", "k": 2}, "verified"),
-            ),
-        ),
-        Scenario(
-            name="cp2-zero",
-            description="complex projective plane, family vanishing at the start",
-            fld=fubini_study_model(4),
-            alpha=0.0,
-            end=math.pi,
-            y0=np.zeros((3, 3)),
-            yd0=eye3,
-            checks=(
-                CheckSpec("splitting", {"theorem": "B", "alpha": 0.0}, "verified"),
-                CheckSpec("splitting", {"theorem": "E", "k": 2, "alpha": 0.0}, "verified"),
-                CheckSpec("rigidity", {"alpha": 0.0}, "hypothesis-violated"),
-            ),
-        ),
-        Scenario(
-            name="example-nonselfadjoint",
-            description="rotating family on the sphere with nonvanishing Wronskian",
-            fld=constant_sectional(3, 1.0),
-            alpha=0.0,
-            end=math.pi,
-            y0=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            yd0=np.array([[1.0, 0.0], [0.0, -1.0]]),
-            checks=(
-                CheckSpec("splitting", {"theorem": "B", "alpha": 0.0}, "hypothesis-violated"),
-            ),
-        ),
-        Scenario(
-            name="example-shifted-sine",
-            description="shifted sine family on the sphere violating the boundary bound",
-            fld=constant_sectional(3, 1.0),
-            alpha=math.pi / 2.0,
-            end=math.pi,
-            y0=math.sin(math.pi / 2.0 - eps) * eye2,
-            yd0=math.cos(math.pi / 2.0 - eps) * eye2,
-            checks=(
-                CheckSpec(
-                    "splitting", {"theorem": "B", "alpha": math.pi / 2.0}, "hypothesis-violated"
-                ),
-                CheckSpec("rigidity", {"alpha": math.pi / 2.0}, "hypothesis-violated"),
-            ),
-        ),
-        Scenario(
-            name="hopf-holonomy",
-            description="holonomy-twisted family on the sphere with a one-dim vertical subfamily",
-            fld=constant_sectional(3, 1.0),
-            alpha=0.0,
-            end=math.pi,
-            y0=np.array([[1.0, 0.0], [0.0, 0.0]]),
-            yd0=np.array([[0.0, 0.0], [1.0, 1.0]]),
-            checks=(
-                CheckSpec(
-                    "hce", {"psi": [[1.0, 0.0]], "tol": 1e-3, "level": 4.0}, "verified"
-                ),
-                CheckSpec("vanishing-floor", {"k": 1}, "verified"),
-                CheckSpec(
-                    "reduced-boundary", {"psi": [[1.0, 0.0]], "alpha": 0.2}, "verified"
-                ),
-            ),
-        ),
-    ] + [_random_selfadjoint(idx) for idx in range(10)]
-
-
-def _random_selfadjoint(idx: int) -> Scenario:
-    """Randomized self-adjoint family on the unit-curvature model.
-
-    Initial data Y = id, Yd = a random symmetric operator with separated
-    eigenvalues in [-2, 2]; odd indices pin one eigenvalue to cot(alpha) so
-    that exactly one member is of sine type. Each member crosses zero once,
-    at a time determined by its eigenvalue, so the splitting dimensions are
-    known in advance and the rigidity hypotheses must fail on regularity.
-    """
-    rng = np.random.default_rng(1000 + idx)
-    alpha = 0.2
-    pinned = idx % 2 == 1
-    lams: list[float] = [math.cos(alpha) / math.sin(alpha)] if pinned else []
-    n_free = 3 - (1 if pinned else 0)
-    free: list[float] = []
-    while len(free) < n_free:
-        draw = float(rng.uniform(-2.0, 2.0))
-        if all(abs(draw - x) >= 0.3 for x in free):
-            free.append(draw)
-    lams.extend(free)
-    g = rng.standard_normal((3, 3))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diagonal(r))
-    yd0 = q @ np.diag(lams) @ q.T
-    yd0 = (yd0 + yd0.T) / 2.0
-    return Scenario(
-        name=f"random-selfadjoint-{idx}",
-        description="randomized self-adjoint family on the unit-curvature model"
-        + (" (one sine-type eigenvalue)" if pinned else ""),
-        fld=constant_sectional(4, 1.0),
-        alpha=alpha,
-        end=math.pi,
-        y0=np.eye(3),
-        yd0=yd0,
-        checks=(
-            CheckSpec("splitting", {"theorem": "B", "alpha": alpha}, "verified"),
-            CheckSpec("rigidity", {"alpha": alpha}, "hypothesis-violated"),
-        ),
-    )
-
-
-_REGISTRY: dict[str, Scenario] | None = None
-
-
-def builtin_scenarios() -> dict[str, Scenario]:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = {s.name: s for s in _builtin_list()}
-    return _REGISTRY
-
-
-def list_scenarios() -> list[Scenario]:
-    return list(builtin_scenarios().values())
-
-
-def get_scenario(name: str) -> Scenario:
-    reg = builtin_scenarios()
-    if name not in reg:
-        raise KeyError(f"unknown scenario: {name!r} (see the list subcommand)")
-    return reg[name]
-
-
-# ---------------------------------------------------------------------------
 # config files
 
 
@@ -549,9 +382,14 @@ def scenario_from_config(path: str | Path) -> Scenario:
     the report and trace files in the output directory. A missing or
     unknown key, a value of the wrong type (a number written as a string
     included), or a number that is not finite, is a ValueError that names
-    the key, and so is a value too large to build in memory.
+    the key, and so is a value too large to build in memory, and so is a
+    key that one object of the file repeats.
     """
-    doc = read_json_object(path, "config file")
+    return _scenario_from_doc(read_json_object(path, "config file"))
+
+
+def _scenario_from_doc(doc: dict) -> Scenario:
+    """The scenario of a parsed config document (``scenario_from_config``)."""
     _reject_unknown_keys(doc, _CONFIG_KEYS, "config key")
 
     def value(key, convert, *default):
@@ -577,6 +415,35 @@ def scenario_from_config(path: str | Path) -> Scenario:
         checks=value("checks", _checks_from_config),
         step=value("step", _valid(_NUMBER, float), DEFAULT_STEP),
     )
+
+
+# ---------------------------------------------------------------------------
+# built-in scenarios
+
+
+_REGISTRY: dict[str, Scenario] | None = None
+
+
+def builtin_scenarios() -> dict[str, Scenario]:
+    """The built-in scenarios by name, in the order of the package's
+    ``builtins.json``: a list of config documents, each built as
+    ``scenario_from_config`` builds a config file."""
+    global _REGISTRY
+    if _REGISTRY is None:
+        docs = read_json(Path(__file__).with_name("builtins.json"), "built-in scenario file")
+        _REGISTRY = {s.name: s for s in map(_scenario_from_doc, docs)}
+    return _REGISTRY
+
+
+def list_scenarios() -> list[Scenario]:
+    return list(builtin_scenarios().values())
+
+
+def get_scenario(name: str) -> Scenario:
+    reg = builtin_scenarios()
+    if name not in reg:
+        raise KeyError(f"unknown scenario: {name!r} (see the list subcommand)")
+    return reg[name]
 
 
 # ---------------------------------------------------------------------------

@@ -250,10 +250,27 @@ def sampled_field_from_json(doc: dict) -> CurvatureField:
     return sampled_field(grid, ops, label=str(doc.get("label", "sampled")))
 
 
-def read_json_object(path, what: str) -> dict:
-    """The JSON object in a UTF-8 file; ``what`` names the file."""
+def read_json(path, what: str):
+    """The JSON value in a UTF-8 file; ``what`` names the file. A key that
+    one object of the file repeats, at any depth, is a ValueError that
+    names it: ``json`` would keep its last value silently."""
+
+    def unique_keys(pairs: list) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ValueError(f"{what} repeats key {key!r} in one object")
+            doc[key] = value
+        return doc
+
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        return json.load(fh, object_pairs_hook=unique_keys)
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in a UTF-8 file (``read_json``); ``what`` names the
+    file."""
+    doc = read_json(path, what)
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must contain a JSON object")
     return doc

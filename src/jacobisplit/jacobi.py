@@ -198,7 +198,8 @@ class JacobiTrajectory:
     for a trajectory built by hand. ``derived`` keeps
     analyses that several checks of one run share, keyed by their inputs:
     the refined singular events (``"events"``, see ``singular_events``),
-    the splitting conclusions and the reductions of
+    the Riccati series (``"riccati"``, see ``riccati_series``), the
+    splitting conclusions and the reductions of
     ``reduction.shared_reduction``. Each is computed once and dropped
     together with the trajectory.
     """
@@ -721,7 +722,16 @@ def riccati(traj: JacobiTrajectory, t: float) -> np.ndarray:
 
 
 def riccati_series(traj: JacobiTrajectory) -> tuple[np.ndarray, np.ndarray]:
-    """(regular-node mask, S per node) with NaN blocks at singular nodes."""
+    """(regular-node mask, S per node) with NaN blocks at singular nodes.
+    Kept in ``traj.derived``, so the reduction and the scalar traces of
+    one run solve for it once; both arrays are read-only."""
+    if "riccati" not in traj.derived:
+        traj.derived["riccati"] = _riccati_nodes(traj)
+    return traj.derived["riccati"]
+
+
+def _riccati_nodes(traj: JacobiTrajectory) -> tuple[np.ndarray, np.ndarray]:
+    """The Riccati series of ``riccati_series``, computed."""
     reg = traj.regular
     d = traj.dim
     s = np.full((traj.n_nodes, d, d), np.nan)
@@ -729,6 +739,7 @@ def riccati_series(traj: JacobiTrajectory) -> tuple[np.ndarray, np.ndarray]:
         yt = np.transpose(traj.y[reg], (0, 2, 1))
         ydt = np.transpose(traj.yd[reg], (0, 2, 1))
         s[reg] = np.transpose(np.linalg.solve(yt, ydt), (0, 2, 1))
+    s.flags.writeable = False
     return reg, s
 
 

@@ -41,6 +41,47 @@ def test_registry_contents():
         js.get_scenario("nope")
 
 
+BUILTINS = Path(js.cli.__file__).with_name("builtins.json")
+
+
+def test_each_builtin_document_runs_alone_as_a_config_file(tmp_path):
+    docs = json.loads(BUILTINS.read_text(encoding="utf-8"))
+    assert [doc["name"] for doc in docs] == [sc.name for sc in js.list_scenarios()]
+    for doc in docs:
+        config = tmp_path / f"{doc['name']}.json"
+        config.write_text(json.dumps(doc))
+        by_name, by_config = tmp_path / "by-name", tmp_path / "by-config"
+        assert js.main(["run", doc["name"], "--out", str(by_name)]) == 0
+        assert js.main(["run", "--config", str(config), "--out", str(by_config)]) == 0
+        report = f"{doc['name']}-report.json"
+        assert (by_config / report).read_bytes() == (by_name / report).read_bytes(), doc["name"]
+
+
+def test_random_builtin_draws_have_the_documented_spectra():
+    """Each ``random-selfadjoint-i`` starts at ``y0 = I`` with a symmetric
+    ``yd0`` whose free eigenvalues lie in [-2, 2] at least 0.3 apart; odd
+    ``i`` adds one eigenvalue ``cot(alpha)``, one sine-type member."""
+    for i in range(10):
+        sc = js.get_scenario(f"random-selfadjoint-{i}")
+        assert sc.alpha == 0.2
+        assert np.array_equal(sc.y0, np.eye(3))
+        assert np.allclose(sc.yd0, sc.yd0.T, rtol=0.0, atol=1e-15)
+        eigs = np.linalg.eigvalsh(sc.yd0)
+        pinned = np.isclose(eigs, 1.0 / np.tan(sc.alpha), rtol=1e-13, atol=0.0)
+        assert pinned.sum() == i % 2, (i, eigs)
+        free = eigs[~pinned]
+        assert np.all(np.abs(free) <= 2.0), (i, eigs)
+        assert np.all(np.diff(free) >= 0.3), (i, eigs)
+
+
+def test_package_data_declares_the_builtins():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    globs = config["tool"]["setuptools"]["package-data"]["jacobisplit"]
+    assert any(BUILTINS in BUILTINS.parent.glob(pattern) for pattern in globs), globs
+
+
 def test_checkspec_validation():
     with pytest.raises(ValueError, match="unknown check kind"):
         js.CheckSpec("frobnicate", {}, "verified")
@@ -210,11 +251,24 @@ def test_scenario_from_config_bad_field(tmp_path):
 # -------------------------------------------------------------- CLI
 
 
+LISTING = """\
+sphere-zero                  round unit sphere, family vanishing at the start
+flat-parallel                flat space, constant parallel family
+product-s2xr2                product of a round 2-sphere with a flat plane
+cp2-zero                     complex projective plane, family vanishing at the start
+example-nonselfadjoint       rotating family on the sphere with nonvanishing Wronskian
+example-shifted-sine         shifted sine family on the sphere violating the boundary bound
+hopf-holonomy                holonomy-twisted family on the sphere with a one-dim vertical subfamily
+""" + "".join(
+    f"random-selfadjoint-{i:<9d} randomized self-adjoint family on the unit-curvature model"
+    + (" (one sine-type eigenvalue)\n" if i % 2 else "\n")
+    for i in range(10)
+)
+
+
 def test_cli_list(capsys):
     assert js.main(["list"]) == 0
-    out = capsys.readouterr().out
-    for name in NAMED:
-        assert name in out
+    assert capsys.readouterr().out == LISTING
 
 
 def test_cli_run_writes_report(tmp_path, capsys):
@@ -620,10 +674,12 @@ def test_rank_deficient_psi_exits_two_before_integration(tmp_path, capsys, monke
 
 def test_traced_run_integrates_and_reduces_once(tmp_path, monkeypatch):
     import jacobisplit.cli as cli
+    import jacobisplit.jacobi as jacobi
     import jacobisplit.reduction as reduction
 
-    calls = {"integrate": 0, "reduce": []}
+    calls = {"integrate": 0, "reduce": [], "riccati": 0}
     real_integrate, real_reduce = cli.integrate, reduction.reduce
+    real_riccati = jacobi._riccati_nodes
 
     def counting_integrate(*args, **kwargs):
         calls["integrate"] += 1
@@ -633,13 +689,20 @@ def test_traced_run_integrates_and_reduces_once(tmp_path, monkeypatch):
         calls["reduce"].append(np.asarray(psi_basis).tobytes())
         return real_reduce(traj, psi_basis, *args, **kwargs)
 
+    def counting_riccati(traj):
+        calls["riccati"] += 1
+        return real_riccati(traj)
+
     monkeypatch.setattr(cli, "integrate", counting_integrate)
     monkeypatch.setattr(reduction, "reduce", counting_reduce)
+    monkeypatch.setattr(jacobi, "_riccati_nodes", counting_riccati)
     assert js.main(["run", "hopf-holonomy", "--traces", "--out", str(tmp_path)]) == 0
     assert calls["integrate"] == 1
     # hce and reduced-boundary name the same psi: one reduction serves both
     # checks and the two reduction traces
     assert len(calls["reduce"]) == len(set(calls["reduce"])) == 1
+    # the reduction and the scalar traces read one Riccati series
+    assert calls["riccati"] == 1
 
     n_nodes = json.loads((tmp_path / "hopf-holonomy-report.json").read_text())["n_nodes"]
     d = 2
@@ -655,6 +718,35 @@ def test_traced_run_integrates_and_reduces_once(tmp_path, monkeypatch):
         lines = (tmp_path / f"hopf-holonomy-{name}.csv").read_text().splitlines()
         assert lines[comment_lines].split(",") == header, name
         assert len(lines) == comment_lines + 1 + n_nodes, name
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ('"step": 0.001,', '"step": 0.001, "step": 0.002,', "step"),
+        ('"alpha": 0.3,', '"alpha": 0.3, "alpha": 5.0,', "alpha"),
+        ('{"alpha": 0.3}', '{"alpha": 0.3, "alpha": 0.4}', "alpha"),
+    ],
+)
+def test_cli_exit_two_on_a_repeated_config_key(tmp_path, capsys, monkeypatch, old, new, key):
+    monkeypatch.setattr(js.cli, "integrate", _no_integration)
+    text = CONFIG.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(old, new))
+    assert js.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"error: config file repeats key {key!r} in one object" in capsys.readouterr().err
+
+
+def test_cli_exit_two_on_a_repeated_sampled_field_file_key(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(js.cli, "integrate", _no_integration)
+    field_path = tmp_path / "field.json"
+    field_path.write_text(json.dumps(SAMPLED).replace('"n": 3,', '"n": 3, "n": 2,'))
+    field = {"kind": "sampled", "path": str(field_path)}
+    path = _example_with(tmp_path, lambda doc: doc.update(field=field))
+    assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'field': sampled-field file repeats key 'n' in one object" in err, err
 
 
 def test_sampled_field_file_n_must_be_an_integer(tmp_path, capsys, monkeypatch):

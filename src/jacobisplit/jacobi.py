@@ -40,13 +40,14 @@ and ``ceil(log2 B)`` batched products ``E_{m+j} = E_m + E_j + E_m E_j`` for
 of every step from one vectorized RK4 step per chunk of steps, and composes
 them block by block, ``E_{i+1} = S_i + E_i + S_i E_i``, all blocks at once.
 Pass 2 takes the block starts ``Phi_b``, and pass 3 ``Phi`` at node i of
-block b as ``[E_i, I] [Phi_b; Phi_b]``, one rank-4 product per run; row k
-of ``Y`` is then ``a Y0[k] + b Yd0[k]`` and of ``Yd`` ``a' Y0[k] + b'
-Yd0[k]``, one rank-2 product per run and output array. The trajectory
-keeps ``Phi`` as its ``row_solutions``, from which the span tests of
-``splitting`` read the family in ``O(N d)``. Any other field takes the full
-``2d x 2d`` scan. Propagators are held in increment form ``E = P - I`` and
-advanced as ``E <- E + inc(I + E)``, ``E_m + E_j + E_m E_j`` is the
+block b as ``[E_i, I] [Phi_b; Phi_b]``, one rank-4 product per run. The
+trajectory keeps ``Phi`` as its ``row_solutions`` and forms ``Y`` and
+``Yd`` only where they are read: row k of ``Y`` is ``a Y0[k] + b Yd0[k]``
+and of ``Yd`` ``a' Y0[k] + b' Yd0[k]``, one rank-2 product per run
+(``JacobiTrajectory.nodes``), and the step norms and the span tests of
+``splitting`` read ``Phi`` itself in ``O(N d)``. Any other field takes the
+full ``2d x 2d`` scan. Propagators are held in increment form ``E = P -
+I`` and advanced as ``E <- E + inc(I + E)``, ``E_m + E_j + E_m E_j`` is the
 increment form of ``(I + E_m)(I + E_j)``, and the identity of a pass-3 row
 adds the block start, so the ``O(h)`` per-step changes are never rounded
 against the identity; forming ``P`` itself loses about a digit on fine
@@ -59,10 +60,10 @@ self-adjointness certificate), detection and refinement of singular
 times (instants where ``Y`` drops rank; a sign change of ``det Y`` is
 refined by the Illinois method), and the node rule and report of the
 central-difference residual checks in ``reduction``. Each trajectory
-analysis evaluates the nodes it reads and no others. One pass takes the
-step norms ``||Y_{j+1} - Y_j||_F``, and by Weyl's inequality they bound
-every singular value of ``Y`` at a node from its value at another node by
-the path length between them. The nodes are certified level by level, in
+analysis evaluates the nodes it reads and no others. The step norms
+``||Y_{j+1} - Y_j||_F``, from ``Phi`` for a diagonal field, bound by
+Weyl's inequality every singular value of ``Y`` at a node from its value
+at another node by the path length between them. The nodes are certified level by level, in
 blocks of 256, 32 and 8 (``_certify``), and none is evaluated twice. The
 singular values of ``Y`` (``JacobiTrajectory.svals``) are one LAPACK SVD
 of ``Y`` at every node that may hold the grid maximum or whose lower
@@ -83,7 +84,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -182,20 +183,30 @@ class FamilySpec:
         return self.field.dim
 
 
-@dataclass(eq=False)
 class JacobiTrajectory:
     """Integrated family: node times plus (Y, Yd) matrices per node.
 
+    ``y`` and ``yd`` are the ``(N+1, d, d)`` arrays of every node. A
+    trajectory built by hand passes them in, and ``integrate`` keeps them
+    for a field that is not diagonal. For a diagonal field ``integrate``
+    keeps only ``row_solutions``, ``(Phi, run)``: the fundamental solutions
+    ``Phi = [[a, b], [a', b']]``, ``(N+1, runs, 2, 2)``, of the scalar
+    equations of its runs of equal rows, and the run of every row, so that
+    row k of ``Y`` is ``a Y0[k] + b Yd0[k]`` and of ``Yd`` is ``a' Y0[k] +
+    b' Yd0[k]`` with the run ``run[k]``'s ``Phi``. Such a trajectory forms
+    ``Y`` and ``Yd`` on read: ``nodes`` at the nodes a caller asks for, and
+    ``y`` and ``yd`` the full arrays on first read, which it then keeps;
+    both have the bits of one product (``_form``). Every analysis that
+    decides a splitting, rigidity or vanishing-floor verdict reads nodes
+    or ``Phi`` (the step norms, the span tests of
+    ``splitting._span_from_test`` and the orthogonality residual), so only
+    ``riccati_series``, ``reduction.reduce`` and ``export_csv`` form the
+    full arrays. ``row_solutions`` is None for any other field and for a
+    trajectory built by hand.
+
     ``field_spectrum`` holds the ascending eigenvalues of the curvature
     operator at every node, which every floor, the rigidity check's ``R =
-    id`` test and the scalar traces' ``tr R`` read. For a diagonal field,
-    ``row_solutions`` is ``(Phi, run)``: the fundamental solutions ``Phi =
-    [[a, b], [a', b']]``, ``(N+1, runs, 2, 2)``, of the scalar equations of
-    its runs of equal rows, and the run of every row, so that row k of
-    ``Y`` is ``a Y0[k] + b Yd0[k]`` and of ``Yd`` is ``a' Y0[k] + b'
-    Yd0[k]`` with the run ``run[k]``'s ``Phi``; the span tests read them
-    (``splitting._span_from_test``). It is None for any other field and
-    for a trajectory built by hand. ``derived`` keeps
+    id`` test and the scalar traces' ``tr R`` read. ``derived`` keeps
     analyses that several checks of one run share, keyed by their inputs:
     the refined singular events (``"events"``, see ``singular_events``),
     the Riccati series (``"riccati"``, see ``riccati_series``), the
@@ -204,17 +215,100 @@ class JacobiTrajectory:
     together with the trajectory.
     """
 
-    spec: FamilySpec
-    step: float  # effective step (window span / node count)
-    times: np.ndarray  # (N+1,)
-    y: np.ndarray  # (N+1, d, d)
-    yd: np.ndarray  # (N+1, d, d)
-    row_solutions: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    derived: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(
+        self,
+        spec: FamilySpec,
+        step: float,
+        times: np.ndarray,
+        y: np.ndarray | None = None,
+        yd: np.ndarray | None = None,
+        row_solutions: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
+        self.spec = spec
+        self.step = step  # effective step (window span / node count)
+        self.times = times  # (N+1,)
+        self.row_solutions = row_solutions
+        self.derived: dict = {}
+        self._pair = None  # (j, Y, Yd) at the nodes j and j + 1 interpolate read last
+        # given arrays stand in for the formed ones of the cached properties
+        if y is not None:
+            self.y = y
+        if yd is not None:
+            self.yd = yd
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        """Y at every node, ``(N+1, d, d)``, formed from ``row_solutions``
+        on first read."""
+        return self._form(np.arange(self.n_nodes), (0,))[0]
+
+    @cached_property
+    def yd(self) -> np.ndarray:
+        """Yd at every node, ``(N+1, d, d)``, formed from ``row_solutions``
+        on first read."""
+        return self._form(np.arange(self.n_nodes), (1,))[0]
+
+    def nodes(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """``(Y, Yd)`` at the node ``idx`` or at an array of nodes: rows of
+        ``y`` and ``yd`` where those are formed, else formed from
+        ``row_solutions`` at these nodes only, with the same bits. Node 0
+        alone, where the gates read, is the initial data itself."""
+        if self.row_solutions is None or {"y", "yd"} <= vars(self).keys():
+            return self.y[idx], self.yd[idx]
+        at = np.asarray(idx)
+        if at.ndim == 0:
+            if at == 0:
+                return self.spec.y0, self.spec.yd0
+            y, yd = self._form(at.reshape(1))
+            return y[0], yd[0]
+        return tuple(self._form(at))
+
+    @cached_property
+    def _runs(self) -> list[tuple[int, int, np.ndarray]]:
+        """``(lo, hi, [vec Y0[lo:hi]; vec Yd0[lo:hi]])`` of every run of
+        equal rows, in order: rows ``lo .. hi - 1`` share one ``Phi``."""
+        run = self.row_solutions[1]
+        cuts = [0, *np.flatnonzero(np.diff(run)) + 1, len(run)]
+        y0, yd0 = self.spec.y0, self.spec.yd0
+        return [
+            (lo, hi, np.stack([y0[lo:hi].ravel(), yd0[lo:hi].ravel()]))
+            for lo, hi in zip(cuts[:-1], cuts[1:])
+        ]
+
+    def _form(self, idx: np.ndarray, parts=(0, 1)) -> list[np.ndarray]:
+        """Rows ``idx`` of ``Y`` (part 0) and of ``Yd`` (part 1), for each of
+        ``parts``, from ``row_solutions``: per run, the rank-2 product of
+        ``[a, b]`` (or ``[a', b']``) with ``[vec Y0; vec Yd0]``, written
+        straight into the output, and the initial data itself at node 0.
+
+        The rows go to the product in groups of ``32 _CHUNK / d^2``, or of
+        all of them when fewer, but never one alone; the last group is
+        padded with copies of the last row. BLAS rounds a row the same way
+        in every product that small, while one row alone takes a
+        matrix-vector product and a much larger product may take another
+        kernel; so a row has the same bits however many are formed."""
+        phi = self.row_solutions[0]
+        d, k = self.dim, len(idx)
+        size = max(2, min(k, 32 * _CHUNK // (d * d)))
+        pad = -k % size
+        rows = np.concatenate([idx, np.repeat(idx[-1:], pad)]) if pad else idx
+        ab = phi[rows]  # (rows, runs, 2, 2)
+        origin = np.flatnonzero(idx == 0)
+        formed = []
+        for p in parts:
+            out = np.empty((len(rows), d, d))
+            flat = out.reshape(len(rows), d * d)
+            for r, (lo, hi, y0yd0) in enumerate(self._runs):
+                dest = flat[:, lo * d : hi * d].reshape(-1, size, (hi - lo) * d)
+                np.matmul(ab[:, r, p].reshape(-1, size, 2), y0yd0, out=dest)
+            if origin.size:
+                out[origin] = (self.spec.y0, self.spec.yd0)[p]
+            formed.append(out[:k])
+        return formed
 
     @property
     def dim(self) -> int:
-        return self.y.shape[1]
+        return self.spec.dim if self.spec is not None else self.y.shape[1]
 
     @property
     def alpha(self) -> float:
@@ -245,21 +339,47 @@ class JacobiTrajectory:
         return table[mask] if len(table) > 1 else table[: int(mask.any())]
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
     def _step_norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(||Y_{j+1} - Y_j||_F, ||Yd_j||_F)`` at every node j, from one
-        chunked pass; the step norm is zero at the last node. ``integrate``
-        tests the family's finiteness on them, ``svals`` bounds its nodes
+        """``(||Y_{j+1} - Y_j||_F, ||Yd_j||_F)`` at every node j; the step
+        norm is zero at the last node. ``integrate`` tests a family that
+        is not diagonal for finiteness on them, ``svals`` bounds its nodes
         with them (``_certify``), and ``stacked_bound`` reads the largest
-        ``||Yd_j||_F``."""
-        y, yd = self.y, self.yd
-        n = len(y)
-        dy, ydn = np.zeros(n), np.empty(n)
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n - 1)  # the steps of the chunk; none at the last node
-            block = yd[lo : lo + _CHUNK]
-            ydn[lo : lo + _CHUNK] = np.einsum("nij,nij->n", block, block)
-            diff = y[lo + 1 : hi + 1] - y[lo:hi]
-            dy[lo:hi] = np.einsum("nij,nij->n", diff, diff)
+        ``||Yd_j||_F``.
+
+        With ``row_solutions`` they come from ``Phi`` in ``O(N runs)``: on
+        the rows of a run, ``Y_{j+1} - Y_j`` is ``[vec Y0, vec Yd0] (da,
+        db)``, whose norm is ``||R (da, db)||`` for the run's ``2 x 2``
+        triangular factor ``R`` of ``[vec Y0, vec Yd0]``, and ``||Yd_j||``
+        is the same with ``(a', b')``; no square is cancelled against
+        another. They are the norms of the family that ``Phi`` gives
+        exactly; a formed node is off it by its own rounding, ``eps (|a|
+        ||Y0|| + |b| ||Yd0||)`` on a run's rows, which the ``_SLACK``
+        widening of ``svals`` covers as it covers the SVD's own error.
+        Otherwise they come from one chunked pass over ``Y`` and ``Yd``."""
+        n = self.n_nodes
+        dy, ydn = np.zeros(n), np.zeros(n)
+        if self.row_solutions is None:
+            y, yd = self.y, self.yd
+            for lo in range(0, n, _CHUNK):
+                hi = min(lo + _CHUNK, n - 1)  # the steps of the chunk; none at the last node
+                block = yd[lo : lo + _CHUNK]
+                ydn[lo : lo + _CHUNK] = np.einsum("nij,nij->n", block, block)
+                diff = y[lo + 1 : hi + 1] - y[lo:hi]
+                dy[lo:hi] = np.einsum("nij,nij->n", diff, diff)
+        else:
+            phi = self.row_solutions[0]
+            for r, (_, _, start) in enumerate(self._runs):
+                rt = np.linalg.qr(start.T, mode="r")
+                ab = np.ascontiguousarray(phi[:, r].reshape(n, 4).T)  # a, b, a', b'
+                steps = rt @ np.diff(ab[:2], axis=1)
+                slopes = rt @ ab[2:]
+                # in place: on this scale a fresh temporary costs more than
+                # the arithmetic in it
+                for sq, total in ((steps, dy[:-1]), (slopes, ydn)):
+                    np.square(sq, out=sq)
+                    for row in sq:
+                        total += row
         return np.sqrt(dy, out=dy), np.sqrt(ydn, out=ydn)
 
     @cached_property
@@ -293,19 +413,23 @@ class JacobiTrajectory:
         refine to a singular event: a refined time stays within one step of
         its node, where the lower bound holds.
 
-        Each evaluated node is one LAPACK SVD of Y, ``_CHUNK`` nodes at a
-        time, whose error of order ``d eps scale`` the ``_SLACK`` widening
-        covers."""
-        n, d = self.y.shape[:2]
+        Each evaluated node is one LAPACK SVD of Y, whose error of order ``d
+        eps scale`` the ``_SLACK`` widening covers. The nodes are read by
+        ``nodes`` and sent to the SVD ``32 _CHUNK / d^2`` at a time, so each
+        temporary holds at most ``32 _CHUNK`` floats."""
+        n, d = self.n_nodes, self.dim
         dy, ydn = self._step_norms
         # r[j] bounds the interpolant on the interval from node j to node j + 1;
         # r_node is the larger r of the two intervals at each node
         r = dy[:-1] + (4.0 / 27.0) * np.diff(self.times) * (ydn[:-1] + ydn[1:])
         r_node = np.maximum(np.append(r, 0.0), np.insert(r, 0, 0.0))
         svals = np.full((n, d), np.nan)
+        per = max(1, 32 * _CHUNK // (d * d))
 
         def evaluate(idx):
-            svals[idx] = np.linalg.svd(self.y[idx], compute_uv=False)
+            for lo in range(0, len(idx), per):
+                part = idx[lo : lo + per]
+                svals[part] = np.linalg.svd(self.nodes(part)[0], compute_uv=False)
 
         def undecided(i, c, dist):
             top, bot = svals[c, 0], svals[c, -1]
@@ -323,7 +447,7 @@ class JacobiTrajectory:
         side = np.zeros(n, dtype=bool)
         side[near[near > 0] - 1] = True
         side[near[near < n - 1] + 1] = True
-        _in_chunks(evaluate, np.flatnonzero(side & np.isnan(svals[:, 0])))
+        evaluate(np.flatnonzero(side & np.isnan(svals[:, 0])))
         return svals
 
     @property
@@ -357,7 +481,7 @@ class JacobiTrajectory:
         the window start, ``sigma_max([y0; yd0])``: the size of the initial
         data that the Wronskian, read at ``alpha``, depends on. It is at
         most the grid maximum of ``sigma_max(Z)``."""
-        return float(np.linalg.svd(np.vstack([self.y[0], self.yd[0]]), compute_uv=False)[0])
+        return float(np.linalg.svd(np.vstack(self.nodes(0)), compute_uv=False)[0])
 
     @cached_property
     def stacked_bound(self) -> float:
@@ -384,7 +508,7 @@ class JacobiTrajectory:
             near[np.clip(cand + shift, 0, n - 1)] = True
         idx = np.flatnonzero(near)
         dets = np.full(n, np.nan)
-        dets[idx] = np.linalg.det(self._unit * self.y[idx])
+        dets[idx] = np.linalg.det(self._unit * self.nodes(idx)[0])
         return dets
 
     @cached_property
@@ -415,7 +539,7 @@ class JacobiTrajectory:
         if not (self.alpha - 1e-12 <= t <= self.end + 1e-12):
             raise ValueError(f"time {t} outside trajectory window")
         if self.n_nodes == 1:
-            return self.y[0].copy()
+            return self.nodes(0)[0].copy()
         j = int((t - self.alpha) / self.step)
         j = min(max(j, 0), self.n_nodes - 2)
         t0, t1 = self.times[j], self.times[j + 1]
@@ -425,7 +549,11 @@ class JacobiTrajectory:
         h10 = u * (1.0 - u) ** 2
         h01 = u * u * (3.0 - 2.0 * u)
         h11 = u * u * (u - 1.0)
-        return h00 * self.y[j] + h01 * self.y[j + 1] + h * (h10 * self.yd[j] + h11 * self.yd[j + 1])
+        if self._pair is None or self._pair[0] != j:
+            # an event's refinement probes one interval many times
+            self._pair = (j, *self.nodes(np.array([j, j + 1])))
+        _, y, yd = self._pair
+        return h00 * y[0] + h01 * y[1] + h * (h10 * yd[0] + h11 * yd[1])
 
 
 def nearest_node(times: np.ndarray, step: float, t: float) -> int:
@@ -443,9 +571,10 @@ def _certify(step, evaluate, undecided) -> None:
     ``step[i]`` is the path length from node i to node i + 1 (zero at the
     last node). Each level of ``_LEVELS`` cuts the nodes into blocks (the
     last may be short) and evaluates the centres of the blocks that still
-    hold an undecided node; ``undecided(i, c, dist)`` tells which undecided
-    nodes ``i`` stay so, bounded from their centre ``c`` at the path length
-    ``dist``. The nodes left after the last level are evaluated in one pass.
+    hold an undecided node, by ``evaluate(idx)``; ``undecided(i, c, dist)``
+    tells which undecided nodes ``i`` stay so, bounded from their centre
+    ``c`` at the path length ``dist``. The nodes left after the last level
+    are evaluated in one call.
 
     ``dist`` is the difference of the running sums of ``step`` at ``i`` and
     ``c``, widened by ``|i - c| eps`` times the larger of the two: each of
@@ -463,7 +592,7 @@ def _certify(step, evaluate, undecided) -> None:
         centre = first + np.minimum(size // 2, n - 1 - first)
         fresh = centre[np.logical_or.reduceat(todo, first)]
         fresh = fresh[~done[fresh]]
-        _in_chunks(evaluate, fresh)
+        evaluate(fresh)
         done[fresh] = True
         todo[fresh] = False
         i = np.flatnonzero(todo)
@@ -478,13 +607,7 @@ def _certify(step, evaluate, undecided) -> None:
         dist = np.abs(path[i] - path[c]) + np.abs(i - c) * np.finfo(float).eps * far
         keep = undecided(i, c, dist)
         todo[i[~keep]] = False
-    _in_chunks(evaluate, np.flatnonzero(todo))
-
-
-def _in_chunks(evaluate, idx) -> None:
-    """``evaluate`` the nodes ``idx``, ``_CHUNK`` nodes at a time."""
-    for lo in range(0, len(idx), _CHUNK):
-        evaluate(idx[lo : lo + _CHUNK])
+    evaluate(np.flatnonzero(todo))
 
 
 def _increments(y, yd, r0, rh, r1, h):
@@ -517,11 +640,20 @@ def _advance(e, r0, rh, r1, h):
     e[..., d:, :] += dyd
 
 
-def _scan(r, spec, ys, yds, n_steps, h) -> None:
+def _blocks(n_steps: int) -> tuple[int, int]:
+    """``(B, nb)``: the block length ``B = isqrt(N)`` of the blocked scan
+    of ``N`` steps and the number of blocks, the last of which may be
+    short."""
+    blk = math.isqrt(n_steps)
+    return blk, -(-n_steps // blk)
+
+
+def _scan(r, spec, n_steps, h) -> tuple[np.ndarray, np.ndarray]:
     """The blocked scan of ``integrate`` on ``2d x 2d`` propagators, with the
-    field ``r`` at all ``2 N + 1`` stages, writing the blocks ``ys`` and
-    ``yds`` of shape ``(nb, blk, d, d)`` in place."""
-    nb, blk, d = ys.shape[:3]
+    field ``r`` at all ``2 N + 1`` stages; returns ``Y`` and ``Yd`` at the
+    ``N + 1`` nodes."""
+    blk, nb = _blocks(n_steps)
+    d = spec.dim
     first = blk * np.arange(nb)  # first step of every block
     # pass 1: the propagator of every block but the last, E_b = P_b - I
     e = np.zeros((nb - 1, 2 * d, 2 * d))
@@ -533,7 +665,14 @@ def _scan(r, spec, ys, yds, n_steps, h) -> None:
     z[0, :d], z[0, d:] = spec.y0, spec.yd0
     for b in range(nb - 1):
         z[b + 1] = z[b] + e[b] @ z[b]
-    # pass 3: every block from its start, all blocks at once
+    # pass 3: every block from its start, all blocks at once; node b*blk + i
+    # of block b sits at ys[b, i - 1], and the last block's rows past node
+    # n_steps are padding, cut off on return
+    y = np.empty((nb * blk + 1, d, d))
+    yd = np.empty_like(y)
+    y[0], yd[0] = spec.y0, spec.yd0
+    ys = y[1:].reshape(nb, blk, d, d)
+    yds = yd[1:].reshape(nb, blk, d, d)
     yb, ydb = z[:, :d], z[:, d:]
     for i in range(blk):
         # steps past n_steps (last block only) reread the last step's field
@@ -541,22 +680,23 @@ def _scan(r, spec, ys, yds, n_steps, h) -> None:
         dy, dyd = _increments(yb, ydb, r[s], r[s + 1], r[s + 2], h)
         yb, ydb = yb + dy, ydb + dyd
         ys[:, i], yds[:, i] = yb, ydb
+    return y[: n_steps + 1], yd[: n_steps + 1]
 
 
-def _scalar_scan(rows, spec, ys, yds, n_steps, h) -> tuple[np.ndarray, np.ndarray]:
+def _scalar_scan(rows, n_steps, h) -> tuple[np.ndarray, np.ndarray]:
     """The blocked scan of ``integrate`` for a diagonal field on scalar
     ``2 x 2`` maps, with row k of the field, ``rows[k]``, at one stage (a
-    constant field) or at all ``2 N + 1``; writes ``ys`` and ``yds`` as
-    ``_scan`` does and returns the trajectory's ``row_solutions``.
+    constant field) or at all ``2 N + 1``; returns the trajectory's
+    ``row_solutions``.
 
     Adjacent rows whose entries agree at every stage form a run and share
     one scalar equation ``y'' = -e_r(t) y``, whose fundamental solution
     ``Phi = [[a, b], [a', b']]``, ``I`` at ``alpha``, the three passes
-    carry; row k of ``Y`` and ``Yd`` is then ``[a, b]`` and ``[a', b']``
-    times ``[Y0[k]; Yd0[k]]``. ``maps[i - 1, :, :, r, b]`` is the ``2 x 2``
-    ``E_i = P_i - I`` of the first ``i = 1 .. blk`` steps of block b and run
-    r; a constant field has one block for all."""
-    nb, blk, d = ys.shape[:3]
+    carry. ``maps[i - 1, :, :, r, b]`` is the ``2 x 2`` ``E_i = P_i - I``
+    of the first ``i = 1 .. blk`` steps of block b and run r; a constant
+    field has one block for all."""
+    blk, nb = _blocks(n_steps)
+    d = len(rows)
     cuts = [0, *np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1, d]
     rows = rows[cuts[:-1]]  # one row per run
     runs = len(rows)
@@ -606,20 +746,19 @@ def _scalar_scan(rows, spec, ys, yds, n_steps, h) -> tuple[np.ndarray, np.ndarra
     for b in range(nb - 1):
         z[b + 1] = z[b] + e[b] @ z[b]
     # pass 3: Phi at node i of block b is [E_i, I] [Phi_b; Phi_b], one
-    # rank-4 product per run, whose identity adds the block start; row k of
-    # Y and Yd is then one rank-2 product per run and output array
+    # rank-4 product per run, whose identity adds the block start. Its
+    # coefficients [E_i, I] of every run are one array, built by a single
+    # copy of the maps whose columns (i, row) are contiguous, and read as the
+    # transposed factor of the product
+    coef = np.zeros((runs, maps.shape[-1], 4, blk, 2))  # (run, block, column, i, row)
+    coef[:, :, :2] = maps.transpose(3, 4, 2, 0, 1)
+    coef[:, :, 2, :, 0] = coef[:, :, 3, :, 1] = 1.0
     store = np.empty((runs, nb * blk + 1, 2, 2))
     store[:, 0] = np.eye(2)
-    coef = np.zeros((maps.shape[-1], blk, 2, 4))
-    coef[..., 2:] = np.eye(2)
-    for r, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-        coef[..., :2] = maps[:, :, :, r].transpose(3, 0, 1, 2)
-        phi = store[r, 1:].reshape(nb, blk, 2, 2)
+    for r in range(runs):
+        phi = store[r, 1:].reshape(nb, 2 * blk, 2)
         twice = np.tile(z[:, r], (1, 2, 1))  # [Phi_b; Phi_b]
-        np.matmul(coef.reshape(-1, 2 * blk, 4), twice, out=phi.reshape(nb, 2 * blk, 2))
-        start = np.stack([spec.y0[lo:hi].ravel(), spec.yd0[lo:hi].ravel()])
-        for p, out in enumerate((ys, yds)):
-            np.matmul(phi[:, :, p], start, out=out[:, :, lo:hi].reshape(nb, blk, (hi - lo) * d))
+        np.matmul(coef[r].reshape(-1, 4, 2 * blk).transpose(0, 2, 1), twice, out=phi)
     run = np.repeat(np.arange(runs), np.diff(cuts))
     return store.transpose(1, 0, 2, 3)[: n_steps + 1], run
 
@@ -635,14 +774,18 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
     instead, one per run of rows with equal entries: a constant one from one
     step, whose ``B`` block powers come by doubling, a time-varying one from
     the maps of all steps, about ``_CHUNK`` steps per RK4 step, composed
-    block by block; each run's fundamental solution is kept as the
-    trajectory's ``row_solutions`` and writes its rows by one rank-2
-    product per output array. The field values at the nodes also give the
-    trajectory's ``field_spectrum``, so no check evaluates the field
-    again. A family that overflows is a ValueError naming the first node
-    that is not finite, tested on the step norms that ``svals`` reads and
-    node by node only when one is not finite; a grid larger than numpy can
-    index is a MemoryError, raised before allocating."""
+    block by block. Its trajectory keeps each run's fundamental solution
+    as its ``row_solutions`` and forms ``Y`` and ``Yd`` only where they are
+    read (``JacobiTrajectory.nodes``). The field values at the nodes also
+    give the trajectory's ``field_spectrum``, so no check evaluates the
+    field again.
+
+    A family that overflows is a ValueError naming the first node that is
+    not finite. The nodes are tested chunk by chunk, and only when a cheap
+    test cannot vouch for them: for a diagonal field, the bound ``max|Phi|
+    (max|Y0| + max|Yd0|)`` on every entry of ``Y`` and ``Yd`` reaching half
+    the float range; for any other, a step norm that is not finite. A grid
+    larger than numpy can index is a MemoryError, raised before allocating."""
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     span = spec.end - spec.alpha
@@ -666,35 +809,33 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
     # the node spectrum, before Y and Yd exist, so eigvalsh's copy of the
     # node values does not add to their peak
     spectrum = node_spectrum(r[::2], None if diag is None else diag[::2])
-    blk = math.isqrt(n_steps)
-    nb = -(-n_steps // blk)
-    # node b*blk + i of block b sits at ys[b, i - 1]; the last block's rows
-    # past node n_steps are padding, cut off on return
-    y = np.empty((nb * blk + 1, d, d))
-    yd = np.empty_like(y)
-    y[0], yd[0] = spec.y0, spec.yd0
-    ys = y[1:].reshape(nb, blk, d, d)
-    yds = yd[1:].reshape(nb, blk, d, d)
     if diag is None:
-        _scan(np.broadcast_to(r, (stages.size, d, d)), spec, ys, yds, n_steps, h)
-        row_solutions = None
+        y, yd = _scan(np.broadcast_to(r, (stages.size, d, d)), spec, n_steps, h)
+        traj = JacobiTrajectory(spec, h, times, y, yd)
+        # Y_0 is finite, so the step norms are all finite only if Y and Yd
+        # are; a sum of squares may overflow on finite values
+        vouched = np.isfinite(traj._step_norms).all()
     else:
         # the entries by row, (d, 1 or 2 N + 1); nothing else of the field is
         # read, so its array of (d, d) matrices is freed before the maps are built
         rows = np.ascontiguousarray(diag.T)
         del r, diag
-        row_solutions = _scalar_scan(rows, spec, ys, yds, n_steps, h)
-    m = n_steps + 1
-    traj = JacobiTrajectory(spec, h, times, y[:m], yd[:m], row_solutions=row_solutions)
+        phi, run = _scalar_scan(rows, n_steps, h)
+        traj = JacobiTrajectory(spec, h, times, row_solutions=(phi, run))
+        # each entry of Y and Yd is p y0 + q yd0 for entries p, q of Phi and
+        # y0, yd0 of the initial data, so at most (1 + 2 eps) times this bound
+        # whatever the rounding of the product: a bound below half the float
+        # range leaves all of them finite, and NaN in Phi fails the test
+        top = max(phi.max(), -phi.min()) * (np.abs(spec.y0).max() + np.abs(spec.yd0).max())
+        vouched = np.isfinite(2.0 * top)
     traj.field_spectrum = spectrum  # the cached_property's value
-    # Y_0 is finite, so the step norms that svals reads are all finite only
-    # if Y and Yd are; a sum of squares may overflow on finite values, so
-    # the nodes are tested one by one then
-    if not np.isfinite(traj._step_norms).all():
-        finite = np.isfinite(traj.y).all(axis=(1, 2)) & np.isfinite(traj.yd).all(axis=(1, 2))
-        if not finite.all():
-            t_bad = times[np.argmin(finite)]
-            raise ValueError(f"the family is not finite from t={t_bad:.6g} on (overflow)")
+    if not vouched:
+        for lo in range(0, n_steps + 1, _CHUNK):
+            y, yd = traj.nodes(np.arange(lo, min(lo + _CHUNK, n_steps + 1)))
+            finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(yd).all(axis=(1, 2))
+            if not finite.all():
+                t_bad = times[lo + np.argmin(finite)]
+                raise ValueError(f"the family is not finite from t={t_bad:.6g} on (overflow)")
     return traj
 
 
@@ -704,8 +845,7 @@ def wronskian(traj: JacobiTrajectory, t: float) -> np.ndarray:
     W is conserved along the flow; W = 0 certifies that the family's
     Riccati operator is self-adjoint wherever it exists.
     """
-    j = traj.node_index(t)
-    yj, ydj = traj.y[j], traj.yd[j]
+    yj, ydj = traj.nodes(traj.node_index(t))
     return yj.T @ ydj - ydj.T @ yj
 
 
@@ -718,7 +858,8 @@ def riccati(traj: JacobiTrajectory, t: float) -> np.ndarray:
     j = traj.node_index(t)
     if not traj.regular[j]:
         raise SingularTimeError(traj.times[j])
-    return np.linalg.solve(traj.y[j].T, traj.yd[j].T).T
+    yj, ydj = traj.nodes(j)
+    return np.linalg.solve(yj.T, ydj.T).T
 
 
 def riccati_series(traj: JacobiTrajectory) -> tuple[np.ndarray, np.ndarray]:

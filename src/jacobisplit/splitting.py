@@ -126,8 +126,8 @@ def boundary_eigenvalue_gate(traj: JacobiTrajectory, alpha: float) -> dict:
         return out
     bound = math.cos(alpha) / math.sin(alpha) + TOL_EIG
     out["bound"] = bound
-    j = traj.node_index(alpha)
-    u, svals, vh = np.linalg.svd(traj.y[j])
+    y, yd = traj.nodes(traj.node_index(alpha))
+    u, svals, vh = np.linalg.svd(y)
     rank = int(np.sum(svals > TOL_SING * traj.scale))
     if rank == 0:
         out["note"] = "not evaluable: Y(alpha) has trivial image"
@@ -135,7 +135,7 @@ def boundary_eigenvalue_gate(traj: JacobiTrajectory, alpha: float) -> dict:
     if rank < traj.dim:
         out["note"] = f"quotient restriction to rank-{rank} image of Y(alpha)"
     # U_r^T Yd V_r Sigma_r^-1; at full rank U^T (Yd Y^-1) U, with its spectrum
-    s = u[:, :rank].T @ traj.yd[j] @ vh[:rank].T @ np.diag(1.0 / svals[:rank])
+    s = u[:, :rank].T @ yd @ vh[:rank].T @ np.diag(1.0 / svals[:rank])
     value = float(spectrum(s)[0][-1])
     out.update(value=value, margin=bound - value, passed=bool(value <= bound))
     return out
@@ -244,11 +244,11 @@ def _factored_test(traj: JacobiTrajectory, terms: tuple):
     Gram operator is ``sum_k [Y0[k]; Yd0[k]]^T [[sum P^2, sum PQ], [sum PQ,
     sum Q^2]]_k [Y0[k]; Yd0[k]]`` over the node count, and a candidate's
     worst residual is ``max_n ||P_n o (Y0 v) + Q_n o (Yd0 v)||``, read
-    ``32 _CHUNK / d`` nodes at a time; both cost ``O(N d)``."""
+    ``16 _CHUNK / d`` nodes at a time; both cost ``O(N d)``."""
     phi, run = traj.row_solutions
-    y0, yd0 = traj.y[0], traj.yd[0]
+    y0, yd0 = traj.nodes(0)
     n, d = len(phi), traj.dim
-    m = 32 * _CHUNK // d  # nodes per chunk, so each temporary holds 32 _CHUNK floats
+    m = 16 * _CHUNK // d  # nodes per chunk, so each temporary holds 16 _CHUNK floats
     chunks = [slice(lo, lo + m) for lo in range(0, n, m)]
 
     def series(col):  # sum_j w_j Phi[j, col], (N+1, runs)
@@ -320,22 +320,42 @@ def _orthogonality_residual(traj: JacobiTrajectory, zb: np.ndarray, pb: np.ndarr
     of the member norms, less a floor of ``1e-9`` times the squared family
     size over the grid (``stacked_bound``), so instants where a member
     vanishes do not divide by zero, and the residual does not change when
-    the family is scaled.
+    the family is scaled. The members are read ``_CHUNK`` nodes at a time
+    (``_members``).
     """
     if zb.shape[1] == 0 or pb.shape[1] == 0:
         return 0.0
     floor = 1e-9 * traj.stacked_bound * traj.stacked_bound
+    z_members, p_members = _members(traj, zb), _members(traj, pb)
     worst = 0.0
     for lo in range(0, traj.n_nodes, _CHUNK):  # a max over nodes, taken chunk by chunk
-        y = traj.y[lo : lo + _CHUNK]
-        vz = np.einsum("nij,jk->nik", y, zb)  # (chunk, d, mz)
-        vp = np.einsum("nij,jk->nik", y, pb)
+        chunk = slice(lo, lo + _CHUNK)
+        vz, vp = z_members(chunk), p_members(chunk)  # (chunk, d, m)
         inner = np.abs(np.einsum("nik,nil->nkl", vz, vp))
         nz = np.linalg.norm(vz, axis=1)[:, :, None]
         np_ = np.linalg.norm(vp, axis=1)[:, None, :]
         violation = (inner - floor) / np.maximum(nz * np_, 1e-300)
         worst = max(float(np.max(violation)), worst)
     return worst
+
+
+def _members(traj: JacobiTrajectory, basis: np.ndarray):
+    """The reader of ``Y c`` for every column ``c`` of ``basis`` at the
+    nodes of a chunk, ``(nodes, d, m)``. A trajectory of a diagonal field
+    reads its ``row_solutions`` as ``_factored_test`` does: row k is ``a
+    (Y0 c)[k] + b (Yd0 c)[k]`` with its run's ``Phi``; any other reads
+    ``Y``."""
+    if traj.row_solutions is None:
+        return lambda chunk: np.einsum("nij,jk->nik", traj.y[chunk], basis)
+    phi, run = traj.row_solutions
+    y0, yd0 = traj.nodes(0)
+    u, w = y0 @ basis, yd0 @ basis
+
+    def read(chunk):
+        ab = phi[chunk, :, 0][:, run]  # (nodes, d, 2): a and b of every row
+        return ab[:, :, :1] * u + ab[:, :, 1:] * w
+
+    return read
 
 
 def _zero_time_map(events: list[ZeroEvent], z_basis: np.ndarray) -> list[tuple[int, float]]:

@@ -277,6 +277,27 @@ def test_integrate_keeps_finite_values_whose_step_norms_overflow():
     assert_allclose(traj.y[:, 0, 0], 1e200 * np.cos(traj.times), rtol=0, atol=1e188)
 
 
+def test_integrate_forms_the_nodes_its_bound_cannot_vouch_for(monkeypatch):
+    # 1e308 cos(t): twice the bound max|Phi| (max|Y0| + max|Yd0|) overflows,
+    # so integrate forms the nodes chunk by chunk from the rows' scalar
+    # solutions, finds them finite and keeps no full array
+    reads = []
+    real_nodes = js.JacobiTrajectory.nodes
+
+    def counting_nodes(traj, idx):
+        reads.append(np.asarray(idx).copy())
+        return real_nodes(traj, idx)
+
+    monkeypatch.setattr(js.JacobiTrajectory, "nodes", counting_nodes)
+    traj = js.integrate(sphere_like(y0=1e308 * np.eye(2), yd0=np.zeros((2, 2))))
+    assert np.array_equal(np.concatenate(reads), np.arange(traj.n_nodes))
+    assert max(map(len, reads)) == jacobi._CHUNK
+    assert not {"y", "yd"} & vars(traj).keys()
+    reads.clear()
+    js.integrate(sphere_like(y0=1e300 * np.eye(2), yd0=np.zeros((2, 2))))
+    assert not reads
+
+
 def test_svals_leaves_nodes_past_an_overflowed_step_norm_undecided():
     # 1e200 cos(t): every step norm is inf, so no path length bounds a node,
     # and the events are those of the unit family
@@ -539,6 +560,25 @@ def test_spectra_memory_stays_near_one_trajectory():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * traj.y.nbytes
+
+
+def test_verdict_passes_form_no_full_array():
+    # a diagonal field's svals, stacked_bound and spans read Y and Yd at
+    # nodes or its rows' scalar solutions. What they keep, the (N+1, d)
+    # svals table first, is 1/d of one full Y; their working memory above
+    # it stays below a tenth of Y
+    traj = _d16_family(4e-4)
+    y_bytes = traj.n_nodes * traj.dim**2 * 8
+    tracemalloc.start()
+    try:
+        traj.svals, traj.stacked_bound
+        js.sine_span(traj), js.parallel_span(traj)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not {"y", "yd"} & vars(traj).keys()
+    assert kept < 0.1 * y_bytes
+    assert peak - kept < 0.1 * y_bytes
 
 
 def _steep_peak(n, at):

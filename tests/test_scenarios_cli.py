@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -670,6 +671,77 @@ def test_rank_deficient_psi_exits_two_before_integration(tmp_path, capsys, monke
     traj = js.integrate(js.get_scenario("hopf-holonomy").family(), step=0.1)
     with pytest.raises(ValueError, match="rank-deficient"):
         js.reduce(traj, np.array(psi, ndmin=2).T)
+
+
+def _mode_b_and_rigidity(name, fld, yd0):
+    """A family from ``Y = I`` and ``yd0`` on ``[0.2, pi]`` at step 1e-3,
+    with a mode-B and a rigidity check: every member that is not of sine
+    type vanishes inside the window, so B reads verified and rigidity
+    hypothesis-violated."""
+    alpha = 0.2
+    checks = (
+        js.CheckSpec("splitting", {"theorem": "B", "alpha": alpha}, "verified"),
+        js.CheckSpec("rigidity", {"alpha": alpha}, "hypothesis-violated"),
+    )
+    return js.Scenario(name, "", fld, alpha, math.pi, np.eye(fld.dim), yd0, checks)
+
+
+def test_verdict_path_forms_no_full_array(monkeypatch):
+    # a diagonal field's splitting, rigidity and vanishing-floor checks read
+    # Y and Yd at nodes and the rows' scalar solutions; only reduce and the
+    # traces form the full arrays
+    kept = []
+    real_integrate = js.cli.integrate
+
+    def keeping_integrate(*args, **kwargs):
+        kept.append(real_integrate(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(js.cli, "integrate", keeping_integrate)
+    rot = np.linalg.qr(np.random.default_rng(3).standard_normal((16, 16)))[0]
+    slopes = -np.cos(np.linspace(0.3, 2.4, 16)) / np.sin(np.linspace(0.3, 2.4, 16))
+    omega = np.sqrt([1.1, 1.15])
+    grid = np.linspace(0.2, math.pi, 64)
+    entries = 1.06 + 0.04 * np.sin(np.outer(grid, [1.0, 2.0, 3.0]))
+    families = [
+        _mode_b_and_rigidity(
+            "c-identity-d16", js.constant_sectional(17, 1.0), rot @ np.diag(slopes) @ rot.T
+        ),
+        _mode_b_and_rigidity(
+            "diagonal-d3",
+            js.diagonal_constant([1.0, 1.1, 1.15]),
+            np.diag([1.0 / math.tan(0.2), *(-omega / np.tan(omega * [1.0, 2.0]))]),
+        ),
+        _mode_b_and_rigidity(
+            "sampled-d3",
+            js.sampled_field(grid, entries[:, :, None] * np.eye(3)),
+            np.diag(-1.0 / np.tan([0.5, 1.2, 2.0])),
+        ),
+    ]
+    plain = [
+        sc
+        for sc in js.list_scenarios()
+        if not any(js.cli.CHECKS[check.kind].reduces for check in sc.checks)
+    ]
+    for sc in families + plain:
+        assert js.run_scenario(sc).all_matched, sc.name
+    assert len(kept) == len(families) + len(plain) == 3 + 16
+    for traj in kept:
+        assert traj.row_solutions is not None
+        assert not {"y", "yd"} & vars(traj).keys(), traj.spec.label
+
+
+@pytest.mark.parametrize("args", [["hopf-holonomy"], ["sphere-zero", "--traces"]])
+def test_cli_names_the_step_when_a_full_array_does_not_fit(tmp_path, capsys, monkeypatch, args):
+    # reduce and the trajectory trace form Y in full; when it does not fit,
+    # the run exits 2 like a grid too large to integrate
+    def no_room(traj):
+        raise MemoryError
+
+    monkeypatch.setattr(js.JacobiTrajectory, "y", property(no_room))
+    assert js.main(["run", *args, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: out of memory at step 0.001 (3143 nodes); give a larger --step" in err, err
 
 
 def test_traced_run_integrates_and_reduces_once(tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ from test_jacobi import _d16_family
 
 import jacobisplit as js
 from jacobisplit import cli, splitting
-from jacobisplit.jacobi import _CHUNK
+from jacobisplit.jacobi import _CHUNK, _SLACK
 from jacobisplit.splitting import splitting_verdict
 
 
@@ -279,6 +279,35 @@ def test_factored_spans_match_the_streamed_spans(case, n_steps):
         assert_allclose(fast.rejected_residual, ref.rejected_residual, rtol=1e-12, atol=ROUNDOFF)
     sine = js.sine_span(traj)
     assert sine.basis.shape[1] == 1 and abs(sine.basis[:, 0] @ v) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n_steps", [_CHUNK - 2, _CHUNK - 1, _CHUNK, 3 * _CHUNK + 7])
+@pytest.mark.parametrize("case", sorted(FACTORED_CASES))
+def test_node_reads_match_the_full_arrays(case, n_steps):
+    # a diagonal field's trajectory forms Y and Yd from its rows' scalar
+    # solutions: at the nodes asked for, then in full, with the same bits;
+    # its step norms and orthogonality residual read the solutions and match
+    # the ones streamed from the full arrays of a copy
+    fld = FACTORED_CASES[case][0](math.pi)
+    d = fld.dim
+    rng = np.random.default_rng(n_steps)
+    y0, yd0 = rng.standard_normal((2, d, d))
+    y0[0, 0] = -0.0  # node 0 is the initial data itself, its signed zeros too
+    traj = js.integrate(js.FamilySpec(fld, 0.0, math.pi, y0, yd0), step=math.pi / n_steps)
+    n = traj.n_nodes
+    reads = [rng.permutation(n)[:300], np.array([n - 1, 0, 1]), np.array([5, 6]), np.arange(n)]
+    read = [traj.nodes(idx) for idx in reads] + [traj.nodes(j) for j in (0, 1, n // 2, n - 1)]
+    assert not {"y", "yd"} & vars(traj).keys()
+    full = js.JacobiTrajectory(traj.spec, traj.step, traj.times, traj.y, traj.yd)
+    for idx, (y, yd) in zip(reads + [0, 1, n // 2, n - 1], read):
+        assert y.tobytes() == full.y[idx].tobytes() and yd.tobytes() == full.yd[idx].tobytes()
+    for fast, ref in zip(traj._step_norms, full._step_norms):
+        assert np.max(np.abs(fast - ref)) <= _SLACK * np.max(ref)
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    for k in range(1, d):
+        fast = splitting._orthogonality_residual(traj, q[:, :k], q[:, k:])
+        ref = splitting._orthogonality_residual(full, q[:, :k], q[:, k:])
+        assert fast == pytest.approx(ref, rel=1e-12, abs=ROUNDOFF)
 
 
 def test_spans_memory_stays_off_the_trajectory_scale():

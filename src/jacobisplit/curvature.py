@@ -13,8 +13,12 @@ function of time. Three kinds exist:
   interpolated entrywise between nodes; loadable from JSON.
 
 An evaluated field is diagonal when every off-diagonal entry is exactly
-zero (``diagonal_entries``); the integrator and the spectrum rule read
-that one test. ``node_spectrum`` turns evaluated values into the ascending
+zero (``diagonal_entries``). A field that is diagonal on its whole domain
+(the constant kinds, and a sampled field whose node operators are all
+diagonal) also evaluates its diagonals alone (``CurvatureField.diagonals``),
+with the bits of the matrices' diagonals, so neither the integrator nor the
+spectrum rule forms its matrices; ``field_values`` reads a field either
+way. ``node_spectrum`` turns evaluated values into the ascending
 eigenvalues at every node: the sorted diagonal of a diagonal field, equal
 to LAPACK's, and ``np.linalg.eigvalsh`` of any other. ``integrate`` keeps
 that table on the trajectory (``JacobiTrajectory.field_spectrum``), so the
@@ -69,13 +73,17 @@ class CurvatureField:
     for every ``t``.
 
     ``_eval`` maps a 1-D array of times to their node values, or to one
-    ``(d, d)`` array when the field does not depend on time.
+    ``(d, d)`` array when the field does not depend on time. ``_diag``, for
+    a field that is diagonal on its whole domain and None for any other,
+    maps them to the diagonals of those values alone, ``(len(times), d)``
+    or one ``(d,)`` array.
     """
 
     kind: str
     n: int  # ambient dimension; operators act on dimension n - 1
     label: str = ""
     _eval: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
+    _diag: Callable[[np.ndarray], np.ndarray] | None = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -96,6 +104,15 @@ class CurvatureField:
         out = self._eval(np.array([float(t)]))
         return out if out.ndim == 2 else out[0]
 
+    def diagonals(self, times) -> np.ndarray | None:
+        """The diagonals of ``matrices(times)``, shape ``(len(times), d)`` or
+        ``(1, d)``, without forming the matrices, for a field that is
+        diagonal on its whole domain; None for any other field."""
+        if self._diag is None:
+            return None
+        out = self._diag(np.asarray(times, dtype=float).ravel())
+        return out[None] if out.ndim == 1 else out
+
 
 def _frozen(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
@@ -110,11 +127,13 @@ def constant_sectional(n: int, c: float, label: str = "") -> CurvatureField:
     if not np.isfinite(c):
         raise ValueError("sectional curvature must be finite")
     cached = _frozen(float(c) * np.eye(n - 1))
+    diag = _frozen(np.diagonal(cached))
     return CurvatureField(
         kind="constant-sectional",
         n=n,
         label=label or f"constant-sectional(c={c})",
         _eval=lambda times: cached,
+        _diag=lambda times: diag,
     )
 
 
@@ -130,11 +149,13 @@ def diagonal_constant(eigs, label: str = "") -> CurvatureField:
     if not np.all(np.isfinite(e)):
         raise ValueError("diagonal entries must be finite")
     cached = _frozen(np.diag(e))
+    diag = _frozen(np.diagonal(cached))
     return CurvatureField(
         kind="diagonal-constant",
         n=e.size + 1,
         label=label or "diagonal-constant",
         _eval=lambda times: cached,
+        _diag=lambda times: diag,
     )
 
 
@@ -186,21 +207,36 @@ def sampled_field(grid, ops, label: str = "") -> CurvatureField:
     sym_ops = (ops + np.transpose(ops, (0, 2, 1))) / 2.0
     t0, t1 = float(grid[0]), float(grid[-1])
 
-    def _eval(times: np.ndarray) -> np.ndarray:
-        outside = (times < t0) | (times > t1)
-        if outside.any():
-            raise ValueError(f"time {times[outside][0]} outside sampled domain [{t0}, {t1}]")
-        if grid.size == 1:
-            return _frozen(np.broadcast_to(sym_ops[:1], (times.size, d, d)))
-        j = np.clip(np.searchsorted(grid, times, side="right") - 1, 0, grid.size - 2)
-        w = ((times - grid[j]) / (grid[j + 1] - grid[j]))[:, None, None]
-        lo, hi = sym_ops[j], sym_ops[j + 1]  # copies, combined in place
-        lo *= 1.0 - w
-        hi *= w
-        lo += hi
-        return _frozen(lo)
+    def interpolant(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The entrywise linear interpolant of node ``values``, ``(len(grid),
+        ...)``; each entry is rounded the same way whatever its array."""
 
-    return CurvatureField(kind="sampled", n=d + 1, label=label or "sampled", _eval=_eval)
+        def at(times: np.ndarray) -> np.ndarray:
+            outside = (times < t0) | (times > t1)
+            if outside.any():
+                raise ValueError(f"time {times[outside][0]} outside sampled domain [{t0}, {t1}]")
+            if grid.size == 1:
+                return _frozen(np.broadcast_to(values[:1], (times.size, *values.shape[1:])))
+            j = np.clip(np.searchsorted(grid, times, side="right") - 1, 0, grid.size - 2)
+            # take copies the rows several times faster than an index array
+            start, stop = grid.take(j), grid.take(j + 1)
+            w = ((times - start) / (stop - start)).reshape(-1, *(1,) * (values.ndim - 1))
+            lo, hi = values.take(j, axis=0), values.take(j + 1, axis=0)  # combined in place
+            lo *= 1.0 - w
+            hi *= w
+            lo += hi
+            return _frozen(lo)
+
+        return at
+
+    diag = diagonal_entries(sym_ops)
+    return CurvatureField(
+        kind="sampled",
+        n=d + 1,
+        label=label or "sampled",
+        _eval=interpolant(sym_ops),
+        _diag=None if diag is None else interpolant(np.ascontiguousarray(diag)),
+    )
 
 
 def is_json_number(value) -> bool:
@@ -290,19 +326,31 @@ def diagonal_entries(ops: np.ndarray) -> np.ndarray | None:
     return diag if np.count_nonzero(ops) == np.count_nonzero(diag) else None
 
 
-def node_spectrum(ops: np.ndarray, diag: np.ndarray | None) -> np.ndarray:
-    """The spectrum table of the evaluated field ``ops`` of shape ``(m, d,
-    d)``, given ``diag = diagonal_entries(ops)``: the ascending eigenvalues
-    of every operator, shape ``(m, d)``; the sorted diagonal of a diagonal
-    field, equal to LAPACK's, and ``np.linalg.eigvalsh`` of any other."""
-    return np.linalg.eigvalsh(ops) if diag is None else np.sort(diag, axis=1)
+def field_values(field: CurvatureField, times) -> np.ndarray:
+    """The field at ``times``, one row only when it does not depend on
+    time: its diagonals, ``(m, d)``, where it is diagonal, and its matrices,
+    ``(m, d, d)``, elsewhere. A field diagonal on its whole domain is read
+    by ``CurvatureField.diagonals``, any other one by ``matrices`` and
+    ``diagonal_entries``."""
+    diag = field.diagonals(times)
+    if diag is not None:
+        return diag
+    ops = field.matrices(times)
+    diag = diagonal_entries(ops)
+    return ops if diag is None else diag
+
+
+def node_spectrum(values: np.ndarray) -> np.ndarray:
+    """The spectrum table of evaluated field values (``field_values``): the
+    ascending eigenvalues at every node, shape ``(m, d)``; the sorted
+    diagonals, equal to LAPACK's, and ``np.linalg.eigvalsh`` of matrices."""
+    return np.sort(values, axis=1) if values.ndim == 2 else np.linalg.eigvalsh(values)
 
 
 def spectrum_at(field: CurvatureField, t) -> np.ndarray:
     """``node_spectrum`` of the field at the times ``t`` (a scalar or an
     array); one row only when the field does not depend on time."""
-    ops = field.matrices(t)
-    return node_spectrum(ops, diagonal_entries(ops))
+    return node_spectrum(field_values(field, t))
 
 
 def k_traces(spectrum: np.ndarray, k: int) -> np.ndarray:

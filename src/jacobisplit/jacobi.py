@@ -27,8 +27,9 @@ steps are cut into ``ceil(N/B)`` blocks of ``B = isqrt(N)``:
 3. replay: all blocks step from their starts together, ``B`` array steps,
    writing ``Y`` and ``Yd`` in place.
 
-A diagonal field, constant or not (``curvature.diagonal_entries``: every
-off-diagonal entry of the evaluated field is zero), moves row k of
+A diagonal field, constant or not (``curvature.field_values``: read as its
+diagonals alone when diagonal on its whole domain, else diagonal where
+every off-diagonal entry it evaluates to is zero), moves row k of
 ``(Y, Yd)`` on its own by the scalar equation ``y'' = -e_k(t) y``. Adjacent
 rows whose entries agree at every stage form a run with one equation, and
 the three passes carry the run's fundamental solution ``Phi = [[a, b],
@@ -63,17 +64,23 @@ central-difference residual checks in ``reduction``. Each trajectory
 analysis evaluates the nodes it reads and no others. The step norms
 ``||Y_{j+1} - Y_j||_F``, from ``Phi`` for a diagonal field, bound by
 Weyl's inequality every singular value of ``Y`` at a node from its value
-at another node by the path length between them. The nodes are certified level by level, in
-blocks of 256, 32 and 8 (``_certify``), and none is evaluated twice. The
-singular values of ``Y`` (``JacobiTrajectory.svals``) are one LAPACK SVD
-of ``Y`` at every node that may hold the grid maximum or whose lower
-bound, widened by the cubic Hermite interpolant's reach, does not clear
-the zero threshold; they are NaN elsewhere. A node whose path length to
-an evaluated node is not finite, past a step norm that overflowed, stays
-undecided. The self-adjointness gate is relative to ``sigma_max([Y; Yd])``
-at the window start, where the Wronskian is read (``stacked_scale``), and
-the span tests to a lower bound on its grid maximum from that, the scale
-and the largest ``||Yd||_F`` (``stacked_bound``). ``det Y`` is taken only
+at another node by the path length between them. A diagonal field's
+family is fixed by its start data, ``Y = (A + B S) base`` with ``S =
+other base^-1`` for the better conditioned of ``Y0`` and ``Yd0`` as the
+base, so one ``eigh`` per run bounds the singular values at every node
+in ``O(N)`` per run (``JacobiTrajectory._structural_bounds``). The nodes
+these bounds leave undecided are certified level by level, in blocks of
+256, 32 and 8 (``_certify``), and none is evaluated twice. The singular
+values of ``Y`` (``JacobiTrajectory.svals``) are one LAPACK SVD of ``Y``
+at every node that may hold the grid maximum or whose lower bound,
+widened by the cubic Hermite interpolant's reach, does not clear the
+zero threshold; they are NaN elsewhere. A node whose path length to an
+evaluated node is not finite, past a step norm that overflowed, stays
+undecided unless its structural bounds decide it. The self-adjointness
+gate is relative to ``sigma_max([Y; Yd])`` at the window start, where the
+Wronskian is read (``stacked_scale``), and the span tests to a lower bound
+on its grid maximum from that, the scale and the largest ``||Yd||_F``
+(``stacked_bound``). ``det Y`` is taken only
 where the event search reads it (``dets``), and the refined events are
 kept per trajectory, so each is scanned once. A family so large that
 ``det Y`` or ``sigma_min^2`` would overflow is searched on ``Y`` times a
@@ -89,7 +96,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curvature import CurvatureField, diagonal_entries, node_spectrum, spectrum_at
+from .curvature import CurvatureField, field_values, node_spectrum, spectrum_at
 from .symlin import lead_nonnegative, orthonormal_columns
 
 __all__ = [
@@ -263,6 +270,13 @@ class JacobiTrajectory:
             return y[0], yd[0]
         return tuple(self._form(at))
 
+    def values(self, idx: np.ndarray) -> np.ndarray:
+        """``Y`` alone at an array of nodes, as ``nodes`` gives it, without
+        forming ``Yd``."""
+        if self.row_solutions is None or "y" in vars(self):
+            return self.y[idx]
+        return self._form(np.asarray(idx), (0,))[0]
+
     @cached_property
     def _runs(self) -> list[tuple[int, int, np.ndarray]]:
         """``(lo, hi, [vec Y0[lo:hi]; vec Yd0[lo:hi]])`` of every run of
@@ -382,29 +396,127 @@ class JacobiTrajectory:
                         total += row
         return np.sqrt(dy, out=dy), np.sqrt(ydn, out=ydn)
 
+    @np.errstate(all="ignore")
+    def _structural_bounds(self) -> np.ndarray | None:
+        """The rows ``(top_hi, top_lo, bot_lo)`` of a ``(3, N+1)`` array: at
+        every node, an upper and a lower bound on the sigma_max, and a lower
+        bound on the sigma_min, that the SVD of the formed ``Y`` gives
+        there, from the start data and ``row_solutions`` alone (see
+        ``svals``). None for a trajectory without row solutions, for a
+        family whose ``Y0`` and ``Yd0`` are both singular, and for bounds
+        that are not all finite."""
+        if self.row_solutions is None:
+            return None
+        phi = self.row_solutions[0]
+        d = self.dim
+        starts = (self.spec.y0, self.spec.yd0)
+        # the better conditioned start is the base, the other one is S base
+        s = np.linalg.svd(np.stack(starts), compute_uv=False)
+        inverse_cond = np.where(s[:, -1] > 0.0, s[:, -1] / s[:, 0], 0.0)
+        which = int(inverse_cond[1] > inverse_cond[0])
+        if not inverse_cond[which] > 0.0:
+            return None
+        base, other = starts[which], starts[1 - which]
+        try:
+            s = np.linalg.solve(base.T, other.T).T
+        except np.linalg.LinAlgError:  # singular to LU, if not to the SVD
+            return None
+        if not np.isfinite(s).all():
+            return None
+        # S's diagonal blocks over the runs, symmetrised: Q Lambda Q^T
+        q, lam = np.zeros((d, d)), np.empty(d)
+        for lo, hi, _ in self._runs:
+            block = s[lo:hi, lo:hi]
+            lam[lo:hi], q[lo:hi, lo:hi] = np.linalg.eigh(0.5 * (block + block.T))
+        m = q.T @ base
+        lm = lam[:, None] * m
+        sm = np.linalg.svd(m, compute_uv=False)
+        m_hi, m_lo = sm[0], sm[-1] - _SLACK * sm[0]
+        # the residuals G and F of base = Q M + G and other = Q Lambda M + F,
+        # widened by the rounding of their products, of the formed nodes and
+        # of p + q lambda
+        tiny = 4 * (d + 2) * np.finfo(float).eps
+        norm = np.linalg.norm
+        g = norm(base - q @ m) + tiny * (2 * norm(base) + norm(np.abs(q) @ np.abs(m)) + m_hi)
+        f = norm(other - q @ lm) + tiny * (
+            2 * norm(other) + norm(np.abs(q) @ np.abs(lm)) + np.max(np.abs(lam)) * m_hi
+        )
+        # (p, q) of every run, each a contiguous row over the nodes
+        pq = np.ascontiguousarray(phi[:, :, 0, [which, 1 - which]].transpose(1, 2, 0))
+        d_max, d_min = np.zeros(self.n_nodes), np.full(self.n_nodes, np.inf)
+        for (lo, hi, _), (pr, qr) in zip(self._runs, pq):
+            ev = lam[lo:hi]
+            # |p + q lambda| is largest at an end of the sorted lambda and
+            # smallest at a neighbour of -p / q, which is an end too on a run
+            # of at most two rows
+            ends = np.abs(pr + qr * ev[[0, -1], None])
+            np.maximum(d_max, ends.max(axis=0), out=d_max)
+            if hi - lo > 2:
+                j = np.clip(np.searchsorted(ev, -pr / qr), 1, hi - lo - 1)
+                ends = np.abs(pr + qr * ev[np.stack([j - 1, j])])
+            np.minimum(d_min, ends.min(axis=0), out=d_min)
+        p_top, q_top = np.abs(pq).max(axis=0)
+        err = p_top * g + q_top * f
+        m_lo *= 1.0 - _SLACK
+        top_hi = (d_max * m_hi + err) * (1.0 + _SLACK)
+        bounds = np.stack([top_hi, d_max * m_lo - err, d_min * m_lo - err])
+        return bounds if np.isfinite(bounds).all() else None
+
     @cached_property
     def svals(self) -> np.ndarray:
         """Singular values of Y, descending per node: exact at every node
         that can change ``scale``, ``regular``, ``dets`` or the singular
         events, and NaN at every other node.
 
-        The nodes are certified level by level (``_certify``). By Weyl's
-        inequality for singular values (Horn and Johnson, Topics in Matrix
-        Analysis, 1991, Thm 3.3.16), each singular value at a node lies
-        within the path length ``sum ||Y_{i+1} - Y_i||_F`` to an evaluated
-        node of its value there. The cubic Hermite interpolant that every
-        refinement reads (``interpolate``) stays within ``r_j = ||Y_{j+1} -
-        Y_j||_F + 4/27 h (||Yd_j||_F + ||Yd_{j+1}||_F)`` of both ends of
-        interval j, as its weights have ``0 <= h00, h01 <= 1`` and ``|h10|,
-        |h11| <= 4/27``. A node stays undecided while
+        Two kinds of bound decide the nodes. By Weyl's inequality for
+        singular values (Horn and Johnson, Topics in Matrix Analysis, 1991,
+        Thm 3.3.16), each singular value at a node lies within the path
+        length ``sum ||Y_{i+1} - Y_i||_F`` to an evaluated node of its value
+        there. With ``row_solutions``, the start data bound every node at
+        once (``_structural_bounds``). Row k of ``Y`` is ``p base[k] + q
+        other[k]``, with ``base`` the better conditioned of ``Y0`` and
+        ``Yd0`` and ``(p, q)`` the run's ``(a, b)``, or ``(b, a)`` when the
+        base is ``Yd0``. ``S = other base^-1`` has its diagonal blocks over
+        the runs symmetrised and diagonalised, ``Q Lambda Q^T``, and with
+        ``M = Q^T base`` and the residuals ``G = base - Q M`` and ``F =
+        other - Q Lambda M``, formed explicitly,
 
-        * its upper bound, the evaluated sigma_max plus the path length,
-          widened by ``_SLACK``, reaches the best evaluated value: the node
-          may hold ``scale``; or
-        * its lower bound, the evaluated sigma_min minus the path length and
-          the larger ``r_j`` of the node's two intervals, is not clear of
-          ``TOL_ZERO`` times an upper bound of the scale by a roundoff
-          slack.
+            Y = Q (p + q Lambda) M + p G + q F
+
+        exactly, as ``p`` and ``q`` are scalars on a run's rows and ``Q``
+        is block diagonal over the runs. So (Thm 3.3.16 again) each
+        singular value lies in ``sigma_k(p + q Lambda) [sigma_min(M),
+        sigma_max(M)]`` widened by ``max|p| ||G||_F + max|q| ||F||_F``. The
+        largest ``|p + q lambda|`` of a run is at an end of its sorted
+        ``lambda`` and the smallest at a neighbour of ``-p / q``, so this
+        costs ``O(N)`` per run. The residual norms are widened by a few
+        ``d eps`` times the sizes that round in them: the products that
+        form ``G`` and ``F``, the rank-2 product that forms a node from
+        ``Phi`` (``_form``) and ``p + q lambda``; what is left is relative
+        to a singular value (the SVD of ``M`` and of a node, and ``Q``
+        orthogonal to roundoff), and ``_SLACK`` covers it. A family whose
+        ``Y0`` and ``Yd0`` are both singular, or whose bounds are not all
+        finite, takes the Weyl bounds alone.
+
+        The structural bounds decide the nodes first, against their own
+        lower bound on the scale (the largest lower bound on a sigma_max)
+        and upper bound on it; ``_certify`` takes the rest level by level,
+        each node bounded by the tighter of the Weyl bound from an
+        evaluated centre and its structural bound. The cubic Hermite
+        interpolant that every refinement reads (``interpolate``) stays
+        within ``r_j = ||Y_{j+1} - Y_j||_F + 4/27 h (||Yd_j||_F +
+        ||Yd_{j+1}||_F)`` of both ends of interval j, as its weights have
+        ``0 <= h00, h01 <= 1`` and ``|h10|, |h11| <= 4/27``. A node stays
+        undecided while
+
+        * its upper bound (by Weyl, the evaluated sigma_max plus the path
+          length, widened by ``_SLACK``) reaches the larger of the best
+          evaluated value and the structural lower bound on the scale: the
+          node may hold ``scale``; or
+        * its lower bound (by Weyl, the evaluated sigma_min minus the path
+          length), less the larger ``r_j`` of the node's two intervals, is
+          not clear of ``TOL_ZERO`` times an upper bound of the scale by a
+          roundoff slack.
 
         Every node still undecided after the last level is evaluated, and
         then the two neighbours of every evaluated node whose own bound is
@@ -415,31 +527,44 @@ class JacobiTrajectory:
 
         Each evaluated node is one LAPACK SVD of Y, whose error of order ``d
         eps scale`` the ``_SLACK`` widening covers. The nodes are read by
-        ``nodes`` and sent to the SVD ``32 _CHUNK / d^2`` at a time, so each
-        temporary holds at most ``32 _CHUNK`` floats."""
+        ``values``, which forms ``Y`` alone, and sent to the SVD ``32 _CHUNK
+        / d^2`` at a time, so each temporary holds at most ``32 _CHUNK``
+        floats."""
         n, d = self.n_nodes, self.dim
         dy, ydn = self._step_norms
         # r[j] bounds the interpolant on the interval from node j to node j + 1;
         # r_node is the larger r of the two intervals at each node
         r = dy[:-1] + (4.0 / 27.0) * np.diff(self.times) * (ydn[:-1] + ydn[1:])
         r_node = np.maximum(np.append(r, 0.0), np.insert(r, 0, 0.0))
-        svals = np.full((n, d), np.nan)
         per = max(1, 32 * _CHUNK // (d * d))
+        # the structural bounds on sigma_max and sigma_min at every node, or
+        # bounds that decide nothing
+        bounds = self._structural_bounds()
+        if bounds is None:
+            bounds = (np.full(n, np.inf), np.full(n, -np.inf), np.full(n, -np.inf))
+        top_hi, top_lo, bot_lo = bounds
+        floor, ceiling = float(np.max(top_lo)), float(np.max(top_hi))  # of the scale
+        # the table that outlives this call comes after the bounds'
+        # temporaries, so the heap they free is not held below it
+        svals = np.full((n, d), np.nan)
 
         def evaluate(idx):
             for lo in range(0, len(idx), per):
                 part = idx[lo : lo + per]
-                svals[part] = np.linalg.svd(self.nodes(part)[0], compute_uv=False)
+                svals[part] = np.linalg.svd(self.values(part), compute_uv=False)
 
         def undecided(i, c, dist):
-            top, bot = svals[c, 0], svals[c, -1]
-            upper = (top + dist) * (1.0 + _SLACK)
-            best = np.nanmax(svals[:, 0])
-            ub = float(np.max(upper, initial=best))
-            margin = bot - dist - r_node[i] - (TOL_ZERO + _SLACK) * ub
+            # the tighter of the Weyl bound from c and the structural bound
+            upper = np.minimum((svals[c, 0] + dist) * (1.0 + _SLACK), top_hi[i])
+            lower = np.maximum(svals[c, -1] - dist, bot_lo[i])
+            best = max(float(np.nanmax(svals[:, 0], initial=-np.inf)), floor)
+            ub = min(float(np.max(upper, initial=best)), ceiling)
+            margin = lower - r_node[i] - (TOL_ZERO + _SLACK) * ub
             return (upper >= best) | (margin <= 0.0)
 
-        _certify(dy, evaluate, undecided)
+        # the nodes the structural bounds alone leave undecided
+        low = bot_lo - r_node - (TOL_ZERO + _SLACK) * ceiling <= 0.0
+        _certify(dy, evaluate, undecided, (top_hi >= floor) | low)
         # every node that can hold the scale is evaluated now, so the own
         # bounds of the evaluated nodes decide where the widening goes
         seen = np.flatnonzero(~np.isnan(svals[:, 0]))
@@ -508,7 +633,7 @@ class JacobiTrajectory:
             near[np.clip(cand + shift, 0, n - 1)] = True
         idx = np.flatnonzero(near)
         dets = np.full(n, np.nan)
-        dets[idx] = np.linalg.det(self._unit * self.nodes(idx)[0])
+        dets[idx] = np.linalg.det(self._unit * self.values(idx))
         return dets
 
     @cached_property
@@ -565,8 +690,10 @@ def nearest_node(times: np.ndarray, step: float, t: float) -> int:
     return j
 
 
-def _certify(step, evaluate, undecided) -> None:
-    """Evaluate, each at most once, every node that no Weyl bound decides.
+def _certify(step, evaluate, undecided, todo) -> None:
+    """Evaluate, each at most once, every node of the mask ``todo`` (the
+    nodes the caller's own bounds leave undecided) that no Weyl bound
+    decides.
 
     ``step[i]`` is the path length from node i to node i + 1 (zero at the
     last node). Each level of ``_LEVELS`` cuts the nodes into blocks (the
@@ -586,7 +713,6 @@ def _certify(step, evaluate, undecided) -> None:
     path = np.zeros(n)
     np.cumsum(step[:-1], out=path[1:])
     done = np.zeros(n, dtype=bool)
-    todo = np.ones(n, dtype=bool)
     for size in _LEVELS:
         first = np.arange(0, n, size)
         centre = first + np.minimum(size // 2, n - 1 - first)
@@ -802,14 +928,14 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
     stages[0::2] = times
     stages[1::2] = 0.5 * (times[:-1] + times[1:])
     try:
-        r = spec.field.matrices(stages)
+        # the diagonals (1 or 2 N + 1, d) of a diagonal field, else the matrices
+        r = field_values(spec.field, stages)
     except Exception as exc:
         raise ValueError(f"curvature field evaluation failed: {exc}") from exc
-    diag = diagonal_entries(r)  # (1 or 2 N + 1, d), or None
     # the node spectrum, before Y and Yd exist, so eigvalsh's copy of the
     # node values does not add to their peak
-    spectrum = node_spectrum(r[::2], None if diag is None else diag[::2])
-    if diag is None:
+    spectrum = node_spectrum(r[::2])
+    if r.ndim == 3:
         y, yd = _scan(np.broadcast_to(r, (stages.size, d, d)), spec, n_steps, h)
         traj = JacobiTrajectory(spec, h, times, y, yd)
         # Y_0 is finite, so the step norms are all finite only if Y and Yd
@@ -817,9 +943,10 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
         vouched = np.isfinite(traj._step_norms).all()
     else:
         # the entries by row, (d, 1 or 2 N + 1); nothing else of the field is
-        # read, so its array of (d, d) matrices is freed before the maps are built
-        rows = np.ascontiguousarray(diag.T)
-        del r, diag
+        # read, so an array of (d, d) matrices that it views is freed before
+        # the maps are built
+        rows = np.ascontiguousarray(r.T)
+        del r
         phi, run = _scalar_scan(rows, n_steps, h)
         traj = JacobiTrajectory(spec, h, times, row_solutions=(phi, run))
         # each entry of Y and Yd is p y0 + q yd0 for entries p, q of Phi and

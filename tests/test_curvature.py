@@ -6,6 +6,7 @@ frame of the complex structure, R_v(x) = x + 3 <x, Jv> Jv for x
 perpendicular to v, evaluated with explicit matrices.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -240,6 +241,40 @@ def test_ric_k_traces_of_a_diagonal_field_equal_eigvalsh_bit_for_bit(fld):
     times = np.linspace(0.0, 2.0, 101)
     for k in range(1, fld.dim + 1):
         assert np.array_equal(js.ric_k_traces(fld, times, k), _eigvalsh_traces(fld, times, k))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("fld", _diagonal_fields(), ids=lambda f: f"{f.kind}-d{f.dim}")
+def test_a_diagonal_field_reads_its_diagonals_alone_bit_for_bit(fld):
+    # the diagonals carry the bits of the matrices' diagonals, signed zeros
+    # too, and the integrator's row solutions match those of a reading
+    # through the matrices
+    times = np.linspace(0.0, 2.0, 101)
+    ops = fld.matrices(times)
+    assert np.array_equal(_bits(fld.diagonals(times)), _bits(np.diagonal(ops, 0, 1, 2)))
+    assert fld.diagonals(times).shape == (len(ops), fld.dim)
+    spec = js.FamilySpec(fld, 0.0, 2.0, np.eye(fld.dim), np.ones((fld.dim, fld.dim)))
+    through_matrices = dataclasses.replace(fld, _diag=None)
+    assert through_matrices.diagonals(times) is None
+    phi = js.integrate(spec, step=0.01).row_solutions
+    ref = js.integrate(dataclasses.replace(spec, field=through_matrices), step=0.01).row_solutions
+    assert np.array_equal(_bits(phi[0]), _bits(ref[0])) and np.array_equal(phi[1], ref[1])
+
+
+def test_a_sampled_field_coupled_at_one_node_is_read_as_matrices():
+    ops = np.zeros((3, 2, 2))
+    ops[:, 0, 0], ops[:, 1, 1] = 1.0, 2.0
+    ops[2, 0, 1] = ops[2, 1, 0] = 0.5  # coupled at the last node only
+    fld = js.sampled_field([0.0, 1.0, 2.0], ops)
+    assert fld.diagonals([0.0, 0.5]) is None
+    # diagonal where it is read, so the integrator still takes the rows
+    spec = js.FamilySpec(fld, 0.0, 1.0, np.eye(2), np.zeros((2, 2)))
+    assert js.integrate(spec, step=0.01).row_solutions is not None
+    decoupled = js.sampled_field([0.0, 1.0, 2.0], np.where(np.eye(2) == 1.0, ops, 0.0))
+    assert decoupled.diagonals([0.0, 0.5]).shape == (2, 2)
 
 
 def test_a_field_is_diagonal_when_every_off_diagonal_entry_is_zero():

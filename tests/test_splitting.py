@@ -505,3 +505,44 @@ def test_verified_reports_have_sound_geometry(trajs):
         assert rep.verdict == "verified"
         assert rep.completeness["stacked_sigma_min"] >= 1e-8
         assert rep.residual_orth <= 1e-6
+
+
+def _mode_b(fld, alpha, end, y0, yd0):
+    spec = js.FamilySpec(fld, alpha, end, np.asarray(y0, float), np.asarray(yd0, float))
+    return js.check_splitting(js.integrate(spec, step=1e-3), "B", alpha=alpha).verdict
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect, ROADMAP item 1: every member of cos(t) I vanishes at "
+    "pi/2, which is no node of the window [0, 3]; the Illinois search stalls "
+    "on the triple root of det Y and drops the instant",
+)
+def test_a_triple_zero_between_nodes_is_never_falsified():
+    verdict = _mode_b(js.constant_sectional(4, 1.0), 0.0, 3.0, np.eye(3), np.zeros((3, 3)))
+    assert verdict != "falsified"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect, ROADMAP item 1: two members of the round sphere that "
+    "vanish within about one step of each other lose one or both instants",
+)
+@pytest.mark.parametrize("delta", [1e-5, 1e-4, 1e-3])
+def test_two_zeros_a_step_apart_are_never_falsified(delta):
+    angles = np.array([1.0, 1.0 + delta])
+    y0, yd0 = np.diag(np.cos(angles)), np.diag(np.sin(angles))
+    assert _mode_b(js.constant_sectional(3, 1.0), 0.0, math.pi, y0, yd0) != "falsified"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect, ROADMAP item 2: on the sphere from alpha = 0.5, the "
+    "member sin t vanishes at pi inside the window [0.5, pi + 0.01], so mode "
+    "B counts it in both Z and P",
+)
+def test_mode_b_past_pi_is_never_falsified():
+    alpha = 0.5
+    phases = np.array([0.0, -2.0]) + alpha
+    y0, yd0 = np.diag(np.sin(phases)), np.diag(np.cos(phases))
+    assert _mode_b(js.constant_sectional(3, 1.0), alpha, math.pi + 0.01, y0, yd0) != "falsified"

@@ -68,21 +68,23 @@ at another node by the path length between them. A diagonal field's
 family is fixed by its start data, ``Y = (A + B S) base`` with ``S =
 other base^-1`` for the better conditioned of ``Y0`` and ``Yd0`` as the
 base, so one ``eigh`` per run bounds the singular values at every node
-in ``O(N)`` per run (``JacobiTrajectory._structural_bounds``). The nodes
-these bounds leave undecided are certified level by level, in blocks of
-256, 32 and 8 (``_certify``), and none is evaluated twice. The singular
-values of ``Y`` (``JacobiTrajectory.svals``) are one LAPACK SVD of ``Y``
-at every node that may hold the grid maximum or whose lower bound,
-widened by the cubic Hermite interpolant's reach, does not clear the
-zero threshold; they are NaN elsewhere. A node whose path length to an
-evaluated node is not finite, past a step norm that overflowed, stays
-undecided unless its structural bounds decide it. The self-adjointness
-gate is relative to ``sigma_max([Y; Yd])`` at the window start, where the
-Wronskian is read (``stacked_scale``), and the span tests to a lower bound
-on its grid maximum from that, the scale and the largest ``||Yd||_F``
-(``stacked_bound``). ``det Y`` is taken only
-where the event search reads it (``dets``), and the refined events are
-kept per trajectory, so each is scanned once. A family so large that
+in ``O(N)`` per run (``JacobiTrajectory._structural_bounds``). Each
+trajectory takes one route (``JacobiTrajectory.svals``): the nodes that
+its structural bounds leave undecided are evaluated in one pass, and a
+family without such bounds is certified by the path lengths level by
+level, in blocks of 256, 32 and 8 (``_certify``); no node is evaluated
+twice. The singular values of ``Y`` are one LAPACK SVD of ``Y`` at every
+node that may hold the grid maximum or whose lower bound, widened by the
+cubic Hermite interpolant's reach, does not clear the zero threshold;
+they are NaN elsewhere. On the path-length route, a node whose path
+length to an evaluated node is not finite, past a step norm that
+overflowed, stays undecided. The self-adjointness gate is relative to
+``sigma_max([Y; Yd])`` at the window start, where the Wronskian is read
+(``stacked_scale``), and the span tests to a lower bound on its grid
+maximum from that, the scale and the largest ``||Yd||_F``
+(``stacked_bound``). ``det Y`` is taken only where the event search reads
+it (``dets``), and the refined events are kept per trajectory, so each is
+scanned once. A family so large that
 ``det Y`` or ``sigma_min^2`` would overflow is searched on ``Y`` times a
 power of two (``_unit``).
 """
@@ -468,12 +470,9 @@ class JacobiTrajectory:
         that can change ``scale``, ``regular``, ``dets`` or the singular
         events, and NaN at every other node.
 
-        Two kinds of bound decide the nodes. By Weyl's inequality for
-        singular values (Horn and Johnson, Topics in Matrix Analysis, 1991,
-        Thm 3.3.16), each singular value at a node lies within the path
-        length ``sum ||Y_{i+1} - Y_i||_F`` to an evaluated node of its value
-        there. With ``row_solutions``, the start data bound every node at
-        once (``_structural_bounds``). Row k of ``Y`` is ``p base[k] + q
+        One route of bounds decides the nodes of a trajectory. With
+        ``row_solutions``, the start data bound every node at once
+        (``_structural_bounds``). Row k of ``Y`` is ``p base[k] + q
         other[k]``, with ``base`` the better conditioned of ``Y0`` and
         ``Yd0`` and ``(p, q)`` the run's ``(a, b)``, or ``(b, a)`` when the
         base is ``Yd0``. ``S = other base^-1`` has its diagonal blocks over
@@ -484,44 +483,47 @@ class JacobiTrajectory:
             Y = Q (p + q Lambda) M + p G + q F
 
         exactly, as ``p`` and ``q`` are scalars on a run's rows and ``Q``
-        is block diagonal over the runs. So (Thm 3.3.16 again) each
-        singular value lies in ``sigma_k(p + q Lambda) [sigma_min(M),
-        sigma_max(M)]`` widened by ``max|p| ||G||_F + max|q| ||F||_F``. The
-        largest ``|p + q lambda|`` of a run is at an end of its sorted
-        ``lambda`` and the smallest at a neighbour of ``-p / q``, so this
-        costs ``O(N)`` per run. The residual norms are widened by a few
-        ``d eps`` times the sizes that round in them: the products that
-        form ``G`` and ``F``, the rank-2 product that forms a node from
-        ``Phi`` (``_form``) and ``p + q lambda``; what is left is relative
-        to a singular value (the SVD of ``M`` and of a node, and ``Q``
-        orthogonal to roundoff), and ``_SLACK`` covers it. A family whose
-        ``Y0`` and ``Yd0`` are both singular, or whose bounds are not all
-        finite, takes the Weyl bounds alone.
+        is block diagonal over the runs. So, by Weyl's inequality for
+        singular values (Horn and Johnson, Topics in Matrix Analysis, 1991,
+        Thm 3.3.16), each singular value lies in ``sigma_k(p + q Lambda)
+        [sigma_min(M), sigma_max(M)]`` widened by ``max|p| ||G||_F + max|q|
+        ||F||_F``. The largest ``|p + q lambda|`` of a run is at an end of
+        its sorted ``lambda`` and the smallest at a neighbour of ``-p /
+        q``, so this costs ``O(N)`` per run. The residual norms are widened
+        by a few ``d eps`` times the sizes that round in them: the products
+        that form ``G`` and ``F``, the rank-2 product that forms a node
+        from ``Phi`` (``_form``) and ``p + q lambda``; what is left is
+        relative to a singular value (the SVD of ``M`` and of a node, and
+        ``Q`` orthogonal to roundoff), and ``_SLACK`` covers it. These
+        bounds decide every node at once, against the largest lower bound
+        on a sigma_max and the largest upper bound, which bracket the
+        scale, and the nodes they leave undecided are evaluated in one
+        pass.
 
-        The structural bounds decide the nodes first, against their own
-        lower bound on the scale (the largest lower bound on a sigma_max)
-        and upper bound on it; ``_certify`` takes the rest level by level,
-        each node bounded by the tighter of the Weyl bound from an
-        evaluated centre and its structural bound. The cubic Hermite
-        interpolant that every refinement reads (``interpolate``) stays
-        within ``r_j = ||Y_{j+1} - Y_j||_F + 4/27 h (||Yd_j||_F +
-        ||Yd_{j+1}||_F)`` of both ends of interval j, as its weights have
-        ``0 <= h00, h01 <= 1`` and ``|h10|, |h11| <= 4/27``. A node stays
-        undecided while
+        A family without these bounds (a field that is not diagonal, ``Y0``
+        and ``Yd0`` both singular, or bounds that are not all finite) takes
+        the Weyl bound from an evaluated node instead: each singular value
+        at a node lies within the path length ``sum ||Y_{i+1} - Y_i||_F``
+        to an evaluated node of its value there (Thm 3.3.16 again), and
+        ``_certify`` decides the nodes level by level from evaluated block
+        centres, against the best evaluated value.
 
-        * its upper bound (by Weyl, the evaluated sigma_max plus the path
-          length, widened by ``_SLACK``) reaches the larger of the best
-          evaluated value and the structural lower bound on the scale: the
-          node may hold ``scale``; or
-        * its lower bound (by Weyl, the evaluated sigma_min minus the path
-          length), less the larger ``r_j`` of the node's two intervals, is
-          not clear of ``TOL_ZERO`` times an upper bound of the scale by a
-          roundoff slack.
+        On either route, the cubic Hermite interpolant that every
+        refinement reads (``interpolate``) stays within ``r_j = ||Y_{j+1} -
+        Y_j||_F + 4/27 h (||Yd_j||_F + ||Yd_{j+1}||_F)`` of both ends of
+        interval j, as its weights have ``0 <= h00, h01 <= 1`` and ``|h10|,
+        |h11| <= 4/27``. A node stays undecided while
 
-        Every node still undecided after the last level is evaluated, and
-        then the two neighbours of every evaluated node whose own bound is
-        not clear, for the local-minimum test of the event search. At every
-        other node Y is regular, and no candidate of the event search can
+        * its upper bound, widened by ``_SLACK``, reaches the lower bound
+          on the scale: the node may hold ``scale``; or
+        * its lower bound, less the larger ``r_j`` of the node's two
+          intervals, is not clear of ``TOL_ZERO`` times an upper bound of
+          the scale by a roundoff slack.
+
+        Every node still undecided is evaluated, and then the two
+        neighbours of every evaluated node whose own bound is not clear,
+        for the local-minimum test of the event search. At every other
+        node Y is regular, and no candidate of the event search can
         refine to a singular event: a refined time stays within one step of
         its node, where the lower bound holds.
 
@@ -537,13 +539,7 @@ class JacobiTrajectory:
         r = dy[:-1] + (4.0 / 27.0) * np.diff(self.times) * (ydn[:-1] + ydn[1:])
         r_node = np.maximum(np.append(r, 0.0), np.insert(r, 0, 0.0))
         per = max(1, 32 * _CHUNK // (d * d))
-        # the structural bounds on sigma_max and sigma_min at every node, or
-        # bounds that decide nothing
         bounds = self._structural_bounds()
-        if bounds is None:
-            bounds = (np.full(n, np.inf), np.full(n, -np.inf), np.full(n, -np.inf))
-        top_hi, top_lo, bot_lo = bounds
-        floor, ceiling = float(np.max(top_lo)), float(np.max(top_hi))  # of the scale
         # the table that outlives this call comes after the bounds'
         # temporaries, so the heap they free is not held below it
         svals = np.full((n, d), np.nan)
@@ -554,24 +550,25 @@ class JacobiTrajectory:
                 svals[part] = np.linalg.svd(self.values(part), compute_uv=False)
 
         def undecided(i, c, dist):
-            # the tighter of the Weyl bound from c and the structural bound
-            upper = np.minimum((svals[c, 0] + dist) * (1.0 + _SLACK), top_hi[i])
-            lower = np.maximum(svals[c, -1] - dist, bot_lo[i])
-            best = max(float(np.nanmax(svals[:, 0], initial=-np.inf)), floor)
-            ub = min(float(np.max(upper, initial=best)), ceiling)
-            margin = lower - r_node[i] - (TOL_ZERO + _SLACK) * ub
+            upper = (svals[c, 0] + dist) * (1.0 + _SLACK)
+            best = np.nanmax(svals[:, 0])
+            ub = float(np.max(upper, initial=best))
+            margin = svals[c, -1] - dist - r_node[i] - (TOL_ZERO + _SLACK) * ub
             return (upper >= best) | (margin <= 0.0)
 
-        # the nodes the structural bounds alone leave undecided
-        low = bot_lo - r_node - (TOL_ZERO + _SLACK) * ceiling <= 0.0
-        _certify(dy, evaluate, undecided, (top_hi >= floor) | low)
+        if bounds is None:
+            _certify(dy, evaluate, undecided)
+        else:
+            # against the largest lower and the largest upper bound of the scale
+            top_hi, top_lo, bot_lo = bounds
+            low = bot_lo - r_node - (TOL_ZERO + _SLACK) * np.max(top_hi) <= 0.0
+            evaluate(np.flatnonzero((top_hi >= np.max(top_lo)) | low))
         # every node that can hold the scale is evaluated now, so the own
         # bounds of the evaluated nodes decide where the widening goes
         seen = np.flatnonzero(~np.isnan(svals[:, 0]))
         near = seen[undecided(seen, seen, 0.0)]
         side = np.zeros(n, dtype=bool)
-        side[near[near > 0] - 1] = True
-        side[near[near < n - 1] + 1] = True
+        side[np.clip(np.concatenate([near - 1, near + 1]), 0, n - 1)] = True
         evaluate(np.flatnonzero(side & np.isnan(svals[:, 0])))
         return svals
 
@@ -690,10 +687,9 @@ def nearest_node(times: np.ndarray, step: float, t: float) -> int:
     return j
 
 
-def _certify(step, evaluate, undecided, todo) -> None:
-    """Evaluate, each at most once, every node of the mask ``todo`` (the
-    nodes the caller's own bounds leave undecided) that no Weyl bound
-    decides.
+def _certify(step, evaluate, undecided) -> None:
+    """Evaluate, each at most once, every node that no Weyl bound decides:
+    the route of ``svals`` for a family without structural bounds.
 
     ``step[i]`` is the path length from node i to node i + 1 (zero at the
     last node). Each level of ``_LEVELS`` cuts the nodes into blocks (the
@@ -713,6 +709,7 @@ def _certify(step, evaluate, undecided, todo) -> None:
     path = np.zeros(n)
     np.cumsum(step[:-1], out=path[1:])
     done = np.zeros(n, dtype=bool)
+    todo = np.ones(n, dtype=bool)
     for size in _LEVELS:
         first = np.arange(0, n, size)
         centre = first + np.minimum(size // 2, n - 1 - first)

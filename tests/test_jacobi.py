@@ -10,6 +10,8 @@ The step loop ``_loop_integrate`` is the reference for the blocked scan in
 """
 
 import csv
+import importlib
+import importlib.util
 import json
 import math
 import re
@@ -300,12 +302,15 @@ def test_integrate_forms_the_nodes_its_bound_cannot_vouch_for(monkeypatch):
 
 def test_svals_leaves_nodes_past_an_overflowed_step_norm_undecided():
     # 1e200 cos(t): every step norm is inf, so no path length bounds a node,
-    # and the events are those of the unit family
+    # and the events are those of the unit family. The Frobenius norm of
+    # 1e200 I overflows too, so the family has no structural bounds and
+    # takes the path-length route
     fld = js.constant_sectional(3, 1.0)
     unit, huge = (
         js.integrate(js.FamilySpec(fld, 0.0, 3.0, a * np.eye(2), np.zeros((2, 2))))
         for a in (1.0, 1e200)
     )
+    assert huge._structural_bounds() is None
     assert np.isinf(huge._step_norms[0][:-1]).all()
     assert not np.isnan(huge.svals).any()
     expected, events = js.singular_events(unit), js.singular_events(huge)
@@ -744,6 +749,93 @@ def test_svals_skips_no_node_whose_interpolant_reaches_zero():
     _assert_same_as_all_nodes(traj)
 
 
+# the built-ins whose Y0 and Yd0 are both singular: no structural bounds
+_PATH_LENGTH_BUILTINS = ("hopf-holonomy", "product-s2xr2")
+
+
+def _fine_grid_d16():
+    """The benchmark's d = 16 fine-grid family of seed [3, 0]."""
+    families = _load("families")
+    expected = json.loads((PERFBENCH / "expected_verdicts.json").read_text())
+    sc = families.fine_grid_families(np.random.default_rng([3, 0]), expected, "3-0")[0]
+    return js.integrate(sc.family(), step=sc.step)
+
+
+def _coupled_sampled():
+    """A sampled field that couples every row: not diagonal at any node."""
+    spec = js.FamilySpec(
+        field=_sampled(3, math.pi),
+        alpha=0.0,
+        end=math.pi,
+        y0=np.eye(3),
+        yd0=np.diag(-1.0 / np.tan([0.8, 1.5, 2.2])),
+    )
+    return js.integrate(spec, step=1e-3)
+
+
+def _structurally_undecided(traj) -> np.ndarray:
+    """The mask of nodes that ``traj``'s structural bounds leave undecided,
+    by the rule ``svals`` states: a node whose upper bound on sigma_max
+    reaches the largest lower bound, or whose lower bound on sigma_min, less
+    the interpolant's reach, is not clear of the zero threshold."""
+    top_hi, top_lo, bot_lo = traj._structural_bounds()
+    dy, ydn = traj._step_norms
+    r = dy[:-1] + (4.0 / 27.0) * np.diff(traj.times) * (ydn[:-1] + ydn[1:])
+    r_node = np.maximum(np.append(r, 0.0), np.insert(r, 0, 0.0))
+    low = bot_lo - r_node - (jacobi.TOL_ZERO + jacobi._SLACK) * np.max(top_hi) <= 0.0
+    return (top_hi >= np.max(top_lo)) | low
+
+
+def _counted_certify(monkeypatch) -> list:
+    calls = []
+    certify = jacobi._certify
+
+    def counting(*args):
+        calls.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(jacobi, "_certify", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name", [sc.name for sc in js.list_scenarios() if sc.name not in _PATH_LENGTH_BUILTINS] + ["d16"]
+)
+def test_svals_takes_the_structural_route_alone(name, monkeypatch):
+    # a family with structural bounds evaluates the nodes they leave
+    # undecided and then neighbours of those; no block centre of the
+    # path-length levels is evaluated
+    if name == "d16":
+        traj = _fine_grid_d16()
+    else:
+        sc = js.get_scenario(name)
+        traj = js.integrate(sc.family(), step=sc.step)
+    calls = _counted_certify(monkeypatch)
+    undecided = _structurally_undecided(traj)
+    near = undecided.copy()
+    near[1:] |= undecided[:-1]
+    near[:-1] |= undecided[1:]
+    evaluated = ~np.isnan(traj.svals[:, 0])
+    assert np.flatnonzero(evaluated & ~near).tolist() == []
+    assert evaluated[undecided].all()
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", [*_PATH_LENGTH_BUILTINS, "coupled-sampled"])
+def test_svals_takes_the_path_length_route_without_structural_bounds(name, monkeypatch):
+    if name == "coupled-sampled":
+        traj = _coupled_sampled()
+        assert traj.row_solutions is None
+    else:
+        sc = js.get_scenario(name)
+        traj = js.integrate(sc.family(), step=sc.step)
+    assert traj._structural_bounds() is None
+    calls = _counted_certify(monkeypatch)
+    traj.svals
+    assert len(calls) == 1
+    _assert_same_as_all_nodes(traj)
+
+
 @st.composite
 def _walks(draw):
     """A random matrix walk of d = 1..4 and 1..300 nodes (the last block
@@ -763,6 +855,15 @@ def _walks(draw):
         u, s, vh = np.linalg.svd(y[k])
         y[k] = (u[:, :rank] * s[:rank]) @ vh[:rank]
     return js.JacobiTrajectory(None, h, h * np.arange(n), y, yd)
+
+
+def test_hypothesis_reporter_imports_under_the_warning_filters():
+    # hypothesis prints a failing example's patch through this module, which
+    # imports libcst; a warning raised as an error there ends the run in an
+    # INTERNALERROR that hides the falsifying example
+    if importlib.util.find_spec("libcst") is None:
+        pytest.skip("hypothesis reports without libcst")
+    importlib.import_module("hypothesis.extra._patching")
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -876,6 +977,23 @@ def test_singular_events_open_window_filters_the_cached_list(trajs):
         assert not e.kernel.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             e.kernel[0, 0] = 1.0
+
+
+def test_singular_events_merge_events_refined_to_one_time():
+    # Y = diag(t - 2.5, 100) on nodes t = 0..5: nodes 2 and 3 tie as local
+    # minima of sigma_min, each brackets the sign change of det Y and refines
+    # to 2.5, and the two events merge into one with a one-column kernel
+    times = np.arange(6.0)
+    y = np.zeros((6, 2, 2))
+    y[:, 0, 0], y[:, 1, 1] = times - 2.5, 100.0
+    yd = np.broadcast_to(np.diag([1.0, 0.0]), y.shape).copy()
+    traj = js.JacobiTrajectory(None, 1.0, times, y, yd)
+    cuts = (jacobi.TOL_ZERO * traj.scale, jacobi._COARSE_CUT * traj.scale)
+    assert jacobi._candidate_nodes(traj.sigma_min, *cuts).tolist() == [2, 3]
+    (event,) = js.singular_events(traj)
+    assert event.time == pytest.approx(2.5, abs=1e-12)
+    assert event.kernel.shape == (2, 1)
+    assert_allclose(np.abs(event.kernel[:, 0]), [1.0, 0.0], atol=1e-12)
 
 
 def test_node_index_alignment(trajs):

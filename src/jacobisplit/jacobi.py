@@ -42,17 +42,18 @@ of every step from one vectorized RK4 step per chunk of steps, and composes
 them block by block, ``E_{i+1} = S_i + E_i + S_i E_i``, all blocks at once.
 Pass 2 takes the block starts ``Phi_b``, and pass 3 ``Phi`` at node i of
 block b as ``[E_i, I] [Phi_b; Phi_b]``, one rank-4 product per run. The
-trajectory keeps ``Phi`` as its ``row_solutions`` and forms ``Y`` and
-``Yd`` only where they are read: row k of ``Y`` is ``a Y0[k] + b Yd0[k]``
-and of ``Yd`` ``a' Y0[k] + b' Yd0[k]``, one rank-2 product per run
-(``JacobiTrajectory.nodes``), and the step norms and the span tests of
-``splitting`` read ``Phi`` itself in ``O(N d)``. Any other field takes the
-full ``2d x 2d`` scan. Propagators are held in increment form ``E = P -
-I`` and advanced as ``E <- E + inc(I + E)``, ``E_m + E_j + E_m E_j`` is the
-increment form of ``(I + E_m)(I + E_j)``, and the identity of a pass-3 row
-adds the block start, so the ``O(h)`` per-step changes are never rounded
-against the identity; forming ``P`` itself loses about a digit on fine
-grids. The result is the same RK4 map with its products grouped
+trajectory keeps ``Phi`` as its ``row_solutions``, reads it alone, and
+forms ``Y`` and ``Yd`` only where they are read: row k of ``Y`` is ``a
+Y0[k] + b Yd0[k]`` and of ``Yd`` ``a' Y0[k] + b' Yd0[k]``, one elementwise
+rule (``_rows``) that also gives the members ``Y c`` of the orthogonality
+residual and the rows of the span tests; the step norms and the span
+tests' Gram operators read ``Phi`` itself in ``O(N d)``. Any other field
+takes the full ``2d x 2d`` scan. Propagators are held in increment form
+``E = P - I`` and advanced as ``E <- E + inc(I + E)``, ``E_m + E_j + E_m
+E_j`` is the increment form of ``(I + E_m)(I + E_j)``, and the identity of
+a pass-3 row adds the block start, so the ``O(h)`` per-step changes are
+never rounded against the identity; forming ``P`` itself loses about a
+digit on fine grids. The result is the same RK4 map with its products grouped
 differently, equal to the step loop up to roundoff.
 
 On top of the trajectory this module provides the Riccati operator
@@ -84,15 +85,15 @@ overflowed, stays undecided. The self-adjointness gate is relative to
 maximum from that, the scale and the largest ``||Yd||_F``
 (``stacked_bound``). ``det Y`` is taken only where the event search reads
 it (``dets``), and the refined events are kept per trajectory, so each is
-scanned once. A family so large that
-``det Y`` or ``sigma_min^2`` would overflow is searched on ``Y`` times a
-power of two (``_unit``).
+scanned once. The search takes ``det Y`` and ``sigma_min^2`` of ``Y``
+times the power of two that brings the scale to ``[1/2, 1)`` (``_unit``), so
+neither overflows or underflows with the family's size, and a family scaled
+by a power of two finds the same events.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -202,13 +203,14 @@ class JacobiTrajectory:
     ``Phi = [[a, b], [a', b']]``, ``(N+1, runs, 2, 2)``, of the scalar
     equations of its runs of equal rows, and the run of every row, so that
     row k of ``Y`` is ``a Y0[k] + b Yd0[k]`` and of ``Yd`` is ``a' Y0[k] +
-    b' Yd0[k]`` with the run ``run[k]``'s ``Phi``. Such a trajectory forms
-    ``Y`` and ``Yd`` on read: ``nodes`` at the nodes a caller asks for, and
-    ``y`` and ``yd`` the full arrays on first read, which it then keeps;
-    both have the bits of one product (``_form``). Every analysis that
-    decides a splitting, rigidity or vanishing-floor verdict reads nodes
-    or ``Phi`` (the step norms, the span tests of
-    ``splitting._span_from_test`` and the orthogonality residual), so only
+    b' Yd0[k]`` with the run ``run[k]``'s ``Phi``. The trajectory is the
+    only reader of ``row_solutions``, and forms every row by that one
+    elementwise rule (``_rows``), which rounds an entry the same way
+    however many rows are formed: ``nodes`` at the nodes a caller asks
+    for, ``y`` and ``yd`` the full arrays on first read, which it then
+    keeps, ``members`` the members of a basis and ``span_test`` the rows
+    of a span test. Every analysis that decides a splitting, rigidity or
+    vanishing-floor verdict reads nodes, members or ``Phi``, so only
     ``riccati_series``, ``reduction.reduce`` and ``export_csv`` form the
     full arrays. ``row_solutions`` is None for any other field and for a
     trajectory built by hand.
@@ -249,35 +251,28 @@ class JacobiTrajectory:
     def y(self) -> np.ndarray:
         """Y at every node, ``(N+1, d, d)``, formed from ``row_solutions``
         on first read."""
-        return self._form(np.arange(self.n_nodes), (0,))[0]
+        return self._formed(np.arange(self.n_nodes), (0,))[0]
 
     @cached_property
     def yd(self) -> np.ndarray:
         """Yd at every node, ``(N+1, d, d)``, formed from ``row_solutions``
         on first read."""
-        return self._form(np.arange(self.n_nodes), (1,))[0]
+        return self._formed(np.arange(self.n_nodes), (1,))[0]
 
-    def nodes(self, idx) -> tuple[np.ndarray, np.ndarray]:
-        """``(Y, Yd)`` at the node ``idx`` or at an array of nodes: rows of
-        ``y`` and ``yd`` where those are formed, else formed from
-        ``row_solutions`` at these nodes only, with the same bits. Node 0
-        alone, where the gates read, is the initial data itself."""
-        if self.row_solutions is None or {"y", "yd"} <= vars(self).keys():
-            return self.y[idx], self.yd[idx]
+    def nodes(self, idx, parts=(0, 1)) -> tuple[np.ndarray, ...]:
+        """``Y`` (part 0) and ``Yd`` (part 1), for each of ``parts``, at the
+        node ``idx`` or at an array of nodes: rows of ``y`` and ``yd``, or,
+        with ``row_solutions``, formed at these nodes only by the rule that
+        forms the full arrays, so with their bits. Node 0 alone, where the
+        gates read, is the initial data itself."""
+        if self.row_solutions is None:
+            return tuple((self.y, self.yd)[p][idx] for p in parts)
         at = np.asarray(idx)
         if at.ndim == 0:
             if at == 0:
-                return self.spec.y0, self.spec.yd0
-            y, yd = self._form(at.reshape(1))
-            return y[0], yd[0]
-        return tuple(self._form(at))
-
-    def values(self, idx: np.ndarray) -> np.ndarray:
-        """``Y`` alone at an array of nodes, as ``nodes`` gives it, without
-        forming ``Yd``."""
-        if self.row_solutions is None or "y" in vars(self):
-            return self.y[idx]
-        return self._form(np.asarray(idx), (0,))[0]
+                return tuple((self.spec.y0, self.spec.yd0)[p] for p in parts)
+            return tuple(f[0] for f in self._formed(at.reshape(1), parts))
+        return self._formed(at, parts)
 
     @cached_property
     def _runs(self) -> list[tuple[int, int, np.ndarray]]:
@@ -291,36 +286,98 @@ class JacobiTrajectory:
             for lo, hi in zip(cuts[:-1], cuts[1:])
         ]
 
-    def _form(self, idx: np.ndarray, parts=(0, 1)) -> list[np.ndarray]:
-        """Rows ``idx`` of ``Y`` (part 0) and of ``Yd`` (part 1), for each of
-        ``parts``, from ``row_solutions``: per run, the rank-2 product of
-        ``[a, b]`` (or ``[a', b']``) with ``[vec Y0; vec Yd0]``, written
-        straight into the output, and the initial data itself at node 0.
-
-        The rows go to the product in groups of ``32 _CHUNK / d^2``, or of
-        all of them when fewer, but never one alone; the last group is
-        padded with copies of the last row. BLAS rounds a row the same way
-        in every product that small, while one row alone takes a
-        matrix-vector product and a much larger product may take another
-        kernel; so a row has the same bits however many are formed."""
-        phi = self.row_solutions[0]
-        d, k = self.dim, len(idx)
-        size = max(2, min(k, 32 * _CHUNK // (d * d)))
-        pad = -k % size
-        rows = np.concatenate([idx, np.repeat(idx[-1:], pad)]) if pad else idx
-        ab = phi[rows]  # (rows, runs, 2, 2)
+    def _formed(self, idx: np.ndarray, parts) -> tuple[np.ndarray, ...]:
+        """``Y`` (part 0) and ``Yd`` (part 1), for each of ``parts``, at the
+        nodes ``idx`` from ``row_solutions``: row k is ``p Y0[k] + q
+        Yd0[k]`` with ``(p, q)`` its run's ``(a, b)`` or ``(a', b')``
+        (``_rows``), written into the output ``_CHUNK`` nodes at a time, so
+        no temporary of the output's size is made. Node 0 is the initial
+        data itself."""
+        phi, run = self.row_solutions
+        start = (self.spec.y0, self.spec.yd0)
+        out = tuple(np.empty((len(idx), self.dim, self.dim)) for _ in parts)
+        for lo in range(0, len(idx), _CHUNK):
+            rows = phi[idx[lo : lo + _CHUNK]][:, run]  # (nodes, d, 2, 2)
+            for p, formed in zip(parts, out):
+                _rows(rows[:, :, p], *start, out=formed[lo : lo + _CHUNK])
         origin = np.flatnonzero(idx == 0)
-        formed = []
-        for p in parts:
-            out = np.empty((len(rows), d, d))
-            flat = out.reshape(len(rows), d * d)
-            for r, (lo, hi, y0yd0) in enumerate(self._runs):
-                dest = flat[:, lo * d : hi * d].reshape(-1, size, (hi - lo) * d)
-                np.matmul(ab[:, r, p].reshape(-1, size, 2), y0yd0, out=dest)
-            if origin.size:
-                out[origin] = (self.spec.y0, self.spec.yd0)[p]
-            formed.append(out[:k])
-        return formed
+        for p, formed in zip(parts, out):
+            formed[origin] = start[p]
+        return out
+
+    def _reader(self, coef: np.ndarray, basis: np.ndarray):
+        """The reader, over a slice of nodes, of the rows ``p (Y0 basis)[k]
+        + q (Yd0 basis)[k]`` (``_rows``), ``(nodes, d, m)``, with ``(p, q)``
+        row k's run's pair in ``coef``, ``(N+1, runs, 2)``; ``Y0 basis``
+        and ``Yd0 basis`` are taken once."""
+        run = self.row_solutions[1]
+        u, w = self.spec.y0 @ basis, self.spec.yd0 @ basis
+        return lambda chunk: _rows(coef[chunk][:, run], u, w)
+
+    def members(self, basis: np.ndarray):
+        """The reader of the members ``Y c`` of the columns ``c`` of
+        ``basis`` over a slice of nodes, ``(nodes, d, m)``: ``Y`` times
+        ``basis``, or, with ``row_solutions``, row k as ``a (Y0 c)[k] + b
+        (Yd0 c)[k]`` with its run's ``Phi`` (``_rows``)."""
+        if self.row_solutions is None:
+            return lambda chunk: np.einsum("nij,jk->nik", self.y[chunk], basis)
+        return self._reader(self.row_solutions[0][:, :, 0], basis)
+
+    def span_test(self, p: np.ndarray, q: np.ndarray):
+        """The time-averaged Gram operator of the test ``T_n = p_n Y_n + q_n
+        Yd_n``, with weights ``p`` and ``q`` over the nodes, and the reader
+        of a candidate's worst node residual ``max_n ||T_n v||``.
+
+        With ``row_solutions``, row k of ``T_n`` is ``P_n Y0[k] + Q_n
+        Yd0[k]`` with ``(P, Q) = p (a, b) + q (a', b')`` of its run
+        (``_rows`` once more), series over the nodes per run. The Gram
+        operator is ``sum_k [Y0[k]; Yd0[k]]^T [[sum P^2, sum PQ], [sum PQ,
+        sum Q^2]]_k [Y0[k]; Yd0[k]]`` over the node count, and a residual
+        reads ``_rows`` of ``(P, Q)`` with ``Y0 v`` and ``Yd0 v``: both cost
+        ``O(N d)``, and the residual is read ``16 _CHUNK / d`` nodes at a
+        time. Any other trajectory streams ``T`` from ``Y`` and ``Yd``,
+        ``_CHUNK`` nodes at a time, once for the Gram operator and once per
+        candidate. No full-size array is made."""
+        n, d = self.n_nodes, self.dim
+        weights = np.stack([p, q], axis=-1)  # (N+1, 2)
+        if self.row_solutions is None:
+            y, yd = self.y, self.yd
+            chunks = [slice(lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
+
+            def gram(c):  # the chunk's test is freed on return
+                flat = _rows(weights[c, None], y[c], yd[c]).reshape(-1, d)
+                return flat.T @ flat
+
+            op = sum(gram(c) for c in chunks) / n
+
+            def tests(v):
+                # node rows from a gemv on the flat view of Y and Yd
+                for c in chunks:
+                    yv, ydv = ((m[c].reshape(-1, d) @ v).reshape(-1, d, 1) for m in (y, yd))
+                    yield _rows(weights[c, None], yv, ydv)
+
+        else:
+            phi, run = self.row_solutions
+            y0, yd0 = self.spec.y0, self.spec.yd0
+            # the series P and Q, (N+1, runs) each and contiguous
+            sp, sq = (_rows(weights, phi[:, :, 0, j], phi[:, :, 1, j]) for j in (0, 1))
+            pairs = ((sp, sp), (sp, sq), (sq, sq))
+            pp, pq, qq = (np.einsum("nr,nr->r", a, b)[run] for a, b in pairs)
+            cross = (y0.T * pq) @ yd0
+            op = ((y0.T * pp) @ y0 + cross + cross.T + (yd0.T * qq) @ yd0) / n
+            coef = np.stack([sp, sq], axis=-1)
+            m = 16 * _CHUNK // d
+            chunks = [slice(lo, lo + m) for lo in range(0, n, m)]
+
+            def tests(v):
+                read = self._reader(coef, v[:, None])
+                return (read(c) for c in chunks)
+
+        def worst_residual(v):
+            rows = (r[..., 0] for r in tests(v))
+            return math.sqrt(max(float(np.max(np.einsum("nk,nk->n", r, r))) for r in rows))
+
+        return op, worst_residual
 
     @property
     def dim(self) -> int:
@@ -491,8 +548,8 @@ class JacobiTrajectory:
         its sorted ``lambda`` and the smallest at a neighbour of ``-p /
         q``, so this costs ``O(N)`` per run. The residual norms are widened
         by a few ``d eps`` times the sizes that round in them: the products
-        that form ``G`` and ``F``, the rank-2 product that forms a node
-        from ``Phi`` (``_form``) and ``p + q lambda``; what is left is
+        that form ``G`` and ``F``, the rule that forms a node from ``Phi``
+        (``_rows``) and ``p + q lambda``; what is left is
         relative to a singular value (the SVD of ``M`` and of a node, and
         ``Q`` orthogonal to roundoff), and ``_SLACK`` covers it. These
         bounds decide every node at once, against the largest lower bound
@@ -529,7 +586,7 @@ class JacobiTrajectory:
 
         Each evaluated node is one LAPACK SVD of Y, whose error of order ``d
         eps scale`` the ``_SLACK`` widening covers. The nodes are read by
-        ``values``, which forms ``Y`` alone, and sent to the SVD ``32 _CHUNK
+        ``nodes``, which forms ``Y`` alone, and sent to the SVD ``32 _CHUNK
         / d^2`` at a time, so each temporary holds at most ``32 _CHUNK``
         floats."""
         n, d = self.n_nodes, self.dim
@@ -547,7 +604,7 @@ class JacobiTrajectory:
         def evaluate(idx):
             for lo in range(0, len(idx), per):
                 part = idx[lo : lo + per]
-                svals[part] = np.linalg.svd(self.values(part), compute_uv=False)
+                svals[part] = np.linalg.svd(self.nodes(part, (0,))[0], compute_uv=False)
 
         def undecided(i, c, dist):
             upper = (svals[c, 0] + dist) * (1.0 + _SLACK)
@@ -589,13 +646,12 @@ class JacobiTrajectory:
 
     @property
     def _unit(self) -> float:
-        """The factor on ``Y`` under which the event search takes ``det Y``
-        and ``sigma_min^2``: 1 while ``scale^max(d, 2)``, which bounds both,
-        is in the float range, so a family of ordinary size reads its plain
-        values, and else ``2^-e`` for the scale ``m 2^e``, ``1/2 <= m < 1``,
-        which keeps both below 1."""
-        e = math.frexp(self.scale)[1]
-        return 1.0 if e * max(self.dim, 2) < sys.float_info.max_exp else math.ldexp(1.0, -e)
+        """The factor ``2^-e`` on ``Y``, for the scale ``m 2^e``, ``1/2 <= m <
+        1``, under which the event search takes ``det Y`` and
+        ``sigma_min^2``: both stay below 1, the family's size neither
+        overflows nor underflows them, and a family scaled by a power of two
+        searches the very same values."""
+        return math.ldexp(1.0, -math.frexp(self.scale)[1])
 
     @cached_property
     def stacked_scale(self) -> float:
@@ -630,7 +686,7 @@ class JacobiTrajectory:
             near[np.clip(cand + shift, 0, n - 1)] = True
         idx = np.flatnonzero(near)
         dets = np.full(n, np.nan)
-        dets[idx] = np.linalg.det(self._unit * self.values(idx))
+        dets[idx] = np.linalg.det(self._unit * self.nodes(idx, (0,))[0])
         return dets
 
     @cached_property
@@ -676,6 +732,19 @@ class JacobiTrajectory:
             self._pair = (j, *self.nodes(np.array([j, j + 1])))
         _, y, yd = self._pair
         return h00 * y[0] + h01 * y[1] + h * (h10 * yd[0] + h11 * yd[1])
+
+
+def _rows(pq: np.ndarray, u: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
+    """The row rule of a diagonal field's family: ``p u + q w`` with ``p =
+    pq[..., :1]`` and ``q = pq[..., 1:]``, broadcast against ``u`` and
+    ``w``, into ``out`` when given. Row k of ``Y`` is ``a Y0[k] + b
+    Yd0[k]`` with its run's ``(a, b)``, of ``Yd`` the same with ``(a',
+    b')``, and of a member ``Y c`` the same with ``Y0 c`` and ``Yd0 c``.
+    Each entry is two rounded products and their rounded sum, whatever the
+    shapes, so a row has the same bits however many are formed."""
+    out = np.multiply(pq[..., :1], u, out=out)
+    out += pq[..., 1:] * w
+    return out
 
 
 def nearest_node(times: np.ndarray, step: float, t: float) -> int:
@@ -1127,6 +1196,9 @@ def _refined_events(traj: JacobiTrajectory) -> tuple[ZeroEvent, ...]:
 
     events: list[ZeroEvent] = []
     dets = traj.dets
+    # a sign change is a product of signs below zero: a product of two dets
+    # may overflow where each is finite
+    sign = np.sign(dets)
     for j in _candidate_nodes(sig, zero_cut, coarse_cut):
         if sig[j] <= zero_cut:
             t_star, s_star, cols = traj.times[j], None, None
@@ -1136,9 +1208,9 @@ def _refined_events(traj: JacobiTrajectory) -> tuple[ZeroEvent, ...]:
             t_star = None
             # the Hermite interpolant is Y itself at a node, so the node dets
             # are the bracket's end values
-            if dets[j_lo] * dets[j] < 0.0:
+            if sign[j_lo] * sign[j] < 0.0:
                 t_star = _det_root(traj, traj.times[j_lo], traj.times[j], dets[j_lo], dets[j])
-            elif dets[j] * dets[j_hi] < 0.0:
+            elif sign[j] * sign[j_hi] < 0.0:
                 t_star = _det_root(traj, traj.times[j], traj.times[j_hi], dets[j], dets[j_hi])
             elif j_lo < j < j_hi:
                 ts = [traj.times[j_lo], traj.times[j], traj.times[j_hi]]

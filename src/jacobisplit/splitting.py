@@ -156,33 +156,25 @@ class SpanResult:
     rejected_residual: float | None
 
 
-def _weighted(w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``w[j] * a[j]`` for every node j of the leading axis."""
-    return w.reshape((-1,) + (1,) * (a.ndim - 1)) * a
-
-
-def _span_from_test(traj: JacobiTrajectory, terms: tuple) -> SpanResult:
-    """Near-null space of the test ``sum_k w_k(t) M_k(t)``, a time-indexed
-    family of ``d x d`` matrices given as ``terms``, pairs ``(w_k, j_k)`` of
-    per-node weights (None for a unit weight) and ``M_k``: ``Y`` for ``j_k =
-    0``, ``Yd`` for 1.
+def _span_from_test(traj: JacobiTrajectory, p: np.ndarray, q: np.ndarray) -> SpanResult:
+    """Near-null space of the test ``p(t) Y(t) + q(t) Yd(t)``, a
+    time-indexed family of ``d x d`` matrices with per-node weights ``p``
+    and ``q``. The trajectory gives the test's Gram operator and worst node
+    residuals (``JacobiTrajectory.span_test``): in ``O(N d)`` from the rows'
+    scalar solutions of a diagonal field, else streamed from ``Y`` and
+    ``Yd``; this function selects the span from them.
 
     Candidates are eigenvectors of the time-averaged Gram operator of the
     test, taken in ascending eigenvalue order; a candidate joins the span
     while its worst node residual stays below ``TOL_SPAN`` times
     ``traj.stacked_bound``, the family's size over the grid. The max-node
     qualification (rather than the averaged Gram value alone) keeps
-    locally-supported failures from slipping through.
-
-    A trajectory of a diagonal field reads its ``row_solutions`` in ``O(N
-    d)`` (``_factored_test``); any other is streamed from ``Y`` and ``Yd``
-    (``_streamed_test``). A family so large that the Gram operator or the
-    size overflows is a ValueError.
+    locally-supported failures from slipping through. A family so large
+    that the Gram operator or the size overflows is a ValueError.
     """
     scale = traj.stacked_bound
-    test = _streamed_test if traj.row_solutions is None else _factored_test
     with np.errstate(over="ignore", invalid="ignore"):
-        op, worst_residual = test(traj, terms)
+        op, worst_residual = traj.span_test(p, q)
     if not (math.isfinite(scale) and np.all(np.isfinite(op))):
         raise ValueError(
             f"the family's size overflows: the span test's Gram operator or the "
@@ -204,85 +196,19 @@ def _span_from_test(traj: JacobiTrajectory, terms: tuple) -> SpanResult:
     return SpanResult(basis=basis, residuals=np.asarray(residuals), rejected_residual=rejected)
 
 
-def _streamed_test(traj: JacobiTrajectory, terms: tuple):
-    """The time-averaged Gram operator of the test and the worst node
-    residual ``max_n ||test_n v||`` of a candidate ``v``, with the test
-    streamed ``_CHUNK`` nodes at a time, once for the Gram operator and
-    once per candidate, so no full-size array is made; a lone unit-weight
-    term is read in place."""
-    mats = (traj.y, traj.yd)
-    n, d = traj.y.shape[:2]
-    chunks = [slice(lo, lo + _CHUNK) for lo in range(0, n, _CHUNK)]
-
-    def test(chunk, f):
-        # sum_k w_k f(M_k[chunk]), f keeping the node axis first; only a lone
-        # term has a unit weight (None), so a sum of several is a fresh array
-        (w, j), *rest = terms
-        m = mats[j][chunk]
-        total = f(m) if w is None else _weighted(w[chunk], f(m))
-        for w, j in rest:
-            total += _weighted(w[chunk], f(mats[j][chunk]))
-        return total
-
-    def gram(chunk):  # the chunk's test is freed on return
-        flat = test(chunk, lambda b: b).reshape(-1, d)
-        return flat.T @ flat
-
-    def worst_residual(v):
-        # node rows from a gemv on the flat view of each term
-        rows = (test(c, lambda b: (b.reshape(-1, d) @ v).reshape(-1, d)) for c in chunks)
-        return max(float(np.max(np.linalg.norm(r, axis=1))) for r in rows)
-
-    return sum(gram(c) for c in chunks) / n, worst_residual
-
-
-def _factored_test(traj: JacobiTrajectory, terms: tuple):
-    """``_streamed_test`` from the rows' scalar solutions. Row k of ``M_j``
-    is ``Phi[j, 0] Y0[k] + Phi[j, 1] Yd0[k]`` with its run's ``Phi``, so row
-    k of the test is ``P_n Y0[k] + Q_n Yd0[k]`` with ``P = sum w_j Phi[j,
-    0]`` and ``Q = sum w_j Phi[j, 1]``, series over the nodes per run. The
-    Gram operator is ``sum_k [Y0[k]; Yd0[k]]^T [[sum P^2, sum PQ], [sum PQ,
-    sum Q^2]]_k [Y0[k]; Yd0[k]]`` over the node count, and a candidate's
-    worst residual is ``max_n ||P_n o (Y0 v) + Q_n o (Yd0 v)||``, read
-    ``16 _CHUNK / d`` nodes at a time; both cost ``O(N d)``."""
-    phi, run = traj.row_solutions
-    y0, yd0 = traj.nodes(0)
-    n, d = len(phi), traj.dim
-    m = 16 * _CHUNK // d  # nodes per chunk, so each temporary holds 16 _CHUNK floats
-    chunks = [slice(lo, lo + m) for lo in range(0, n, m)]
-
-    def series(col):  # sum_j w_j Phi[j, col], (N+1, runs)
-        entries = ((w, phi[:, :, j, col]) for w, j in terms)
-        return sum(s if w is None else w[:, None] * s for w, s in entries)
-
-    p, q = series(0), series(1)
-    pp, pq, qq = (np.einsum("nr,nr->r", a, b)[run] for a, b in ((p, p), (p, q), (q, q)))
-    cross = (y0.T * pq) @ yd0
-    op = ((y0.T * pp) @ y0 + cross + cross.T + (yd0.T * qq) @ yd0) / n
-
-    def worst_residual(v):
-        u, w = y0 @ v, yd0 @ v  # the candidate's member and its derivative at alpha
-        rows = (p[c][:, run] * u + q[c][:, run] * w for c in chunks)
-        return math.sqrt(max(float(np.max(np.einsum("nk,nk->n", r, r))) for r in rows))
-
-    return op, worst_residual
-
-
 def parallel_span(traj: JacobiTrajectory) -> SpanResult:
     """Coefficient vectors whose member fields are parallel: Yd(t) c = 0 at
-    every node. The test is ``Yd`` itself: read in place ``_CHUNK`` nodes at
-    a time, or from the rows' scalar solutions of a diagonal field."""
-    return _span_from_test(traj, ((None, 1),))
+    every node. The test is ``Yd`` itself."""
+    n = traj.n_nodes
+    return _span_from_test(traj, np.zeros(n), np.ones(n))
 
 
 def sine_span(traj: JacobiTrajectory) -> SpanResult:
     """Coefficient vectors whose member fields have the form sin(t) E(t)
     with E parallel; equivalently (sin(t) Yd(t) - cos(t) Y(t)) c = 0 at
-    every node. The test is streamed ``_CHUNK`` nodes at a time from ``Y``
-    and ``Yd``, or read from the rows' scalar solutions of a diagonal
-    field; no full-size array is made."""
+    every node."""
     t = traj.times
-    return _span_from_test(traj, ((np.sin(t), 1), (-np.cos(t), 0)))
+    return _span_from_test(traj, -np.cos(t), np.sin(t))
 
 
 def vanishing_span(traj: JacobiTrajectory, open_ends: bool = False) -> np.ndarray:
@@ -318,44 +244,25 @@ def _orthogonality_residual(traj: JacobiTrajectory, zb: np.ndarray, pb: np.ndarr
 
     Pairs are compared node by node: |<Y c_z, Y c_p>| against the product
     of the member norms, less a floor of ``1e-9`` times the squared family
-    size over the grid (``stacked_bound``), so instants where a member
-    vanishes do not divide by zero, and the residual does not change when
-    the family is scaled. The members are read ``_CHUNK`` nodes at a time
-    (``_members``).
+    size over the grid (``stacked_bound``), so the residual does not change
+    when the family is scaled. A pair with a member that vanishes at a node
+    reads ``-inf`` there. The members are read ``_CHUNK`` nodes at a time
+    (``JacobiTrajectory.members``).
     """
     if zb.shape[1] == 0 or pb.shape[1] == 0:
         return 0.0
     floor = 1e-9 * traj.stacked_bound * traj.stacked_bound
-    z_members, p_members = _members(traj, zb), _members(traj, pb)
+    z_members, p_members = traj.members(zb), traj.members(pb)
     worst = 0.0
     for lo in range(0, traj.n_nodes, _CHUNK):  # a max over nodes, taken chunk by chunk
         chunk = slice(lo, lo + _CHUNK)
         vz, vp = z_members(chunk), p_members(chunk)  # (chunk, d, m)
         inner = np.abs(np.einsum("nik,nil->nkl", vz, vp))
-        nz = np.linalg.norm(vz, axis=1)[:, :, None]
-        np_ = np.linalg.norm(vp, axis=1)[:, None, :]
-        violation = (inner - floor) / np.maximum(nz * np_, 1e-300)
+        norms = np.linalg.norm(vz, axis=1)[:, :, None] * np.linalg.norm(vp, axis=1)[:, None, :]
+        violation = np.full_like(inner, -np.inf)
+        np.divide(inner - floor, norms, out=violation, where=norms > 0.0)
         worst = max(float(np.max(violation)), worst)
     return worst
-
-
-def _members(traj: JacobiTrajectory, basis: np.ndarray):
-    """The reader of ``Y c`` for every column ``c`` of ``basis`` at the
-    nodes of a chunk, ``(nodes, d, m)``. A trajectory of a diagonal field
-    reads its ``row_solutions`` as ``_factored_test`` does: row k is ``a
-    (Y0 c)[k] + b (Yd0 c)[k]`` with its run's ``Phi``; any other reads
-    ``Y``."""
-    if traj.row_solutions is None:
-        return lambda chunk: np.einsum("nij,jk->nik", traj.y[chunk], basis)
-    phi, run = traj.row_solutions
-    y0, yd0 = traj.nodes(0)
-    u, w = y0 @ basis, yd0 @ basis
-
-    def read(chunk):
-        ab = phi[chunk, :, 0][:, run]  # (nodes, d, 2): a and b of every row
-        return ab[:, :, :1] * u + ab[:, :, 1:] * w
-
-    return read
 
 
 def _zero_time_map(events: list[ZeroEvent], z_basis: np.ndarray) -> list[tuple[int, float]]:

@@ -940,7 +940,7 @@ def test_singular_events_unchanged_under_full_grid_dets(trajs, name):
     traj = _d16_family(1e-3) if name == "d16" else trajs(name)
     # a fresh trajectory on the same arrays, its dets taken at every node
     full = js.JacobiTrajectory(traj.spec, traj.step, traj.times, traj.y, traj.yd)
-    full.dets = np.linalg.det(traj.y)
+    full.dets = np.linalg.det(traj._unit * traj.y)
     assert _event_rows(full) == _event_rows(traj)
     taken = ~np.isnan(traj.dets)
     assert np.array_equal(traj.dets[taken], full.dets[taken])

@@ -107,7 +107,7 @@ def test_no_check_is_ever_falsified(builtin_runs):
             assert check.verdict != "falsified", (name, check.kind)
 
 
-@pytest.mark.parametrize("factor", [1e-6, 1e6])
+@pytest.mark.parametrize("factor", [1e-100, 1e-6, 1e6, 1e100])
 def test_verdicts_do_not_change_with_scale(builtin_runs, factor):
     # the family is linear in its initial data, and every gate and conclusion
     # is relative to its size: the self-adjointness threshold to the squared

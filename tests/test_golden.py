@@ -1,5 +1,7 @@
-"""Fresh reports of the 17 built-ins and the example config against the
-reports in ``tests/golden/``, kept from an earlier version of the engine.
+"""Fresh reports of the 17 built-ins, the example config and the fine-grid
+families of seed [3, 0] (``perfbench/families.py``: a constant field at
+d = 16, a diagonal one and a sampled one) against the reports in
+``tests/golden/``, kept from an earlier version of the engine.
 
 Keys, strings, bools, ints and verdicts must match exactly. Floats must
 agree within ``ABS`` or ``REL``, whichever is looser: that admits the
@@ -9,14 +11,18 @@ and still catches a moved zero time or a gate value that moves by 1e-7.
 """
 
 import copy
+import importlib.util
 import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 import jacobisplit as js
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_scenario.json"
+CONFIG = ROOT / "configs" / "example_scenario.json"
 ABS, REL = 1e-8, 1e-9
 
 
@@ -47,8 +53,19 @@ def _golden(name: str) -> dict:
     return json.loads((GOLDEN / f"{name}-report.json").read_text())
 
 
+def _fine_grid_scenarios() -> list:
+    """The benchmark's fine-grid families of seed [3, 0]."""
+    path = ROOT / "perfbench" / "families.py"
+    spec = importlib.util.spec_from_file_location("_golden_families", path)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    expected = json.loads((ROOT / "perfbench" / "expected_verdicts.json").read_text())
+    return families.fine_grid_families(np.random.default_rng([3, 0]), expected, "3-0")
+
+
 def test_reports_match_the_golden_reports(builtin_runs):
     reports = list(builtin_runs.values()) + [js.run_scenario(js.scenario_from_config(CONFIG))]
+    reports += [js.run_scenario(sc) for sc in _fine_grid_scenarios()]
     names = sorted(f"{r.scenario}-report.json" for r in reports)
     assert sorted(p.name for p in GOLDEN.glob("*.json")) == names
     for report in reports:

@@ -12,13 +12,12 @@ function of time. Three kinds exist:
 * ``sampled``: symmetrized node values on a time grid, linearly
   interpolated entrywise between nodes; loadable from JSON.
 
-An evaluated field is diagonal when every off-diagonal entry is exactly
-zero (``diagonal_entries``). A field that is diagonal on its whole domain
-(the constant kinds, and a sampled field whose node operators are all
-diagonal) also evaluates its diagonals alone (``CurvatureField.diagonals``),
-with the bits of the matrices' diagonals, so neither the integrator nor the
-spectrum rule forms its matrices; ``field_values`` reads a field either
-way. ``node_spectrum`` turns evaluated values into the ascending
+A field is diagonal or not from the moment it is built: the constant kinds
+are, and a sampled field is when every off-diagonal entry of its node
+operators is exactly zero (``diagonal_entries``). A diagonal field
+evaluates its diagonals alone (``CurvatureField.values``), so neither the
+integrator nor the spectrum rule forms its matrices; any other evaluates
+its matrices. ``node_spectrum`` turns evaluated values into the ascending
 eigenvalues at every node: the sorted diagonal of a diagonal field, equal
 to LAPACK's, and ``np.linalg.eigvalsh`` of any other. ``integrate`` keeps
 that table on the trajectory (``JacobiTrajectory.field_spectrum``), so the
@@ -65,25 +64,21 @@ _KINDS = ("constant-sectional", "diagonal-constant", "sampled")
 class CurvatureField:
     """Time-dependent self-adjoint operator on the (n-1)-dim normal space.
 
-    ``matrices(times)`` reads the field over a whole grid at once: an array
-    of shape ``(len(times), d, d)``, or ``(1, d, d)`` for the constant kinds,
-    which broadcasts against any grid without a per-node copy.
-    ``matrix(t)`` returns the operator entries at one time as a read-only
-    array; for the constant kinds the same cached array object is returned
-    for every ``t``.
-
-    ``_eval`` maps a 1-D array of times to their node values, or to one
-    ``(d, d)`` array when the field does not depend on time. ``_diag``, for
-    a field that is diagonal on its whole domain and None for any other,
-    maps them to the diagonals of those values alone, ``(len(times), d)``
-    or one ``(d,)`` array.
+    ``_eval`` maps a 1-D array of times to the field's values there, read
+    by ``values(times)``: one row per time, or one row for any grid when
+    the field does not depend on time. A row is the diagonal, shape
+    ``(d,)``, of a field that is diagonal on its whole domain, and the
+    matrix, ``(d, d)``, of any other. ``matrices(times)`` reads the
+    operators over a whole grid at once, ``(len(times), d, d)`` or ``(1, d,
+    d)``, which broadcasts against any grid; ``matrix(t)`` reads one. Both
+    are read-only, and a diagonal field's carry the bits of its diagonals
+    and zeros elsewhere.
     """
 
     kind: str
     n: int  # ambient dimension; operators act on dimension n - 1
     label: str = ""
     _eval: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
-    _diag: Callable[[np.ndarray], np.ndarray] | None = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -96,22 +91,19 @@ class CurvatureField:
         """Dimension of the normal space the operators act on."""
         return self.n - 1
 
+    def values(self, times) -> np.ndarray:
+        return self._eval(np.asarray(times, dtype=float).ravel())
+
     def matrices(self, times) -> np.ndarray:
-        out = self._eval(np.asarray(times, dtype=float).ravel())
-        return out[None] if out.ndim == 2 else out
+        out = self.values(times)
+        if out.ndim == 3:
+            return out
+        ops = np.zeros((*out.shape, out.shape[1]))
+        ops[:, np.arange(self.dim), np.arange(self.dim)] = out
+        return _frozen(ops)
 
     def matrix(self, t: float) -> np.ndarray:
-        out = self._eval(np.array([float(t)]))
-        return out if out.ndim == 2 else out[0]
-
-    def diagonals(self, times) -> np.ndarray | None:
-        """The diagonals of ``matrices(times)``, shape ``(len(times), d)`` or
-        ``(1, d)``, without forming the matrices, for a field that is
-        diagonal on its whole domain; None for any other field."""
-        if self._diag is None:
-            return None
-        out = self._diag(np.asarray(times, dtype=float).ravel())
-        return out[None] if out.ndim == 1 else out
+        return self.matrices([t])[0]
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -126,14 +118,12 @@ def constant_sectional(n: int, c: float, label: str = "") -> CurvatureField:
         raise ValueError("ambient dimension must be >= 2")
     if not np.isfinite(c):
         raise ValueError("sectional curvature must be finite")
-    cached = _frozen(float(c) * np.eye(n - 1))
-    diag = _frozen(np.diagonal(cached))
+    row = _frozen(np.full((1, n - 1), float(c)))
     return CurvatureField(
         kind="constant-sectional",
         n=n,
         label=label or f"constant-sectional(c={c})",
-        _eval=lambda times: cached,
-        _diag=lambda times: diag,
+        _eval=lambda times: row,
     )
 
 
@@ -148,14 +138,12 @@ def diagonal_constant(eigs, label: str = "") -> CurvatureField:
         raise ValueError("need at least one diagonal entry")
     if not np.all(np.isfinite(e)):
         raise ValueError("diagonal entries must be finite")
-    cached = _frozen(np.diag(e))
-    diag = _frozen(np.diagonal(cached))
+    row = _frozen(e[None])
     return CurvatureField(
         kind="diagonal-constant",
         n=e.size + 1,
         label=label or "diagonal-constant",
-        _eval=lambda times: cached,
-        _diag=lambda times: diag,
+        _eval=lambda times: row,
     )
 
 
@@ -205,38 +193,28 @@ def sampled_field(grid, ops, label: str = "") -> CurvatureField:
         if defect > 1e-8 * scale:
             raise ValueError(f"operator at node {i} is not symmetric (defect {defect:.3e})")
     sym_ops = (ops + np.transpose(ops, (0, 2, 1))) / 2.0
+    diag = diagonal_entries(sym_ops)
+    # the node values: the diagonals of a diagonal field, else the matrices
+    values = sym_ops if diag is None else np.ascontiguousarray(diag)
     t0, t1 = float(grid[0]), float(grid[-1])
 
-    def interpolant(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """The entrywise linear interpolant of node ``values``, ``(len(grid),
-        ...)``; each entry is rounded the same way whatever its array."""
+    def interpolant(times: np.ndarray) -> np.ndarray:
+        outside = (times < t0) | (times > t1)
+        if outside.any():
+            raise ValueError(f"time {times[outside][0]} outside sampled domain [{t0}, {t1}]")
+        if grid.size == 1:
+            return _frozen(np.broadcast_to(values[:1], (times.size, *values.shape[1:])))
+        j = np.clip(np.searchsorted(grid, times, side="right") - 1, 0, grid.size - 2)
+        # take copies the rows several times faster than an index array
+        start, stop = grid.take(j), grid.take(j + 1)
+        w = ((times - start) / (stop - start)).reshape(-1, *(1,) * (values.ndim - 1))
+        lo, hi = values.take(j, axis=0), values.take(j + 1, axis=0)  # combined in place
+        lo *= 1.0 - w
+        hi *= w
+        lo += hi
+        return _frozen(lo)
 
-        def at(times: np.ndarray) -> np.ndarray:
-            outside = (times < t0) | (times > t1)
-            if outside.any():
-                raise ValueError(f"time {times[outside][0]} outside sampled domain [{t0}, {t1}]")
-            if grid.size == 1:
-                return _frozen(np.broadcast_to(values[:1], (times.size, *values.shape[1:])))
-            j = np.clip(np.searchsorted(grid, times, side="right") - 1, 0, grid.size - 2)
-            # take copies the rows several times faster than an index array
-            start, stop = grid.take(j), grid.take(j + 1)
-            w = ((times - start) / (stop - start)).reshape(-1, *(1,) * (values.ndim - 1))
-            lo, hi = values.take(j, axis=0), values.take(j + 1, axis=0)  # combined in place
-            lo *= 1.0 - w
-            hi *= w
-            lo += hi
-            return _frozen(lo)
-
-        return at
-
-    diag = diagonal_entries(sym_ops)
-    return CurvatureField(
-        kind="sampled",
-        n=d + 1,
-        label=label or "sampled",
-        _eval=interpolant(sym_ops),
-        _diag=None if diag is None else interpolant(np.ascontiguousarray(diag)),
-    )
+    return CurvatureField(kind="sampled", n=d + 1, label=label or "sampled", _eval=interpolant)
 
 
 def is_json_number(value) -> bool:
@@ -318,39 +296,27 @@ def load_sampled_field(path) -> CurvatureField:
 
 
 def diagonal_entries(ops: np.ndarray) -> np.ndarray | None:
-    """The diagonals, shape ``(m, d)``, of the evaluated field ``ops`` of
+    """The diagonals, shape ``(m, d)``, of the node operators ``ops`` of
     shape ``(m, d, d)`` when every off-diagonal entry is exactly zero, and
-    None otherwise: the one test of whether a field is diagonal."""
+    None otherwise: the one test of whether a field is diagonal, made when
+    it is built."""
     diag = np.diagonal(ops, axis1=1, axis2=2)
     # the off-diagonal entries are all zero when every nonzero is on the diagonal
     return diag if np.count_nonzero(ops) == np.count_nonzero(diag) else None
 
 
-def field_values(field: CurvatureField, times) -> np.ndarray:
-    """The field at ``times``, one row only when it does not depend on
-    time: its diagonals, ``(m, d)``, where it is diagonal, and its matrices,
-    ``(m, d, d)``, elsewhere. A field diagonal on its whole domain is read
-    by ``CurvatureField.diagonals``, any other one by ``matrices`` and
-    ``diagonal_entries``."""
-    diag = field.diagonals(times)
-    if diag is not None:
-        return diag
-    ops = field.matrices(times)
-    diag = diagonal_entries(ops)
-    return ops if diag is None else diag
-
-
 def node_spectrum(values: np.ndarray) -> np.ndarray:
-    """The spectrum table of evaluated field values (``field_values``): the
-    ascending eigenvalues at every node, shape ``(m, d)``; the sorted
-    diagonals, equal to LAPACK's, and ``np.linalg.eigvalsh`` of matrices."""
+    """The spectrum table of evaluated field values
+    (``CurvatureField.values``): the ascending eigenvalues at every node,
+    shape ``(m, d)``; the sorted diagonals, equal to LAPACK's, and
+    ``np.linalg.eigvalsh`` of matrices."""
     return np.sort(values, axis=1) if values.ndim == 2 else np.linalg.eigvalsh(values)
 
 
 def spectrum_at(field: CurvatureField, t) -> np.ndarray:
     """``node_spectrum`` of the field at the times ``t`` (a scalar or an
     array); one row only when the field does not depend on time."""
-    return node_spectrum(field_values(field, t))
+    return node_spectrum(field.values(t))
 
 
 def k_traces(spectrum: np.ndarray, k: int) -> np.ndarray:

@@ -27,9 +27,8 @@ steps are cut into ``ceil(N/B)`` blocks of ``B = isqrt(N)``:
 3. replay: all blocks step from their starts together, ``B`` array steps,
    writing ``Y`` and ``Yd`` in place.
 
-A diagonal field, constant or not (``curvature.field_values``: read as its
-diagonals alone when diagonal on its whole domain, else diagonal where
-every off-diagonal entry it evaluates to is zero), moves row k of
+A diagonal field, constant or not (``CurvatureField.values`` reads it as
+its diagonals, decided once when it is built), moves row k of
 ``(Y, Yd)`` on its own by the scalar equation ``y'' = -e_k(t) y``. Adjacent
 rows whose entries agree at every stage form a run with one equation, and
 the three passes carry the run's fundamental solution ``Phi = [[a, b],
@@ -93,13 +92,14 @@ by a power of two finds the same events.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .curvature import CurvatureField, field_values, node_spectrum, spectrum_at
+from .curvature import CurvatureField, node_spectrum, spectrum_at
 from .symlin import lead_nonnegative, orthonormal_columns
 
 __all__ = [
@@ -995,7 +995,7 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
     stages[1::2] = 0.5 * (times[:-1] + times[1:])
     try:
         # the diagonals (1 or 2 N + 1, d) of a diagonal field, else the matrices
-        r = field_values(spec.field, stages)
+        r = spec.field.values(stages)
     except Exception as exc:
         raise ValueError(f"curvature field evaluation failed: {exc}") from exc
     # the node spectrum, before Y and Yd exist, so eigvalsh's copy of the
@@ -1008,9 +1008,8 @@ def integrate(spec: FamilySpec, step: float = DEFAULT_STEP) -> JacobiTrajectory:
         # are; a sum of squares may overflow on finite values
         vouched = np.isfinite(traj._step_norms).all()
     else:
-        # the entries by row, (d, 1 or 2 N + 1); nothing else of the field is
-        # read, so an array of (d, d) matrices that it views is freed before
-        # the maps are built
+        # the entries by row, (d, 1 or 2 N + 1); the diagonals are freed
+        # before the maps are built
         rows = np.ascontiguousarray(r.T)
         del r
         phi, run = _scalar_scan(rows, n_steps, h)
@@ -1091,15 +1090,18 @@ def _det_root(traj: JacobiTrajectory, lo: float, hi: float, flo: float, fhi: flo
     """A zero of the Hermite ``det Y`` in ``[lo, hi]``, whose end values
     ``flo`` and ``fhi`` differ in sign, by the Illinois method (Dowell and
     Jarratt, BIT 11, 1971): regula falsi on a bracket, halving the value
-    kept at an end that survives twice in a row, so neither end stalls. A
-    secant point that leaves the open bracket is replaced by its midpoint.
-    At most 80 evaluations; the bracket's midpoint is returned once it is at
-    most ``1e-15 max(1, |hi|)`` wide."""
+    kept at an end that survives twice in a row. A secant point that leaves
+    the open bracket is replaced by its midpoint. A bracket still open after
+    80 evaluations, as on a zero of odd multiplicity 3 or more, where the
+    halving cannot keep an end from stalling, is finished by bisection. The
+    bracket's midpoint is returned once it is at most ``1e-15 max(1, |hi|)``
+    wide."""
     moved = 0  # the end the last probe replaced: 1 for lo, -1 for hi
-    for _ in range(80):
-        t = (lo * fhi - hi * flo) / (fhi - flo)
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
+    for probe in itertools.count():
+        t = 0.5 * (lo + hi)
+        if probe < 80:
+            secant = (lo * fhi - hi * flo) / (fhi - flo)
+            t = secant if lo < secant < hi else t
         ft = _hermite_det(traj, t)
         if ft == 0.0:
             return t

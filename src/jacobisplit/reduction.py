@@ -168,9 +168,9 @@ def hce_residual(
     idx = difference_nodes(rs.regular, rs.shat_amb, cap)
     s = rs.shat_amb
     ds = (8.0 * (s[idx + 1] - s[idx - 1]) - (s[idx + 2] - s[idx - 2])) / (12.0 * traj.step)
-    ph, shat, bh = rs.ph[idx], rs.shat_amb[idx], rs.bh[idx]
-    r_amb = ph @ traj.spec.field.matrices(traj.times[idx]) @ ph
-    total = ds + shat @ shat + r_amb + 3.0 * rs.aastar[idx]
+    shat, bh = rs.shat_amb[idx], rs.bh[idx]
+    # BH spans the range of PH, so BH^T (PH R PH) BH = BH^T R BH
+    total = ds + shat @ shat + traj.spec.field.matrices(traj.times[idx]) + 3.0 * rs.aastar[idx]
     res_h = _t(bh) @ total @ bh
     values = np.linalg.norm(res_h, 2, axis=(1, 2)) if rs.dim_h else np.zeros(idx.size)
     return ResidualReport(traj.times[idx], values, cap)

@@ -50,11 +50,15 @@ def test_constant_sectional_values():
 
 
 def test_constant_sectional_matrix_is_cached_and_read_only():
+    # one cached row of values serves every time; the matrices built from
+    # it are read-only too
     fld = js.constant_sectional(3, 2.5)
+    assert fld.values(0.1) is fld.values([2.9, 3.0])
     m1, m2 = fld.matrix(0.1), fld.matrix(2.9)
-    assert m1 is m2
-    with pytest.raises(ValueError):
-        m1[0, 0] = 7.0
+    assert np.array_equal(m1, m2)
+    for read_only in (m1, fld.values(0.1)):
+        with pytest.raises(ValueError):
+            read_only[0, 0] = 7.0
 
 
 def test_constant_sectional_dim_check():
@@ -198,7 +202,7 @@ def test_matrices_reads_a_whole_grid():
     block = const.matrices(times)
     # one read-only matrix that broadcasts over the grid, never a per-node copy
     assert block.shape == (1, 2, 2)
-    assert np.shares_memory(block, const.matrix(0.5))
+    assert np.array_equal(block[0], const.matrix(0.5))
     assert not block.flags.writeable
     ops = [np.eye(2), np.diag([3.0, 1.0]), [[1.0, 2.0], [2.0, 0.0]]]
     fld = js.sampled_field([0.0, 0.5, 1.0], ops)
@@ -249,19 +253,21 @@ def _bits(a):
 
 @pytest.mark.parametrize("fld", _diagonal_fields(), ids=lambda f: f"{f.kind}-d{f.dim}")
 def test_a_diagonal_field_reads_its_diagonals_alone_bit_for_bit(fld):
-    # the diagonals carry the bits of the matrices' diagonals, signed zeros
-    # too, and the integrator's row solutions match those of a reading
-    # through the matrices
+    # the values are the diagonals, and the matrices carry their bits, signed
+    # zeros too, and zeros elsewhere; the integrator's row solutions match
+    # the full scan of a field read through its matrices
     times = np.linspace(0.0, 2.0, 101)
-    ops = fld.matrices(times)
-    assert np.array_equal(_bits(fld.diagonals(times)), _bits(np.diagonal(ops, 0, 1, 2)))
-    assert fld.diagonals(times).shape == (len(ops), fld.dim)
+    values, ops = fld.values(times), fld.matrices(times)
+    assert values.shape == (len(ops), fld.dim)
+    assert np.array_equal(_bits(values), _bits(np.diagonal(ops, 0, 1, 2)))
+    assert np.count_nonzero(ops) == np.count_nonzero(values)
     spec = js.FamilySpec(fld, 0.0, 2.0, np.eye(fld.dim), np.ones((fld.dim, fld.dim)))
-    through_matrices = dataclasses.replace(fld, _diag=None)
-    assert through_matrices.diagonals(times) is None
-    phi = js.integrate(spec, step=0.01).row_solutions
-    ref = js.integrate(dataclasses.replace(spec, field=through_matrices), step=0.01).row_solutions
-    assert np.array_equal(_bits(phi[0]), _bits(ref[0])) and np.array_equal(phi[1], ref[1])
+    through_matrices = dataclasses.replace(fld, _eval=fld.matrices)
+    traj = js.integrate(spec, step=0.01)
+    ref = js.integrate(dataclasses.replace(spec, field=through_matrices), step=0.01)
+    assert traj.row_solutions is not None and ref.row_solutions is None
+    assert_allclose(traj.y, ref.y, rtol=0, atol=1e-12 * np.abs(ref.y).max())
+    assert_allclose(traj.yd, ref.yd, rtol=0, atol=1e-12 * np.abs(ref.yd).max())
 
 
 def test_a_sampled_field_coupled_at_one_node_is_read_as_matrices():
@@ -269,12 +275,13 @@ def test_a_sampled_field_coupled_at_one_node_is_read_as_matrices():
     ops[:, 0, 0], ops[:, 1, 1] = 1.0, 2.0
     ops[2, 0, 1] = ops[2, 1, 0] = 0.5  # coupled at the last node only
     fld = js.sampled_field([0.0, 1.0, 2.0], ops)
-    assert fld.diagonals([0.0, 0.5]) is None
-    # diagonal where it is read, so the integrator still takes the rows
+    assert fld.values([0.0, 0.5]).shape == (2, 2, 2)
+    # diagonal where it is read, but not on its whole domain: the integrator
+    # takes the full scan
     spec = js.FamilySpec(fld, 0.0, 1.0, np.eye(2), np.zeros((2, 2)))
-    assert js.integrate(spec, step=0.01).row_solutions is not None
+    assert js.integrate(spec, step=0.01).row_solutions is None
     decoupled = js.sampled_field([0.0, 1.0, 2.0], np.where(np.eye(2) == 1.0, ops, 0.0))
-    assert decoupled.diagonals([0.0, 0.5]).shape == (2, 2)
+    assert decoupled.values([0.0, 0.5]).shape == (2, 2)
 
 
 def test_a_field_is_diagonal_when_every_off_diagonal_entry_is_zero():

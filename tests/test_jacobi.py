@@ -116,7 +116,7 @@ def _non_diagonal_constant(d, seed=5):
     a = np.random.default_rng(seed).standard_normal((d, d))
     m = np.eye(d) + 0.25 * (a + a.T)
     m.flags.writeable = False
-    return js.CurvatureField(kind="constant-sectional", n=d + 1, _eval=lambda times: m)
+    return js.CurvatureField(kind="constant-sectional", n=d + 1, _eval=lambda times: m[None])
 
 
 # runs of equal curvature {0} and {1, 2}; equal entries that are not adjacent;

@@ -190,22 +190,20 @@ def _four_check_scenario(fld):
     ids=["diagonal", "coupled"],
 )
 def test_one_run_evaluates_the_field_once(fld, diagonal, monkeypatch):
-    # an evaluation is a call of matrices, or of diagonals that returns the
-    # diagonals; a field diagonal on its whole domain never forms its matrices
+    # every evaluation, matrices included, is a call of values; a diagonal
+    # field's values are its diagonals, so it never forms its matrices
     calls = []
-    for name in ("matrices", "diagonals"):
-        read = getattr(js.CurvatureField, name)
+    values = js.CurvatureField.values
 
-        def counted(self, times, read=read, name=name):
-            out = read(self, times)
-            if out is not None:
-                calls.append(name)
-            return out
+    def counted(self, times):
+        out = values(self, times)
+        calls.append(out.ndim)
+        return out
 
-        monkeypatch.setattr(js.CurvatureField, name, counted)
+    monkeypatch.setattr(js.CurvatureField, "values", counted)
     scenario = _four_check_scenario(fld)
     report = js.run_scenario(scenario, step=1e-3)
-    assert calls == ["diagonals" if diagonal else "matrices"] and len(report.checks) == 4
+    assert calls == [2 if diagonal else 3] and len(report.checks) == 4
     assert report.checks[2].details["max_r_dev"] is not None
     monkeypatch.undo()
 

@@ -512,15 +512,23 @@ def _mode_b(fld, alpha, end, y0, yd0):
     return js.check_splitting(js.integrate(spec, step=1e-3), "B", alpha=alpha).verdict
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect, ROADMAP item 1: every member of cos(t) I vanishes at "
-    "pi/2, which is no node of the window [0, 3]; the Illinois search stalls "
-    "on the triple root of det Y and drops the instant",
-)
 def test_a_triple_zero_between_nodes_is_never_falsified():
+    # every member of cos(t) I vanishes at pi/2, which is no node of [0, 3]:
+    # det Y has a triple root there, which stalls the Illinois search
     verdict = _mode_b(js.constant_sectional(4, 1.0), 0.0, 3.0, np.eye(3), np.zeros((3, 3)))
     assert verdict != "falsified"
+
+
+@pytest.mark.parametrize("step", [1e-3, 3e-4])
+@pytest.mark.parametrize("end", [2.0, 2.5, 3.0, 3.39])
+@pytest.mark.parametrize("d", [3, 5])
+def test_a_zero_of_odd_multiplicity_is_refined_to_its_time(d, end, step):
+    # det Y of cos(t) I has a zero of multiplicity d at pi/2; a bracket that
+    # the Illinois search leaves open is finished by bisection
+    spec = js.FamilySpec(js.constant_sectional(d + 1, 1.0), 0.0, end, np.eye(d), np.zeros((d, d)))
+    rep = js.check_splitting(js.integrate(spec, step=step), "B", alpha=0.0)
+    assert rep.verdict == "verified" and rep.dim_z == d
+    assert [t for _, t in rep.zero_times] == pytest.approx([math.pi / 2.0] * d, rel=0, abs=1e-12)
 
 
 @pytest.mark.xfail(

@@ -98,8 +98,9 @@ class CurvatureField:
         out = self.values(times)
         if out.ndim == 3:
             return out
-        ops = np.zeros((*out.shape, out.shape[1]))
-        ops[:, np.arange(self.dim), np.arange(self.dim)] = out
+        d = self.dim
+        ops = np.zeros((len(out), d, d))
+        ops[:, np.arange(d), np.arange(d)] = out
         return _frozen(ops)
 
     def matrix(self, t: float) -> np.ndarray:

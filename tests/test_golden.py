@@ -11,18 +11,17 @@ and still catches a moved zero time or a gate value that moves by 1e-7.
 """
 
 import copy
-import importlib.util
 import json
 import math
 from pathlib import Path
 
 import numpy as np
+from test_bench_names import PERFBENCH, _load
 
 import jacobisplit as js
 
-ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CONFIG = ROOT / "configs" / "example_scenario.json"
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_scenario.json"
 ABS, REL = 1e-8, 1e-9
 
 
@@ -55,12 +54,8 @@ def _golden(name: str) -> dict:
 
 def _fine_grid_scenarios() -> list:
     """The benchmark's fine-grid families of seed [3, 0]."""
-    path = ROOT / "perfbench" / "families.py"
-    spec = importlib.util.spec_from_file_location("_golden_families", path)
-    families = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(families)
-    expected = json.loads((ROOT / "perfbench" / "expected_verdicts.json").read_text())
-    return families.fine_grid_families(np.random.default_rng([3, 0]), expected, "3-0")
+    expected = json.loads((PERFBENCH / "expected_verdicts.json").read_text())
+    return _load("families").fine_grid_families(np.random.default_rng([3, 0]), expected, "3-0")
 
 
 def test_reports_match_the_golden_reports(builtin_runs):

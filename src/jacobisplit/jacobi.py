@@ -100,7 +100,7 @@ from functools import cached_property
 import numpy as np
 
 from .curvature import CurvatureField, node_spectrum, spectrum_at
-from .symlin import lead_nonnegative, orthonormal_columns
+from .symlin import lead_nonnegative, orthonormal_columns, spectral_norms
 
 __all__ = [
     "FamilySpec",
@@ -1091,30 +1091,34 @@ def _det_root(traj: JacobiTrajectory, lo: float, hi: float, flo: float, fhi: flo
     ``flo`` and ``fhi`` differ in sign, by the Illinois method (Dowell and
     Jarratt, BIT 11, 1971): regula falsi on a bracket, halving the value
     kept at an end that survives twice in a row. A secant point that leaves
-    the open bracket is replaced by its midpoint. A bracket still open after
-    80 evaluations, as on a zero of odd multiplicity 3 or more, where the
-    halving cannot keep an end from stalling, is finished by bisection. The
+    the open bracket is replaced by its midpoint. Once an end has survived
+    four probes in a row, the bracket has stalled (as on a zero of odd
+    multiplicity 3 or more, or after a probe within roundoff of the zero)
+    and the search is finished by bisection, as it is after 80 probes. The
     bracket's midpoint is returned once it is at most ``1e-15 max(1, |hi|)``
     wide."""
-    moved = 0  # the end the last probe replaced: 1 for lo, -1 for hi
+    moved = run = 0  # the end the last probes replaced (1 lo, -1 hi), and how many in a row
+    secants = True
     for probe in itertools.count():
         t = 0.5 * (lo + hi)
-        if probe < 80:
+        if secants:
             secant = (lo * fhi - hi * flo) / (fhi - flo)
             t = secant if lo < secant < hi else t
         ft = _hermite_det(traj, t)
         if ft == 0.0:
             return t
-        if (ft < 0.0) == (flo < 0.0):
+        side = 1 if (ft < 0.0) == (flo < 0.0) else -1
+        run = run + 1 if side == moved else 1
+        if side == 1:
             lo, flo = t, ft
-            if moved == 1:
+            if run > 1:
                 fhi *= 0.5
-            moved = 1
         else:
             hi, fhi = t, ft
-            if moved == -1:
+            if run > 1:
                 flo *= 0.5
-            moved = -1
+        moved = side
+        secants = secants and run < 4 and probe < 79
         if hi - lo <= 1e-15 * max(1.0, abs(hi)):
             break
     return 0.5 * (lo + hi)
@@ -1279,11 +1283,10 @@ def difference_nodes(regular: np.ndarray, ops: np.ndarray, cap: float) -> np.nda
     """Interior nodes where the five-point central difference of the
     operator series ``ops`` is trusted: the node and its two neighbours on
     each side are regular, and the spectral norm of ``ops`` stays at or
-    below ``cap`` at all five. The norms come from one batched SVD over the
-    regular nodes."""
+    below ``cap`` at all five (``symlin.spectral_norms`` over the regular
+    nodes)."""
     ok = np.array(regular)
-    if ok.any():
-        ok[ok] = np.linalg.svd(ops[ok], compute_uv=False)[:, 0] <= cap
+    ok[ok] = spectral_norms(ops[ok]) <= cap
     return np.flatnonzero(ok[:-4] & ok[1:-3] & ok[2:-2] & ok[3:-1] & ok[4:]) + 2
 
 

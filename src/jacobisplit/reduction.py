@@ -12,8 +12,9 @@ reduction produces:
   Riccati operator S = Yd Y^{-1} (``jacobi.riccati_series``) restricted,
 * the vertical-derivative operator A(t): for v = Y(t) c in V(t) with c the
   minimum-norm Psi-coefficient, A maps v to the horizontal part of Yd(t) c;
-  its columns are expressed against the singular directions of Y Psi, so
-  A A^* is positive semidefinite by construction.
+  its columns are expressed against the orthonormal basis Q_p of V(t) from
+  the QR factorization Y Psi = Q R, so A A^* is positive semidefinite by
+  construction and does not depend on the basis.
 
 The reduced operator satisfies a horizontal Riccati equation whose
 curvature term is the horizontal block of R plus 3 A A^*; the residual of
@@ -46,7 +47,7 @@ from .jacobi import (
     write_table,
 )
 from .splitting import TOL_EIG, self_adjoint_gate
-from .symlin import orthonormal_columns, spectrum
+from .symlin import orthonormal_columns, spectral_norms, spectrum
 
 __all__ = [
     "ReducedSystem",
@@ -104,6 +105,14 @@ def reduce(traj: JacobiTrajectory, psi_basis) -> ReducedSystem:
     reduced operator coincides with the ordinary Riccati operator wherever
     the family is regular.
 
+    One batched Householder QR of ``Y Psi`` gives both subspaces: the first
+    p columns of Q span V(t), and the others are BH. V(t) has full rank
+    when the smallest singular value of R's p x p block ``R_p`` is at least
+    ``RANK_TOL`` times the largest over the grid; for p = 1 that value is
+    ``|r|``, read without a LAPACK call. A's columns are ``PH Yd Gamma``
+    with ``Gamma = Psi R_p^-1``, so ``Y Gamma`` is Q's orthonormal basis
+    of V(t). With an empty basis Q is the identity, bit for bit.
+
     A node is regular when V(t) has full rank and Y(t) is regular
     (``JacobiTrajectory.regular``), the rule the Riccati operator follows.
     ``lift_err``, the residual of the lift of BH through Y, is a diagnostic
@@ -121,8 +130,11 @@ def reduce(traj: JacobiTrajectory, psi_basis) -> ReducedSystem:
     if p != p_in:
         raise ValueError("psi basis is rank-deficient")
 
-    # full U of Y Psi: its first p columns span V(t), the others H(t)
-    u, sig, wt = np.linalg.svd(traj.y @ psi)
+    # complete QR of Y Psi: Q's first p columns span V(t), the others H(t);
+    # R_p, its p x p block, has the singular values of Y Psi
+    q, r = np.linalg.qr(traj.y @ psi, mode="complete")
+    r_p = r[:, :p]
+    sig = np.abs(r_p[:, 0]) if p == 1 else np.linalg.svd(r_p, compute_uv=False)
     full = sig.min(axis=1, initial=np.inf) >= RANK_TOL * max(sig.max(initial=0.0), 1e-300)
     reg = full & traj.regular
 
@@ -133,9 +145,9 @@ def reduce(traj: JacobiTrajectory, psi_basis) -> ReducedSystem:
     shat_bh, shat_amb = blank(d - p, d - p), blank(d, d)
     a_amb, aastar = blank(d, p), blank(d, d)
 
-    uv = u[full, :, :p]
-    ph[full] = np.eye(d) - uv @ _t(uv)
-    bh[full] = u[full, :, p:]
+    qv = q[full, :, :p]
+    ph[full] = np.eye(d) - qv @ _t(qv)
+    bh[full] = q[full, :, p:]
     lift_err[reg] = 0.0  # the lift Y C = BH is exact where Y is regular
     sing = full & ~reg
     c = np.linalg.pinv(traj.y[sing]) @ bh[sing]
@@ -144,9 +156,9 @@ def reduce(traj: JacobiTrajectory, psi_basis) -> ReducedSystem:
     b, yd = bh[reg], traj.yd[reg]
     shat_bh[reg] = _t(b) @ riccati_series(traj)[1][reg] @ b
     shat_amb[reg] = b @ shat_bh[reg] @ _t(b)
-    # A on the singular directions of Y Psi: Gamma = Psi W^T diag(1 / sigma)
-    gamma = psi @ _t(wt[reg]) * (1.0 / sig[reg])[:, None, :]
-    a_amb[reg] = ph[reg] @ yd @ gamma
+    # A on the orthonormal basis Y Gamma = Q_p of V: Gamma = Psi R_p^-1
+    r_inv = 1.0 / r_p[reg] if p == 1 else np.linalg.inv(r_p[reg])
+    a_amb[reg] = ph[reg] @ yd @ (psi @ r_inv)
     aastar[reg] = a_amb[reg] @ _t(a_amb[reg])
     return ReducedSystem(traj, psi, reg, ph, bh, shat_bh, shat_amb, a_amb, aastar, lift_err)
 
@@ -156,23 +168,23 @@ def hce_residual(
 ) -> ResidualReport:
     """Residual of the horizontal Riccati equation with the 3 A A^* term.
 
-    At the ``difference_nodes`` of the ambient reduced operator under the
-    resolvability cap (``s_cap``, ``default_resolvability_cap`` if None),
-    its fourth-order central difference ``(-S_{i+2} + 8 S_{i+1} - 8 S_{i-1}
+    At the ``difference_nodes`` of the reduced operator (``shat_bh``, whose
+    spectral norm is the ambient form's) under the resolvability cap
+    (``s_cap``, ``default_resolvability_cap`` if None), the ambient form's
+    fourth-order central difference ``(-S_{i+2} + 8 S_{i+1} - 8 S_{i-1}
     + S_{i-2}) / (12 h)`` is combined with its square, the horizontal
     curvature block and three times A A^*, and the result is restricted to
     H; the report collects the spectral norms, none if no node qualifies.
     """
     traj = rs.traj
     cap = default_resolvability_cap(traj.step, tol) if s_cap is None else float(s_cap)
-    idx = difference_nodes(rs.regular, rs.shat_amb, cap)
+    idx = difference_nodes(rs.regular, rs.shat_bh, cap)
     s = rs.shat_amb
     ds = (8.0 * (s[idx + 1] - s[idx - 1]) - (s[idx + 2] - s[idx - 2])) / (12.0 * traj.step)
     shat, bh = rs.shat_amb[idx], rs.bh[idx]
     # BH spans the range of PH, so BH^T (PH R PH) BH = BH^T R BH
     total = ds + shat @ shat + traj.spec.field.matrices(traj.times[idx]) + 3.0 * rs.aastar[idx]
-    res_h = _t(bh) @ total @ bh
-    values = np.linalg.norm(res_h, 2, axis=(1, 2)) if rs.dim_h else np.zeros(idx.size)
+    values = spectral_norms(_t(bh) @ total @ bh)
     return ResidualReport(traj.times[idx], values, cap)
 
 
@@ -188,14 +200,12 @@ def recovered_curvature_deviation(rs: ReducedSystem, level: float) -> float:
     """Worst deviation of the recovered horizontal curvature operator
     (horizontal block of R plus 3 A A^*) from ``level`` times the identity
     on H, over regular nodes in spectral norm."""
-    if not rs.dim_h:
-        return 0.0
     traj = rs.traj
     idx = np.nonzero(rs.regular)[0]
     bh = rs.bh[idx]
     r_amb = traj.spec.field.matrices(traj.times[idx]) + 3.0 * rs.aastar[idx]
     r_hat = _t(bh) @ r_amb @ bh
-    dev = np.linalg.norm(r_hat - level * np.eye(rs.dim_h), 2, axis=(1, 2))
+    dev = spectral_norms(r_hat - level * np.eye(rs.dim_h))
     return float(np.max(dev, initial=0.0))
 
 
@@ -297,10 +307,12 @@ def export_reduction_csv(rs: ReducedSystem, path: str) -> None:
     norm_a = np.where(reg, 0.0, np.nan)
     if np.any(reg) and rs.dim_h:
         s_bh = rs.shat_bh[reg]
-        eigs = np.linalg.eigvalsh((s_bh + _t(s_bh)) / 2.0)
+        sym = (s_bh + _t(s_bh)) / 2.0
+        # a 1 x 1 operator's extremes are its entry
+        eigs = sym[:, 0] if rs.dim_h == 1 else np.linalg.eigvalsh(sym)
         shat_min[reg], shat_max[reg] = eigs[:, 0], eigs[:, -1]
     if np.any(reg) and rs.dim_v:
-        norm_a[reg] = np.linalg.svd(rs.a_amb[reg], compute_uv=False)[:, 0]
+        norm_a[reg] = spectral_norms(rs.a_amb[reg])
     head = "t,regular,lift_err,norm_a,shat_min,shat_max"
     columns = [traj.times, reg, rs.lift_err, norm_a, shat_min, shat_max]
     write_table(path, [head], ["%.17g", "%d"] + ["%.17g"] * 4, columns, newline="\r\n")

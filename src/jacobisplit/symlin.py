@@ -5,7 +5,9 @@ Everything in this package acts on low-dimensional inner-product spaces
 (``numpy.linalg.eigh``) with a fixed eigenvector sign convention, so
 decompositions are deterministic. Orthonormalization is modified
 Gram-Schmidt with one re-orthogonalization pass and a relative drop
-tolerance for rank-deficient input.
+tolerance for rank-deficient input. Spectral norms of a stack of matrices
+come from one batched LAPACK SVD, except that a 1 x 1 matrix's is its
+absolute value.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ __all__ = [
     "spectrum",
     "lead_nonnegative",
     "orthonormal_columns",
+    "spectral_norms",
 ]
 
 DROP_TOL = 1e-10  # orthonormal_columns drops a residual below this times the largest column
@@ -82,3 +85,20 @@ def orthonormal_columns(a) -> np.ndarray:
     if not kept:
         return np.zeros((rows, 0))
     return np.column_stack(kept)
+
+
+def spectral_norms(stack) -> np.ndarray:
+    """The spectral norm of every matrix in a stack ``(..., m, n)``.
+
+    A stack of 1 x 1 matrices returns their absolute values, the bits
+    LAPACK's SVD gives for finite entries (it returns NaN for an infinite
+    one and fails on a NaN) without one LAPACK call per matrix. Any other
+    stack reads the largest singular value of one batched SVD; an empty
+    matrix has norm 0.
+    """
+    a = np.asarray(stack, dtype=float)
+    if a.shape[-2:] == (1, 1):
+        return np.abs(a[..., 0, 0])
+    if not a.size:
+        return np.zeros(a.shape[:-2])
+    return np.linalg.svd(a, compute_uv=False)[..., 0]

@@ -1188,6 +1188,21 @@ def test_det_root_stops_on_a_probe_at_the_zero(monkeypatch):
     assert _bisect_det(traj, 0.0, h) == h / 4
 
 
+@pytest.mark.parametrize("d", [3, 5])
+def test_det_root_bisects_once_an_end_stalls(d, monkeypatch):
+    # det Y = cos(t)^d has a zero of odd multiplicity d at pi/2, where the
+    # Illinois halving cannot keep an end from surviving probe after probe;
+    # bisection from the fourth takes about 40 evaluations (119 when it
+    # waited for 80 probes)
+    fld = js.constant_sectional(d + 1, 1.0)
+    traj = js.integrate(js.FamilySpec(fld, 0.0, 3.0, np.eye(d), np.zeros((d, d))), step=1e-3)
+    calls = _counted_dets(monkeypatch)
+    (event,) = js.singular_events(traj)
+    assert len(calls) <= 44
+    assert event.time == pytest.approx(math.pi / 2, abs=1e-12)
+    assert event.kernel.shape == (d, d)
+
+
 def _loop_candidates(s, zero_cut, coarse_cut):
     """The candidate scan of ``singular_events`` as a node loop: the
     reference for ``jacobi._candidate_nodes``."""

@@ -3,8 +3,11 @@ the reduced boundary comparison.
 
 The node loop ``_loop_reduce`` is the reference for the whole-array
 ``reduce``: the same formulas, one node at a time, with a least-squares
-lift per node. The reduced operator it takes from the per-node S; the
-lift gives a second value of it, an oracle that agrees to roundoff.
+lift per node. It factors each node's ``Y psi`` by QR, as ``reduce`` does,
+for the outputs that depend on the basis, or by the SVD, an independent
+route to those that do not. The reduced operator it takes from the
+per-node S; the lift gives a second value of it, an oracle that agrees to
+roundoff.
 """
 
 import csv
@@ -12,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jacobisplit as js
@@ -20,12 +25,16 @@ import jacobisplit as js
 E1 = np.array([1.0, 0.0])
 
 
-def _loop_reduce(traj, psi, rank_tol=1e-8, lift_tol=1e-6):
+def _loop_reduce(traj, psi, factor, rank_tol=1e-8, lift_tol=1e-6):
     """Per-node reduction by ``psi`` (orthonormal (d, p) columns): a node is
     regular when V(t) has full rank and the lift of BH through Y leaves a
-    residual of at most ``lift_tol``. There the reduced operator is
-    ``BH^T S BH`` with S from one solve, and ``shat_lift`` the lift's
-    ``BH^T Yd C``."""
+    residual of at most ``lift_tol``. Each node's ``Y psi`` is factored by
+    ``factor``: ``"qr"``, the complete QR whose first p columns of Q span
+    V(t), with ``Gamma = psi R_p^-1``; or ``"svd"``, the full SVD whose
+    first p left singular vectors span it, with ``Gamma = psi W Sigma^-1``.
+    Either ``Y Gamma`` is an orthonormal basis of V(t). There the reduced
+    operator is ``BH^T S BH`` with S from one solve, and ``shat_lift`` the
+    lift's ``BH^T Yd C``."""
     d, p = psi.shape
     n = traj.n_nodes
     out = {
@@ -42,16 +51,19 @@ def _loop_reduce(traj, psi, rank_tol=1e-8, lift_tol=1e-6):
     }
     v_mask = np.ones(n, dtype=bool)
     if p:
-        u_all, sig_all, wt_all = np.linalg.svd(np.einsum("nij,jk->nik", traj.y, psi))
+        sig_all = np.linalg.svd(np.einsum("nij,jk->nik", traj.y, psi), compute_uv=False)
         v_mask = sig_all[:, -1] >= rank_tol * max(float(sig_all.max()), 1e-300)
     for j in range(n):
         if not v_mask[j]:
             continue
-        if p:
-            uj = u_all[j]
-            pv_j, bh_j = uj[:, :p] @ uj[:, :p].T, uj[:, p:]
-        else:
-            pv_j, bh_j = np.zeros((d, d)), np.eye(d)
+        basis, gamma = np.eye(d), np.zeros((d, 0))
+        if p and factor == "qr":
+            basis, r = np.linalg.qr(traj.y[j] @ psi, mode="complete")
+            gamma = psi @ np.linalg.inv(r[:p])
+        elif p:
+            basis, sig, wt = np.linalg.svd(traj.y[j] @ psi)
+            gamma = psi @ wt.T @ np.diag(1.0 / sig)
+        pv_j, bh_j = basis[:, :p] @ basis[:, :p].T, basis[:, p:]
         ph_j = np.eye(d) - pv_j
         c, *_ = np.linalg.lstsq(traj.y[j], bh_j, rcond=None)
         resid = traj.y[j] @ c - bh_j
@@ -65,13 +77,19 @@ def _loop_reduce(traj, psi, rank_tol=1e-8, lift_tol=1e-6):
         out["shat_bh"][j], out["shat_lift"][j] = s_bh, bh_j.T @ traj.yd[j] @ c
         out["s_norm"][j] = np.linalg.norm(s_j, 2)
         out["shat_amb"][j] = bh_j @ s_bh @ bh_j.T
-        a_j = np.zeros((d, 0))
-        if p:
-            gamma = psi @ wt_all[j].T @ np.diag(1.0 / sig_all[j])
-            a_j = ph_j @ traj.yd[j] @ gamma
+        a_j = ph_j @ traj.yd[j] @ gamma
         out["a_amb"][j] = a_j
         out["aastar"][j] = a_j @ a_j.T
     return out
+
+
+def _assert_matches(rs, ref, keys, nodes):
+    """Each of ``keys`` agrees with the loop's to 1e-12 of its size (or of
+    1) at ``nodes``."""
+    for key in keys:
+        got, want = getattr(rs, key)[nodes], ref[key][nodes]
+        scale = np.abs(want).max(axis=(1, 2), initial=0.0)[:, None, None]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(scale, 1.0)), key
 
 
 def _time_varying_trajectory():
@@ -101,15 +119,16 @@ def test_reduce_matches_node_loop(trajs, name, psi):
     traj = _time_varying_trajectory() if name.startswith("sampled") else trajs(name)
     psi = np.asarray(psi, dtype=float).reshape(-1, traj.dim).T
     rs = js.reduce(traj, psi)
-    ref = _loop_reduce(traj, rs.psi)
+    ref = _loop_reduce(traj, rs.psi, "qr")
+    ref_svd = _loop_reduce(traj, rs.psi, "svd")
     # one regularity rule: the reduction is regular only where Y is
     assert not np.any(rs.regular & ~traj.regular)
-    both = rs.regular & ref["regular"]
+    both = rs.regular & ref["regular"] & ref_svd["regular"]
     assert both.sum() >= 0.9 * traj.n_nodes
-    for key in ("ph", "bh", "shat_bh", "shat_amb", "a_amb", "aastar"):
-        got, want = getattr(rs, key)[both], ref[key][both]
-        scale = np.abs(want).max(axis=(1, 2), initial=0.0)[:, None, None]
-        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(scale, 1.0)), key
+    # the basis of H and A's columns follow the factorization; the projector,
+    # the ambient operator and A A^* are the same from either
+    _assert_matches(rs, ref, ("bh", "shat_bh", "a_amb"), both)
+    _assert_matches(rs, ref_svd, ("ph", "shat_amb", "aastar"), both)
     # the lift is exact where Y is regular: least squares leaves roundoff
     # there, about eps cond(Y), and its reduced operator is off S's by about
     # eps cond(Y) |S| (each route solves with Y)
@@ -118,6 +137,32 @@ def test_reduce_matches_node_loop(trajs, name, psi):
     assert np.all(ref["lift_err"][both] <= 64 * eps_cond)
     err = np.linalg.norm(rs.shat_bh[both] - ref["shat_lift"][both], 2, axis=(1, 2))
     assert np.all(err <= 64 * eps_cond * np.maximum(ref["s_norm"][both], 1.0))
+
+
+@st.composite
+def _self_adjoint_reductions(draw):
+    """A self-adjoint family of dimension 1 to 3 on a coupled sampled field
+    (``Y0 = A``, ``Yd0 = S A`` with ``S`` symmetric) and a random subfamily
+    basis of 0 to d columns."""
+    d = draw(st.integers(1, 3))
+    p = draw(st.integers(0, d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = rng.normal(0.0, 0.5, (4, d, d))
+    ops = rng.normal(0.5, 0.5, (4, d))[:, :, None] * np.eye(d) + noise + noise.transpose(0, 2, 1)
+    fld = js.sampled_field(np.linspace(0.0, 2.0, 4), ops)
+    a, s = rng.normal(size=(2, d, d))
+    traj = js.integrate(js.FamilySpec(fld, 0.0, 2.0, a, (s + s.T) @ a), step=1e-2)
+    return traj, rng.normal(size=(d, p))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_self_adjoint_reductions())
+def test_reduce_matches_the_svd_route_on_random_families(case):
+    traj, psi = case
+    rs = js.reduce(traj, psi)
+    ref = _loop_reduce(traj, rs.psi, "svd")
+    assert np.array_equal(rs.regular, ref["regular"])
+    _assert_matches(rs, ref, ("ph", "shat_amb", "aastar"), rs.regular)
 
 
 def test_reduce_validates_psi(trajs):

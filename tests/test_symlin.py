@@ -13,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from jacobisplit import orthonormal_columns, ric_k_floor, sampled_field, spectrum, spectrum_at
+from jacobisplit.symlin import spectral_norms
 
 
 def ky_fan_min(a, k):
@@ -141,3 +142,45 @@ def test_orthonormal_columns_empty():
     q = orthonormal_columns(np.zeros((4, 0)))
     assert q.shape == (4, 0)
     assert orthonormal_columns(np.zeros((4, 2))).shape == (4, 0)
+
+
+def _lapack_norms(a):
+    return np.linalg.norm(a, 2, axis=(-2, -1))
+
+
+def test_spectral_norms_of_1x1_stacks_are_lapacks_bits():
+    tiny = np.finfo(float).smallest_subnormal
+    vals = [0.0, -0.0, tiny, -tiny, 3 * tiny, -1e-310, 1e300, -1e300, 1.0, -2.5]
+    vals += list(np.random.default_rng(0).normal(size=200))
+    a = np.array(vals).reshape(-1, 1, 1)
+    got = spectral_norms(a)
+    assert got.shape == (a.shape[0],)
+    assert got.tobytes() == _lapack_norms(a).tobytes()  # the sign of zero too
+    # any number of leading axes
+    assert spectral_norms(a.reshape(-1, 5, 1, 1)).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(7, 2, 2), (7, 2, 1), (7, 1, 3), (4, 3, 5, 5)])
+def test_spectral_norms_of_larger_stacks_are_lapacks_bits(shape):
+    a = np.random.default_rng(1).normal(size=shape) * 10.0 ** np.arange(shape[-1])
+    assert spectral_norms(a).tobytes() == _lapack_norms(a).tobytes()
+
+
+def test_spectral_norms_of_empty_matrices_and_stacks():
+    assert spectral_norms(np.zeros((4, 0, 0))).tolist() == [0.0] * 4
+    assert spectral_norms(np.zeros((3, 2, 0))).tolist() == [0.0] * 3
+    assert spectral_norms(np.zeros((0, 1, 1))).shape == (0,)
+    assert spectral_norms(np.zeros((0, 2, 2))).shape == (0,)
+
+
+def test_spectral_norms_on_non_finite_entries():
+    # a 1 x 1 stack reads abs: NaN stays NaN and +-inf is inf, where LAPACK
+    # gives NaN for inf and fails on NaN; a larger stack meets LAPACK's rule
+    a = np.array([np.nan, np.inf, -np.inf, 2.0]).reshape(-1, 1, 1)
+    got = spectral_norms(a)
+    assert np.isnan(got[0]) and got[1:].tolist() == [np.inf, np.inf, 2.0]
+    assert np.isnan(_lapack_norms(a[1:3])).all()
+    with pytest.raises(np.linalg.LinAlgError):
+        _lapack_norms(a[:1])
+    with pytest.raises(np.linalg.LinAlgError):
+        spectral_norms(np.array([[[np.nan, 0.0], [0.0, 1.0]]]))

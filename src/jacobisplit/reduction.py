@@ -6,22 +6,23 @@ is studied on the horizontal complement H(t) = V(t)^perp. At nodes where
 V(t) has full rank (dimension = dim Psi) and Y(t) is regular, the
 reduction produces:
 
-* the orthogonal projector PH(t) onto H(t) and an orthonormal horizontal
-  basis BH(t) (columns),
+* an orthonormal horizontal basis BH(t) (columns), in whose coordinates
+  the rest is held (the projector onto H(t) is BH BH^T),
 * the reduced Riccati operator S_hat(t) = BH^T S BH acting on H(t), the
   Riccati operator S = Yd Y^{-1} (``jacobi.riccati_series``) restricted,
-* the vertical-derivative operator A(t): for v = Y(t) c in V(t) with c the
-  minimum-norm Psi-coefficient, A maps v to the horizontal part of Yd(t) c;
-  its columns are expressed against the orthonormal basis Q_p of V(t) from
-  the QR factorization Y Psi = Q R, so A A^* is positive semidefinite by
-  construction and does not depend on the basis.
+* the vertical-derivative operator A(t) = BH a(t): for v = Y(t) c in V(t)
+  with c the minimum-norm Psi-coefficient, A maps v to the horizontal part
+  of Yd(t) c; its columns are expressed against the orthonormal basis Q_p
+  of V(t) from the QR factorization Y Psi = Q R, so A A^* is positive
+  semidefinite by construction and does not depend on the basis.
 
 The reduced operator satisfies a horizontal Riccati equation whose
-curvature term is the horizontal block of R plus 3 A A^*; the residual of
-that equation (`hce_residual`) is the reduction's consistency measure:
-fourth-order central differences (five-point stencil) of the
-ambient-coordinate reduced operator, restricted back to H, at interior runs
-of regular nodes below the resolvability cap.
+curvature term is the horizontal block of R plus 3 A A^* (in BH
+coordinates, BH^T R BH + 3 a a^T); the residual of that equation
+(`hce_residual`) is the reduction's consistency measure: fourth-order
+central differences (five-point stencil) of the ambient-coordinate
+reduced operator, restricted back to H, at interior runs of regular nodes
+below the resolvability cap.
 For the empty subfamily (BH = I, A = 0) it is the plain Riccati residual.
 
 Differencing the ambient form BH S_hat BH^T rather than the BH-coordinate
@@ -42,7 +43,6 @@ from .jacobi import (
     ResidualReport,
     default_resolvability_cap,
     difference_nodes,
-    riccati,
     riccati_series,
     write_table,
 )
@@ -67,19 +67,16 @@ RANK_TOL = 1e-8  # V(t) has full rank: sigma_min(Y Psi) >= RANK_TOL * its grid-w
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Per-node reduction data. ``ph``, ``bh`` and ``lift_err`` are NaN where
-    V(t) drops rank; the reduced operators and A are NaN wherever the
-    reduction is not regular."""
+    """Per-node reduction data in BH coordinates (A = BH a_bh). ``bh`` and
+    ``lift_err`` are NaN where V(t) drops rank; the reduced operator and A
+    are NaN wherever the reduction is not regular."""
 
     traj: JacobiTrajectory
     psi: np.ndarray  # (d, p) orthonormal columns spanning the subfamily
     regular: np.ndarray  # (N+1,) bool: V(t) has full rank p and Y(t) is regular
-    ph: np.ndarray  # (N+1, d, d)
     bh: np.ndarray  # (N+1, d, d-p) horizontal orthonormal basis
-    shat_bh: np.ndarray  # (N+1, d-p, d-p) reduced operator in BH coordinates
-    shat_amb: np.ndarray  # (N+1, d, d) ambient form BH @ shat_bh @ BH^T
-    a_amb: np.ndarray  # (N+1, d, p) vertical-derivative columns (horizontal)
-    aastar: np.ndarray  # (N+1, d, d) A @ A^T, PSD
+    shat_bh: np.ndarray  # (N+1, d-p, d-p) reduced operator BH^T S BH
+    a_bh: np.ndarray  # (N+1, d-p, p) vertical-derivative columns: A = BH a_bh
     lift_err: np.ndarray  # (N+1,) worst column residual of the lift (diagnostic)
 
     @property
@@ -109,9 +106,9 @@ def reduce(traj: JacobiTrajectory, psi_basis) -> ReducedSystem:
     p columns of Q span V(t), and the others are BH. V(t) has full rank
     when the smallest singular value of R's p x p block ``R_p`` is at least
     ``RANK_TOL`` times the largest over the grid; for p = 1 that value is
-    ``|r|``, read without a LAPACK call. A's columns are ``PH Yd Gamma``
-    with ``Gamma = Psi R_p^-1``, so ``Y Gamma`` is Q's orthonormal basis
-    of V(t). With an empty basis Q is the identity, bit for bit.
+    ``|r|``, read without a LAPACK call. A's columns are ``PH Yd Gamma =
+    BH a_bh`` with ``Gamma = Psi R_p^-1``, so ``Y Gamma`` is Q's orthonormal
+    basis of V(t). With an empty basis Q is the identity, bit for bit.
 
     A node is regular when V(t) has full rank and Y(t) is regular
     (``JacobiTrajectory.regular``), the rule the Riccati operator follows.
@@ -141,26 +138,27 @@ def reduce(traj: JacobiTrajectory, psi_basis) -> ReducedSystem:
     def blank(*shape):
         return np.full((traj.n_nodes, *shape), np.nan)
 
-    ph, bh, lift_err = blank(d, d), blank(d, d - p), blank()
-    shat_bh, shat_amb = blank(d - p, d - p), blank(d, d)
-    a_amb, aastar = blank(d, p), blank(d, d)
-
-    qv = q[full, :, :p]
-    ph[full] = np.eye(d) - qv @ _t(qv)
+    bh, lift_err = blank(d, d - p), blank()
+    shat_bh, a_bh = blank(d - p, d - p), blank(d - p, p)
     bh[full] = q[full, :, p:]
     lift_err[reg] = 0.0  # the lift Y C = BH is exact where Y is regular
     sing = full & ~reg
     c = np.linalg.pinv(traj.y[sing]) @ bh[sing]
     lift_err[sing] = np.linalg.norm(traj.y[sing] @ c - bh[sing], axis=1).max(axis=1, initial=0.0)
 
-    b, yd = bh[reg], traj.yd[reg]
-    shat_bh[reg] = _t(b) @ riccati_series(traj)[1][reg] @ b
-    shat_amb[reg] = b @ shat_bh[reg] @ _t(b)
+    bt = _t(q[reg, :, p:])
+    shat_bh[reg] = bt @ riccati_series(traj)[1][reg] @ _t(bt)
     # A on the orthonormal basis Y Gamma = Q_p of V: Gamma = Psi R_p^-1
     r_inv = 1.0 / r_p[reg] if p == 1 else np.linalg.inv(r_p[reg])
-    a_amb[reg] = ph[reg] @ yd @ (psi @ r_inv)
-    aastar[reg] = a_amb[reg] @ _t(a_amb[reg])
-    return ReducedSystem(traj, psi, reg, ph, bh, shat_bh, shat_amb, a_amb, aastar, lift_err)
+    a_bh[reg] = bt @ traj.yd[reg] @ (psi @ r_inv)
+    return ReducedSystem(traj, psi, reg, bh, shat_bh, a_bh, lift_err)
+
+
+def _recovered_curvature(rs: ReducedSystem, idx: np.ndarray) -> np.ndarray:
+    """The recovered horizontal curvature ``BH^T R BH + 3 a_bh a_bh^T`` (the
+    horizontal block of R plus 3 A A^*) at nodes ``idx``."""
+    bh, a, r = rs.bh[idx], rs.a_bh[idx], rs.traj.spec.field.matrices(rs.traj.times[idx])
+    return _t(bh) @ r @ bh + 3.0 * (a @ _t(a))
 
 
 def hce_residual(
@@ -168,23 +166,21 @@ def hce_residual(
 ) -> ResidualReport:
     """Residual of the horizontal Riccati equation with the 3 A A^* term.
 
-    At the ``difference_nodes`` of the reduced operator (``shat_bh``, whose
-    spectral norm is the ambient form's) under the resolvability cap
-    (``s_cap``, ``default_resolvability_cap`` if None), the ambient form's
-    fourth-order central difference ``(-S_{i+2} + 8 S_{i+1} - 8 S_{i-1}
-    + S_{i-2}) / (12 h)`` is combined with its square, the horizontal
-    curvature block and three times A A^*, and the result is restricted to
-    H; the report collects the spectral norms, none if no node qualifies.
+    At the ``difference_nodes`` of the reduced operator ``shat_bh`` under
+    the resolvability cap (``s_cap``, ``default_resolvability_cap`` if
+    None), the fourth-order central difference ``(-S_{i+2} + 8 S_{i+1}
+    - 8 S_{i-1} + S_{i-2}) / (12 h)`` of the ambient form ``S = BH S_hat
+    BH^T`` is restricted to H and added to ``S_hat^2`` and the recovered
+    curvature; the report collects the spectral norms, none if no node
+    qualifies.
     """
     traj = rs.traj
     cap = default_resolvability_cap(traj.step, tol) if s_cap is None else float(s_cap)
     idx = difference_nodes(rs.regular, rs.shat_bh, cap)
-    s = rs.shat_amb
+    s = rs.bh @ rs.shat_bh @ _t(rs.bh)
     ds = (8.0 * (s[idx + 1] - s[idx - 1]) - (s[idx + 2] - s[idx - 2])) / (12.0 * traj.step)
-    shat, bh = rs.shat_amb[idx], rs.bh[idx]
-    # BH spans the range of PH, so BH^T (PH R PH) BH = BH^T R BH
-    total = ds + shat @ shat + traj.spec.field.matrices(traj.times[idx]) + 3.0 * rs.aastar[idx]
-    values = spectral_norms(_t(bh) @ total @ bh)
+    bh, shat = rs.bh[idx], rs.shat_bh[idx]
+    values = spectral_norms(_t(bh) @ ds @ bh + shat @ shat + _recovered_curvature(rs, idx))
     return ResidualReport(traj.times[idx], values, cap)
 
 
@@ -200,12 +196,8 @@ def recovered_curvature_deviation(rs: ReducedSystem, level: float) -> float:
     """Worst deviation of the recovered horizontal curvature operator
     (horizontal block of R plus 3 A A^*) from ``level`` times the identity
     on H, over regular nodes in spectral norm."""
-    traj = rs.traj
     idx = np.nonzero(rs.regular)[0]
-    bh = rs.bh[idx]
-    r_amb = traj.spec.field.matrices(traj.times[idx]) + 3.0 * rs.aastar[idx]
-    r_hat = _t(bh) @ r_amb @ bh
-    dev = spectral_norms(r_hat - level * np.eye(rs.dim_h))
+    dev = spectral_norms(_recovered_curvature(rs, idx) - level * np.eye(rs.dim_h))
     return float(np.max(dev, initial=0.0))
 
 
@@ -219,7 +211,7 @@ def reduced_boundary_check(rs: ReducedSystem, alpha: float) -> dict:
     j = traj.node_index(alpha)
     if not rs.regular[j]:
         raise ValueError(f"alpha={alpha} is not a regular node of the reduction")
-    s_max = float(spectrum(riccati(traj, traj.times[j]))[0][-1])
+    s_max = float(spectrum(riccati_series(traj)[1][j])[0][-1])
     shat_max = float(spectrum(rs.shat_bh[j])[0][-1]) if rs.dim_h else -math.inf
     return {
         "alpha": float(traj.times[j]),
@@ -312,7 +304,7 @@ def export_reduction_csv(rs: ReducedSystem, path: str) -> None:
         eigs = sym[:, 0] if rs.dim_h == 1 else np.linalg.eigvalsh(sym)
         shat_min[reg], shat_max[reg] = eigs[:, 0], eigs[:, -1]
     if np.any(reg) and rs.dim_v:
-        norm_a[reg] = spectral_norms(rs.a_amb[reg])
+        norm_a[reg] = spectral_norms(rs.a_bh[reg])  # |BH a| = |a|
     head = "t,regular,lift_err,norm_a,shat_min,shat_max"
     columns = [traj.times, reg, rs.lift_err, norm_a, shat_min, shat_max]
     write_table(path, [head], ["%.17g", "%d"] + ["%.17g"] * 4, columns, newline="\r\n")

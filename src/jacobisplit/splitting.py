@@ -101,10 +101,12 @@ def boundary_eigenvalue_gate(traj: JacobiTrajectory, alpha: float) -> dict:
     ``alpha`` must lie within half a step of the window ``[traj.alpha,
     traj.end]``, else this is a ValueError naming both. At alpha = 0 (a
     window that starts at 0) the bound is +infinity and the gate always
-    passes. When the value matrix is singular at alpha > 0, the operator is
-    evaluated on the regular quotient (its restriction to the image of
-    Y(alpha), using minimum-norm preimages); when that image is trivial the
-    gate is not evaluable and reported as failed.
+    passes. Outside [0, pi) (``math.pi`` lies below pi) cot(alpha) is no
+    such bound, and the gate is not evaluable. When the value matrix is
+    singular at alpha > 0, the operator is evaluated on the regular
+    quotient (its restriction to the image of Y(alpha), using minimum-norm
+    preimages); when that image is trivial the gate is not evaluable. A
+    gate that is not evaluable is reported as failed.
     """
     h = traj.step
     if not traj.alpha - h / 2 <= alpha <= traj.end + h / 2:
@@ -121,8 +123,11 @@ def boundary_eigenvalue_gate(traj: JacobiTrajectory, alpha: float) -> dict:
         "margin": None,
         "note": "",
     }
-    if alpha <= 1e-12:
+    if abs(alpha) <= 1e-12:
         out.update(passed=True, bound=math.inf, margin=math.inf, note="cot(0+) bound is +inf")
+        return out
+    if not 0.0 < alpha <= math.pi:
+        out["note"] = f"not evaluable: alpha={alpha:.12g} lies outside [0, pi)"
         return out
     bound = math.cos(alpha) / math.sin(alpha) + TOL_EIG
     out["bound"] = bound

@@ -83,13 +83,51 @@ def _loop_reduce(traj, psi, factor, rank_tol=1e-8, lift_tol=1e-6):
     return out
 
 
+def _ambient_forms(rs):
+    """The reduction's per-node arrays and the ambient forms they stand
+    for, rebuilt from BH coordinates: the projector ``PH = BH BH^T``, the
+    reduced operator ``BH S_hat BH^T``, ``A = BH a_bh`` and ``A A^*``."""
+    bh = rs.bh
+    a_amb = bh @ rs.a_bh
+    return {
+        "bh": bh,
+        "shat_bh": rs.shat_bh,
+        "ph": bh @ bh.transpose(0, 2, 1),
+        "shat_amb": bh @ rs.shat_bh @ bh.transpose(0, 2, 1),
+        "a_amb": a_amb,
+        "aastar": a_amb @ a_amb.transpose(0, 2, 1),
+    }
+
+
 def _assert_matches(rs, ref, keys, nodes):
-    """Each of ``keys`` agrees with the loop's to 1e-12 of its size (or of
-    1) at ``nodes``."""
+    """Each of ``keys`` (of ``_ambient_forms``) agrees with the loop's to
+    1e-12 of its size (or of 1) at ``nodes``."""
+    forms = _ambient_forms(rs)
     for key in keys:
-        got, want = getattr(rs, key)[nodes], ref[key][nodes]
+        got, want = forms[key][nodes], ref[key][nodes]
         scale = np.abs(want).max(axis=(1, 2), initial=0.0)[:, None, None]
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(scale, 1.0)), key
+
+
+def _assert_matches_ambient_checks(rs, level):
+    """``hce_residual`` and ``recovered_curvature_deviation`` agree with
+    their ambient formulas, ``BH^T (S' + S^2 + R + 3 A A^*) BH`` with S the
+    ambient reduced operator and ``BH^T (R + 3 A A^*) BH - level I``: the
+    residuals to 1e-12, the deviation to 1e-12 of its size (or of 1; at
+    the size of 7e3 a random family reaches, 1e-12 is below one ulp)."""
+    traj, forms = rs.traj, _ambient_forms(rs)
+    bh, s, aastar = forms["bh"], forms["shat_amb"], forms["aastar"]
+    bt = bh.transpose(0, 2, 1)
+    r = np.broadcast_to(traj.spec.field.matrices(traj.times), s.shape)
+    rep = js.hce_residual(rs)
+    j = np.searchsorted(traj.times, rep.times)
+    ds = (8.0 * (s[j + 1] - s[j - 1]) - (s[j + 2] - s[j - 2])) / (12.0 * traj.step)
+    total = bt[j] @ (ds + s[j] @ s[j] + r[j] + 3.0 * aastar[j]) @ bh[j]
+    assert_allclose(rep.values, js.symlin.spectral_norms(total), rtol=0.0, atol=1e-12)
+    j = rs.regular
+    r_hat = bt[j] @ (r[j] + 3.0 * aastar[j]) @ bh[j] - level * np.eye(rs.dim_h)
+    worst = js.symlin.spectral_norms(r_hat).max(initial=0.0)
+    assert abs(js.recovered_curvature_deviation(rs, level) - worst) <= 1e-12 * max(worst, 1.0)
 
 
 def _time_varying_trajectory():
@@ -163,6 +201,7 @@ def test_reduce_matches_the_svd_route_on_random_families(case):
     ref = _loop_reduce(traj, rs.psi, "svd")
     assert np.array_equal(rs.regular, ref["regular"])
     _assert_matches(rs, ref, ("ph", "shat_amb", "aastar"), rs.regular)
+    _assert_matches_ambient_checks(rs, level=1.0)
 
 
 def test_reduce_validates_psi(trajs):
@@ -185,10 +224,11 @@ def test_reduce_sphere_single_direction(trajs):
     inner = (ts > 0.05) & (ts < math.pi - 0.05)
     # quotient of an isotropic family: the reduced operator is the plain
     # one restricted to H, and the coupling columns vanish
+    forms = _ambient_forms(rs)
     for j, t in zip(reg[inner], ts[inner]):
         cot = math.cos(t) / math.sin(t)
-        assert np.linalg.norm(rs.shat_amb[j] - cot * rs.ph[j], 2) <= 1e-6
-    assert np.nanmax(np.abs(rs.a_amb[reg])) <= 1e-9
+        assert np.linalg.norm(forms["shat_amb"][j] - cot * forms["ph"][j], 2) <= 1e-6
+    assert np.nanmax(np.abs(forms["a_amb"][reg])) <= 1e-9
     rep = js.hce_residual(rs, tol=1e-4)
     assert rep.max_residual <= 1e-4 and rep.n_checked > 0
 
@@ -199,7 +239,8 @@ def test_reduce_empty_basis_matches_plain_residual(trajs):
     assert rs.dim_v == 0 and rs.dim_h == 2
     # BH is the identity, so the reduced operator is S bit for bit
     reg, s = js.riccati_series(traj)
-    assert np.array_equal(rs.regular, reg) and np.array_equal(rs.shat_amb[reg], s[reg])
+    shat_amb = _ambient_forms(rs)["shat_amb"]
+    assert np.array_equal(rs.regular, reg) and np.array_equal(shat_amb[reg], s[reg])
     assert np.all(rs.lift_err[reg] == 0.0)
     plain = js.riccati_residual(traj, tol=1e-4)
     red = js.hce_residual(rs, tol=1e-4)
@@ -211,13 +252,14 @@ def test_reduce_product_flat_directions(trajs):
     traj = trajs("product-s2xr2")
     rs = js.reduce(traj, np.array([0.0, 1.0, 0.0]))
     reg = np.nonzero(rs.regular)[0]
-    assert np.nanmax(np.abs(rs.a_amb[reg])) <= 1e-9
+    forms = _ambient_forms(rs)
+    assert np.nanmax(np.abs(forms["a_amb"][reg])) <= 1e-9
     # the reduced operator is the compression of the full one
     mask, s_ops = js.riccati_series(traj)
     for j in reg[100:-100:500]:
         assert mask[j]
-        expect = rs.ph[j] @ s_ops[j] @ rs.ph[j]
-        assert_allclose(rs.shat_amb[j], expect, atol=1e-8)
+        expect = forms["ph"][j] @ s_ops[j] @ forms["ph"][j]
+        assert_allclose(forms["shat_amb"][j], expect, atol=1e-8)
 
 
 def test_reduce_coupling_family(trajs):
@@ -225,7 +267,7 @@ def test_reduce_coupling_family(trajs):
     rs = js.reduce(traj, E1)
     reg = np.nonzero(rs.regular)[0]
     # unit coupling throughout
-    norm_a = np.linalg.norm(rs.a_amb[reg], axis=(1, 2))
+    norm_a = np.linalg.norm(_ambient_forms(rs)["a_amb"][reg], axis=(1, 2))
     assert np.max(np.abs(norm_a - 1.0)) <= 1e-6
     # the reduced operator matches the double-frequency model under the cap
     cap = js.default_resolvability_cap(traj.step, 1e-3)
@@ -237,6 +279,7 @@ def test_reduce_coupling_family(trajs):
     assert rep.max_residual <= 1e-3
     # recovered effective curvature is the quadrupled constant
     assert js.recovered_curvature_deviation(rs, 4.0) <= 1e-3
+    _assert_matches_ambient_checks(rs, level=4.0)
 
 
 def test_reduce_coupling_family_midpoint_irregular(trajs):
@@ -251,8 +294,9 @@ def test_reduce_coupling_family_midpoint_irregular(trajs):
 def test_aastar_is_psd(trajs):
     rs = js.reduce(trajs("hopf-holonomy"), E1)
     reg = np.nonzero(rs.regular)[0]
+    aastar = _ambient_forms(rs)["aastar"]
     for j in reg[::200]:
-        assert np.linalg.eigvalsh(rs.aastar[j]).min() >= -1e-10
+        assert np.linalg.eigvalsh(aastar[j]).min() >= -1e-10
 
 
 def test_hce_residual_fourth_order(trajs):

@@ -129,18 +129,22 @@ def test_grid_reads_match_per_node_loops():
     rs = js.reduce(traj, np.array([1.0, 0.0]))
     hce = js.hce_residual(rs)
     idx = np.searchsorted(ts, hce.times)
+    # the ambient forms, rebuilt per node from BH coordinates
+    ph = [b @ b.T for b in rs.bh]
+    shat_amb = np.array([b @ s_bh @ b.T for b, s_bh in zip(rs.bh, rs.shat_bh)])
+    aastar = [b @ a @ a.T @ b.T for b, a in zip(rs.bh, rs.a_bh)]
     ref = []
     for j in idx:
-        ds = _five_point(rs.shat_amb, j, traj.step)
-        r_amb = rs.ph[j] @ fld.matrix(ts[j]) @ rs.ph[j]
-        total = ds + rs.shat_amb[j] @ rs.shat_amb[j] + r_amb + 3.0 * rs.aastar[j]
+        ds = _five_point(shat_amb, j, traj.step)
+        r_amb = ph[j] @ fld.matrix(ts[j]) @ ph[j]
+        total = ds + shat_amb[j] @ shat_amb[j] + r_amb + 3.0 * aastar[j]
         ref.append(np.linalg.norm(rs.bh[j].T @ total @ rs.bh[j], 2))
     assert hce.n_checked > 0
     assert_allclose(hce.values, ref, rtol=1e-12, atol=1e-12)
 
     worst = 0.0
     for j in np.nonzero(rs.regular)[0]:
-        r_hat = rs.bh[j].T @ (fld.matrix(ts[j]) + 3.0 * rs.aastar[j]) @ rs.bh[j]
+        r_hat = rs.bh[j].T @ (fld.matrix(ts[j]) + 3.0 * aastar[j]) @ rs.bh[j]
         worst = max(worst, np.linalg.norm(r_hat - 4.0 * np.eye(1), 2))
     assert js.recovered_curvature_deviation(rs, 4.0) == pytest.approx(worst, rel=1e-12)
 

@@ -212,6 +212,28 @@ def test_report_json_shape_and_stability():
         assert check["matched"] is True
 
 
+def _not_strict(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def test_reports_are_strict_json(builtin_runs, tmp_path):
+    # JSON has no inf or NaN: the boundary gate's cot(0+) bound and the hce
+    # residual with no checked node are written as null, and stay non-finite
+    # in the library's objects
+    texts = [report.to_json() for report in builtin_runs.values()]
+    texts.append(js.run_scenario(js.scenario_from_config(CONFIG)).to_json())
+    assert js.main(["run", "hopf-holonomy", "--step", "0.05", "--out", str(tmp_path)]) == 1
+    texts.append((tmp_path / "hopf-holonomy-report.json").read_text())
+    docs = [json.loads(text, parse_constant=_not_strict) for text in texts]
+    assert len(docs) == 19
+    (sphere, *_) = builtin_runs["sphere-zero"].checks
+    assert sphere.details["hypothesis_flags"]["boundary_eig"]["bound"] == math.inf
+    boundary = sphere.to_dict()["details"]["hypothesis_flags"]["boundary_eig"]
+    assert boundary["bound"] is None and boundary["margin"] is None
+    assert docs[-1]["checks"][0]["details"]["residual"] is None
+    assert js.cli._jsonable(np.array([1.5, np.inf, np.nan])) == [1.5, None, None]
+
+
 def test_run_scenario_seed_adds_sampled_floor():
     rep = js.run_scenario("cp2-zero", seed=5)
     split = next(c for c in rep.checks if c.kind == "splitting")

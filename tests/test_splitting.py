@@ -543,6 +543,19 @@ def test_two_zeros_a_step_apart_are_never_falsified(delta):
     assert _mode_b(js.constant_sectional(3, 1.0), 0.0, math.pi, y0, yd0) != "falsified"
 
 
+@pytest.mark.parametrize("alpha, end", [(-0.5, 2.5), (3.5, 7.0)])
+def test_mode_b_from_alpha_outside_zero_pi_is_not_evaluable(alpha, end):
+    # sin(t) I on the sphere from alpha: every member vanishes at the same
+    # multiple of pi inside the window, so dim Z = dim P = 2; cot(alpha)
+    # bounds nothing there, and the boundary gate must not pass
+    y0, yd0 = math.sin(alpha) * np.eye(2), math.cos(alpha) * np.eye(2)
+    assert _mode_b(js.constant_sectional(3, 1.0), alpha, end, y0, yd0) == "hypothesis-violated"
+    traj = js.integrate(js.FamilySpec(js.constant_sectional(3, 1.0), alpha, end, y0, yd0))
+    gate = js.boundary_eigenvalue_gate(traj, alpha)
+    assert not gate["passed"] and gate["value"] is None
+    assert gate["note"] == f"not evaluable: alpha={alpha:.12g} lies outside [0, pi)"
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="known defect, ROADMAP item 2: on the sphere from alpha = 0.5, the "

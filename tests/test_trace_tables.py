@@ -55,7 +55,8 @@ def _rows_export_reduction_csv(rs, path):
         eigs = np.linalg.eigvalsh((s_bh + np.transpose(s_bh, (0, 2, 1))) / 2.0)
         shat_min[reg], shat_max[reg] = eigs[:, 0], eigs[:, -1]
     if np.any(reg) and rs.dim_v:
-        norm_a[reg] = np.linalg.svd(rs.a_amb[reg], compute_uv=False)[:, 0]
+        # |A| = |BH a_bh| = |a_bh|: BH has orthonormal columns
+        norm_a[reg] = np.linalg.svd(rs.a_bh[reg], compute_uv=False)[:, 0]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "regular", "lift_err", "norm_a", "shat_min", "shat_max"])

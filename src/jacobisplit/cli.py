@@ -11,11 +11,11 @@ projective plane, a holonomy-twisted family), two deliberate
 counterexamples that must trip specific hypothesis gates, and a batch of
 randomized self-adjoint families.
 
-Check verdicts are three-valued: ``verified``, ``hypothesis-violated`` and
-``falsified``. A ``falsified`` verdict means every hypothesis gate passed
-while a conclusion failed; it must never occur on the built-in scenarios
-and the test suite enforces that. Each check kind is one row of ``CHECKS``:
-the library function that forms its verdict and the params it requires.
+Every check reads its verdict by one rule (``splitting.verdict``). A
+``falsified`` verdict means every hypothesis gate passed while a
+conclusion failed; it must never occur on the built-in scenarios and the
+test suite enforces that. Each check kind is one row of ``CHECKS``: the
+library function that forms its verdict and the params it requires.
 A run sets only the step and a seed. The detection and gate tolerances are
 module constants (``jacobi.TOL_SING``, ``jacobi.TOL_ZERO``,
 ``splitting.TOL_EIG``, ``splitting.TOL_SPAN``), so no run can widen a gate
@@ -64,7 +64,7 @@ from .reduction import (
     reduced_boundary_verdict,
     shared_reduction,
 )
-from .splitting import MODES, splitting_params, splitting_verdict, vanishing_floor_verdict
+from .splitting import MODES, splitting_verdict, vanishing_floor_verdict
 from .symlin import orthonormal_columns
 
 __all__ = [
@@ -84,10 +84,6 @@ __all__ = [
 VERSION = "0.1.0"
 REPORT_SCHEMA = "jacobisplit.report/1"
 VERDICTS = ("verified", "hypothesis-violated", "falsified")
-
-
-def _needs(*keys: str) -> Callable[[dict], tuple[str, ...]]:
-    return lambda params: keys
 
 
 def _is_finite_number(value) -> bool:
@@ -113,7 +109,7 @@ def _is_psi(value) -> bool:
 
 
 # check param and config field validators: (test, what a valid value is)
-_MODE = (lambda v: v in MODES, f"one of {', '.join(MODES)}")
+_MODE = (lambda v: isinstance(v, str) and v in MODES, f"one of {', '.join(MODES)}")
 _INTEGER = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer")
 _NUMBER = (_is_finite_number, "a finite number")
 _NUMBERS = (
@@ -138,24 +134,24 @@ class CheckKind(NamedTuple):
     behind the check: (trajectory, params, seed) -> (verdict, details),
     where ``seed`` is the run's seed or None. ``params`` maps the keys it
     reads from its params to their validators, ``(test, what a valid value
-    is)``, and ``required`` maps a check's params to the keys it cannot run
-    without (for a splitting check they depend on its mode)."""
+    is)``, and ``required`` names the keys it cannot run without; a
+    splitting check's ``theorem`` adds the ones its mode needs (``MODES``)."""
 
     verdict: Callable[[JacobiTrajectory, dict, int | None], tuple[str, dict]]
     params: dict[str, tuple[Callable[[object], bool], str]]
-    required: Callable[[dict], tuple[str, ...]] = _needs()
+    required: tuple[str, ...] = ()
     reduces: bool = False  # --traces exports the reduction its ``psi`` names
 
 
 CHECKS = {
     "splitting": CheckKind(
-        splitting_verdict, {"theorem": _MODE, "k": _INTEGER, "alpha": _NUMBER}, splitting_params
+        splitting_verdict, {"theorem": _MODE, "k": _INTEGER, "alpha": _NUMBER}, ("theorem",)
     ),
     "rigidity": CheckKind(rigidity_verdict, {"alpha": _NUMBER}),
     "hce": CheckKind(hce_verdict, {"psi": _PSI, "tol": _POSITIVE, "level": _NUMBER}, reduces=True),
-    "vanishing-floor": CheckKind(vanishing_floor_verdict, {"k": _INTEGER}, _needs("k")),
+    "vanishing-floor": CheckKind(vanishing_floor_verdict, {"k": _INTEGER}, ("k",)),
     "reduced-boundary": CheckKind(
-        reduced_boundary_verdict, {"psi": _PSI, "alpha": _NUMBER}, _needs("alpha"), reduces=True
+        reduced_boundary_verdict, {"psi": _PSI, "alpha": _NUMBER}, ("alpha",), reduces=True
     ),
 }
 
@@ -167,12 +163,13 @@ class CheckSpec:
     expectation: str
 
     def __post_init__(self):
-        if self.kind not in CHECKS:
+        if not isinstance(self.kind, str) or self.kind not in CHECKS:
             raise ValueError(f"unknown check kind: {self.kind!r}")
         if self.expectation not in VERDICTS:
             raise ValueError(f"unknown expectation: {self.expectation!r}")
         _check_keys(self.params, CHECKS[self.kind].params, f"check {self.kind!r} param")
-        for key in CHECKS[self.kind].required(self.params):
+        by_mode = MODES[self.params["theorem"]].params if "theorem" in self.params else ()
+        for key in CHECKS[self.kind].required + by_mode:
             if key not in self.params:
                 raise ValueError(f"check {self.kind!r} is missing required param {key!r}")
 

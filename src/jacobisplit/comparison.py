@@ -219,9 +219,13 @@ def comparison_check(trace: ScalarTrace, t0: float) -> ComparisonReport:
 class RigidityReport(SplittingReport):
     """Outcome of the rigidity check: the mode-E report at k = n - 1 plus
     ``max_r_dev``, the largest ``R - id`` deviation over the regular nodes of
-    the open window (None when a gate fails)."""
+    the open window (None when a gate fails), which refines its conclusion."""
 
     max_r_dev: float | None = None
+
+    @property
+    def holds(self) -> bool:
+        return super().holds and self.max_r_dev is not None and self.max_r_dev <= TOL_ROUND
 
 
 def rigidity_check(traj: JacobiTrajectory, alpha: float | None = None) -> RigidityReport:
@@ -239,20 +243,18 @@ def rigidity_check(traj: JacobiTrajectory, alpha: float | None = None) -> Rigidi
     inside the window, and reads ``falsified`` otherwise.
     """
     report = check_splitting(traj, "E", k=traj.dim, alpha=traj.alpha if alpha is None else alpha)
-    verdict, r_dev = report.verdict, None
-    if verdict != "hypothesis-violated":
+    r_dev = None
+    if report.gates_passed:
         lam = traj.field_spectrum_at(traj.regular & traj.in_open_window(traj.times))
         r_dev = float(np.max(np.abs(lam - 1.0), initial=0.0))
-        if r_dev > TOL_ROUND:
-            verdict = "falsified"
-    return RigidityReport(**{**vars(report), "verdict": verdict}, max_r_dev=r_dev)
+    return RigidityReport(**vars(report), max_r_dev=r_dev)
 
 
 def rigidity_verdict(traj: JacobiTrajectory, params: dict, seed: int | None) -> tuple[str, dict]:
     """The ``rigidity`` check of a scenario: ``rigidity_check`` with the
     boundary time ``params.get("alpha")``."""
     report = rigidity_check(traj, alpha=params.get("alpha"))
-    return report.verdict, dict(vars(report))
+    return report.verdict, dict(vars(report), verdict=report.verdict)
 
 
 def export_scalar_csv(trace: ScalarTrace, path: str) -> None:

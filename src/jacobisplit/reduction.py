@@ -46,7 +46,7 @@ from .jacobi import (
     riccati_series,
     write_table,
 )
-from .splitting import TOL_EIG, self_adjoint_gate
+from .splitting import TOL_EIG, self_adjoint_gate, verdict
 from .symlin import orthonormal_columns, spectral_norms, spectrum
 
 __all__ = [
@@ -172,13 +172,16 @@ def hce_residual(
     - 8 S_{i-1} + S_{i-2}) / (12 h)`` of the ambient form ``S = BH S_hat
     BH^T`` is restricted to H and added to ``S_hat^2`` and the recovered
     curvature; the report collects the spectral norms, none if no node
-    qualifies.
+    qualifies. ``S`` is formed on the slice of nodes the stencil spans,
+    which costs less than picking out just the nodes it reads.
     """
     traj = rs.traj
     cap = default_resolvability_cap(traj.step, tol) if s_cap is None else float(s_cap)
     idx = difference_nodes(rs.regular, rs.shat_bh, cap)
-    s = rs.bh @ rs.shat_bh @ _t(rs.bh)
-    ds = (8.0 * (s[idx + 1] - s[idx - 1]) - (s[idx + 2] - s[idx - 2])) / (12.0 * traj.step)
+    lo, hi = (idx[0] - 2, idx[-1] + 3) if idx.size else (0, 0)
+    bh, j = rs.bh[lo:hi], idx - lo
+    s = bh @ rs.shat_bh[lo:hi] @ _t(bh)
+    ds = (8.0 * (s[j + 1] - s[j - 1]) - (s[j + 2] - s[j - 2])) / (12.0 * traj.step)
     bh, shat = rs.bh[idx], rs.shat_bh[idx]
     values = spectral_norms(_t(bh) @ ds @ bh + shat @ shat + _recovered_curvature(rs, idx))
     return ResidualReport(traj.times[idx], values, cap)
@@ -246,11 +249,10 @@ def hce_verdict(traj: JacobiTrajectory, params: dict, seed: int | None) -> tuple
     1e-3) and, when ``params["level"]`` is given, the recovered horizontal
     curvature equals that level times the identity within the same tol.
     With no node to difference under the resolvability cap the equation is
-    not evaluable, and the verdict is ``hypothesis-violated``."""
-    gate = self_adjoint_gate(traj)
-    details = {"self_adjoint": gate}
-    if not gate["passed"]:
-        return "hypothesis-violated", details
+    not evaluable."""
+    details = {"self_adjoint": self_adjoint_gate(traj)}
+    if not details["self_adjoint"]["passed"]:
+        return verdict(False, False), details
     rs = shared_reduction(traj, params)
     tol = params.get("tol", 1e-3)
     rep = hce_residual(rs, tol=tol)
@@ -261,15 +263,14 @@ def hce_verdict(traj: JacobiTrajectory, params: dict, seed: int | None) -> tuple
         dim_v=rs.dim_v,
         dim_h=rs.dim_h,
     )
-    ok = rep.max_residual <= tol
+    holds = rep.max_residual <= tol
     if "level" in params:
         dev = recovered_curvature_deviation(rs, params["level"])
         details["curvature_deviation"] = dev
-        ok = ok and dev <= tol
+        holds = holds and dev <= tol
     if not rep.n_checked:
         details["note"] = "not evaluable: no node within the resolvability cap"
-        return "hypothesis-violated", details
-    return ("verified" if ok else "falsified"), details
+    return verdict(bool(rep.n_checked), holds), details
 
 
 def reduced_boundary_verdict(
@@ -277,15 +278,17 @@ def reduced_boundary_verdict(
 ) -> tuple[str, dict]:
     """The ``reduced-boundary`` check: under self-adjointness, the reduced
     operator's top eigenvalue at ``params["alpha"]`` is dominated by the
-    full operator's (``reduced_boundary_check``)."""
-    gate = self_adjoint_gate(traj)
-    details = {"self_adjoint": gate}
-    if not gate["passed"]:
-        return "hypothesis-violated", details
-    rs = shared_reduction(traj, params)
-    rep = reduced_boundary_check(rs, params["alpha"])
-    details.update(rep)
-    return ("verified" if rep["passed"] else "falsified"), details
+    full operator's (``reduced_boundary_check``), which is not evaluable at
+    a node that is not regular for the reduction."""
+    details = {"self_adjoint": self_adjoint_gate(traj)}
+    if not details["self_adjoint"]["passed"]:
+        return verdict(False, False), details
+    rs, alpha = shared_reduction(traj, params), params["alpha"]
+    if not rs.regular[traj.node_index(alpha)]:
+        details["note"] = f"not evaluable: alpha={alpha} is not a regular node of the reduction"
+        return verdict(False, False), details
+    details.update(reduced_boundary_check(rs, alpha))
+    return verdict(True, details["passed"]), details
 
 
 def export_reduction_csv(rs: ReducedSystem, path: str) -> None:

@@ -17,19 +17,20 @@ some instant of the relevant window) and a structured complement P:
   (``comparison.rigidity_check``): no member vanishes inside the window and
   every member is of sine type.
 
-The verdict is three-valued: ``hypothesis-violated`` when a gate fails,
-``verified`` when gates and conclusions hold, and ``falsified`` when every
-gate passes yet a conclusion fails. The last is a consistency alarm: it
-should never fire on correct inputs, and the test suite asserts it never
-does across the built-in scenarios. The gates run per check; the
-conclusion depends only on the trajectory and the window kind (open for B
-and E, closed for A and C), so each trajectory computes it once.
+Every check kind reads its verdict from one rule (``verdict``), its gate
+records from one builder (``gate``), and each mode's needs from ``MODES``.
+The last verdict, ``falsified``, is a consistency alarm: it should never
+fire on correct inputs, and the test suite asserts it never does across
+the built-in scenarios. The gates run per check; the conclusion depends
+only on the trajectory and the window kind (open for B and E, closed for A
+and C), so each trajectory computes it once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,20 +54,41 @@ __all__ = [
     "parallel_span",
     "sine_span",
     "check_splitting",
-    "splitting_params",
     "splitting_verdict",
     "vanishing_floor_verdict",
 ]
 
-MODES = ("A", "B", "C", "E")
-# the params each mode needs besides ``theorem``
-MODE_PARAMS = {"A": (), "B": ("alpha",), "C": ("k",), "E": ("k", "alpha")}
+# each mode's params besides ``theorem``, the Ric_k floor its hypothesis
+# asks for (None: the level k) and whether it counts zeros on the open window
+Mode = namedtuple("Mode", ["params", "floor", "open_window"])
+MODES = {
+    "A": Mode((), 0.0, False),
+    "B": Mode(("alpha",), 1.0, True),
+    "C": Mode(("k",), 0.0, False),
+    "E": Mode(("k", "alpha"), None, True),
+}
 # largest node residual of a span member, relative to the family's size over
 # the grid (JacobiTrajectory.stacked_bound)
 TOL_SPAN = 1e-6
 TOL_ORTH = 1e-6  # largest normalized inner product between Z- and P-members
 TOL_EIG = 1e-6  # slack of the boundary eigenvalue bound cot(alpha)
 _FLOOR_SLACK = 1e-9
+_OPTIONAL = ("boundary_eig", "dim_condition")  # gates a mode may not ask for: they pass
+
+
+def verdict(gates_passed: bool, holds: bool) -> str:
+    """The verdict of every check: ``hypothesis-violated`` unless every gate
+    passed, else whether the conclusion holds. A check that cannot be
+    evaluated passes no gate, and says why in a note that starts ``not
+    evaluable:``."""
+    if not gates_passed:
+        return "hypothesis-violated"
+    return "verified" if holds else "falsified"
+
+
+def gate(name: str, passed: bool, **values) -> dict:
+    """A hypothesis gate record, with the values it was decided on."""
+    return {"name": name, "applicable": True, "passed": bool(passed), **values}
 
 
 def self_adjoint_gate(traj: JacobiTrajectory) -> dict:
@@ -85,13 +107,7 @@ def self_adjoint_gate(traj: JacobiTrajectory) -> dict:
             f"y0 and yd0 are too large for the self-adjointness gate: the square of "
             f"sigma_max([y0; yd0]) = {size:.6g}, or the Wronskian, overflows"
         )
-    return {
-        "name": "self_adjoint",
-        "applicable": True,
-        "passed": bool(defect <= threshold),
-        "defect": defect,
-        "threshold": threshold,
-    }
+    return gate("self_adjoint", defect <= threshold, defect=defect, threshold=threshold)
 
 
 def boundary_eigenvalue_gate(traj: JacobiTrajectory, alpha: float) -> dict:
@@ -114,36 +130,25 @@ def boundary_eigenvalue_gate(traj: JacobiTrajectory, alpha: float) -> dict:
             f"boundary gate: alpha={alpha:.12g} lies outside the window "
             f"[{traj.alpha:.12g}, {traj.end:.12g}]"
         )
-    out = {
-        "name": "boundary_eig",
-        "applicable": True,
-        "passed": False,
-        "value": None,
-        "bound": None,
-        "margin": None,
-        "note": "",
-    }
     if abs(alpha) <= 1e-12:
-        out.update(passed=True, bound=math.inf, margin=math.inf, note="cot(0+) bound is +inf")
-        return out
+        note = "cot(0+) bound is +inf"
+        return gate("boundary_eig", True, value=None, bound=math.inf, margin=math.inf, note=note)
     if not 0.0 < alpha <= math.pi:
-        out["note"] = f"not evaluable: alpha={alpha:.12g} lies outside [0, pi)"
-        return out
+        note = f"not evaluable: alpha={alpha:.12g} lies outside [0, pi)"
+        return gate("boundary_eig", False, value=None, bound=None, margin=None, note=note)
     bound = math.cos(alpha) / math.sin(alpha) + TOL_EIG
-    out["bound"] = bound
     y, yd = traj.nodes(traj.node_index(alpha))
     u, svals, vh = np.linalg.svd(y)
     rank = int(np.sum(svals > TOL_SING * traj.scale))
     if rank == 0:
-        out["note"] = "not evaluable: Y(alpha) has trivial image"
-        return out
-    if rank < traj.dim:
-        out["note"] = f"quotient restriction to rank-{rank} image of Y(alpha)"
+        note = "not evaluable: Y(alpha) has trivial image"
+        return gate("boundary_eig", False, value=None, bound=bound, margin=None, note=note)
+    note = f"quotient restriction to rank-{rank} image of Y(alpha)" if rank < traj.dim else ""
     # U_r^T Yd V_r Sigma_r^-1; at full rank U^T (Yd Y^-1) U, with its spectrum
     s = u[:, :rank].T @ yd @ vh[:rank].T @ np.diag(1.0 / svals[:rank])
     value = float(spectrum(s)[0][-1])
-    out.update(value=value, margin=bound - value, passed=bool(value <= bound))
-    return out
+    margin = bound - value
+    return gate("boundary_eig", value <= bound, value=value, bound=bound, margin=margin, note=note)
 
 
 @dataclass(frozen=True)
@@ -230,7 +235,6 @@ class SplittingReport:
     """Outcome of one splitting check."""
 
     theorem: str
-    verdict: str  # verified | hypothesis-violated | falsified
     dim_z: int
     dim_p: int
     z_basis: np.ndarray
@@ -241,7 +245,23 @@ class SplittingReport:
     hypothesis_flags: dict
     window: tuple[float, float]
     open_ends: bool
-    completeness: dict = field(default_factory=dict)
+    completeness: dict
+
+    @property
+    def verdict(self) -> str:
+        """The module's rule, ``verdict``, of the gates and the conclusion."""
+        return verdict(self.gates_passed, self.holds)
+
+    @property
+    def gates_passed(self) -> bool:
+        return all(flag["passed"] for flag in self.hypothesis_flags.values())
+
+    @property
+    def holds(self) -> bool:
+        """The family splits: two independent, orthogonal spans fill it."""
+        c = self.completeness
+        independent = c["dims_sum"] == 0 or c["stacked_sigma_min"] >= 1e-8
+        return c["dims_sum"] == c["expected"] and independent and c["orth_ok"]
 
 
 def _orthogonality_residual(traj: JacobiTrajectory, zb: np.ndarray, pb: np.ndarray) -> float:
@@ -282,13 +302,13 @@ def _zero_time_map(events: list[ZeroEvent], z_basis: np.ndarray) -> list[tuple[i
     return sorted(pairs, key=lambda p: (p[1], p[0]))
 
 
-def _conclusion(traj: JacobiTrajectory, open_ends: bool) -> tuple[dict, bool]:
+def _conclusion(traj: JacobiTrajectory, open_ends: bool) -> dict:
     """The splitting conclusion on ``traj``: the SplittingReport fields that
     depend only on the trajectory and on ``open_ends`` (the vanishing span
     and its zero times, the sine span of modes B and E or the parallel span
-    of modes A and C, and the completeness figures), and whether the family
-    splits. Kept in ``traj.derived``, so each trajectory computes it once
-    per window kind, whichever modes its checks run."""
+    of modes A and C, and the completeness figures). Kept in
+    ``traj.derived``, so each trajectory computes it once per window kind,
+    whichever modes its checks run."""
     key = ("conclusion", open_ends)
     if key not in traj.derived:
         z_basis = vanishing_span(traj, open_ends)
@@ -299,9 +319,7 @@ def _conclusion(traj: JacobiTrajectory, open_ends: bool) -> tuple[dict, bool]:
         stacked = np.hstack([z_basis, p_basis])
         dims_sum = stacked.shape[1]
         stack_sig = float(np.linalg.svd(stacked, compute_uv=False)[-1]) if dims_sum else 0.0
-        orth_ok = bool(residual_orth <= TOL_ORTH)
-        complete = dims_sum == traj.dim and (dims_sum == 0 or stack_sig >= 1e-8) and orth_ok
-        fields = {
+        traj.derived[key] = {
             "dim_z": z_basis.shape[1],
             "dim_p": p_basis.shape[1],
             "z_basis": z_basis,
@@ -313,10 +331,9 @@ def _conclusion(traj: JacobiTrajectory, open_ends: bool) -> tuple[dict, bool]:
                 "dims_sum": dims_sum,
                 "expected": traj.dim,
                 "stacked_sigma_min": stack_sig,
-                "orth_ok": orth_ok,
+                "orth_ok": bool(residual_orth <= TOL_ORTH),
             },
         }
-        traj.derived[key] = (fields, complete)
     return traj.derived[key]
 
 
@@ -330,61 +347,35 @@ def check_splitting(
 
     Modes B and E require ``alpha`` (the boundary-condition time, normally
     the window start); modes C and E require the floor level ``k``. The
-    gates run on every call; the conclusion is shared with every other
-    mode of the same window kind on ``traj`` (``_conclusion``).
+    gates run on every call, self-adjointness first; the conclusion is
+    shared with every other mode of the same window kind on ``traj``
+    (``_conclusion``). The verdict is ``verdict`` of the two.
     """
-    if theorem not in MODES:
+    if not isinstance(theorem, str) or theorem not in MODES:
         raise ValueError(f"unknown splitting mode: {theorem!r}")
-    needs_alpha = "alpha" in MODE_PARAMS[theorem]
-    needs_k = "k" in MODE_PARAMS[theorem]
-    if needs_alpha and alpha is None:
-        raise ValueError(f"mode {theorem} requires alpha")
-    if needs_k and k is None:
-        raise ValueError(f"mode {theorem} requires k")
-    flags: dict[str, dict] = {}
+    mode = MODES[theorem]
+    for name, value in (("alpha", alpha), ("k", k)):
+        if name in mode.params and value is None:
+            raise ValueError(f"mode {theorem} requires {name}")
+    flags = {name: {"name": name, "applicable": False, "passed": True} for name in _OPTIONAL}
     flags["self_adjoint"] = self_adjoint_gate(traj)
-
-    if needs_alpha:
+    if "alpha" in mode.params:
         flags["boundary_eig"] = boundary_eigenvalue_gate(traj, alpha)
-    else:
-        flags["boundary_eig"] = {"name": "boundary_eig", "applicable": False, "passed": True}
-
-    floor_k = k if needs_k else 1
-    floor_needed = {"A": 0.0, "B": 1.0, "C": 0.0, "E": float(k or 0)}[theorem]
-    floor_val = ric_k_floor(traj.field_spectrum, floor_k)
-    flags["ric_k_floor"] = {
-        "name": "ric_k_floor",
-        "applicable": True,
-        "passed": bool(floor_val >= floor_needed - _FLOOR_SLACK),
-        "k": floor_k,
-        "value": float(floor_val),
-        "threshold": floor_needed,
-    }
-
-    open_ends = theorem in ("B", "E")
-    conclusion, complete = _conclusion(traj, open_ends)
-    if needs_k:
+    floor_k = k if "k" in mode.params else 1
+    needed = float(k) if mode.floor is None else mode.floor
+    floor = float(ric_k_floor(traj.field_spectrum, floor_k))
+    flags["ric_k_floor"] = gate(
+        "ric_k_floor", floor >= needed - _FLOOR_SLACK, k=floor_k, value=floor, threshold=needed
+    )
+    conclusion = _conclusion(traj, mode.open_window)
+    if "k" in mode.params:
         dim_z, limit = conclusion["dim_z"], traj.dim - k  # n - k - 1
-        flags["dim_condition"] = {
-            "name": "dim_condition",
-            "applicable": True,
-            "passed": bool(dim_z <= limit),
-            "dim_z": dim_z,
-            "limit": limit,
-        }
-    else:
-        flags["dim_condition"] = {"name": "dim_condition", "applicable": False, "passed": True}
-
-    if not all(flag["passed"] for flag in flags.values()):
-        verdict = "hypothesis-violated"
-    else:
-        verdict = "verified" if complete else "falsified"
+        flags["dim_condition"] = gate("dim_condition", dim_z <= limit, dim_z=dim_z, limit=limit)
     return SplittingReport(
         theorem=theorem,
-        verdict=verdict,
         hypothesis_flags=flags,
         window=(traj.alpha, traj.end),
-        open_ends=open_ends,
+        open_ends=mode.open_window,
         **conclusion,
     )
 
@@ -398,17 +389,11 @@ def _floor_cross_check(traj: JacobiTrajectory, k: int, seed: int | None, details
         details["floor_sampled"] = ric_k_floor_sampled(traj.spec.field, t_floor, k, seed=seed)
 
 
-def splitting_params(params: dict) -> tuple[str, ...]:
-    """The params a splitting check cannot run without: ``theorem`` and the
-    ones its mode needs."""
-    return ("theorem",) + MODE_PARAMS.get(params.get("theorem"), ())
-
-
 def splitting_verdict(traj: JacobiTrajectory, params: dict, seed: int | None) -> tuple[str, dict]:
     """The ``splitting`` check of a scenario: ``check_splitting`` in the mode
     ``params["theorem"]``, plus the sampled floor when ``seed`` is given."""
     report = check_splitting(traj, params["theorem"], k=params.get("k"), alpha=params.get("alpha"))
-    details = dict(vars(report))
+    details = dict(vars(report), verdict=report.verdict)
     _floor_cross_check(traj, report.hypothesis_flags["ric_k_floor"]["k"], seed, details)
     return report.verdict, details
 
@@ -420,13 +405,12 @@ def vanishing_floor_verdict(
     Ric_k floor over the window (``k = params["k"]``), at least ``n - k``
     independent members vanish somewhere in the closed window."""
     k = params["k"]
-    gate = self_adjoint_gate(traj)
-    floor = ric_k_floor(traj.field_spectrum, k)
-    details = {"self_adjoint": gate, "floor": floor}
+    details = {"self_adjoint": self_adjoint_gate(traj)}
+    details["floor"] = ric_k_floor(traj.field_spectrum, k)
     _floor_cross_check(traj, k, seed, details)
-    if not gate["passed"] or floor <= 0.0:
-        return "hypothesis-violated", details
+    if not details["self_adjoint"]["passed"] or details["floor"] <= 0.0:
+        return verdict(False, False), details
     basis = vanishing_span(traj)
     need = traj.spec.field.n - k
     details.update(dim_z_closed=basis.shape[1], required=need)
-    return ("verified" if basis.shape[1] >= need else "falsified"), details
+    return verdict(True, basis.shape[1] >= need), details

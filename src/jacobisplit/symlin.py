@@ -12,6 +12,8 @@ absolute value.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -62,17 +64,19 @@ def orthonormal_columns(a) -> np.ndarray:
     Input columns are orthonormalized in order; a column whose residual norm
     falls below ``DROP_TOL`` times the largest input column norm is dropped.
     Returns a matrix whose columns are orthonormal (possibly fewer than the
-    input had).
+    input had). The input is first scaled by the power of two that brings
+    its largest magnitude to ``[1/2, 1)``, so no norm overflows or
+    underflows with its scale, and ``2^k a`` gives the bits of ``a``.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
     rows = a.shape[0]
-    if a.size == 0:
+    peak = float(np.max(np.abs(a), initial=0.0))
+    if peak == 0.0:
         return np.zeros((rows, 0))
+    a = np.ldexp(a, -math.frexp(peak)[1])
     ref = float(np.max(np.linalg.norm(a, axis=0)))
-    if ref == 0.0:
-        return np.zeros((rows, 0))
     kept: list[np.ndarray] = []
     for j in range(a.shape[1]):
         v = a[:, j].astype(float).copy()

@@ -11,7 +11,9 @@ roundoff.
 """
 
 import csv
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +111,20 @@ def _assert_matches(rs, ref, keys, nodes):
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(scale, 1.0)), key
 
 
+def _assert_residual_is_the_full_grid_formula(rs):
+    """``hce_residual``, which forms the ambient reduced operator on the
+    slice of nodes its stencil spans, gives the bits of the same formula
+    with that operator formed at every node."""
+    rep, traj = js.hce_residual(rs), rs.traj
+    idx = np.searchsorted(traj.times, rep.times)
+    s = _ambient_forms(rs)["shat_amb"]
+    ds = (8.0 * (s[idx + 1] - s[idx - 1]) - (s[idx + 2] - s[idx - 2])) / (12.0 * traj.step)
+    bh, shat = rs.bh[idx], rs.shat_bh[idx]
+    total = bh.transpose(0, 2, 1) @ ds @ bh + shat @ shat
+    total += js.reduction._recovered_curvature(rs, idx)
+    assert np.array_equal(rep.values, js.symlin.spectral_norms(total))
+
+
 def _assert_matches_ambient_checks(rs, level):
     """``hce_residual`` and ``recovered_curvature_deviation`` agree with
     their ambient formulas, ``BH^T (S' + S^2 + R + 3 A A^*) BH`` with S the
@@ -128,6 +144,7 @@ def _assert_matches_ambient_checks(rs, level):
     r_hat = bt[j] @ (r[j] + 3.0 * aastar[j]) @ bh[j] - level * np.eye(rs.dim_h)
     worst = js.symlin.spectral_norms(r_hat).max(initial=0.0)
     assert abs(js.recovered_curvature_deviation(rs, level) - worst) <= 1e-12 * max(worst, 1.0)
+    _assert_residual_is_the_full_grid_formula(rs)
 
 
 def _time_varying_trajectory():
@@ -175,6 +192,7 @@ def test_reduce_matches_node_loop(trajs, name, psi):
     assert np.all(ref["lift_err"][both] <= 64 * eps_cond)
     err = np.linalg.norm(rs.shat_bh[both] - ref["shat_lift"][both], 2, axis=(1, 2))
     assert np.all(err <= 64 * eps_cond * np.maximum(ref["s_norm"][both], 1.0))
+    _assert_residual_is_the_full_grid_formula(rs)
 
 
 @st.composite
@@ -354,6 +372,37 @@ def test_reduced_boundary_rejects_irregular_node(trajs):
     rs = js.reduce(trajs("hopf-holonomy"), E1)
     with pytest.raises(ValueError, match="not a regular node"):
         js.reduced_boundary_check(rs, math.pi / 2.0)
+
+
+def _hopf_with_reduced_boundary(tmp_path, params) -> str:
+    """A config file of hopf-holonomy whose one check is a reduced-boundary
+    check with ``params``, expected to verify."""
+    builtins = json.loads(Path(js.cli.__file__).with_name("builtins.json").read_text())
+    doc = next(doc for doc in builtins if doc["name"] == "hopf-holonomy")
+    doc["checks"] = [{"kind": "reduced-boundary", "params": params, "expect": "verified"}]
+    path = tmp_path / "hopf.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_reduced_boundary_check_at_a_node_that_is_not_regular_is_not_evaluable(tmp_path, capsys):
+    # Y(0) = diag(1, 0) is singular, so the reduction has no operator at alpha = 0
+    path = _hopf_with_reduced_boundary(tmp_path, {"psi": [[1.0, 0.0]], "alpha": 0.0})
+    assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 1
+    assert "reduced-boundary: hypothesis-violated (expected verified)" in capsys.readouterr().out
+    report = json.loads((tmp_path / "hopf-holonomy-report.json").read_text())
+    note = "not evaluable: alpha=0.0 is not a regular node of the reduction"
+    assert report["checks"][0]["details"]["note"] == note
+
+
+def test_psi_is_read_without_regard_to_its_scale(tmp_path):
+    # a row near the float range spans the same subfamily as [1, 0]
+    (shipped,) = [c for c in js.run_scenario("hopf-holonomy").checks if c.kind == "reduced-boundary"]
+    scenario = js.scenario_from_config(
+        _hopf_with_reduced_boundary(tmp_path, {"psi": [[1e300, 0.0]], "alpha": 0.2})
+    )
+    (check,) = js.run_scenario(scenario).checks
+    assert check.verdict == "verified" and check.to_dict()["details"] == shipped.to_dict()["details"]
 
 
 def test_export_reduction_csv(tmp_path, trajs):

@@ -84,8 +84,10 @@ def test_package_data_declares_the_builtins():
 
 
 def test_checkspec_validation():
-    with pytest.raises(ValueError, match="unknown check kind"):
-        js.CheckSpec("frobnicate", {}, "verified")
+    # a kind that JSON reads as a list or an object is no check kind either
+    for kind in ("frobnicate", ["splitting"], {"splitting": 1}):
+        with pytest.raises(ValueError, match="unknown check kind"):
+            js.CheckSpec(kind, {}, "verified")
     with pytest.raises(ValueError, match="unknown expectation"):
         js.CheckSpec("rigidity", {}, "maybe")
 
@@ -481,6 +483,11 @@ def test_cli_exit_two_on_malformed_config(tmp_path, capsys):
         path = _example_with(tmp_path, lambda doc: doc.update({key: bad}))
         assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
         assert f"config key {key!r}" in capsys.readouterr().err
+    for kind in (["splitting"], {"splitting": 1}):
+        check = {"kind": kind, "params": {}, "expect": "verified"}
+        path = _example_with(tmp_path, lambda doc: doc.update(checks=[check]))
+        assert js.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+        assert f"config key 'checks': unknown check kind: {kind!r}" in capsys.readouterr().err
 
 
 def test_sampled_field_grid_and_ops_must_be_numbers(tmp_path, capsys, monkeypatch):
@@ -592,6 +599,8 @@ def test_missing_mode_param_is_rejected_before_integration(tmp_path, capsys):
 def test_check_param_values_are_validated_before_integration(tmp_path, capsys, monkeypatch):
     bad = [
         ("splitting", {"theorem": "Z"}, "'theorem' must be one of A, B, C, E, got 'Z'"),
+        ("splitting", {"theorem": ["A"]}, "'theorem' must be one of A, B, C, E, got ['A']"),
+        ("splitting", {"theorem": {"A": 1}}, "'theorem' must be one of A, B, C, E, got {'A': 1}"),
         ("splitting", {"theorem": "C", "k": 1.5}, "'k' must be an integer, got 1.5"),
         ("vanishing-floor", {"k": True}, "'k' must be an integer, got True"),
         ("rigidity", {"alpha": "x"}, "'alpha' must be a finite number, got 'x'"),

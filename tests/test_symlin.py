@@ -144,6 +144,24 @@ def test_orthonormal_columns_empty():
     assert orthonormal_columns(np.zeros((4, 2))).shape == (4, 0)
 
 
+def test_orthonormal_columns_ignore_a_power_of_two():
+    # the input is scaled to its largest magnitude first: 2^k a gives the
+    # bits of a wherever 2^k a is finite and has no subnormal entry, and no
+    # norm overflows (a warning is an error in this suite)
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((4, 3))
+    cases = [base, np.hstack([base[:, :2], base[:, :1] + 2.0 * base[:, 1:2]]), np.eye(3)[:, :2]]
+    cases.append(np.array([[1.0, 0.0], [0.0, 0.0]]))  # one nonzero row, as a psi of [[1, 0]]
+    for a in cases:
+        want = orthonormal_columns(a)
+        for k in range(-1100, 1030):
+            with np.errstate(over="ignore"):
+                scaled = np.ldexp(a, k)
+            normal = np.abs(scaled[a != 0.0]) >= np.finfo(float).tiny
+            if np.all(np.isfinite(scaled)) and np.all(normal):
+                assert np.array_equal(orthonormal_columns(scaled), want), k
+
+
 def _lapack_norms(a):
     return np.linalg.norm(a, 2, axis=(-2, -1))
 
